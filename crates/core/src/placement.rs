@@ -149,6 +149,20 @@ impl Serialize for UserPlacement {
         }
         serde::Value::object(fields)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"user\":");
+        self.user.write_json(out);
+        out.push_str(",\"zone_hours\":");
+        self.zone_hours.write_json(out);
+        out.push_str(",\"emd\":");
+        self.emd.write_json(out);
+        if self.zone_minutes != 0 {
+            out.push_str(",\"zone_minutes\":");
+            self.zone_minutes.write_json(out);
+        }
+        out.push('}');
+    }
 }
 
 impl Deserialize for UserPlacement {
@@ -843,6 +857,20 @@ mod tests {
         let back: UserPlacement = serde_json::from_str(&json).unwrap();
         assert_eq!(back, q);
         assert_eq!(back.offset_minutes(), -345);
+    }
+
+    #[test]
+    fn streamed_placement_matches_the_value_tree() {
+        for p in [
+            UserPlacement::new("u\"1", 0, 0.0),
+            UserPlacement::new("u", -11, 1.0 / 3.0),
+            UserPlacement::from_offset_minutes("nepal", 345, 0.125),
+            UserPlacement::from_offset_minutes("marquesas", -570, 2.5e-7),
+        ] {
+            let mut tree = String::new();
+            p.to_value().write_compact(&mut tree);
+            assert_eq!(serde_json::to_string(&p).unwrap(), tree);
+        }
     }
 
     #[test]

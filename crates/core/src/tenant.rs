@@ -20,9 +20,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use crate::concurrent::ConcurrentStreamingPipeline;
+use crate::concurrent::{ConcurrentStreamingPipeline, PublishedReport};
 use crate::error::CoreError;
 use crate::pipeline::GeolocationPipeline;
 use crate::placement::ZoneGrid;
@@ -108,7 +108,13 @@ pub struct Tenant {
     config: TenantConfig,
     engine: ConcurrentStreamingPipeline,
     window: Option<WindowedPipeline>,
+    /// The newest encoded epoch and its report body (see
+    /// [`Tenant::report_body`]).
+    body: Mutex<KeptBody>,
 }
+
+/// An epoch and `serde_json::to_vec` of that epoch's report.
+type KeptBody = Option<(u64, Arc<Vec<u8>>)>;
 
 impl Tenant {
     /// The tenant's (validated) name.
@@ -137,6 +143,44 @@ impl Tenant {
     /// tracking run) rather than through the raw engine.
     pub fn window(&self) -> Option<&WindowedPipeline> {
         self.window.as_ref()
+    }
+
+    /// `serde_json::to_vec(published.report())`, encoded at most once
+    /// for the newest epoch: the tenant keeps that epoch's body, so every
+    /// later read of the same cut shares it. Whichever caller first
+    /// encodes a newer epoch replaces the kept body; the encode runs
+    /// with no lock held. A report older than the kept one (a caller
+    /// still holding a superseded cut) is encoded on demand and not
+    /// kept.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `serde_json::to_vec` returns for the report.
+    pub fn report_body(
+        &self,
+        published: &PublishedReport,
+    ) -> Result<Arc<Vec<u8>>, serde_json::Error> {
+        let epoch = published.epoch();
+        if let Some((kept, body)) = &*self.kept_body() {
+            if *kept == epoch {
+                return Ok(Arc::clone(body));
+            }
+        }
+        let body = Arc::new(serde_json::to_vec(published.report())?);
+        let mut kept = self.kept_body();
+        match &*kept {
+            // Another reader encoded this epoch meanwhile: share theirs.
+            Some((newest, existing)) if *newest == epoch => Ok(Arc::clone(existing)),
+            Some((newest, _)) if *newest > epoch => Ok(body),
+            _ => {
+                *kept = Some((epoch, Arc::clone(&body)));
+                Ok(body)
+            }
+        }
+    }
+
+    fn kept_body(&self) -> MutexGuard<'_, KeptBody> {
+        self.body.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -240,6 +284,7 @@ impl TenantRegistry {
             config,
             engine,
             window,
+            body: Mutex::new(None),
         });
         tenants.insert(name.to_string(), Arc::clone(&tenant));
         Ok(tenant)

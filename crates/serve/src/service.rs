@@ -27,7 +27,9 @@
 //! post total) in `X-Crowdtz-*` headers rather than a JSON envelope.
 //! That is what lets `tests/serve_http.rs` pin the HTTP path against an
 //! in-process replay with `assert_eq!` on raw bodies, the same way every
-//! prior layer of this workspace was pinned.
+//! prior layer of this workspace was pinned. Each epoch is encoded once
+//! and kept on its tenant ([`Tenant::report_body`]); every read of that
+//! epoch copies the kept bytes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -497,8 +499,9 @@ impl AnalysisService {
             Ok(published) => published,
             Err(response) => return response,
         };
-        let body = match serde_json::to_vec(published.report()) {
-            Ok(body) => body,
+        // One encode per published epoch; each response copies it.
+        let body = match tenant.report_body(&published) {
+            Ok(body) => body.to_vec(),
             Err(e) => return Response::error(500, &format!("serialize failed: {e}")),
         };
         let watermarks = published
@@ -1036,6 +1039,215 @@ mod tests {
                 String::from_utf8_lossy(body)
             );
         }
+    }
+
+    fn header<'r>(response: &'r Response, name: &str) -> &'r str {
+        response
+            .headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("no {name} header"))
+    }
+
+    /// A tenant `name` holding one user's posts on days `days`.
+    fn seeded(service: &AnalysisService, name: &str, days: std::ops::Range<i64>) -> ConnState {
+        let mut conn = ConnState::default();
+        let (created, _) = service.handle(
+            &request(
+                "POST",
+                &format!("/v1/tenants/{name}"),
+                br#"{"min_posts": 1, "threads": 1}"#,
+            ),
+            &mut conn,
+        );
+        assert_eq!(created.status, 201);
+        ingest_days(service, &mut conn, name, "u1", days);
+        conn
+    }
+
+    fn ingest_days(
+        service: &AnalysisService,
+        conn: &mut ConnState,
+        name: &str,
+        user: &str,
+        days: std::ops::Range<i64>,
+    ) {
+        let posts: Vec<String> = days
+            .map(|day| (day * 86_400 + (day % 7 + 17) * 3_600).to_string())
+            .collect();
+        let body = format!(
+            r#"{{"deltas":[{{"user":"{user}","posts":[{}]}}]}}"#,
+            posts.join(",")
+        );
+        let (ingested, _) = service.handle(
+            &request(
+                "POST",
+                &format!("/v1/tenants/{name}/ingest"),
+                body.as_bytes(),
+            ),
+            conn,
+        );
+        assert_eq!(ingested.status, 200);
+    }
+
+    #[test]
+    fn repeated_reads_of_one_epoch_share_one_encode() {
+        let service = service();
+        let mut conn = seeded(&service, "alpha", 0..10);
+        let (cut, _) = service.handle(
+            &request("GET", "/v1/tenants/alpha/snapshot?publish=1", b""),
+            &mut conn,
+        );
+        assert_eq!(cut.status, 200);
+        let tenant = service.registry().get("alpha").unwrap();
+        let published = tenant.engine().snapshot().unwrap();
+        // The publishing request encoded the epoch and kept the body.
+        let kept = tenant.report_body(&published).unwrap();
+        assert_eq!(cut.body, *kept);
+        for _ in 0..3 {
+            let (read, _) = service.handle(
+                &request("GET", "/v1/tenants/alpha/snapshot", b""),
+                &mut conn,
+            );
+            assert_eq!(read.body, *kept);
+            assert!(Arc::ptr_eq(&kept, &tenant.report_body(&published).unwrap()));
+        }
+        assert_eq!(*kept, serde_json::to_vec(published.report()).unwrap());
+    }
+
+    #[test]
+    fn a_publish_replaces_the_body_and_old_cuts_encode_their_own() {
+        let service = service();
+        let mut conn = seeded(&service, "alpha", 0..10);
+        let publish = |conn: &mut ConnState| {
+            service.handle(
+                &request("GET", "/v1/tenants/alpha/snapshot?publish=1", b""),
+                conn,
+            )
+        };
+        let (first, _) = publish(&mut conn);
+        let tenant = service.registry().get("alpha").unwrap();
+        let old = tenant.engine().snapshot().unwrap();
+        let old_body = tenant.report_body(&old).unwrap();
+        assert_eq!(first.body, *old_body);
+
+        ingest_days(&service, &mut conn, "alpha", "u2", 3..20);
+        let (second, _) = publish(&mut conn);
+        assert_eq!(header(&second, "X-Crowdtz-Epoch"), "2");
+        let new = tenant.engine().snapshot().unwrap();
+        let kept = tenant.report_body(&new).unwrap();
+        assert_eq!(second.body, *kept);
+        assert_ne!(*kept, *old_body);
+
+        // The superseded cut still encodes to its own bytes, and asking
+        // for it leaves the newest epoch's body in place.
+        let again = tenant.report_body(&old).unwrap();
+        assert_eq!(*again, serde_json::to_vec(old.report()).unwrap());
+        assert_eq!(*again, *old_body);
+        assert!(Arc::ptr_eq(&kept, &tenant.report_body(&new).unwrap()));
+        let (read, _) = service.handle(
+            &request("GET", "/v1/tenants/alpha/snapshot", b""),
+            &mut conn,
+        );
+        assert_eq!(read.body, *kept);
+    }
+
+    #[test]
+    fn concurrent_reads_get_the_bytes_of_the_epoch_they_name() {
+        const PUBLISHES: i64 = 12;
+        const READS: usize = 40;
+        let service = service();
+        let mut conn = seeded(&service, "alpha", 0..10);
+        let (first, _) = service.handle(
+            &request("GET", "/v1/tenants/alpha/snapshot?publish=1", b""),
+            &mut conn,
+        );
+        assert_eq!(first.status, 200);
+        let tenant = service.registry().get("alpha").unwrap();
+        let mut reports = vec![tenant.engine().snapshot().unwrap()];
+        let barrier = std::sync::Barrier::new(3);
+        let (published, read) = std::thread::scope(|scope| {
+            let publisher = scope.spawn(|| {
+                barrier.wait();
+                let mut served = Vec::new();
+                for round in 1..=PUBLISHES {
+                    let user = format!("p{round}");
+                    ingest_days(&service, &mut conn, "alpha", &user, round..round + 8);
+                    let (cut, _) = service.handle(
+                        &request("GET", "/v1/tenants/alpha/snapshot?publish=1", b""),
+                        &mut conn,
+                    );
+                    // The only publisher: the newest cut is the one it made.
+                    let report = tenant.engine().snapshot().unwrap();
+                    assert_eq!(header(&cut, "X-Crowdtz-Epoch"), report.epoch().to_string());
+                    served.push((report.epoch().to_string(), cut.body));
+                    reports.push(report);
+                }
+                served
+            });
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut conn = ConnState::default();
+                        barrier.wait();
+                        (0..READS)
+                            .map(|_| {
+                                let (read, _) = service.handle(
+                                    &request("GET", "/v1/tenants/alpha/snapshot", b""),
+                                    &mut conn,
+                                );
+                                assert_eq!(read.status, 200);
+                                (header(&read, "X-Crowdtz-Epoch").to_string(), read.body)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let published = publisher.join().unwrap();
+            let read: Vec<_> = readers
+                .into_iter()
+                .flat_map(|reader| reader.join().unwrap())
+                .collect();
+            (published, read)
+        });
+        let by_epoch: HashMap<String, Vec<u8>> = reports
+            .iter()
+            .map(|r| {
+                (
+                    r.epoch().to_string(),
+                    serde_json::to_vec(r.report()).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(by_epoch.len(), PUBLISHES as usize + 1);
+        for (epoch, body) in published.iter().chain(&read) {
+            assert_eq!(Some(body), by_epoch.get(epoch), "epoch {epoch}");
+        }
+    }
+
+    #[test]
+    fn head_snapshot_sends_the_body_length_without_the_body() {
+        let service = service();
+        let mut conn = seeded(&service, "alpha", 0..10);
+        let (get, _) = service.handle(
+            &request("GET", "/v1/tenants/alpha/snapshot?publish=1", b""),
+            &mut conn,
+        );
+        let (head, route) = service.handle(
+            &request("HEAD", "/v1/tenants/alpha/snapshot", b""),
+            &mut conn,
+        );
+        assert_eq!((head.status, route), (200, "snapshot"));
+        let mut wire = Vec::new();
+        let written = head.write_to(&mut wire, true).unwrap();
+        let wire = String::from_utf8(wire).unwrap();
+        assert_eq!(written, wire.len());
+        assert!(
+            wire.contains(&format!("Content-Length: {}\r\n", get.body.len())),
+            "{wire}"
+        );
+        assert!(wire.ends_with("\r\n\r\n"), "HEAD must send no body");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! randomized worlds.
 
 use crowdtz::core::{
-    place_distribution, GenericProfile, GeolocationPipeline, PlacementHistogram, StreamingPipeline,
+    place_distribution, GenericProfile, GeolocationPipeline, GeolocationReport, PlacementHistogram,
+    StreamingPipeline, ZoneGrid,
 };
 use crowdtz::synth::PopulationSpec;
 use crowdtz::time::{HolidayCalendar, Region, RegionDb, TzOffset, Zone};
@@ -10,6 +11,18 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use serde::Serialize;
+
+const GRIDS: [ZoneGrid; 3] = [ZoneGrid::Hourly, ZoneGrid::HalfHour, ZoneGrid::QuarterHour];
+
+/// The text the value tree prints for `report`: the reference that
+/// `serde_json::to_string` (the streaming `write_json` path every
+/// snapshot body takes) must reproduce byte for byte.
+fn tree_text(report: &GeolocationReport) -> String {
+    let mut tree = String::new();
+    report.to_value().write_compact(&mut tree);
+    tree
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -141,5 +154,75 @@ proptest! {
             serde_json::to_string(&snapshot).unwrap(),
             serde_json::to_string(&batch).unwrap()
         );
+    }
+
+    /// The streamed report is the value tree's text for any crowd on any
+    /// grid: a random whole-hour crowd mixed with half- and quarter-hour
+    /// zones (India, Nepal), so finer grids place users off the hour.
+    #[test]
+    fn streamed_report_matches_the_value_tree(
+        offset in -11i32..=12,
+        seed in 0u64..1_000,
+        grid in 0usize..3,
+    ) {
+        let region = Region::new(
+            "prop-region",
+            "Prop Region",
+            Zone::fixed(TzOffset::from_hours(offset).unwrap()),
+            None,
+            HolidayCalendar::none(),
+        );
+        let mut traces = PopulationSpec::new(region)
+            .users(15)
+            .posts_per_day(0.8)
+            .seed(seed)
+            .generate();
+        let db = RegionDb::extended();
+        for (salt, name) in (1u64..).zip(["india", "nepal"]) {
+            for t in PopulationSpec::new(db.require(&name.into()).unwrap().clone())
+                .users(10)
+                .posts_per_day(0.8)
+                .seed(seed ^ salt)
+                .prefix(name)
+                .generate()
+                .iter()
+            {
+                traces.insert(t.clone());
+            }
+        }
+        let report = GeolocationPipeline::with_generic(GenericProfile::reference())
+            .grid(GRIDS[grid])
+            .analyze(&traces)
+            .expect("analyze");
+        let tree = tree_text(&report);
+        prop_assert_eq!(serde_json::to_string(&report).unwrap(), tree.clone());
+        prop_assert_eq!(serde_json::to_vec(&report).unwrap(), tree.into_bytes());
+    }
+
+    /// A partial-coverage cut streams like the tree too: coverage
+    /// reweights the report's counts, so its floats are no longer the
+    /// small slot-count ratios of a full crawl.
+    #[test]
+    fn partial_coverage_cut_streams_like_the_value_tree(
+        seed in 0u64..500,
+        coverage in 0.05f64..1.0,
+        grid in 0usize..3,
+    ) {
+        let db = RegionDb::table1();
+        let traces = PopulationSpec::new(db.require(&"france".into()).unwrap().clone())
+            .users(20)
+            .posts_per_day(0.7)
+            .seed(seed)
+            .generate();
+        let mut streaming = StreamingPipeline::new(
+            GeolocationPipeline::with_generic(GenericProfile::reference()).grid(GRIDS[grid]),
+        );
+        for trace in traces.iter() {
+            streaming.ingest(trace.id(), trace.posts());
+        }
+        let cut = streaming.snapshot_with_coverage(coverage).expect("snapshot");
+        let tree = tree_text(&cut);
+        prop_assert_eq!(serde_json::to_string(&cut).unwrap(), tree.clone());
+        prop_assert_eq!(serde_json::to_vec(&cut).unwrap(), tree.into_bytes());
     }
 }

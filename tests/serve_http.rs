@@ -14,11 +14,12 @@
 //! commute — is what makes the comparison exact for any interleaving
 //! the threads produce.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, ZoneGrid};
-use crowdtz::serve::{serve, HttpClient, ServeConfig, ServerHandle, ServiceConfig};
+use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, PublishedReport, ZoneGrid};
+use crowdtz::serve::{serve, ClientResponse, HttpClient, ServeConfig, ServerHandle, ServiceConfig};
 use crowdtz::time::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,8 +75,11 @@ fn batch_body(chunk: &[(String, Vec<Timestamp>)]) -> serde_json::Value {
     json!({ "deltas": entries })
 }
 
-/// The reference bytes: one in-process engine, one writer, same deltas.
-fn in_process_reference(grid: ZoneGrid, deltas: &[(String, Vec<Timestamp>)]) -> Vec<u8> {
+/// The reference engine: one in-process engine, one writer, same deltas.
+fn reference_engine(
+    grid: ZoneGrid,
+    deltas: &[(String, Vec<Timestamp>)],
+) -> ConcurrentStreamingPipeline {
     let engine = ConcurrentStreamingPipeline::new(
         GeolocationPipeline::default()
             .min_posts(MIN_POSTS)
@@ -86,7 +90,14 @@ fn in_process_reference(grid: ZoneGrid, deltas: &[(String, Vec<Timestamp>)]) -> 
     for (user, posts) in deltas {
         writer.ingest(user, posts).expect("reference ingest");
     }
-    let published = engine.publish().expect("reference publish");
+    engine
+}
+
+/// The reference bytes: the reference engine's publish, encoded.
+fn in_process_reference(grid: ZoneGrid, deltas: &[(String, Vec<Timestamp>)]) -> Vec<u8> {
+    let published = reference_engine(grid, deltas)
+        .publish()
+        .expect("reference publish");
     serde_json::to_vec(published.report()).expect("serialize reference")
 }
 
@@ -487,4 +498,238 @@ fn durable_tenant_warm_restarts_into_identical_bytes() {
     drop(client);
     handle.shutdown().expect("second shutdown");
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// Ingests `chunk` as one batch over `client` and asserts it applied.
+fn ingest_batch(client: &mut HttpClient, name: &str, chunk: &[(String, Vec<Timestamp>)]) {
+    let response = client
+        .post_json(&format!("/v1/tenants/{name}/ingest"), &batch_body(chunk))
+        .expect("ingest request");
+    assert_eq!(response.status, 200, "ingest into {name}");
+}
+
+/// Each epoch's body is encoded once and kept; plain reads must follow
+/// the newest epoch. After every publish, reads on a second connection
+/// get that cut's bytes under its epoch, which are the in-process
+/// reference's bytes for the deltas so far. Reads between an ingest and
+/// the next publish still get the previous cut.
+#[test]
+fn plain_reads_follow_every_new_epoch_over_the_wire() {
+    let handle = start_server(None);
+    create_tenants(&handle, false);
+    let (name, _, grid) = TENANTS[0];
+    let deltas = synthesize(3000);
+    let path = format!("/v1/tenants/{name}/snapshot");
+    let mut writer = HttpClient::connect(handle.addr()).expect("connect writer");
+    let mut reader = HttpClient::connect(handle.addr()).expect("connect reader");
+    assert_eq!(
+        reader.get(&path).expect("read before any publish").status,
+        404,
+        "nothing published yet"
+    );
+
+    let mut previous: Vec<u8> = Vec::new();
+    let round_users = 2 * BATCH_USERS;
+    for (round, chunk) in deltas.chunks(round_users).enumerate() {
+        ingest_batch(&mut writer, name, chunk);
+        if round > 0 {
+            let before = reader.get(&path).expect("read before publish");
+            assert_eq!(before.body, previous, "round {round}: read before publish");
+            assert_eq!(
+                before.header("x-crowdtz-epoch"),
+                Some(round.to_string().as_str()),
+                "round {round}: epoch before publish"
+            );
+        }
+        let published = writer.get(&format!("{path}?publish=1")).expect("publish");
+        assert_eq!(published.status, 200, "publish round {round}");
+        let epoch = (round + 1).to_string();
+        assert_eq!(published.header("x-crowdtz-epoch"), Some(epoch.as_str()));
+        let seen = (round_users * (round + 1)).min(deltas.len());
+        assert_eq!(
+            published.body,
+            in_process_reference(grid, &deltas[..seen]),
+            "round {round}: cut of the first {seen} users"
+        );
+        assert_ne!(
+            published.body, previous,
+            "round {round}: the cut must change"
+        );
+        for read in 0..3 {
+            let cached = reader.get(&path).expect("plain read");
+            assert_eq!(cached.status, 200);
+            assert_eq!(cached.header("x-crowdtz-epoch"), Some(epoch.as_str()));
+            assert_eq!(
+                cached.body, published.body,
+                "round {round}, read {read}: plain read of the newest cut"
+            );
+        }
+        previous = published.body;
+    }
+    drop((writer, reader));
+    handle.shutdown().expect("shutdown");
+}
+
+/// `HEAD …/snapshot` on a keep-alive connection sends the GET body's
+/// `Content-Length` and epoch but no body: the GET that follows on the
+/// same connection still parses and returns the full bytes.
+#[test]
+fn head_snapshot_sends_the_get_content_length_over_the_wire() {
+    let handle = start_server(None);
+    create_tenants(&handle, false);
+    let (name, _, _) = TENANTS[1];
+    let deltas = synthesize(4000);
+    let path = format!("/v1/tenants/{name}/snapshot");
+    let mut client = HttpClient::connect(handle.addr()).expect("connect");
+    assert_eq!(
+        client.request("HEAD", &path, None).expect("HEAD").status,
+        404,
+        "nothing published yet"
+    );
+    for (round, chunk) in deltas.chunks(3 * BATCH_USERS).enumerate() {
+        ingest_batch(&mut client, name, chunk);
+        let published = client.get(&format!("{path}?publish=1")).expect("publish");
+        assert_eq!(published.status, 200, "publish round {round}");
+        let head = client.request("HEAD", &path, None).expect("HEAD");
+        assert_eq!(head.status, 200, "round {round}");
+        assert!(head.body.is_empty(), "round {round}: HEAD has no body");
+        assert_eq!(
+            head.header("content-length"),
+            Some(published.body.len().to_string().as_str()),
+            "round {round}: HEAD length"
+        );
+        assert_eq!(
+            head.header("x-crowdtz-epoch"),
+            published.header("x-crowdtz-epoch")
+        );
+        let read = client.get(&path).expect("GET after HEAD");
+        assert_eq!(read.status, 200, "round {round}: GET after HEAD");
+        assert_eq!(read.body, published.body, "round {round}: GET after HEAD");
+    }
+    drop(client);
+    handle.shutdown().expect("shutdown");
+}
+
+/// One publisher and two readers on their own connections, released
+/// together by a barrier: every body a reader gets is, byte for byte,
+/// the body the publisher got for the epoch the reader's
+/// `X-Crowdtz-Epoch` names, whichever request encoded it first.
+#[test]
+fn concurrent_wire_readers_get_the_bytes_of_the_epoch_they_name() {
+    const READS: usize = 30;
+    let handle = start_server(None);
+    create_tenants(&handle, false);
+    let (name, _, grid) = TENANTS[0];
+    let deltas = synthesize(5000);
+    let (first, rest) = deltas.split_at(2 * BATCH_USERS);
+    let addr = handle.addr();
+    let path = format!("/v1/tenants/{name}/snapshot");
+
+    // Epoch 1 exists before the readers start, so every read is a 200.
+    let mut publisher = HttpClient::connect(addr).expect("connect publisher");
+    let epoch_of = |response: &ClientResponse| -> u64 {
+        let epoch = response.header("x-crowdtz-epoch").expect("epoch header");
+        epoch.parse().expect("numeric epoch")
+    };
+    let publish = |client: &mut HttpClient, bodies: &mut BTreeMap<u64, Vec<u8>>| {
+        let cut = client.get(&format!("{path}?publish=1")).expect("publish");
+        assert_eq!(cut.status, 200);
+        assert!(
+            bodies.insert(epoch_of(&cut), cut.body).is_none(),
+            "epochs are new"
+        );
+    };
+    let mut bodies = BTreeMap::new();
+    ingest_batch(&mut publisher, name, first);
+    publish(&mut publisher, &mut bodies);
+
+    let barrier = Barrier::new(3);
+    let reads: Vec<(u64, Vec<u8>)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (barrier, path, epoch_of) = (&barrier, &path, &epoch_of);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let mut client = HttpClient::connect(addr).expect("connect reader");
+                    (0..READS)
+                        .map(|_| {
+                            let read = client.get(path).expect("plain read");
+                            assert_eq!(read.status, 200);
+                            (epoch_of(&read), read.body)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        barrier.wait();
+        for chunk in rest.chunks(4) {
+            ingest_batch(&mut publisher, name, chunk);
+            publish(&mut publisher, &mut bodies);
+        }
+        readers
+            .into_iter()
+            .flat_map(|reader| reader.join().expect("reader thread"))
+            .collect()
+    });
+
+    assert_eq!(reads.len(), 2 * READS);
+    for (epoch, body) in &reads {
+        let expected = bodies
+            .get(epoch)
+            .unwrap_or_else(|| panic!("read named epoch {epoch}, never published"));
+        assert_eq!(body, expected, "read of epoch {epoch}");
+    }
+    let last = bodies.values().last().expect("a published cut");
+    assert_eq!(*last, in_process_reference(grid, &deltas));
+    drop(publisher);
+    handle.shutdown().expect("shutdown");
+}
+
+/// A partial-coverage cut is an epoch of its own: plain reads after
+/// `?publish=1&coverage=0.5` serve the reweighted report, and the next
+/// full cut of the same, unchanged state replaces it. The kept body
+/// follows the epoch, not the ingested state.
+#[test]
+fn coverage_cuts_are_served_as_their_own_epochs_over_the_wire() {
+    let handle = start_server(None);
+    create_tenants(&handle, false);
+    let (name, _, grid) = TENANTS[1];
+    let deltas = synthesize(6000);
+    let path = format!("/v1/tenants/{name}/snapshot");
+    let mut client = HttpClient::connect(handle.addr()).expect("connect");
+    let mut reader = HttpClient::connect(handle.addr()).expect("connect reader");
+    for chunk in deltas.chunks(BATCH_USERS) {
+        ingest_batch(&mut client, name, chunk);
+    }
+    let reference = reference_engine(grid, &deltas);
+    let encode =
+        |cut: Arc<PublishedReport>| serde_json::to_vec(cut.report()).expect("serialize reference");
+
+    let full = client.get(&format!("{path}?publish=1")).expect("full cut");
+    assert_eq!(full.status, 200);
+    assert_eq!(full.body, encode(reference.publish().unwrap()));
+    let partial = client
+        .get(&format!("{path}?publish=1&coverage=0.5"))
+        .expect("partial cut");
+    assert_eq!(partial.status, 200);
+    assert_eq!(partial.header("x-crowdtz-epoch"), Some("2"));
+    assert_eq!(
+        partial.body,
+        encode(reference.publish_with_coverage(0.5).unwrap())
+    );
+    assert_ne!(partial.body, full.body, "coverage reweights the report");
+    let read = reader.get(&path).expect("read of the partial cut");
+    assert_eq!(read.header("x-crowdtz-epoch"), Some("2"));
+    assert_eq!(read.body, partial.body, "plain read of the partial cut");
+
+    let again = client
+        .get(&format!("{path}?publish=1"))
+        .expect("full again");
+    assert_eq!(again.header("x-crowdtz-epoch"), Some("3"));
+    assert_eq!(again.body, full.body, "same state, full coverage");
+    let read = reader.get(&path).expect("read of the new full cut");
+    assert_eq!(read.header("x-crowdtz-epoch"), Some("3"));
+    assert_eq!(read.body, full.body, "plain read after the full cut");
+    drop((client, reader));
+    handle.shutdown().expect("shutdown");
 }
