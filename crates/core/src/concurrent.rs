@@ -31,13 +31,15 @@
 //! * A delta is a slot-set union plus integer adds
 //!   (`UserAccumulator::absorb`), so deltas **commute** — the final
 //!   accumulator state does not depend on the interleaving.
-//! * Each shard keeps a monotonic sequence number, and refresh drains
-//!   dirty ids in **globally sorted order** — the merge order is fixed,
-//!   not arrival order.
+//! * Refresh drains dirty ids in **globally sorted order** — the merge
+//!   order is fixed, not arrival order.
 //! * Everything downstream of the accumulators (profiles, placements,
-//!   zone counts, fits) is a pure function of that state; the shared
-//!   striped placement cache is byte-transparent
-//!   ([`SharedPlacementCache`]).
+//!   zone counts, fits) is a pure function of that state. The engine
+//!   resolves placements through the same private placement cache as
+//!   the sequential engine, probed only by
+//!   [`publish`](ConcurrentStreamingPipeline::publish) under the write
+//!   gate — so even the cache's hit/miss/eviction counts are a pure
+//!   function of the published cuts.
 //!
 //! Additionally, each writer carries a monotonic **watermark** (batches
 //! fully applied), bumped *inside* its gate hold. A publish captures the
@@ -91,8 +93,7 @@ use std::time::Instant;
 use crowdtz_store::{DurableStore, RealVfs, Vfs};
 use crowdtz_time::Timestamp;
 
-use crate::durable::{build_snapshot_parts, encode_plain_batch, encode_retract_batch};
-use crate::engine::SharedPlacementCache;
+use crate::durable::{build_snapshot_parts, encode_batch};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::SharedIngestObs;
@@ -130,7 +131,7 @@ fn write_gate<T>(gate: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// atomic add per metric, not a registry lookup.
 #[derive(Debug)]
 struct ConcurrentObs {
-    /// Shard-level handles threaded into `ShardSet::ingest_batch_shared`.
+    /// Shard-level handles threaded into `ShardSet::apply_batch_shared`.
     shared: SharedIngestObs,
     /// `ingest.gate_contention`: batch-gate acquisitions that blocked
     /// (a publish was running or pending).
@@ -173,7 +174,7 @@ struct Wal {
 }
 
 /// Everything the batch gate guards. Writers reach `stream` through a
-/// shared reference (`ingest_deltas_shared` locks per shard); the
+/// shared reference (`apply_deltas_shared` locks per shard); the
 /// publisher's write guard gives the `&mut` that `snapshot()` needs.
 #[derive(Debug)]
 struct Engine {
@@ -329,15 +330,10 @@ pub struct IngestWriter {
 
 impl ConcurrentStreamingPipeline {
     /// Wraps a configured batch pipeline, exactly as
-    /// [`StreamingPipeline::new`] — plus the shared (lock-striped)
-    /// placement cache the concurrent resolve path uses.
+    /// [`StreamingPipeline::new`].
     pub fn new(pipeline: GeolocationPipeline) -> ConcurrentStreamingPipeline {
-        let cache = Arc::new(SharedPlacementCache::new(
-            pipeline.placement_cache_enabled(),
-        ));
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
-        let stream = StreamingPipeline::new(pipeline).with_shared_cache(cache);
-        Self::assemble(stream, None, obs)
+        Self::assemble(StreamingPipeline::new(pipeline), None, obs)
     }
 
     /// Opens (creating if necessary) a **durable** concurrent engine at
@@ -368,13 +364,9 @@ impl ConcurrentStreamingPipeline {
         vfs: Box<dyn Vfs>,
         dir: impl Into<PathBuf>,
     ) -> Result<ConcurrentStreamingPipeline, CoreError> {
-        let cache = Arc::new(SharedPlacementCache::new(
-            pipeline.placement_cache_enabled(),
-        ));
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
         let durable = StreamingPipeline::open_durable_with(pipeline, vfs, dir)?;
         let (stream, store, source_seq, checkpoint) = durable.into_parts();
-        let stream = stream.with_shared_cache(cache);
         Ok(Self::assemble(
             stream,
             Some(Wal {
@@ -527,8 +519,8 @@ impl ConcurrentStreamingPipeline {
         read_gate(&self.shared.gate).stream.shard_count()
     }
 
-    /// Lifetime placement-cache `(hits, misses)` across every resolver
-    /// attached to the shared cache.
+    /// Lifetime placement-cache `(hits, misses)` — equal to those of a
+    /// sequential [`StreamingPipeline`] that snapshots at the same cuts.
     pub fn cache_stats(&self) -> (u64, u64) {
         read_gate(&self.shared.gate).stream.cache_stats()
     }
@@ -560,20 +552,6 @@ impl IngestWriter {
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
-    pub fn ingest_posts(&self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas)
-    }
-
-    /// [`ingest_posts`](Self::ingest_posts) over borrowed user ids — no
-    /// owned `String` per observation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
     pub fn ingest_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
         let deltas: Vec<(&str, &[Timestamp])> = posts
             .iter()
@@ -595,23 +573,10 @@ impl IngestWriter {
         if posts.is_empty() {
             return Ok(());
         }
-        self.retract_deltas(&[(user, posts)])
+        self.apply_deltas(&[(user, posts)], true)
     }
 
     /// Retracts a batch of single-post observations as one signed batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract_posts(&self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.retract_deltas(&deltas)
-    }
-
-    /// [`retract_posts`](Self::retract_posts) over borrowed user ids.
     ///
     /// # Errors
     ///
@@ -621,7 +586,7 @@ impl IngestWriter {
             .iter()
             .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
             .collect();
-        self.retract_deltas(&deltas)
+        self.apply_deltas(&deltas, true)
     }
 
     /// Ingests a batch of per-user deltas. Empty batches are ignored
@@ -640,18 +605,9 @@ impl IngestWriter {
         self.apply_deltas(deltas, false)
     }
 
-    /// Retracts a batch of per-user deltas — the signed twin of
-    /// [`ingest_deltas`](Self::ingest_deltas): same gate/WAL/shard lock
-    /// order, but the record is a retraction and the shards release the
-    /// posts instead of absorbing them.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract_deltas(&self, deltas: &[(&str, &[Timestamp])]) -> Result<(), CoreError> {
-        self.apply_deltas(deltas, true)
-    }
-
+    /// [`ingest_deltas`](Self::ingest_deltas), or with `retract` its
+    /// signed inverse: the same gate/WAL/shard lock order, but the record
+    /// is a retraction and the shards release the posts.
     fn apply_deltas(
         &self,
         deltas: &[(&str, &[Timestamp])],
@@ -662,20 +618,12 @@ impl IngestWriter {
         }
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
-            let payload = if retract {
-                encode_retract_batch(deltas)?
-            } else {
-                encode_plain_batch(deltas)?
-            };
+            let payload = encode_batch(deltas, retract)?;
             let mut wal = relock(wal);
             wal.store.append_delta(&payload)?;
         }
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
-        if retract {
-            guard.stream.retract_deltas_shared(deltas, obs);
-        } else {
-            guard.stream.ingest_deltas_shared(deltas, obs);
-        }
+        guard.stream.apply_deltas_shared(deltas, retract, obs);
         if let Some(obs) = &self.shared.obs {
             obs.batches.inc();
         }
@@ -804,7 +752,7 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let writer = engine.writer();
         writer.ingest("ghost", &[]).unwrap();
-        writer.ingest_posts(&[]).unwrap();
+        writer.ingest_posts_ref(&[]).unwrap();
         writer.ingest_deltas(&[("ghost", &[])]).unwrap();
         assert_eq!(writer.batches_applied(), 0);
         assert_eq!(engine.users_tracked(), 0);

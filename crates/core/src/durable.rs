@@ -4,9 +4,12 @@
 //! [`StreamingPipeline::open_durable`] wraps the streaming engine in a
 //! [`DurableStreamingPipeline`] backed by a store directory holding
 //! per-shard **snapshots** plus an append-only, CRC-framed **delta
-//! log** (one record per ingest batch). Every ingest is write-ahead:
-//! the batch is appended and fsynced *before* it is applied in memory,
-//! so once an ingest returns `Ok` the posts survive any crash.
+//! log** (one record per batch). Every batch is write-ahead: it is
+//! appended and fsynced *before* it is applied in memory, so once
+//! [`DurableStreamingPipeline::ingest_batch`] (or a durable
+//! [`IngestWriter`](crate::IngestWriter) batch) returns `Ok` the posts
+//! survive any crash. Signed records — the concurrent engine's
+//! retractions — replay through the same path.
 //! Reopening the directory recovers *snapshot + valid log suffix* and
 //! resumes **byte-identical** to an engine that never crashed:
 //!
@@ -267,37 +270,17 @@ impl StreamingPipeline {
     }
 }
 
-/// Encodes a plain (source-less) ingest batch as one WAL record — the
-/// concurrent engine's writer path (`concurrent.rs`) appends these under
-/// its WAL lock before applying the deltas in memory, so the write-ahead
-/// contract is the same one [`DurableStreamingPipeline::ingest`] keeps.
-/// Recovery replays the record through [`apply_batch`] unchanged.
-pub(crate) fn encode_plain_batch(deltas: &[(&str, &[Timestamp])]) -> Result<Vec<u8>, CoreError> {
-    let batch = LogBatch {
-        source_seq: 0,
-        checkpoint: None,
-        deltas: owned_deltas(deltas),
-        retractions: Vec::new(),
-    };
-    encode_json("log record", &batch)
-}
-
-/// Encodes a retraction batch as one WAL record — the signed counterpart
-/// of [`encode_plain_batch`]. Recovery replays it after any ingests in
-/// the same record, so a recovered windowed engine lands on exactly the
-/// state the uninterrupted run held.
-pub(crate) fn encode_retract_batch(deltas: &[(&str, &[Timestamp])]) -> Result<Vec<u8>, CoreError> {
-    let batch = LogBatch {
-        source_seq: 0,
-        checkpoint: None,
-        deltas: Vec::new(),
-        retractions: owned_deltas(deltas),
-    };
-    encode_json("log record", &batch)
-}
-
-fn owned_deltas(deltas: &[(&str, &[Timestamp])]) -> Vec<(String, Vec<i64>)> {
-    deltas
+/// Encodes a source-less signed batch as one WAL record — the concurrent
+/// engine's writer path (`concurrent.rs`) appends these under its WAL
+/// lock before applying the deltas in memory, the same write-ahead
+/// contract [`DurableStreamingPipeline::ingest_batch`] keeps. A
+/// retraction batch rides in the record's `retractions` field; recovery
+/// replays either kind through [`apply_batch`] unchanged.
+pub(crate) fn encode_batch(
+    deltas: &[(&str, &[Timestamp])],
+    retract: bool,
+) -> Result<Vec<u8>, CoreError> {
+    let owned: Vec<(String, Vec<i64>)> = deltas
         .iter()
         .map(|(user, posts)| {
             (
@@ -305,7 +288,19 @@ fn owned_deltas(deltas: &[(&str, &[Timestamp])]) -> Vec<(String, Vec<i64>)> {
                 posts.iter().map(|t| t.as_secs()).collect(),
             )
         })
-        .collect()
+        .collect();
+    let (deltas, retractions) = if retract {
+        (Vec::new(), owned)
+    } else {
+        (owned, Vec::new())
+    };
+    let batch = LogBatch {
+        source_seq: 0,
+        checkpoint: None,
+        deltas,
+        retractions,
+    };
+    encode_json("log record", &batch)
 }
 
 /// Builds the full snapshot part set — one [`ShardSnap`] per shard in
@@ -439,88 +434,6 @@ pub struct DurableStreamingPipeline {
 }
 
 impl DurableStreamingPipeline {
-    /// Ingests new posts for one user: logged, fsynced, then applied.
-    /// Once this returns `Ok`, the delta survives any crash.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the append (or a triggered snapshot
-    /// rotation) fails; the in-memory engine is unchanged in that case.
-    pub fn ingest(&mut self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: vec![(user.to_owned(), posts.iter().map(|t| t.as_secs()).collect())],
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Retracts posts for one user: logged as a signed record, fsynced,
-    /// then released in memory — the same write-ahead contract as
-    /// [`ingest`](Self::ingest), so a recovered engine lands on the
-    /// retracted state byte-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the append fails; the in-memory engine
-    /// is unchanged in that case.
-    pub fn retract(&mut self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: Vec::new(),
-            retractions: vec![(user.to_owned(), posts.iter().map(|t| t.as_secs()).collect())],
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Ingests a batch of single-post observations (the monitor poll
-    /// shape), logged as one record.
-    pub fn ingest_posts(&mut self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Retracts a batch of single-post observations, logged as one
-    /// signed record — the inverse of [`ingest_posts`](Self::ingest_posts).
-    pub fn retract_posts(&mut self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: Vec::new(),
-            retractions: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
     /// Ingests one monitor batch with its sequence number and the
     /// checkpoint that becomes valid once the batch is applied, stored
     /// transactionally in the same log record. Batches whose

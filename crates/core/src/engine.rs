@@ -54,7 +54,6 @@
 //! (see `DESIGN.md` §9 and §14).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use crowdtz_stats::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch, prune_slack, quad_fold,
@@ -349,103 +348,6 @@ impl PlacementCache {
     }
 }
 
-/// Reacquires a mutex even if a previous holder panicked: every structure
-/// guarded here is updated atomically from the caller's perspective (one
-/// `insert`/`get` at a time), so a poisoned guard never exposes a torn
-/// state worth propagating the panic for.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Lock-striped, concurrently probeable variant of [`PlacementCache`] for
-/// the concurrent ingestion engine (DESIGN.md §15).
-///
-/// Keys route to one of `stripes` independent [`PlacementCache`]s by an
-/// FNV-1a hash of the quantized key bits, so resolvers running on
-/// different writer threads probe different stripe locks and concurrent
-/// misses in different stripes never serialize. Each batch probe takes
-/// every touched stripe lock exactly once (indices are grouped by stripe
-/// first), and the expensive miss computation runs with **no** lock held.
-///
-/// Byte-transparency is inherited from the private cache: a hit can only
-/// return a value the shared resolve kernel computed from a bit-identical
-/// grid CDF, so resolutions are byte-identical to a cache-off or
-/// private-cache run under any interleaving. Hit/miss *counts*, unlike
-/// the sequential cache's, are schedule-dependent — two racing resolvers
-/// may both miss the same key and both compute it (the second insert is a
-/// no-op) — which is why the deterministic observability tests pin the
-/// private cache and only the concurrent pipeline uses this one.
-#[derive(Debug)]
-pub struct SharedPlacementCache {
-    stripes: Vec<Mutex<PlacementCache>>,
-    enabled: bool,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl SharedPlacementCache {
-    /// Default stripe count: enough that a handful of writer threads
-    /// rarely collide, small enough that the per-stripe capacity split
-    /// stays large.
-    pub(crate) const DEFAULT_STRIPES: usize = 16;
-
-    /// A shared cache with [`Self::DEFAULT_STRIPES`] stripes; when
-    /// `enabled` is false every lookup misses and nothing is stored.
-    pub fn new(enabled: bool) -> SharedPlacementCache {
-        Self::with_stripes(Self::DEFAULT_STRIPES, enabled)
-    }
-
-    /// A shared cache with an explicit stripe count (clamped to ≥ 1).
-    /// Total capacity matches the private cache: each stripe gets an
-    /// even split of [`PlacementCache::DEFAULT_CAPACITY`].
-    pub fn with_stripes(stripes: usize, enabled: bool) -> SharedPlacementCache {
-        let stripes = stripes.max(1);
-        let per_stripe = (PlacementCache::DEFAULT_CAPACITY / stripes).max(1);
-        SharedPlacementCache {
-            stripes: (0..stripes)
-                .map(|_| {
-                    let mut cache = PlacementCache::new(enabled);
-                    cache.capacity = per_stripe;
-                    Mutex::new(cache)
-                })
-                .collect(),
-            enabled,
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// The stripe a key routes to: FNV-1a over the key's quantized words.
-    fn stripe_of(&self, key: &CdfKey) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        for &word in key.iter() {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        (h % self.stripes.len() as u64) as usize
-    }
-
-    /// Lifetime `(hits, misses)` counts across every stripe. Totals are
-    /// exact (atomic adds); the split between them is schedule-dependent
-    /// under concurrent resolvers, but `hits + misses` always equals the
-    /// number of resolutions served.
-    pub fn stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Distinct CDFs currently resident across all stripes.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.stripes.iter().map(|s| relock(s).map.len()).sum()
-    }
-}
-
 /// Number of worker threads to use by default: the `CROWDTZ_THREADS`
 /// environment variable when set to a positive integer, otherwise the
 /// machine's available parallelism (1 if that cannot be determined).
@@ -720,7 +622,7 @@ impl PlacementEngine {
     /// order. Returns `(zone index, emd in bin units, exact evals)`.
     ///
     /// Pruning decisions use the slack-protected integer bound, never the
-    /// raw `f64` antipodal sum: the float sum is only a real-arithmetic
+    /// quad bound summed in `f64`: the float sum is only a real-arithmetic
     /// lower bound and can land a few ulps *above* the exact EMD, which
     /// on the dense 48/96-zone grids is enough to mis-prune a near-tied
     /// winner. The integer bound minus [`prune_slack`] is a true lower
@@ -1128,7 +1030,7 @@ impl PlacementEngine {
     /// per-user histogram `placement.exact_evals_per_user` (bucketed per
     /// grid). Metric updates are commutative atomic adds, so totals are
     /// identical for any thread count, and the returned placements are
-    /// byte-identical to [`place_all`].
+    /// byte-identical to [`place_all`](Self::place_all).
     pub fn place_all_observed(
         &self,
         profiles: &[ActivityProfile],
@@ -1261,129 +1163,6 @@ impl PlacementEngine {
             obs.counter("placement.cache_misses").add(misses);
             obs.counter("placement.cache_evictions")
                 .add(cache.evictions - evictions_before);
-            let exact = obs.counter("placement.exact_evals");
-            let prunes = obs.counter("placement.batch_prunes");
-            let per_miss = obs.histogram(
-                "placement.exact_evals_per_user",
-                exact_eval_bounds(self.grid),
-            );
-            for outcome in &computed {
-                exact.add(u64::from(outcome.exact_evals));
-                prunes.add(u64::from(outcome.batch_prunes));
-                per_miss.observe(u64::from(outcome.exact_evals));
-            }
-        }
-        resolved
-    }
-
-    /// [`resolve_cdfs`](Self::resolve_cdfs) against a
-    /// [`SharedPlacementCache`], callable from many threads at once.
-    ///
-    /// The same three phases, restructured so the expensive compute never
-    /// holds a lock and each touched stripe is locked exactly once per
-    /// phase:
-    ///
-    /// 1. **Grouped probe**: keys are computed for the whole batch, input
-    ///    indices are grouped by stripe, and each touched stripe is
-    ///    locked once to answer its group. In-batch duplicates of an
-    ///    unseen key then dedup exactly like the private path (first
-    ///    occurrence computes, later ones count as hits).
-    /// 2. **Parallel compute** of the unique misses through the SoA batch
-    ///    kernel — no stripe lock held.
-    /// 3. **Insert + fill**: each miss enters its stripe under that
-    ///    stripe's lock (a no-op if a racing resolver beat us to the
-    ///    key — both report a miss, both computed), and outputs are
-    ///    assembled in input order.
-    ///
-    /// Resolutions are byte-identical to [`resolve_cdfs`] and to a
-    /// cache-off run for any schedule; hit/miss counts are
-    /// schedule-dependent (see [`SharedPlacementCache`]). Observability
-    /// counters match [`resolve_cdfs`]'s set.
-    pub(crate) fn resolve_cdfs_striped(
-        &self,
-        cdfs: &[[f64; BINS]],
-        cache: &SharedPlacementCache,
-        threads: usize,
-        obs: Option<&crowdtz_obs::Observer>,
-    ) -> Vec<ResolvedCdf> {
-        use std::sync::atomic::Ordering;
-        let mut hits = 0u64;
-        let mut evicted = 0u64;
-        let mut key_scratch = vec![0.0_f64; self.grid.zones()];
-        let (resolved, computed) = if cache.enabled {
-            // Phase 1: keys for the whole batch, then one lock per
-            // touched stripe to probe its group of indices.
-            let keys: Vec<CdfKey> = cdfs
-                .iter()
-                .map(|cdf| self.cdf_key(cdf, &mut key_scratch))
-                .collect();
-            let mut out: Vec<Option<ResolvedCdf>> = vec![None; cdfs.len()];
-            let mut by_stripe: Vec<Vec<u32>> = vec![Vec::new(); cache.stripes.len()];
-            for (i, key) in keys.iter().enumerate() {
-                by_stripe[cache.stripe_of(key)].push(i as u32);
-            }
-            for (stripe, group) in cache.stripes.iter().zip(&by_stripe) {
-                if group.is_empty() {
-                    continue;
-                }
-                let mut stripe = relock(stripe);
-                for &i in group {
-                    if let Some(entry) = stripe.get(&keys[i as usize]) {
-                        hits += 1;
-                        out[i as usize] = Some(entry);
-                    }
-                }
-            }
-            // Dedup the remaining misses within the batch, in input order
-            // like the private path.
-            let mut miss_index: HashMap<CdfKey, usize> = HashMap::new();
-            let mut miss_of: Vec<u32> = vec![u32::MAX; cdfs.len()];
-            let mut miss_cdfs: Vec<[f64; BINS]> = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                if out[i].is_some() {
-                    continue;
-                }
-                match miss_index.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        hits += 1;
-                        miss_of[i] = *slot.get() as u32;
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        miss_of[i] = miss_cdfs.len() as u32;
-                        slot.insert(miss_cdfs.len());
-                        miss_cdfs.push(cdfs[i]);
-                    }
-                }
-            }
-            // Phase 2: compute unique misses in parallel, lock-free.
-            let computed = self.resolve_batches(&miss_cdfs, threads, true);
-            // Phase 3: insert each miss under its stripe's lock.
-            for (cdf, outcome) in miss_cdfs.iter().zip(&computed) {
-                let key = self.cdf_key(cdf, &mut key_scratch);
-                let mut stripe = relock(&cache.stripes[cache.stripe_of(&key)]);
-                let before = stripe.evictions;
-                stripe.insert(key, outcome.resolved);
-                evicted += stripe.evictions - before;
-            }
-            let resolved = out
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| slot.unwrap_or_else(|| computed[miss_of[i] as usize].resolved))
-                .collect();
-            (resolved, computed)
-        } else {
-            // Cache disabled: every CDF is computed and counted as a miss.
-            let computed = self.resolve_batches(cdfs, threads, true);
-            let resolved = computed.iter().map(|o| o.resolved).collect();
-            (resolved, computed)
-        };
-        let misses = computed.len() as u64;
-        cache.hits.fetch_add(hits, Ordering::Relaxed);
-        cache.misses.fetch_add(misses, Ordering::Relaxed);
-        if let Some(obs) = obs {
-            obs.counter("placement.cache_hits").add(hits);
-            obs.counter("placement.cache_misses").add(misses);
-            obs.counter("placement.cache_evictions").add(evicted);
             let exact = obs.counter("placement.exact_evals");
             let prunes = obs.counter("placement.batch_prunes");
             let per_miss = obs.histogram(
@@ -1626,79 +1405,6 @@ mod tests {
             assert_eq!(a.zone_minutes % 15, 0);
         }
         assert_eq!(on.stats(), (7, 7));
-    }
-
-    #[test]
-    fn striped_cache_matches_private_cache_resolutions() {
-        let engine = PlacementEngine::new(&GenericProfile::reference());
-        let cdfs: Vec<[f64; BINS]> = [0usize, 1, 0, 2, 1, 3]
-            .iter()
-            .map(|&i| {
-                profile_from_hours(&format!("s{i}"), &[((i * 5 % 24) as u8, 9), (2, 3)])
-                    .distribution()
-                    .cdf()
-            })
-            .collect();
-        let mut private = PlacementCache::new(true);
-        let shared = SharedPlacementCache::with_stripes(4, true);
-        let reference = engine.resolve_cdfs(&cdfs, &mut private, 2, None);
-        let striped = engine.resolve_cdfs_striped(&cdfs, &shared, 2, None);
-        let striped_again = engine.resolve_cdfs_striped(&cdfs, &shared, 1, None);
-        for ((a, b), c) in reference.iter().zip(&striped).zip(&striped_again) {
-            assert_eq!(a.zone_minutes, b.zone_minutes);
-            assert_eq!(a.zone_minutes, c.zone_minutes);
-            assert_eq!(a.emd.to_bits(), b.emd.to_bits());
-            assert_eq!(a.emd.to_bits(), c.emd.to_bits());
-            assert_eq!(a.flat, b.flat);
-            assert_eq!(a.flat, c.flat);
-        }
-        // Single-threaded use is fully deterministic: 4 unique keys miss
-        // on the first call, the 2 in-batch duplicates and the whole
-        // second call hit. Every resolution is a hit or a miss.
-        assert_eq!(shared.stats(), (8, 4));
-        assert_eq!(shared.len(), 4);
-        // Disabled shared cache: all misses, nothing resident.
-        let off = SharedPlacementCache::new(false);
-        let plain = engine.resolve_cdfs_striped(&cdfs, &off, 1, None);
-        for (a, b) in reference.iter().zip(&plain) {
-            assert_eq!(a.zone_minutes, b.zone_minutes);
-            assert_eq!(a.emd.to_bits(), b.emd.to_bits());
-        }
-        assert_eq!(off.stats(), (0, 6));
-        assert_eq!(off.len(), 0);
-    }
-
-    #[test]
-    fn striped_cache_is_byte_transparent_under_concurrent_resolvers() {
-        let engine = PlacementEngine::new(&GenericProfile::reference());
-        let cdfs: Vec<[f64; BINS]> = (0..9)
-            .map(|i| {
-                profile_from_hours(&format!("c{i}"), &[((i * 7 % 24) as u8, 8), (5, 2)])
-                    .distribution()
-                    .cdf()
-            })
-            .collect();
-        let mut private = PlacementCache::new(true);
-        let reference = engine.resolve_cdfs(&cdfs, &mut private, 1, None);
-        let shared = SharedPlacementCache::with_stripes(4, true);
-        let results: Vec<Vec<ResolvedCdf>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| engine.resolve_cdfs_striped(&cdfs, &shared, 1, None)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for run in &results {
-            for (a, b) in reference.iter().zip(run) {
-                assert_eq!(a.zone_minutes, b.zone_minutes);
-                assert_eq!(a.emd.to_bits(), b.emd.to_bits());
-                assert_eq!(a.flat, b.flat);
-            }
-        }
-        // Hit/miss totals always account for every resolution served,
-        // even though the split is schedule-dependent.
-        let (hits, misses) = shared.stats();
-        assert_eq!(hits + misses, 4 * cdfs.len() as u64);
-        assert!(misses >= cdfs.len() as u64);
     }
 
     #[test]

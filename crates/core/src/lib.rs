@@ -28,7 +28,8 @@
 //! 10. **Streaming re-analysis** (§V's monitoring scenario):
 //!     [`StreamingPipeline`] — delta ingestion over hash-partitioned
 //!     shards of per-user integer accumulators, dirty-user re-placement
-//!     through a CDF-keyed placement cache, cached/warm-started refits.
+//!     through a CDF-keyed placement cache, and the cold mixture fit
+//!     reused while the zone counts are unchanged.
 //!     Batch analysis *is* this engine (one ingest, one snapshot), so
 //!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
 //!     by construction — at every shard count, thread count, and with
@@ -91,7 +92,7 @@ pub use placement::{
 pub use profile::{ActivityProfile, ProfileBuilder};
 pub use shard::default_shards;
 pub use single::{MultiRegionFit, SingleRegionFit, SIGMA_INIT};
-pub use streaming::{RefitMode, StreamingPipeline};
+pub use streaming::StreamingPipeline;
 pub use tenant::{
     valid_tenant_name, Tenant, TenantConfig, TenantError, TenantRegistry, MAX_TENANT_NAME,
 };

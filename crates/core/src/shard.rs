@@ -10,12 +10,12 @@
 //! concurrently** — each worker owns whole shards, no locks, no shared
 //! mutable state.
 //!
-//! Since ISSUE 8 each shard additionally sits behind its own mutex, so a
+//! Each shard additionally sits behind its own mutex, so a
 //! [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline)
 //! can drive the same shards from **many writer threads at once**
-//! ([`ShardSet::ingest_batch_shared`]): writers route by the same FNV
-//! hash and lock one shard at a time, so two writers touching different
-//! shards never contend. The single-owner `&mut` paths are unchanged in
+//! ([`ShardSet::apply_batch_shared`]): writers route by the same FNV hash
+//! and lock one shard at a time, so two writers touching different shards
+//! never contend. The single-owner `&mut` paths are unchanged in
 //! cost — they reach through the mutexes with
 //! [`Mutex::get_mut`], which is a plain borrow, not a lock.
 //!
@@ -260,11 +260,6 @@ impl UserAnalysis {
 struct Shard {
     users: BTreeMap<String, UserAccumulator>,
     dirty: BTreeSet<String>,
-    /// Monotonic count of deltas ever applied to this shard — the
-    /// per-shard sequence number the concurrent engine's publications
-    /// carry. Purely observational: the analysis output is a function of
-    /// the accumulator state alone.
-    seq: u64,
 }
 
 impl Shard {
@@ -278,18 +273,16 @@ impl Shard {
         // Any non-empty delta changes the profile (at minimum its post
         // count), so the user must be re-analyzed.
         self.dirty.insert(user.to_owned());
-        self.seq += 1;
     }
 
     /// Applies one signed delta. Unknown users and never-ingested posts
     /// are skipped (retraction of a post the engine never saw is a
     /// no-op), and a retraction that changes nothing leaves the dirty set
-    /// and sequence number untouched — the state remains exactly what an
-    /// engine that never saw the retracted posts would hold. The user's
-    /// (possibly now-empty) accumulator stays in the map: an empty
-    /// accumulator analyzes to nothing, so reports are unaffected, and
-    /// keeping it preserves the refresh invariant that every dirty id
-    /// resolves to an accumulator.
+    /// untouched — the state remains exactly what an engine that never
+    /// saw the retracted posts would hold. The user's (possibly now-empty)
+    /// accumulator stays in the map: an empty accumulator analyzes to
+    /// nothing, so reports are unaffected, and keeping it preserves the
+    /// refresh invariant that every dirty id resolves to an accumulator.
     fn retract(&mut self, user: &str, posts: &[Timestamp]) {
         if posts.is_empty() {
             return;
@@ -301,7 +294,6 @@ impl Shard {
             return;
         }
         self.dirty.insert(user.to_owned());
-        self.seq += 1;
     }
 
     /// Dispatches one delta by sign — the shared inner loop of the batch
@@ -395,23 +387,19 @@ impl ShardSet {
         remut(&mut self.shards[shard]).retract(user, posts);
     }
 
-    /// Routes a batch of deltas to their shards (in arrival order), then
-    /// applies the shards concurrently on up to `threads` workers — each
-    /// worker owns a contiguous run of whole shards, so no two threads
-    /// ever touch the same accumulator. Single-owner access: workers
-    /// split the mutexes mutably instead of locking them.
-    pub(crate) fn ingest_batch(&mut self, deltas: &[(&str, &[Timestamp])], threads: usize) {
-        self.apply_batch(deltas, false, threads);
-    }
-
-    /// [`ingest_batch`](Self::ingest_batch) with the sign flipped: the
-    /// same routing, partitioning, and worker layout, but each delta is
-    /// released from its accumulator instead of absorbed.
-    pub(crate) fn retract_batch(&mut self, deltas: &[(&str, &[Timestamp])], threads: usize) {
-        self.apply_batch(deltas, true, threads);
-    }
-
-    fn apply_batch(&mut self, deltas: &[(&str, &[Timestamp])], retract: bool, threads: usize) {
+    /// Routes a batch of signed deltas to their shards (in arrival
+    /// order), then applies the shards concurrently on up to `threads`
+    /// workers — each worker owns a contiguous run of whole shards, so no
+    /// two threads ever touch the same accumulator. With `retract` each
+    /// delta is released from its accumulator instead of absorbed.
+    /// Single-owner access: workers split the mutexes mutably instead of
+    /// locking them.
+    pub(crate) fn apply_batch(
+        &mut self,
+        deltas: &[(&str, &[Timestamp])],
+        retract: bool,
+        threads: usize,
+    ) {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (user, _)) in deltas.iter().enumerate() {
             routed[self.shard_of(user)].push(i);
@@ -445,38 +433,20 @@ impl ShardSet {
         .expect("thread scope failed");
     }
 
-    /// Multi-writer batch ingest: routes the batch per shard, then locks
+    /// Multi-writer signed batch: routes the batch per shard, then locks
     /// each touched shard **once**, applies its deltas in arrival order,
     /// and releases before moving to the next — at most one shard lock is
     /// held at a time, so writer/writer deadlock is impossible and two
     /// writers whose batches route to disjoint shards never contend.
+    /// Retraction only commutes with ingestion of the *same* posts when
+    /// it runs after them (releasing an unseen post is a skip, not a
+    /// debt), so callers sequence a post's retraction after the batch
+    /// that ingested it; see `window.rs`.
     ///
     /// Contended acquisitions are counted and their wait timed into the
     /// `ingest.*` metrics when `obs` is attached; the uncontended fast
     /// path costs one `try_lock`.
-    pub(crate) fn ingest_batch_shared(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        obs: Option<&SharedIngestObs>,
-    ) {
-        self.apply_batch_shared(deltas, false, obs);
-    }
-
-    /// [`ingest_batch_shared`](Self::ingest_batch_shared) with the sign
-    /// flipped — multi-writer retraction under the same lock-one-shard-
-    /// at-a-time discipline. Retraction only commutes with ingestion of
-    /// the *same* posts when it runs after them (releasing an unseen post
-    /// is a skip, not a debt), so callers sequence a post's retraction
-    /// after the batch that ingested it; see `window.rs`.
-    pub(crate) fn retract_batch_shared(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        obs: Option<&SharedIngestObs>,
-    ) {
-        self.apply_batch_shared(deltas, true, obs);
-    }
-
-    fn apply_batch_shared(
+    pub(crate) fn apply_batch_shared(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
@@ -546,12 +516,6 @@ impl ShardSet {
     /// observability layer gauges.
     pub(crate) fn occupancy(&self) -> Vec<usize> {
         self.shards.iter().map(|s| relock(s).users.len()).collect()
-    }
-
-    /// Deltas ever applied per shard, in shard-index order.
-    #[cfg(test)]
-    pub(crate) fn shard_seqs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| relock(s).seq).collect()
     }
 
     /// Visits every shard in index order with its id-sorted accumulator
@@ -650,7 +614,7 @@ mod tests {
         }
         for threads in [1usize, 2, 8] {
             let mut batched = ShardSet::new(4);
-            batched.ingest_batch(&borrowed, threads);
+            batched.apply_batch(&borrowed, false, threads);
             assert_eq!(batched.users_tracked(), serial.users_tracked());
             assert_eq!(batched.posts_ingested(), serial.posts_ingested());
             assert_eq!(batched.take_dirty_sorted(), {
@@ -682,13 +646,12 @@ mod tests {
             .map(|(u, p)| (u.as_str(), p.as_slice()))
             .collect();
         let mut owned = ShardSet::new(4);
-        owned.ingest_batch(&borrowed, 1);
+        owned.apply_batch(&borrowed, false, 1);
         let shared = ShardSet::new(4);
-        shared.ingest_batch_shared(&borrowed, None);
+        shared.apply_batch_shared(&borrowed, false, None);
         let mut shared = shared;
         assert_eq!(shared.users_tracked(), owned.users_tracked());
         assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.shard_seqs(), owned.shard_seqs());
         assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
     }
 
@@ -710,14 +673,13 @@ mod tests {
                 scope.spawn(move || {
                     for (u, p) in chunk {
                         let one = [(u.as_str(), p.as_slice())];
-                        shared.ingest_batch_shared(&one, None);
+                        shared.apply_batch_shared(&one, false, None);
                     }
                 });
             }
         });
         let mut shared = shared;
         assert_eq!(shared.posts_ingested(), serial.posts_ingested());
-        assert_eq!(shared.shard_seqs(), serial.shard_seqs());
         assert_eq!(shared.take_dirty_sorted(), serial.take_dirty_sorted());
         let ids: Vec<String> = (0..23).map(|i| format!("c{i:02}")).collect();
         for id in &ids {
@@ -867,11 +829,9 @@ mod tests {
         set.ingest("known", &[ts(1)]);
         set.take_dirty_sorted();
         set.retract("ghost", &[ts(1)]);
-        // A retraction that removed nothing must not dirty the user or
-        // bump the shard sequence.
+        // A retraction that removed nothing must not dirty the user.
         set.retract("known", &[ts(999)]);
         assert_eq!(set.dirty_len(), 0);
-        assert_eq!(set.shard_seqs().iter().sum::<u64>(), 1);
         assert_eq!(set.users_tracked(), 1);
     }
 
@@ -885,14 +845,13 @@ mod tests {
             v.iter().map(|(u, p)| (u.as_str(), p.as_slice())).collect()
         }
         let mut owned = ShardSet::new(4);
-        owned.ingest_batch(&as_refs(&posts), 2);
-        owned.retract_batch(&as_refs(&dropped), 2);
+        owned.apply_batch(&as_refs(&posts), false, 2);
+        owned.apply_batch(&as_refs(&dropped), true, 2);
         let shared = ShardSet::new(4);
-        shared.ingest_batch_shared(&as_refs(&posts), None);
-        shared.retract_batch_shared(&as_refs(&dropped), None);
+        shared.apply_batch_shared(&as_refs(&posts), false, None);
+        shared.apply_batch_shared(&as_refs(&dropped), true, None);
         let mut shared = shared;
         assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.shard_seqs(), owned.shard_seqs());
         assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
     }
 
@@ -902,7 +861,6 @@ mod tests {
         set.ingest("ghost", &[]);
         assert_eq!(set.users_tracked(), 0);
         assert_eq!(set.dirty_len(), 0);
-        assert_eq!(set.shard_seqs(), vec![0, 0, 0]);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crowdtz_stats::{
-    em, em_warm, fit_gaussian, select_components, EmConfig, FitQuality, GaussianComponent,
-    GaussianCurve, GaussianMixture, SelectionCriterion, StatsError,
+    em, fit_gaussian, select_components, EmConfig, FitQuality, GaussianCurve, GaussianMixture,
+    SelectionCriterion, StatsError,
 };
 use crowdtz_time::TzOffset;
 
@@ -176,60 +176,6 @@ impl MultiRegionFit {
         // Prune implausible components: a region's placement spread is
         // known, so near-duplicate means or sliver weights are fitting
         // noise — refit with fewer components until clean.
-        while mixture.len() > 1 && Self::needs_prune(&mixture) {
-            mixture = em(&xs_rot, &counts, mixture.len() - 1, &config)?;
-        }
-        let mixture = mixture.map_means(|m| histogram.unrotate_axis_coord(m, cut));
-        let quality = Self::quality_of(&mixture, histogram)?;
-        Ok(MultiRegionFit { mixture, quality })
-    }
-
-    /// Like [`MultiRegionFit::fit`], but EM is **warm-started** from a
-    /// previous fit's components instead of the quantile/peak restarts —
-    /// the streaming pipeline's fast path when the placement histogram
-    /// moved only slightly between snapshots.
-    ///
-    /// The previous means (zone coordinates) are re-expressed on the new
-    /// histogram's rotated fitting axis, so the warm start is valid even
-    /// when the wrap cut moved. The same pruning pass runs afterwards;
-    /// when the warm start is unusable (e.g. more components than
-    /// populated zones), the cold [`MultiRegionFit::fit`] path runs
-    /// instead. Results are *numerically close* to, but not necessarily
-    /// bit-identical with, a cold fit — callers that need exactness use
-    /// [`MultiRegionFit::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates EM failures from the cold fallback.
-    pub fn fit_warm(
-        histogram: &PlacementHistogram,
-        max_components: usize,
-        previous: &GaussianMixture,
-    ) -> Result<MultiRegionFit, StatsError> {
-        if previous.is_empty() {
-            return Self::fit(histogram, max_components);
-        }
-        let cut = histogram.wrap_cut();
-        let rotated = histogram.rotated_fractions(cut);
-        let users = histogram.users() as f64;
-        let counts: Vec<f64> = rotated.iter().map(|f| f * users).collect();
-        let xs_rot = rotated_axis(rotated.len());
-        let step_hours = 24.0 / rotated.len() as f64;
-        let config = Self::em_config();
-        let init: Vec<GaussianComponent> = previous
-            .components()
-            .iter()
-            .take(max_components.max(1))
-            .map(|c| GaussianComponent {
-                weight: c.weight,
-                mean: (c.mean + 11.0 - cut as f64 * step_hours).rem_euclid(24.0),
-                sigma: c.sigma,
-            })
-            .collect();
-        let mut mixture = match em_warm(&xs_rot, &counts, &init, &config) {
-            Ok(m) => m,
-            Err(_) => return Self::fit(histogram, max_components),
-        };
         while mixture.len() > 1 && Self::needs_prune(&mixture) {
             mixture = em(&xs_rot, &counts, mixture.len() - 1, &config)?;
         }
@@ -416,30 +362,6 @@ mod tests {
         assert_eq!(zones[0].0.whole_hours(), 1, "largest at UTC+1");
         assert_eq!(zones[1].0.whole_hours(), -6, "second at UTC-6");
         assert!(zones[0].1 > zones[1].1);
-    }
-
-    #[test]
-    fn warm_fit_tracks_a_slightly_shifted_histogram() {
-        let cold_prev = MultiRegionFit::fit(&gaussian_histogram(1.0, 2.0, 200), 4).unwrap();
-        // The crowd drifted a little; warm-start from the previous fit.
-        let shifted = gaussian_histogram(1.4, 2.0, 210);
-        let warm = MultiRegionFit::fit_warm(&shifted, 4, cold_prev.mixture()).unwrap();
-        let cold = MultiRegionFit::fit(&shifted, 4).unwrap();
-        assert_eq!(warm.mixture().len(), cold.mixture().len());
-        let wm = warm.mixture().dominant().unwrap().mean;
-        let cm = cold.mixture().dominant().unwrap().mean;
-        assert!((wm - cm).abs() < 0.1, "warm {wm} cold {cm}");
-    }
-
-    #[test]
-    fn warm_fit_with_empty_previous_falls_back_to_cold() {
-        // An init with more components than populated zones is rejected by
-        // em_warm; fit_warm must recover through the cold path.
-        let over = MultiRegionFit::fit_k(&gaussian_histogram(0.0, 6.0, 400), 4).unwrap();
-        let narrow = gaussian_histogram(3.0, 0.4, 10); // few populated zones
-        let warm = MultiRegionFit::fit_warm(&narrow, 4, over.mixture()).unwrap();
-        let cold_narrow = MultiRegionFit::fit(&narrow, 4).unwrap();
-        assert_eq!(warm.mixture().len(), cold_narrow.mixture().len());
     }
 
     #[test]

@@ -502,7 +502,8 @@ mod tests {
         }
         let published = window.publish().unwrap();
         let fresh = ConcurrentStreamingPipeline::new(pipeline());
-        fresh.writer().ingest_posts(&new).unwrap();
+        let refs: Vec<(&str, Timestamp)> = new.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+        fresh.writer().ingest_posts_ref(&refs).unwrap();
         let expected = fresh.publish().unwrap();
         assert_eq!(
             serde_json::to_string(published.report()).unwrap(),
@@ -569,7 +570,7 @@ mod tests {
         let fresh = ConcurrentStreamingPipeline::new(pipeline());
         fresh
             .writer()
-            .ingest_posts(&[("u".to_owned(), b), ("v".to_owned(), c)])
+            .ingest_posts_ref(&[("u", b), ("v", c)])
             .unwrap();
         let expected = fresh.publish().unwrap();
         assert_eq!(

@@ -6,13 +6,20 @@
 //! the sequential snapshot of exactly the per-writer batch prefixes its
 //! watermark vector names.
 //!
+//! The placement cache's hit, miss and eviction counts are pinned the
+//! same way: they equal those of a sequential engine that snapshots at
+//! the same cuts.
+//!
 //! The schedules are **seeded**: which batches each writer sends, and
 //! in which order, is a pure function of the seed, so a failure here is
 //! a reproducible interleaving family, not a flake.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline, ZoneGrid};
+use crowdtz_obs::Observer;
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, Timestamp};
 
@@ -232,6 +239,90 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
         sequential_json(&all, 4, ZoneGrid::Hourly),
         "final cut diverged from the full sequential reference"
     );
+}
+
+/// Single-post batches for users whose profiles coincide, split into
+/// the two halves of a run: twins post at 20:00 in the first half and
+/// at 21:00 in the second, so each half resolves one shape many times;
+/// late users post the first half's 20:00 shape only in the second
+/// half, so they hit entries an earlier publish cached.
+fn twin_batches() -> (Vec<Batch>, Vec<Batch>) {
+    let at = |day: i64, hour: i64| Timestamp::from_secs(day * 86_400 + hour * 3_600);
+    let twins: Vec<String> = (0..12).map(|i| format!("twin{i:02}")).collect();
+    let first = twins.iter().map(|u| (u.clone(), vec![at(0, 20)])).collect();
+    let second = twins
+        .iter()
+        .map(|u| (u.clone(), vec![at(1, 21)]))
+        .chain((0..6).map(|i| (format!("late{i}"), vec![at(0, 20)])))
+        .collect();
+    (first, second)
+}
+
+/// The observer's placement-cache hit, miss and eviction counters.
+fn cache_counters(observer: &Observer) -> [u64; 3] {
+    [
+        "placement.cache_hits",
+        "placement.cache_misses",
+        "placement.cache_evictions",
+    ]
+    .map(|name| observer.counter(name).get())
+}
+
+#[test]
+fn concurrent_cache_counters_match_the_sequential_engine() {
+    // The concurrent engine resolves placements only when it publishes,
+    // under the write gate, so its cache sees exactly the dirty users a
+    // sequential engine snapshotting at the same cuts sees: the counts
+    // are a function of the cuts, not of the writer schedule.
+    let (twins_head, twins_tail) = twin_batches();
+    for seed in [1u64, 2, 3] {
+        let all = batches(seed);
+        let (head, tail) = all.split_at(all.len() / 2);
+        let halves = [
+            [head, &twins_head[..]].concat(),
+            [tail, &twins_tail[..]].concat(),
+        ];
+        for shards in SHARD_GRID {
+            let observer = Observer::from_env();
+            let mut reference = StreamingPipeline::new(
+                pipeline(shards, ZoneGrid::Hourly).observer(Arc::clone(&observer)),
+            );
+            for half in &halves {
+                for (user, posts) in half {
+                    reference.ingest(user, posts);
+                }
+                reference.snapshot().unwrap();
+            }
+            let want = (reference.cache_stats(), cache_counters(&observer));
+            // 11 twin hits per half plus 6 late hits on the first
+            // half's entry.
+            assert!(want.0 .0 >= 28, "too few cache hits: {want:?}");
+            for writers in WRITER_GRID {
+                let observer = Observer::from_env();
+                let engine = ConcurrentStreamingPipeline::new(
+                    pipeline(shards, ZoneGrid::Hourly).observer(Arc::clone(&observer)),
+                );
+                for half in &halves {
+                    std::thread::scope(|scope| {
+                        for schedule in deal(half, writers) {
+                            let writer = engine.writer();
+                            scope.spawn(move || {
+                                for (user, posts) in &schedule {
+                                    writer.ingest(user, posts).unwrap();
+                                }
+                            });
+                        }
+                    });
+                    engine.publish().unwrap();
+                }
+                assert_eq!(
+                    (engine.cache_stats(), cache_counters(&observer)),
+                    want,
+                    "cache counters diverged at seed {seed}, {shards} shards, {writers} writers"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

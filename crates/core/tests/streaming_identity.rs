@@ -6,7 +6,7 @@
 //! (see `.github/workflows/ci.yml`) alongside `parallel_determinism.rs`,
 //! so the env knob is exercised on the streaming path too.
 
-use crowdtz_core::{GeolocationPipeline, GeolocationReport, RefitMode, StreamingPipeline};
+use crowdtz_core::{GeolocationPipeline, GeolocationReport, StreamingPipeline};
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, TraceSet};
 
@@ -107,36 +107,6 @@ fn incremental_rounds_match_batch_at_every_thread_count() {
                 "round {round} diverged at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn warm_refit_snapshots_are_byte_identical_across_thread_counts() {
-    // Warm-started refits need not match the cold fit bit-for-bit, but
-    // they must still never depend on the worker-thread count.
-    let traces = two_region_crowd();
-    let rounds_json = |threads: usize| {
-        let mut streaming = StreamingPipeline::new(GeolocationPipeline::default().threads(threads))
-            .refit_mode(RefitMode::warm());
-        let mut ingested = TraceSet::default();
-        let mut out = Vec::new();
-        for round in 0..3 {
-            let cumulative = cumulative_rounds(&traces, round);
-            for delta in cumulative.delta_from(&ingested) {
-                streaming.ingest(delta.0, &delta.1);
-            }
-            ingested = cumulative;
-            out.push(numeric_json(&streaming.snapshot().unwrap()));
-        }
-        out
-    };
-    let baseline = rounds_json(1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            baseline,
-            rounds_json(threads),
-            "warm refit diverged at {threads} threads"
-        );
     }
 }
 

@@ -153,7 +153,9 @@ fn run_windowed(engine: ConcurrentStreamingPipeline, seed: u64, writers: usize) 
 /// The reference: a fresh engine fed only the surviving posts.
 fn reference_json(grid: ZoneGrid, shards: usize, seed: u64) -> String {
     let fresh = ConcurrentStreamingPipeline::new(pipeline(grid, shards));
-    fresh.writer().ingest_posts(&survivors(seed)).unwrap();
+    let survivors = survivors(seed);
+    let refs: Vec<(&str, Timestamp)> = survivors.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+    fresh.writer().ingest_posts_ref(&refs).unwrap();
     report_json(fresh.publish())
 }
 

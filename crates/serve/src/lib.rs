@@ -13,9 +13,8 @@
 //!
 //! - [`http`]: framing only — request parsing with hard limits,
 //!   response serialization, no routes, no engine types;
-//! - [`service`]: routing — one [`Request`](http::Request) in, one
-//!   [`Response`](http::Response) out, against a
-//!   [`TenantRegistry`](crowdtz_core::TenantRegistry);
+//! - [`service`]: routing — one [`Request`] in, one [`Response`] out,
+//!   against a [`TenantRegistry`](crowdtz_core::TenantRegistry);
 //! - [`server`]: sockets — the accept pool, per-connection loop,
 //!   graceful shutdown with a final durable checkpoint;
 //! - [`client`]: a minimal blocking client so tests and benches can

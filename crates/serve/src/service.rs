@@ -1,10 +1,9 @@
 //! The analysis service: routes → tenant engines.
 //!
 //! [`AnalysisService`] is transport-light — it maps one parsed
-//! [`Request`] to one [`Response`] against a
-//! [`TenantRegistry`](crowdtz_core::TenantRegistry), with all per-route
-//! metrics recorded out of band. The connection loop in `server.rs`
-//! owns sockets; nothing here does I/O.
+//! [`Request`] to one [`Response`] against a [`TenantRegistry`], with
+//! all per-route metrics recorded out of band. The connection loop in
+//! `server.rs` owns sockets; nothing here does I/O.
 //!
 //! # Route table
 //!

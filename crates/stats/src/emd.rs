@@ -87,27 +87,11 @@ pub fn circular_emd_cdf(p_cdf: &[f64; BINS], q_cdf: &[f64; BINS]) -> f64 {
 /// as in-order half sums over the ascending-sorted differences. The sorted
 /// summation order makes the bits a function of the difference multiset
 /// alone, which is what lets the lane-parallel batch kernel
-/// ([`crate::SortNetwork`]) reproduce this value exactly — see the
-/// determinism discussion in [`crate::kernel`].
+/// ([`SortNetwork`](crate::SortNetwork)) reproduce this value exactly —
+/// see its determinism discussion.
 pub fn circular_emd_of_cdf_diff(diffs: &[f64; BINS]) -> f64 {
     let mut scratch = *diffs;
     crate::kernel::circular_emd_of_cdf_diff_scratch(&mut scratch)
-}
-
-/// A cheap lower bound on [`circular_emd_of_cdf_diff`]: pairing the hours
-/// `(h, h+12)` and summing `|d[h] − d[h+12]|`.
-///
-/// For every pair, `|a − b| ≤ |a − c| + |b − c|` for any `c`, so summing
-/// over the 12 disjoint pairs bounds `min_c Σ_h |d[h] − c|` from below.
-/// The placement engine uses it to skip the exact selection for zones that
-/// cannot beat the current best — the argmin is unaffected because a zone
-/// is skipped only when even its lower bound is no better.
-pub fn circular_emd_lower_bound(diffs: &[f64; BINS]) -> f64 {
-    let mut acc = 0.0;
-    for h in 0..BINS / 2 {
-        acc += (diffs[h] - diffs[h + BINS / 2]).abs();
-    }
-    acc
 }
 
 /// Writes `CDF_{p shifted by s}(h) − CDF_q(h)` into `diffs` without
@@ -308,22 +292,6 @@ mod tests {
         let median = sorted[BINS / 2 - 1];
         let via_median: f64 = diffs.iter().map(|d| (d - median).abs()).sum();
         assert!((circular_emd_of_cdf_diff(&diffs) - via_median).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_exact_emd() {
-        for (a, b) in [(0u8, 12u8), (3, 4), (23, 0), (7, 7)] {
-            let p = delta(a).mix(&Distribution24::uniform(), 0.4);
-            let q = delta(b).mix(&Distribution24::uniform(), 0.15);
-            let (pc, qc) = (p.cdf(), q.cdf());
-            let mut diffs = [0.0_f64; BINS];
-            for h in 0..BINS {
-                diffs[h] = pc[h] - qc[h];
-            }
-            let bound = circular_emd_lower_bound(&diffs);
-            let exact = circular_emd_of_cdf_diff(&diffs);
-            assert!(bound <= exact + 1e-12, "bound {bound} > exact {exact}");
-        }
     }
 
     #[test]

@@ -296,61 +296,6 @@ fn peak_means(xs: &[f64], weights: &[f64], k: usize) -> Vec<f64> {
     means
 }
 
-/// Fits a mixture by EM **warm-started** from the given components —
-/// typically the previous snapshot's fit in a streaming re-analysis, where
-/// the histogram moved only slightly and quantile/peak re-initialization
-/// would redo converged work.
-///
-/// Initial weights are renormalized and σ is clamped to the config floor
-/// (or pinned to `fixed_sigma`), so a previously fitted mixture is always
-/// a valid starting point. The run itself is the same deterministic EM as
-/// [`em`]; only the starting point differs, so callers that need
-/// init-independent output should fall back to [`em`] when the data has
-/// shifted far from what `init` described.
-///
-/// # Errors
-///
-/// Same validation as [`em`], with `k = init.len()`.
-pub fn em_warm(
-    xs: &[f64],
-    weights: &[f64],
-    init: &[GaussianComponent],
-    config: &EmConfig,
-) -> Result<GaussianMixture, StatsError> {
-    if xs.len() != weights.len() {
-        return Err(StatsError::LengthMismatch {
-            left: xs.len(),
-            right: weights.len(),
-        });
-    }
-    let k = init.len();
-    let positive = weights.iter().filter(|&&w| w > 0.0).count();
-    if k == 0 || k > positive {
-        return Err(StatsError::NotEnoughData {
-            got: positive,
-            needed: k.max(1),
-        });
-    }
-    let total_w: f64 = weights.iter().sum();
-    if total_w <= 0.0 {
-        return Err(StatsError::InvalidDistribution {
-            reason: "total weight is zero".to_owned(),
-        });
-    }
-    let init_weight_sum: f64 = init.iter().map(|c| c.weight.max(config.weight_floor)).sum();
-    let components: Vec<GaussianComponent> = init
-        .iter()
-        .map(|c| GaussianComponent {
-            weight: c.weight.max(config.weight_floor) / init_weight_sum,
-            mean: c.mean,
-            sigma: config
-                .fixed_sigma
-                .unwrap_or_else(|| c.sigma.max(config.sigma_floor)),
-        })
-        .collect();
-    Ok(em_from_components(xs, weights, components, config, total_w))
-}
-
 /// One EM run from the given initial means.
 fn em_from(
     xs: &[f64],
@@ -360,7 +305,7 @@ fn em_from(
     total_w: f64,
 ) -> GaussianMixture {
     let k = initial_means.len();
-    let components: Vec<GaussianComponent> = initial_means
+    let mut components: Vec<GaussianComponent> = initial_means
         .into_iter()
         .map(|mean| GaussianComponent {
             weight: 1.0 / k as f64,
@@ -368,18 +313,6 @@ fn em_from(
             sigma: config.sigma_init,
         })
         .collect();
-    em_from_components(xs, weights, components, config, total_w)
-}
-
-/// The EM iteration loop, from fully specified initial components.
-fn em_from_components(
-    xs: &[f64],
-    weights: &[f64],
-    mut components: Vec<GaussianComponent>,
-    config: &EmConfig,
-    total_w: f64,
-) -> GaussianMixture {
-    let k = components.len();
 
     let n = xs.len();
     let mut resp = vec![0.0_f64; n * k];
@@ -749,86 +682,6 @@ mod tests {
         };
         let model = em(&xs, &ws, 1, &config).unwrap();
         assert_eq!(model.dominant().unwrap().sigma, 2.5);
-    }
-
-    #[test]
-    fn warm_start_from_truth_converges_to_cold_fit() {
-        let truth = vec![
-            GaussianComponent {
-                weight: 0.7,
-                mean: 1.0,
-                sigma: 2.0,
-            },
-            GaussianComponent {
-                weight: 0.3,
-                mean: -6.0,
-                sigma: 2.0,
-            },
-        ];
-        let (xs, ws) = sample_weights(&truth, 1000.0);
-        let cold = em(&xs, &ws, 2, &EmConfig::default()).unwrap();
-        let warm = em_warm(&xs, &ws, &truth, &EmConfig::default()).unwrap();
-        assert_eq!(warm.len(), cold.len());
-        for (w, c) in warm.components().iter().zip(cold.components()) {
-            assert!((w.mean - c.mean).abs() < 0.1, "warm {warm} cold {cold}");
-            assert!((w.weight - c.weight).abs() < 0.05);
-        }
-        // Warm-starting from the converged answer needs (far) fewer
-        // iterations than the cold quantile/peak restarts.
-        let rewarm = em_warm(&xs, &ws, cold.components(), &EmConfig::default()).unwrap();
-        assert!(
-            rewarm.iterations() <= cold.iterations(),
-            "warm {} vs cold {}",
-            rewarm.iterations(),
-            cold.iterations()
-        );
-    }
-
-    #[test]
-    fn warm_start_sanitizes_degenerate_init() {
-        let truth = vec![GaussianComponent {
-            weight: 1.0,
-            mean: 2.0,
-            sigma: 2.0,
-        }];
-        let (xs, ws) = sample_weights(&truth, 300.0);
-        // Zero weight and collapsed sigma are clamped, not propagated.
-        let bad = [GaussianComponent {
-            weight: 0.0,
-            mean: 5.0,
-            sigma: 0.0,
-        }];
-        let model = em_warm(&xs, &ws, &bad, &EmConfig::default()).unwrap();
-        let c = model.dominant().unwrap();
-        assert!((c.mean - 2.0).abs() < 0.5, "{model}");
-        assert!(c.sigma >= EmConfig::default().sigma_floor);
-    }
-
-    #[test]
-    fn warm_start_error_cases() {
-        let xs = [0.0, 1.0];
-        let ws = [1.0, 1.0];
-        let c = GaussianComponent {
-            weight: 1.0,
-            mean: 0.0,
-            sigma: 1.0,
-        };
-        assert!(matches!(
-            em_warm(&xs, &ws[..1], &[c], &EmConfig::default()),
-            Err(StatsError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            em_warm(&xs, &ws, &[], &EmConfig::default()),
-            Err(StatsError::NotEnoughData { .. })
-        ));
-        assert!(matches!(
-            em_warm(&xs, &ws, &[c, c, c], &EmConfig::default()),
-            Err(StatsError::NotEnoughData { .. })
-        ));
-        assert!(matches!(
-            em_warm(&xs, &[0.0, 0.0], &[c], &EmConfig::default()),
-            Err(StatsError::NotEnoughData { .. })
-        ));
     }
 
     #[test]

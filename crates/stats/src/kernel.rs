@@ -6,14 +6,16 @@
 //! grids (48 half-hour and 96 quarter-hour zones) and places users in
 //! structure-of-arrays batches; the kernels here are their shared core:
 //!
-//! * slice-width generalizations of the circular EMD and its antipodal
-//!   lower bound (bit-identical to the `[f64; 24]` versions at width 24);
-//! * a fixed-point (integer) form of the lower bound, used to prune whole
-//!   lanes of a batch with pure `i32` arithmetic. Quantization makes the
-//!   integer bound *approximate*, so a provable slack ([`prune_slack`]) is
-//!   subtracted before comparing it against the best exact distance —
-//!   pruning stays conservative and the selected zone stays bit-identical
-//!   to the scalar scan;
+//! * a slice-width generalization of the circular EMD (bit-identical to
+//!   the `[f64; 24]` version at width 24);
+//! * the quad lower bound on that EMD, in a real-valued reference form
+//!   ([`circular_emd_quad_lower_bound_slice`]) and a fixed-point
+//!   (integer) form ([`quad_fold`], [`batch_quad_bounds`]) used to prune
+//!   whole lanes of a batch with pure `i32` arithmetic. Quantization
+//!   makes the integer bound *approximate*, so a provable slack
+//!   ([`prune_slack`]) is subtracted before comparing it against the best
+//!   exact distance — pruning stays conservative and the selected zone
+//!   stays bit-identical to the scalar scan;
 //! * a lane-parallel exact kernel ([`SortNetwork`]): [`EMD_LANES`]
 //!   CDF-difference columns are sorted simultaneously by a branch-free
 //!   compare-exchange network and reduced by in-order half sums, producing
@@ -45,9 +47,11 @@
 /// Fixed-point scale for quantized CDF values: `2^22`.
 ///
 /// CDF values live in `[0, 1]`, so a quantized value fits easily in `i32`;
-/// an antipodal-fold term is at most `2·2^22` and a folded sum over 48
-/// pairs (the 96-bin grid) at most `48·2·2^22 + slack < 2^31`, so the
-/// batched accumulation never overflows `i32`.
+/// a quad plane value is at most `2·2^22` in magnitude, a quad term (the
+/// largest plane difference, see [`batch_quad_bounds`]) at most `4·2^22`,
+/// and the 24 quads of the 96-bin grid sum to at most
+/// `24·4·2^22 + slack < 2^31`, so the batched accumulation never
+/// overflows `i32`.
 pub const CDF_FIXED_SCALE: f64 = (1u32 << 22) as f64;
 
 /// Lanes (columns) per [`SortNetwork::batch_emd`] call: 64 `f64` columns
@@ -63,8 +67,8 @@ pub const EMD_LANES: usize = 64;
 /// `y = x · 2^22 ∈ [0, 2^22]`, `y + 0.5` is exact in `f64` (needs at most
 /// 23 + 1 significand bits), and truncating `y + 0.5` is floor, i.e.
 /// round-half-away-from-zero for non-negative `y` — `.round()`'s rule.
-/// The cast form avoids the `round` libm call, which costs more than the
-/// entire antipodal fold on targets without a native rounding instruction.
+/// The cast form avoids the `round` libm call, which is slow on targets
+/// without a native rounding instruction.
 #[inline]
 pub fn quantize_cdf(x: f64) -> i32 {
     debug_assert!((-1.0..=2.0).contains(&x));
@@ -74,14 +78,12 @@ pub fn quantize_cdf(x: f64) -> i32 {
 /// The slack (in fixed-point quanta) that makes the integer lower bound
 /// conservative for a `bins`-wide circular grid.
 ///
-/// Each antipodal fold term `|Q(u_h) − Q(u_{h+half}) − Q(z_h) + Q(z_{h+half})|`
-/// involves four quantizations of at most half a quantum error each, so a
-/// sum over `bins / 2` antipodal pairs is within `2 · bins / 2 = bins`
-/// quanta of the scaled real-valued bound. The quad bound
-/// ([`batch_quad_bounds`]) lands on the same total: each plane difference
-/// involves eight quantizations (≤ 4 quanta of error), the max of the
-/// three planes inherits that error budget, and there are `bins / 4`
-/// quads — `4 · bins / 4 = bins` quanta again. One extra quantum
+/// Each plane difference of the quad bound ([`batch_quad_bounds`])
+/// involves eight quantizations of at most half a quantum error each, so
+/// it is within 4 quanta of its scaled real value; the max of a quad's
+/// three planes inherits that error budget, and a sum over `bins / 4`
+/// quads is within `4 · bins / 4 = bins` quanta of the scaled real-valued
+/// bound ([`circular_emd_quad_lower_bound_slice`]). One extra quantum
 /// generously absorbs the `f64` rounding of the quantization products
 /// themselves.
 /// Subtracting this slack before comparing against the best distance means
@@ -126,90 +128,6 @@ pub fn circular_emd_of_cdf_diff_scratch(diffs: &mut [f64]) -> f64 {
     sorted_half_sums(diffs)
 }
 
-/// The antipodal lower bound `Σ_h |d[h] − d[h+half]|` for a CDF-difference
-/// slice of any even width — the slice form of
-/// [`circular_emd_lower_bound`](crate::circular_emd_lower_bound), in units
-/// of grid bins.
-pub fn circular_emd_lower_bound_slice(diffs: &[f64]) -> f64 {
-    let half = diffs.len() / 2;
-    let mut acc = 0.0;
-    for h in 0..half {
-        acc += (diffs[h] - diffs[h + half]).abs();
-    }
-    acc
-}
-
-/// Folds a CDF into its quantized antipodal differences:
-/// `out[h] = Q(cdf[h]) − Q(cdf[h + half])` for `h` in `0..half`.
-///
-/// The antipodal lower bound between a user and a zone CDF is then a pure
-/// integer expression over two folds:
-/// `Σ_h |fold_u[h] − fold_z[h]|` (see [`batch_fold_bounds`]).
-#[inline]
-pub fn antipodal_fold(cdf: &[f64], out: &mut [i32]) {
-    let half = cdf.len() / 2;
-    debug_assert_eq!(out.len(), half);
-    for h in 0..half {
-        out[h] = quantize_cdf(cdf[h]) - quantize_cdf(cdf[h + half]);
-    }
-}
-
-#[inline(always)]
-fn batch_fold_bounds_impl(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bounds: &mut [i32]) {
-    for (h, &z) in zone_fold.iter().enumerate() {
-        let row = &user_folds[h * lanes..(h + 1) * lanes];
-        for (b, &u) in bounds.iter_mut().zip(row.iter()) {
-            *b += (u - z).abs();
-        }
-    }
-}
-
-/// `batch_fold_bounds_impl` compiled with AVX2 enabled.
-///
-/// # Safety
-/// The caller must have verified `avx2` support at runtime. The body is
-/// pure integer adds and absolute values over the same memory as the
-/// portable path, so results are identical; only the instruction
-/// selection changes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-unsafe fn batch_fold_bounds_avx2(
-    user_folds: &[i32],
-    zone_fold: &[i32],
-    lanes: usize,
-    bounds: &mut [i32],
-) {
-    batch_fold_bounds_impl(user_folds, zone_fold, lanes, bounds);
-}
-
-/// Accumulates quantized antipodal lower bounds for a whole batch of users
-/// against one zone, lane-wise.
-///
-/// `user_folds` is laid out structure-of-arrays, pair-major: lane `u` of
-/// pair `h` lives at `user_folds[h * lanes + u]`. `zone_fold` is the zone
-/// CDF's own [`antipodal_fold`]. For every lane,
-/// `bounds[u] += Σ_h |user_folds[h·lanes + u] − zone_fold[h]|` — a branch-
-/// free `i32` loop over contiguous memory with one scalar broadcast per
-/// pair, dispatched to an AVX2 build of itself when the CPU has it (the
-/// baseline x86-64 target the default build compiles for would otherwise
-/// leave the loop scalar). Integer arithmetic, so the dispatch cannot
-/// change a single bound. Callers zero `bounds` per zone.
-pub fn batch_fold_bounds(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bounds: &mut [i32]) {
-    debug_assert_eq!(bounds.len(), lanes);
-    debug_assert_eq!(user_folds.len(), zone_fold.len() * lanes);
-    #[cfg(target_arch = "x86_64")]
-    if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence just checked.
-        #[allow(unsafe_code)]
-        unsafe {
-            batch_fold_bounds_avx2(user_folds, zone_fold, lanes, bounds)
-        };
-        return;
-    }
-    batch_fold_bounds_impl(user_folds, zone_fold, lanes, bounds);
-}
-
 /// Folds a CDF into its three quantized quad pairing-sums:
 /// for quarter `q = len / 4` and quad `r` grouping positions
 /// `{r, r+q, r+2q, r+3q}` with quantized values `Q0..Q3`,
@@ -224,9 +142,7 @@ pub fn batch_fold_bounds(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bo
 /// absolute plane difference equals `(s3 − s0) + (s2 − s1)` of the sorted
 /// per-position differences `s0 ≤ s1 ≤ s2 ≤ s3`, which is
 /// `min_c Σ |d_i − c|` over the quad — the tightest bound any constant
-/// shift admits on those four positions, and strictly tighter than the
-/// antipodal pair bound (a max-weight matching argument: the quad's
-/// optimal transport pairs outermost with outermost).
+/// shift admits on those four positions.
 #[inline]
 pub fn quad_fold(cdf: &[f64], out: &mut [i32]) {
     let q = cdf.len() / 4;
@@ -345,9 +261,9 @@ pub fn batch_quad_bounds(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bo
 
 /// The real-valued quad lower bound `Σ_r (s3 − s0) + (s2 − s1)` over
 /// sorted quad differences — the unquantized reference for
-/// [`batch_quad_bounds`], in units of grid bins. Always at least the
-/// antipodal [`circular_emd_lower_bound_slice`] and never above the exact
-/// circular EMD.
+/// [`batch_quad_bounds`], in units of grid bins. Never above the exact
+/// circular EMD: the shift that is optimal for the whole circle is one
+/// candidate shift for every quad.
 pub fn circular_emd_quad_lower_bound_slice(diffs: &[f64]) -> f64 {
     let q = diffs.len() / 4;
     let mut acc = 0.0;
@@ -400,8 +316,8 @@ unsafe fn batch_min_argmin_avx2(row: &[i32], zone: u32, min: &mut [i32], argmin:
 /// holding the *smallest-indexed* zone attaining the minimal bound for
 /// lane `u` — exactly the first candidate the scalar scan's strict-`<`
 /// sweep selects. Strict `<` with ascending calls is what preserves the
-/// tie rule. Integer compare-and-select, AVX2-dispatched like
-/// [`batch_fold_bounds`].
+/// tie rule. Integer compare-and-select over one zone's row of quad
+/// bounds, SIMD-dispatched like [`batch_quad_bounds`].
 pub fn batch_min_argmin(row: &[i32], zone: u32, min: &mut [i32], argmin: &mut [u32]) {
     debug_assert_eq!(row.len(), min.len());
     debug_assert_eq!(row.len(), argmin.len());
@@ -579,7 +495,7 @@ impl SortNetwork {
 mod tests {
     use super::*;
     use crate::dist::BINS;
-    use crate::{circular_emd_lower_bound, circular_emd_of_cdf_diff, Distribution24};
+    use crate::{circular_emd_of_cdf_diff, Distribution24};
 
     fn cdf_pair(a: u8, b: u8, t: f64) -> ([f64; BINS], [f64; BINS]) {
         let p = Distribution24::delta(a).mix(&Distribution24::uniform(), t);
@@ -598,10 +514,6 @@ mod tests {
         assert_eq!(
             circular_emd_of_cdf_diff(&diffs).to_bits(),
             circular_emd_of_cdf_diff_scratch(&mut scratch).to_bits(),
-        );
-        assert_eq!(
-            circular_emd_lower_bound(&diffs).to_bits(),
-            circular_emd_lower_bound_slice(&diffs).to_bits(),
         );
     }
 
@@ -629,32 +541,88 @@ mod tests {
         }
     }
 
+    /// A CDF on a `bins`-wide grid: a point mass at `peak` mixed with the
+    /// uniform profile at weight `t`.
+    fn peaked_cdf(bins: usize, peak: usize, t: f64) -> Vec<f64> {
+        let mut acc = 0.0;
+        (0..bins)
+            .map(|h| {
+                acc += t / bins as f64 + if h == peak { 1.0 - t } else { 0.0 };
+                acc
+            })
+            .collect()
+    }
+
+    /// A pseudo-random CDF on a `bins`-wide grid, from a xorshift state.
+    fn random_cdf(bins: usize, rng: &mut u64) -> Vec<f64> {
+        let weights: Vec<f64> = (0..bins)
+            .map(|_| {
+                *rng ^= *rng << 13;
+                *rng ^= *rng >> 7;
+                *rng ^= *rng << 17;
+                (*rng >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        weights
+            .iter()
+            .map(|w| {
+                acc += w / total;
+                acc
+            })
+            .collect()
+    }
+
+    /// The quad fold of a CDF, as a fresh vector.
+    fn fold_of(cdf: &[f64]) -> Vec<i32> {
+        let mut fold = vec![0i32; 3 * cdf.len() / 4];
+        quad_fold(cdf, &mut fold);
+        fold
+    }
+
     #[test]
     fn integer_bound_is_conservative_after_slack() {
-        // Across a sweep of profile pairs, the slack-adjusted integer bound
-        // never exceeds the exact circular EMD — the pruning soundness
-        // condition.
-        for (a, b) in [(0u8, 12u8), (3, 4), (23, 0), (7, 7), (1, 18)] {
-            for t in [0.0, 0.15, 0.5, 0.85] {
-                let (pc, qc) = cdf_pair(a, b, t);
-                let half = BINS / 2;
-                let mut fold_p = vec![0i32; half];
-                let mut fold_q = vec![0i32; half];
-                antipodal_fold(&pc, &mut fold_p);
-                antipodal_fold(&qc, &mut fold_q);
-                let mut bound = vec![0i32; 1];
+        // On every grid the engine scans, the slack-adjusted integer quad
+        // bound never exceeds the real-valued quad bound, which never
+        // exceeds the exact circular EMD — the pruning soundness chain.
+        let mut rng = 0x2545F4914F6CDD1Du64;
+        for bins in [24usize, 48, 96] {
+            let step = bins / 24;
+            let mut pairs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
+            for (a, b) in [(0usize, 12usize), (3, 4), (23, 0), (7, 7), (1, 18)] {
+                for t in [0.0, 0.15, 0.5, 0.85] {
+                    pairs.push((
+                        peaked_cdf(bins, a * step, t),
+                        peaked_cdf(bins, b * step + step / 2, 1.0 - t),
+                    ));
+                }
+            }
+            for _ in 0..40 {
+                pairs.push((random_cdf(bins, &mut rng), random_cdf(bins, &mut rng)));
+            }
+            for (p, q) in &pairs {
                 // Single-lane batch: the SoA layout degenerates to the fold
                 // itself.
-                batch_fold_bounds(&fold_p, &fold_q, 1, &mut bound);
-                let mut diffs = vec![0.0_f64; BINS];
-                for h in 0..BINS {
-                    diffs[h] = pc[h] - qc[h];
-                }
+                let mut bound = [0i32];
+                batch_quad_bounds(&fold_of(p), &fold_of(q), 1, &mut bound);
+                let adjusted = f64::from(bound[0] - prune_slack(bins)) / CDF_FIXED_SCALE;
+                let mut diffs: Vec<f64> = p.iter().zip(q).map(|(a, b)| a - b).collect();
+                let real = circular_emd_quad_lower_bound_slice(&diffs);
                 let exact = circular_emd_of_cdf_diff_scratch(&mut diffs);
-                let adjusted = f64::from(bound[0] - prune_slack(BINS)) / CDF_FIXED_SCALE;
+                assert!(
+                    adjusted <= real,
+                    "{bins} bins: integer bound {adjusted} exceeds quad bound {real}"
+                );
                 assert!(
                     adjusted <= exact,
-                    "integer bound {adjusted} exceeds exact {exact} for ({a},{b},{t})"
+                    "{bins} bins: integer bound {adjusted} exceeds exact {exact}"
+                );
+                // Both sides are f64 sums of the same differences, so a
+                // tight bound may land an ulp or two above the exact value.
+                assert!(
+                    real <= exact + 1e-12,
+                    "{bins} bins: quad bound {real} exceeds exact {exact}"
                 );
             }
         }
@@ -662,35 +630,27 @@ mod tests {
 
     #[test]
     fn batch_layout_matches_per_lane_folds() {
-        // Three users interleaved SoA must produce the same bounds as three
-        // independent single-lane calls.
-        let users = [
-            cdf_pair(2, 9, 0.2).0,
-            cdf_pair(5, 1, 0.4).0,
-            cdf_pair(20, 3, 0.7).0,
-        ];
-        let (_, zone) = cdf_pair(8, 8, 0.35);
-        let half = BINS / 2;
-        let lanes = users.len();
-        let mut zone_fold = vec![0i32; half];
-        antipodal_fold(&zone, &mut zone_fold);
-
-        let mut soa = vec![0i32; half * lanes];
-        let mut scratch = vec![0i32; half];
-        for (u, cdf) in users.iter().enumerate() {
-            antipodal_fold(cdf, &mut scratch);
-            for h in 0..half {
-                soa[h * lanes + u] = scratch[h];
+        // Users interleaved SoA must produce the same bounds as independent
+        // single-lane calls; 19 lanes reach every SIMD dispatch width.
+        let mut rng = 0x9E3779B97F4A7C15u64;
+        for bins in [24usize, 48, 96] {
+            let fw = 3 * bins / 4;
+            let users: Vec<Vec<f64>> = (0..19).map(|_| random_cdf(bins, &mut rng)).collect();
+            let zone_fold = fold_of(&peaked_cdf(bins, bins / 3, 0.35));
+            let lanes = users.len();
+            let mut soa = vec![0i32; fw * lanes];
+            for (u, cdf) in users.iter().enumerate() {
+                for (h, &v) in fold_of(cdf).iter().enumerate() {
+                    soa[h * lanes + u] = v;
+                }
             }
-        }
-        let mut batch_bounds = vec![0i32; lanes];
-        batch_fold_bounds(&soa, &zone_fold, lanes, &mut batch_bounds);
-
-        for (u, cdf) in users.iter().enumerate() {
-            antipodal_fold(cdf, &mut scratch);
-            let mut single = vec![0i32; 1];
-            batch_fold_bounds(&scratch, &zone_fold, 1, &mut single);
-            assert_eq!(batch_bounds[u], single[0], "lane {u}");
+            let mut batch_bounds = vec![0i32; lanes];
+            batch_quad_bounds(&soa, &zone_fold, lanes, &mut batch_bounds);
+            for (u, cdf) in users.iter().enumerate() {
+                let mut single = [0i32];
+                batch_quad_bounds(&fold_of(cdf), &zone_fold, 1, &mut single);
+                assert_eq!(batch_bounds[u], single[0], "{bins} bins, lane {u}");
+            }
         }
     }
 

@@ -44,19 +44,17 @@ pub use ascii::{render_bars, render_overlay, AsciiChart};
 pub use descriptive::{mean, median, population_std, variance, weighted_mean, Summary};
 pub use dist::{Distribution24, Histogram24, BINS};
 pub use emd::{
-    circular_emd, circular_emd_cdf, circular_emd_lower_bound, circular_emd_of_cdf_diff, linear_emd,
-    linear_emd_cdf, min_shift_emd, shift_alignment,
+    circular_emd, circular_emd_cdf, circular_emd_of_cdf_diff, linear_emd, linear_emd_cdf,
+    min_shift_emd, shift_alignment,
 };
 pub use error::StatsError;
 pub use fitmetrics::FitQuality;
 pub use gaussian::{fit_gaussian, GaussianCurve};
 pub use gmm::{
-    em, em_warm, select_components, EmConfig, GaussianComponent, GaussianMixture,
-    SelectionCriterion,
+    em, select_components, EmConfig, GaussianComponent, GaussianMixture, SelectionCriterion,
 };
 pub use kernel::{
-    antipodal_fold, batch_fold_bounds, batch_min_argmin, batch_quad_bounds,
-    circular_emd_lower_bound_slice, circular_emd_of_cdf_diff_scratch,
+    batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch,
     circular_emd_quad_lower_bound_slice, prune_slack, quad_fold, quantize_cdf, SortNetwork,
     CDF_FIXED_SCALE, EMD_LANES,
 };
