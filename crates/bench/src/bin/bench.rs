@@ -15,8 +15,9 @@
 //! Defaults: 10 000 placement users to `BENCH_placement.json`, 100 000
 //! streaming users to `BENCH_streaming.json` and `BENCH_sharding.json`,
 //! durable-store numbers to `BENCH_durability.json`, concurrent
-//! multi-writer ingest throughput (writers 1/2/4/8 at 1/4/16 shards) to
-//! `BENCH_ingest.json`, and HTTP requests/sec through a loopback
+//! multi-writer ingest throughput (writers 1/2/4/8 at 1/4/16 shards) and
+//! one writer's serving-shape throughput (hourly polls of a simulated
+//! crawl) to `BENCH_ingest.json`, and HTTP requests/sec through a loopback
 //! `crowdtz-serve` instance (ingest POSTs and published-snapshot GETs
 //! at 1/2/4 clients) to `BENCH_serve.json`, in the working directory. The durability JSON times the warm `open_durable` restart
 //! at two write-ahead-log suffix lengths over the *same* crawl (replay
@@ -358,7 +359,9 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
 }
 
 /// Concurrent multi-writer ingest throughput (posts/sec) across writer
-/// counts 1/2/4/8 at 1/4/16 shards, written to `BENCH_ingest.json`.
+/// counts 1/2/4/8 at 1/4/16 shards, plus the serving shape
+/// ([`serving_ingest_posts_per_sec`]), written to `BENCH_ingest.json`.
+/// The grid feeds one 40-post delta per user into empty accumulators.
 ///
 /// Clamp-aware: every record carries the requested *and* effective
 /// writer count, and the per-shard scaling ratios (4 writers vs 1) are
@@ -437,12 +440,16 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
         }
     }
 
+    let (serving_posts, serving_polls, serving) = serving_ingest_posts_per_sec(runs);
     let mut report = serde_json::json!({
         "users": users,
         "posts_per_user": posts_per_user,
         "host_cpus": host_cpus,
         "writer_grid": writer_grid,
         "ingest_posts_per_sec": records,
+        "serving_posts": serving_posts,
+        "serving_polls": serving_polls,
+        "serving_ingest_posts_per_sec": serving,
     });
     if host_cpus > 1 {
         if let serde_json::Value::Object(fields) = &mut report {
@@ -455,6 +462,41 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
     std::fs::write(out_path, format!("{json}\n")).expect("write ingest telemetry");
     println!("{json}");
     eprintln!("wrote {out_path}");
+}
+
+/// The serving shape: one writer replays a year of Dream Market scaled
+/// ×20 (3 780 users), in time order, as one
+/// [`ingest_posts_ref`](crowdtz_core::IngestWriter::ingest_posts_ref)
+/// poll per simulated hour, so almost every post lands on a user with
+/// history. Returns `(posts, polls, best-of-runs posts/sec)`.
+fn serving_ingest_posts_per_sec(runs: usize) -> (usize, usize, f64) {
+    use crowdtz_forum::{ForumSpec, SimulatedForum};
+
+    eprintln!("timing serving-shape ingest (hourly polls, best of {runs})…");
+    let forum = SimulatedForum::generate(&ForumSpec::dream_market().scaled(20.0));
+    let posts: Vec<(&str, Timestamp)> = forum
+        .posts()
+        .iter()
+        .map(|p| (p.author(), p.true_time()))
+        .collect();
+    let mut polls: Vec<&[(&str, Timestamp)]> = Vec::new();
+    let mut start = 0;
+    for i in 1..=posts.len() {
+        let hour = |j: usize| posts[j].1.as_secs().div_euclid(3_600);
+        if i == posts.len() || hour(i) != hour(start) {
+            polls.push(&posts[start..i]);
+            start = i;
+        }
+    }
+    let secs = time_best(runs, || {
+        let engine = ConcurrentStreamingPipeline::new(GeolocationPipeline::default().threads(1));
+        let writer = engine.writer();
+        for poll in &polls {
+            writer.ingest_posts_ref(poll).expect("plain ingest");
+        }
+        engine
+    });
+    (posts.len(), polls.len(), posts.len() as f64 / secs)
 }
 
 /// HTTP throughput through a loopback `crowdtz-serve` instance: ingest

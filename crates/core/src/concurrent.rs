@@ -848,4 +848,127 @@ mod tests {
             "failed publishes publish nothing"
         );
     }
+
+    /// What a checkpoint of `engine` would persist right now.
+    fn snapshot_parts(engine: &ConcurrentStreamingPipeline) -> Vec<Vec<u8>> {
+        let mut guard = write_gate(&engine.shared.gate);
+        let Engine { stream, wal } = &mut *guard;
+        let wal = wal.as_mut().expect("durable engine");
+        let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
+        build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref()).unwrap()
+    }
+
+    #[test]
+    fn durable_snapshot_parts_do_not_depend_on_ingest_order() {
+        // Ids arrive out of sorted order; the second phase adds posts
+        // older than any first-phase post and retracts some first-phase
+        // posts.
+        let first: Vec<(String, Vec<Timestamp>)> = (0..40)
+            .map(|i| {
+                let user = format!("user{:02}", i * 17 % 40);
+                (
+                    user,
+                    posts_for(10 + i % 9, (i * 5 % 24) as u8, 2 + i as usize % 4),
+                )
+            })
+            .collect();
+        let second: Vec<(String, Vec<Timestamp>)> = first
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 3 == 0)
+            .map(|(i, (user, _))| (user.clone(), posts_for(i as i64 % 7, 3, 3)))
+            .collect();
+        let retracted: Vec<(String, Vec<Timestamp>)> = first
+            .iter()
+            .skip(1)
+            .step_by(4)
+            .map(|(user, posts)| (user.clone(), posts[..1].to_vec()))
+            .collect();
+        let dir = |tag: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("crowdtz-parts-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        let open = |tag: &str| {
+            ConcurrentStreamingPipeline::open_durable(pipeline().shards(4), dir(tag)).unwrap()
+        };
+
+        let serial = open("serial");
+        let writer = serial.writer();
+        for (user, posts) in &first {
+            writer.ingest(user, posts).unwrap();
+        }
+        serial.publish().unwrap();
+        for (user, posts) in &second {
+            writer.ingest(user, posts).unwrap();
+        }
+        for (user, posts) in &retracted {
+            writer.retract(user, posts).unwrap();
+        }
+
+        // Three writers, each taking every third delta in reverse order.
+        let interleaved = open("interleaved");
+        let phase = |deltas: &[(String, Vec<Timestamp>)], retract: bool| {
+            std::thread::scope(|scope| {
+                for k in 0..3 {
+                    let writer = interleaved.writer();
+                    scope.spawn(move || {
+                        for (user, posts) in deltas.iter().skip(k).step_by(3).rev() {
+                            if retract {
+                                writer.retract(user, posts).unwrap();
+                            } else {
+                                writer.ingest(user, posts).unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+        };
+        phase(&first, false);
+        interleaved.publish().unwrap();
+        phase(&retracted, true);
+        phase(&second, false);
+
+        let parts = snapshot_parts(&serial);
+        assert_eq!(parts, snapshot_parts(&interleaved));
+        let (meta, shards) = parts.split_last().unwrap();
+        assert!(!meta.is_empty());
+        let field = |value: &serde_json::Value, name: &str| match value {
+            serde_json::Value::Object(fields) => {
+                fields.iter().find(|(f, _)| f == name).unwrap().1.clone()
+            }
+            _ => panic!("{name}'s parent is an object"),
+        };
+        let items = |value: serde_json::Value| match value {
+            serde_json::Value::Array(items) => items,
+            _ => panic!("an array"),
+        };
+        let mut dirty_seen = 0;
+        for part in shards {
+            let part: serde_json::Value = serde_json::from_slice(part).unwrap();
+            let ids: Vec<String> = items(field(&part, "users"))
+                .iter()
+                .map(|user| field(user, "id").as_str().unwrap().to_string())
+                .collect();
+            let dirty: Vec<String> = items(field(&part, "dirty"))
+                .iter()
+                .map(|id| id.as_str().unwrap().to_string())
+                .collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+            assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{dirty:?}");
+            assert!(ids.len() >= 2);
+            dirty_seen += dirty.len();
+        }
+        let touched: std::collections::BTreeSet<&String> = second
+            .iter()
+            .chain(&retracted)
+            .map(|(user, _)| user)
+            .collect();
+        assert_eq!(dirty_seen, touched.len());
+        drop((serial, interleaved));
+        for tag in ["serial", "interleaved"] {
+            let _ = std::fs::remove_dir_all(dir(tag));
+        }
+    }
 }

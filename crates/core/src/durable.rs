@@ -314,12 +314,12 @@ pub(crate) fn build_snapshot_parts(
     checkpoint: Option<&str>,
 ) -> Result<Vec<Vec<u8>>, CoreError> {
     let mut parts: Vec<Result<Vec<u8>, CoreError>> = Vec::new();
-    stream.shards_ref().for_each_shard(|users, dirty| {
+    stream.shards_ref().for_each_shard(|users| {
         let snap = ShardSnap {
             users: users
                 .iter()
-                .map(|(id, acc)| UserSnap {
-                    id: id.clone(),
+                .map(|&(id, acc)| UserSnap {
+                    id: id.to_owned(),
                     slots: acc.slots.clone(),
                     slot_posts: acc.slot_counts.clone(),
                     posts: acc.posts as u64,
@@ -334,7 +334,11 @@ pub(crate) fn build_snapshot_parts(
                     }),
                 })
                 .collect(),
-            dirty: dirty.iter().cloned().collect(),
+            dirty: users
+                .iter()
+                .filter(|(_, acc)| acc.dirty)
+                .map(|&(id, _)| id.to_owned())
+                .collect(),
         };
         parts.push(encode_json("shard snapshot", &snap));
     });
@@ -417,6 +421,7 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
         hour_counts,
         posts: user.posts as usize,
         analysis,
+        dirty: false,
     })
 }
 

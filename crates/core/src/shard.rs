@@ -19,6 +19,22 @@
 //! cost — they reach through the mutexes with
 //! [`Mutex::get_mut`], which is a plain borrow, not a lock.
 //!
+//! # Per-post cost
+//!
+//! A post for a known user costs one map probe and no allocation:
+//!
+//! * each shard's users sit in a hash map keyed by the same FNV-1a as
+//!   routing and probed with the borrowed `&str`, so only a user's first
+//!   post copies the id;
+//! * dirtiness is a flag on the accumulator plus a per-shard list of the
+//!   ids flagged since the last drain, so the id is copied once per
+//!   refresh, not once per post;
+//! * a post at or after the user's last active slot — a crawl replayed
+//!   in time order — bumps or appends that slot in place
+//!   ([`UserAccumulator::absorb`]); only an earlier post pays the sorted
+//!   merge. Slot vectors grow by a quarter when full, not by doubling,
+//!   since they stay resident for the user's lifetime.
+//!
 //! # Determinism
 //!
 //! Sharding never changes a byte of analysis output, for any shard count
@@ -40,6 +56,10 @@
 //!   engine's single `BTreeSet` produced. Everything downstream
 //!   (profile rebuild, placement, report assembly) therefore sees the
 //!   same users in the same order regardless of the shard count.
+//! * Hash-map order depends on insertion history, so nothing reads it
+//!   unsorted: [`ShardSet::for_each_shard`] (the durable snapshot export)
+//!   and [`ShardSet::all_users_sorted`] sort by id, and the rest only
+//!   probes or sums.
 //!
 //! `tests/sharding_determinism.rs` asserts the resulting snapshots are
 //! byte-identical across shard counts {1, 4, 16} × threads {1, 2, 8};
@@ -48,7 +68,8 @@
 //!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -81,13 +102,46 @@ pub fn default_shards() -> usize {
 /// (unlike `std`'s randomized `DefaultHasher`), cheap, and well mixed on
 /// short ASCII ids.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    Fnv1a::default().extend(bytes)
 }
+
+/// FNV-1a as a [`Hasher`] — the routing hash, reused to index each
+/// shard's user map.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn extend(mut self, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = self.extend(bytes);
+    }
+
+    /// Folds the high half into the low one: every id in a shard agrees
+    /// on the hash modulo the shard count, and the table picks buckets
+    /// from the low bits.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// One shard's users, probed with `&str`. Its iteration order depends on
+/// insertion history, so every export sorts by id.
+type UserMap = HashMap<String, UserAccumulator, BuildHasherDefault<Fnv1a>>;
 
 /// Lock a shard mutex, surviving poisoning: accumulator state is plain
 /// data, and a writer that panicked mid-batch leaves at worst a
@@ -133,18 +187,21 @@ pub(crate) struct UserAccumulator {
     /// The user's analysis as of the last refresh; `None` when the user
     /// is below the activity threshold.
     pub(crate) analysis: Option<UserAnalysis>,
+    /// Whether the state changed since the last refresh — exactly when
+    /// the id sits in its shard's dirty list.
+    pub(crate) dirty: bool,
+}
+
+/// A post's `day·24 + hour` slot key (UTC).
+fn slot_key(ts: Timestamp) -> i64 {
+    ts.day_in_offset(TzOffset::UTC) * 24 + i64::from(ts.hour_in_offset(TzOffset::UTC))
 }
 
 /// The sorted `(slot key, post count)` runs of a delta — the common
-/// routing for both signs: absorb adds the counts, release subtracts
-/// them.
+/// routing for both signs: the merge path of absorb adds the counts,
+/// release subtracts them.
 fn keyed_counts(posts: &[Timestamp]) -> Vec<(i64, u32)> {
-    let mut keys: Vec<i64> = posts
-        .iter()
-        .map(|ts| {
-            ts.day_in_offset(TzOffset::UTC) * 24 + i64::from(ts.hour_in_offset(TzOffset::UTC))
-        })
-        .collect();
+    let mut keys: Vec<i64> = posts.iter().map(|&ts| slot_key(ts)).collect();
     keys.sort_unstable();
     let mut runs: Vec<(i64, u32)> = Vec::new();
     for k in keys {
@@ -156,12 +213,50 @@ fn keyed_counts(posts: &[Timestamp]) -> Vec<(i64, u32)> {
     runs
 }
 
+/// Reserves room for one more element, growing a full vector by a
+/// quarter of its length (plus 4) instead of doubling it: slot vectors
+/// live as long as their user, so doubling's slack would stay resident.
+fn reserve_one<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len() / 4 + 4);
+    }
+}
+
 impl UserAccumulator {
     /// Absorbs one delta of posts — a pure integer update. Duplicates and
     /// out-of-order arrivals are fine; a timestamp whose (day, hour) slot
     /// is already active only bumps the slot's refcount.
+    ///
+    /// Posts at or after the last active slot — a crawl replayed in time
+    /// order — bump or append that slot in place, amortised O(1) each.
+    /// The first earlier post hands itself and the rest of the delta to
+    /// the sorted merge; both paths leave identical state.
     pub(crate) fn absorb(&mut self, posts: &[Timestamp]) {
         self.posts += posts.len();
+        for (i, &ts) in posts.iter().enumerate() {
+            let k = slot_key(ts);
+            match self.slots.last() {
+                Some(&last) if k < last => {
+                    self.merge(&posts[i..]);
+                    return;
+                }
+                Some(&last) if k == last => {
+                    *self.slot_counts.last_mut().expect("counts parallel slots") += 1;
+                }
+                _ => {
+                    reserve_one(&mut self.slots);
+                    reserve_one(&mut self.slot_counts);
+                    self.slots.push(k);
+                    self.slot_counts.push(1);
+                    self.hour_counts[k.rem_euclid(24) as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// Merges posts in any order into the sorted slots (the post count
+    /// is already added by [`absorb`](Self::absorb)).
+    fn merge(&mut self, posts: &[Timestamp]) {
         let mut fresh: Vec<(i64, u32)> = Vec::new();
         for (k, c) in keyed_counts(posts) {
             match self.slots.binary_search(&k) {
@@ -258,21 +353,42 @@ impl UserAnalysis {
 /// profiles changed since the last refresh.
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    users: BTreeMap<String, UserAccumulator>,
-    dirty: BTreeSet<String>,
+    users: UserMap,
+    /// Ids flagged dirty since the last drain, in flagging order; each
+    /// appears once, because only a clean accumulator gets pushed.
+    dirty: Vec<String>,
+}
+
+/// Flags a changed accumulator dirty, queueing its id on the first
+/// change since the last drain.
+fn mark_dirty(acc: &mut UserAccumulator, dirty: &mut Vec<String>, user: &str) {
+    if !acc.dirty {
+        acc.dirty = true;
+        dirty.push(user.to_owned());
+    }
 }
 
 impl Shard {
     /// Applies one delta to this shard's slice of the crowd. Empty deltas
-    /// are ignored (they would not change the profile).
+    /// are ignored (they would not change the profile). Any non-empty
+    /// delta changes the profile (at minimum its post count), so the
+    /// user must be re-analyzed. A known user costs one map probe.
     fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
         if posts.is_empty() {
             return;
         }
-        self.users.entry(user.to_owned()).or_default().absorb(posts);
-        // Any non-empty delta changes the profile (at minimum its post
-        // count), so the user must be re-analyzed.
-        self.dirty.insert(user.to_owned());
+        match self.users.get_mut(user) {
+            Some(acc) => {
+                acc.absorb(posts);
+                mark_dirty(acc, &mut self.dirty, user);
+            }
+            None => {
+                let mut acc = UserAccumulator::default();
+                acc.absorb(posts);
+                mark_dirty(&mut acc, &mut self.dirty, user);
+                self.users.insert(user.to_owned(), acc);
+            }
+        }
     }
 
     /// Applies one signed delta. Unknown users and never-ingested posts
@@ -293,7 +409,7 @@ impl Shard {
         if acc.release(posts) == 0 {
             return;
         }
-        self.dirty.insert(user.to_owned());
+        mark_dirty(acc, &mut self.dirty, user);
     }
 
     /// Dispatches one delta by sign — the shared inner loop of the batch
@@ -352,12 +468,11 @@ impl ShardSet {
     /// without locking.
     pub(crate) fn accs_for(&mut self, ids: &[String]) -> Vec<&UserAccumulator> {
         let count = self.shards.len() as u64;
-        let maps: Vec<&BTreeMap<String, UserAccumulator>> =
-            self.shards.iter_mut().map(|m| &remut(m).users).collect();
+        let maps: Vec<&UserMap> = self.shards.iter_mut().map(|m| &remut(m).users).collect();
         ids.iter()
             .map(|id| {
                 let shard = (fnv1a(id.as_bytes()) % count) as usize;
-                maps[shard].get(id).expect("dirty user exists")
+                maps[shard].get(id.as_str()).expect("dirty user exists")
             })
             .collect()
     }
@@ -480,16 +595,23 @@ impl ShardSet {
         }
     }
 
-    /// Drains every shard's dirty set into one globally id-sorted vector —
-    /// the merge point where sharding disappears: downstream refresh work
-    /// sees exactly the order a single `BTreeSet` would have produced.
+    /// Drains every shard's dirty list into one globally id-sorted vector
+    /// and clears the drained users' flags — the merge point where
+    /// sharding disappears: downstream refresh work sees exactly the
+    /// order a single sorted set would have produced.
     pub(crate) fn take_dirty_sorted(&mut self) -> Vec<String> {
-        let mut dirty: Vec<String> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| std::mem::take(&mut remut(s).dirty))
-            .collect();
-        // Each shard's run is already sorted; one global sort merges them.
+        let mut dirty: Vec<String> = Vec::with_capacity(self.dirty_len());
+        for shard in &mut self.shards {
+            let shard = remut(shard);
+            for id in shard.dirty.drain(..) {
+                shard
+                    .users
+                    .get_mut(id.as_str())
+                    .expect("dirty user exists")
+                    .dirty = false;
+                dirty.push(id);
+            }
+        }
         dirty.sort_unstable();
         dirty
     }
@@ -518,16 +640,23 @@ impl ShardSet {
         self.shards.iter().map(|s| relock(s).users.len()).collect()
     }
 
-    /// Visits every shard in index order with its id-sorted accumulator
-    /// map and dirty set — the export side of durable snapshots. Locks
-    /// each shard for the duration of its visit.
+    /// Visits every shard in index order with its users sorted by id —
+    /// the export side of durable snapshots, whose bytes depend on that
+    /// order (a user's `dirty` flag says whether it awaits a refresh).
+    /// Locks each shard for the duration of its visit.
     pub(crate) fn for_each_shard<F>(&self, mut f: F)
     where
-        F: FnMut(&BTreeMap<String, UserAccumulator>, &BTreeSet<String>),
+        F: FnMut(&[(&str, &UserAccumulator)]),
     {
         for shard in &self.shards {
             let shard = relock(shard);
-            f(&shard.users, &shard.dirty);
+            let mut users: Vec<(&str, &UserAccumulator)> = shard
+                .users
+                .iter()
+                .map(|(id, acc)| (id.as_str(), acc))
+                .collect();
+            users.sort_unstable_by_key(|&(id, _)| id);
+            f(&users);
         }
     }
 
@@ -535,12 +664,13 @@ impl ShardSet {
     /// the *current* shard count (snapshots survive reconfiguration: the
     /// persisted partition is just how the users happened to be grouped
     /// at write time). `dirty` re-marks users that were awaiting a
-    /// refresh when the snapshot was taken.
-    pub(crate) fn restore_user(&mut self, id: String, acc: UserAccumulator, dirty: bool) {
+    /// refresh when the snapshot was taken; `acc` arrives clean, and a
+    /// snapshot lists each id once.
+    pub(crate) fn restore_user(&mut self, id: String, mut acc: UserAccumulator, dirty: bool) {
         let shard = self.shard_of(&id);
         let shard = remut(&mut self.shards[shard]);
         if dirty {
-            shard.dirty.insert(id.clone());
+            mark_dirty(&mut acc, &mut shard.dirty, &id);
         }
         shard.users.insert(id, acc);
     }
@@ -560,6 +690,8 @@ impl ShardSet {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     fn ts(slot: i64) -> Timestamp {
@@ -861,6 +993,162 @@ mod tests {
         set.ingest("ghost", &[]);
         assert_eq!(set.users_tracked(), 0);
         assert_eq!(set.dirty_len(), 0);
+    }
+
+    /// One step of a signed-delta sequence over [`MODEL_USERS`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        Apply {
+            retract: bool,
+            deltas: Vec<(usize, Vec<Timestamp>)>,
+        },
+        Drain,
+    }
+
+    const MODEL_USERS: &[&str] = &["carol", "alice", "bob"];
+
+    /// Sequences mixing time-ordered, late, same-slot and duplicate
+    /// posts in multi-post deltas with retractions of seen and unseen
+    /// posts, and drains in between.
+    struct Steps;
+
+    impl proptest::Strategy for Steps {
+        type Value = Vec<Step>;
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<Vec<Step>> {
+            let mut pick = |n: u64| (rng.next_u64() % n) as i64;
+            let mut clock = pick(1_000_000) * 3_600;
+            let mut seen: Vec<Timestamp> = Vec::new();
+            let mut steps = Vec::new();
+            for _ in 0..1 + pick(24) {
+                if pick(5) == 0 {
+                    steps.push(Step::Drain);
+                    continue;
+                }
+                let retract = pick(3) == 0;
+                let deltas = (0..1 + pick(3))
+                    .map(|_| {
+                        let user = pick(MODEL_USERS.len() as u64) as usize;
+                        let posts = (0..pick(5))
+                            .map(|_| match (retract, pick(4)) {
+                                // A duplicate ingest, or a seen retraction.
+                                (_, 2 | 3) if !seen.is_empty() && (retract || pick(2) == 0) => {
+                                    seen[pick(seen.len() as u64) as usize]
+                                }
+                                // Late, then in the clock's slot.
+                                (false, 0) => ts(clock / 3_600 - 1 - pick(200)),
+                                (false, 1) => {
+                                    Timestamp::from_secs(clock / 3_600 * 3_600 + pick(3_600))
+                                }
+                                // Mostly unseen.
+                                (true, _) => Timestamp::from_secs(pick(2_000_000) * 1_800),
+                                _ => {
+                                    clock += pick(3) * 3_600 + pick(3_600);
+                                    Timestamp::from_secs(clock)
+                                }
+                            })
+                            .collect::<Vec<_>>();
+                        seen.extend(&posts);
+                        (user, posts)
+                    })
+                    .collect();
+                steps.push(Step::Apply { retract, deltas });
+            }
+            Some(steps)
+        }
+    }
+
+    /// The reference: per-user live post count per slot, plus the users
+    /// changed since the last drain.
+    #[derive(Default)]
+    struct Model {
+        slots: Vec<Option<BTreeMap<i64, u32>>>,
+        changed: BTreeSet<&'static str>,
+    }
+
+    impl Model {
+        fn apply(&mut self, retract: bool, deltas: &[(usize, Vec<Timestamp>)]) {
+            self.slots.resize(MODEL_USERS.len(), None);
+            for (user, posts) in deltas {
+                if posts.is_empty() {
+                    continue;
+                }
+                let mut changed = !retract;
+                let slots = &mut self.slots[*user];
+                if slots.is_none() && retract {
+                    continue;
+                }
+                let slots = slots.get_or_insert_with(BTreeMap::new);
+                for &post in posts {
+                    let count = slots.entry(slot_key(post)).or_insert(0);
+                    if !retract {
+                        *count += 1;
+                    } else if *count > 0 {
+                        *count -= 1;
+                        changed = true;
+                    }
+                }
+                slots.retain(|_, &mut c| c > 0);
+                if changed {
+                    self.changed.insert(MODEL_USERS[*user]);
+                }
+            }
+        }
+
+        fn check(&self, set: &mut ShardSet) -> Result<(), String> {
+            for (user, model) in MODEL_USERS.iter().zip(&self.slots) {
+                let (Some(model), Some(acc)) = (model, set.acc(user)) else {
+                    proptest::prop_assert!(model.is_none() && set.acc(user).is_none(), "{user}");
+                    continue;
+                };
+                let mut hours = [0u32; BINS];
+                for &k in model.keys() {
+                    hours[k.rem_euclid(24) as usize] += 1;
+                }
+                proptest::prop_assert_eq!(&acc.slots, &model.keys().copied().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(
+                    &acc.slot_counts,
+                    &model.values().copied().collect::<Vec<_>>()
+                );
+                proptest::prop_assert_eq!(acc.hour_counts, hours);
+                proptest::prop_assert_eq!(acc.posts, model.values().sum::<u32>() as usize);
+            }
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn accumulators_match_the_slot_model(steps in Steps, shards in 1usize..5) {
+            let mut model = Model::default();
+            let mut owned = ShardSet::new(shards);
+            let mut shared = ShardSet::new(shards);
+            for step in &steps {
+                match step {
+                    Step::Apply { retract, deltas } => {
+                        model.apply(*retract, deltas);
+                        let refs: Vec<(&str, &[Timestamp])> = deltas
+                            .iter()
+                            .map(|(u, p)| (MODEL_USERS[*u], p.as_slice()))
+                            .collect();
+                        owned.apply_batch(&refs, *retract, 1 + shards % 2);
+                        shared.apply_batch_shared(&refs, *retract, None);
+                    }
+                    Step::Drain => {
+                        let want: Vec<&str> = std::mem::take(&mut model.changed).into_iter().collect();
+                        for set in [&mut owned, &mut shared] {
+                            proptest::prop_assert_eq!(set.dirty_len(), want.len());
+                            proptest::prop_assert_eq!(&set.take_dirty_sorted(), &want);
+                            proptest::prop_assert!(set.take_dirty_sorted().is_empty());
+                        }
+                    }
+                }
+                model.check(&mut owned)?;
+                model.check(&mut shared)?;
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! * each user's active slots are a sorted vector of `day·24 + hour` keys
 //!   plus a 24-bin count of active slots per hour, so
 //!   [`ingest`](StreamingPipeline::ingest) is a pure delta update that
-//!   never re-scans history, and [`retract`](StreamingPipeline::retract)
-//!   is its exact inverse;
+//!   never re-scans history (a post in time order is appended in place),
+//!   and [`retract`](StreamingPipeline::retract) is its exact inverse;
 //! * accumulators live in a [`ShardSet`] — N shards keyed by a stable
-//!   hash of the user id, each with its own dirty set — so bulk deltas
-//!   ([`ingest_set`](StreamingPipeline::ingest_set),
+//!   hash of the user id, each a hash map plus a list of dirty ids — so
+//!   bulk deltas ([`ingest_set`](StreamingPipeline::ingest_set),
 //!   [`ingest_posts`](StreamingPipeline::ingest_posts)) are routed once
 //!   and applied **concurrently**, one worker per run of shards, with no
 //!   locks (see `shard.rs` for the determinism argument);
@@ -269,8 +269,10 @@ impl StreamingPipeline {
     /// already active only bumps the post count — exactly what the batch
     /// rebuild would conclude. Empty deltas are ignored.
     ///
-    /// Cost: `O(k log k + s)` for `k` new posts against `s` existing
-    /// slots, independent of crowd size and of total history length.
+    /// Cost: amortised O(1) per post at or after the user's last active
+    /// slot (the time-ordered crawl); a delta with earlier posts pays
+    /// `O(k log k + s)` for `k` posts against `s` existing slots. Both
+    /// are independent of crowd size.
     pub fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
         if posts.is_empty() {
             return;

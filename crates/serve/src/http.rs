@@ -19,7 +19,7 @@
 //! resynchronizes inside a byte stream it no longer understands is how
 //! request-smuggling bugs happen.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Longest accepted request line or single header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -393,7 +393,9 @@ impl Response {
     }
 
     /// Serializes onto `w`; returns bytes written. `head_only` elides
-    /// the body (HEAD) while keeping the true Content-Length.
+    /// the body (HEAD) while keeping the true Content-Length. Head and
+    /// body go out in one vectored write (one syscall, one segment on a
+    /// `TCP_NODELAY` socket), a partial write finishing with `write_all`.
     ///
     /// # Errors
     ///
@@ -416,14 +418,21 @@ impl Response {
             head.push_str("Connection: close\r\n");
         }
         head.push_str("\r\n");
-        let mut written = head.len();
-        w.write_all(head.as_bytes())?;
-        if !head_only {
-            w.write_all(&self.body)?;
-            written += self.body.len();
+        let head = head.as_bytes();
+        let body: &[u8] = if head_only { &[] } else { &self.body };
+        let sent = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        if sent < head.len() {
+            w.write_all(&head[sent..])?;
+            w.write_all(body)?;
+        } else {
+            w.write_all(&body[sent - head.len()..])?;
         }
         w.flush()?;
-        Ok(written)
+        Ok(head.len() + body.len())
     }
 }
 
@@ -519,5 +528,69 @@ mod tests {
         assert!(text.contains("X-Crowdtz-Epoch: 7\r\n"));
         assert!(text.ends_with("{\"ok\":true}"));
         assert_eq!(n, text.len());
+    }
+
+    /// Takes at most `cap` bytes per call and counts the calls.
+    struct Capped {
+        out: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl Write for Capped {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.out.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_partial_writes_finish_it() {
+        let get = Response::json(200, &serde_json::json!({"ok": true}))
+            .with_header("X-Crowdtz-Epoch", "7".into());
+        let get_head = "HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\
+                        Content-Type: application/json\r\nX-Crowdtz-Epoch: 7\r\n\r\n";
+        let close = Response::error(404, "nope").closing();
+        let close_head = "HTTP/1.1 404 Not Found\r\nContent-Length: 16\r\n\
+                          Content-Type: application/json\r\nConnection: close\r\n\r\n";
+        let cases = [
+            (&get, false, format!("{get_head}{{\"ok\":true}}")),
+            (&get, true, get_head.to_string()),
+            (&close, false, format!("{close_head}{{\"error\":\"nope\"}}")),
+        ];
+        for (response, head_only, want) in &cases {
+            let mut all = Capped {
+                out: Vec::new(),
+                cap: usize::MAX,
+                calls: 0,
+            };
+            let n = response.write_to(&mut all, *head_only).unwrap();
+            assert_eq!(String::from_utf8(all.out).unwrap(), *want);
+            assert_eq!((n, all.calls), (want.len(), 1));
+            for cap in [1, 7, want.len() - 12, want.len() - 1] {
+                let mut partial = Capped {
+                    out: Vec::new(),
+                    cap,
+                    calls: 0,
+                };
+                let n = response.write_to(&mut partial, *head_only).unwrap();
+                assert_eq!(String::from_utf8(partial.out).unwrap(), *want, "cap {cap}");
+                assert_eq!(n, want.len());
+            }
+        }
     }
 }

@@ -371,8 +371,9 @@ impl AnalysisService {
         let Some(tenant) = self.registry.get(name) else {
             return Response::error(404, &format!("unknown tenant {name:?}"));
         };
-        let deltas = match parse_deltas(&request.body) {
-            Ok(deltas) => deltas,
+        let mut spill = Vec::new();
+        let (flat, users) = match decode_deltas(&request.body, &mut spill) {
+            Ok(decoded) => decoded,
             Err(message) => return Response::error(400, &message),
         };
         // The deterministic crash point: batch n+1 aborts before the WAL
@@ -388,7 +389,6 @@ impl AnalysisService {
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        let flat = flatten_deltas(&deltas);
         let result = match tenant.window() {
             // Windowed tenants ingest-and-track in one call, so every
             // post is queued for expiry the moment it is acknowledged.
@@ -405,7 +405,7 @@ impl AnalysisService {
             &serde_json::json!({
                 "forum": name,
                 "watermark": writer.batches_applied(),
-                "users": deltas.len(),
+                "users": users,
                 "posts": flat.len(),
             }),
         )
@@ -418,15 +418,15 @@ impl AnalysisService {
         let Some(tenant) = self.registry.get(name) else {
             return Response::error(404, &format!("unknown tenant {name:?}"));
         };
-        let deltas = match parse_deltas(&request.body) {
-            Ok(deltas) => deltas,
+        let mut spill = Vec::new();
+        let (flat, users) = match decode_deltas(&request.body, &mut spill) {
+            Ok(decoded) => decoded,
             Err(message) => return Response::error(400, &message),
         };
         let writer = conn
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        let flat = flatten_deltas(&deltas);
         // On a windowed tenant only still-tracked posts are released
         // (the count comes back); unwindowed retraction submits all.
         let retracted = match tenant.window() {
@@ -444,7 +444,7 @@ impl AnalysisService {
             &serde_json::json!({
                 "forum": name,
                 "watermark": writer.batches_applied(),
-                "users": deltas.len(),
+                "users": users,
                 "posts": retracted,
             }),
         )
@@ -732,6 +732,123 @@ fn parse_grid(spec: &serde_json::Value) -> Result<Option<ZoneGrid>, String> {
             "grid must be a number or string, got {}",
             value.kind()
         )),
+    }
+}
+
+/// A decoded ingest or retract body: its `(user, timestamp)` pairs in
+/// body order, plus its entry count.
+type Decoded<'b> = (Vec<(&'b str, Timestamp)>, usize);
+
+/// Decodes an ingest or retract body. A canonical body is read in place
+/// by [`canonical_deltas`]; any other goes through the JSON tree
+/// ([`parse_deltas`], kept in `spill`), the only source of 400 messages.
+fn decode_deltas<'b>(
+    body: &'b [u8],
+    spill: &'b mut Vec<(String, Vec<Timestamp>)>,
+) -> Result<Decoded<'b>, String> {
+    if let Some(decoded) = canonical_deltas(body) {
+        return Ok(decoded);
+    }
+    *spill = parse_deltas(body)?;
+    Ok((flatten_deltas(spill), spill.len()))
+}
+
+/// Reads the compact canonical ingest body — exactly what
+/// `serde_json::to_vec` writes for `{"deltas": [{"user": …, "posts":
+/// […]}, …]}` — without building a tree, borrowing each user from the
+/// body. Returns `None` on anything else (whitespace, other field order,
+/// extra fields, escapes, non-integers, leading zeros, values outside
+/// `i64`, empty users, trailing bytes, invalid UTF-8): those bodies are
+/// left to [`parse_deltas`], which reads a canonical body identically.
+fn canonical_deltas(body: &[u8]) -> Option<Decoded<'_>> {
+    let mut c = Cursor { body, pos: 0 };
+    let mut flat = Vec::new();
+    let mut users = 0usize;
+    c.eat(b"{\"deltas\":[")?;
+    if c.eat(b"]").is_none() {
+        loop {
+            c.eat(b"{\"user\":\"")?;
+            let user = c.plain_str()?;
+            c.eat(b",\"posts\":[")?;
+            if c.eat(b"]").is_none() {
+                loop {
+                    flat.push((user, Timestamp::from_secs(c.int()?)));
+                    if c.eat(b",").is_none() {
+                        c.eat(b"]")?;
+                        break;
+                    }
+                }
+            }
+            c.eat(b"}")?;
+            users += 1;
+            if c.eat(b",").is_none() {
+                c.eat(b"]")?;
+                break;
+            }
+        }
+    }
+    c.eat(b"}")?;
+    (c.pos == body.len()).then_some((flat, users))
+}
+
+/// A byte cursor for [`canonical_deltas`].
+struct Cursor<'b> {
+    body: &'b [u8],
+    pos: usize,
+}
+
+impl<'b> Cursor<'b> {
+    fn eat(&mut self, literal: &[u8]) -> Option<()> {
+        self.body[self.pos..].starts_with(literal).then(|| {
+            self.pos += literal.len();
+        })
+    }
+
+    /// The rest of a string whose opening quote is consumed: non-empty,
+    /// valid UTF-8, with nothing to unescape.
+    fn plain_str(&mut self) -> Option<&'b str> {
+        let rest = &self.body[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        if len == 0 || rest[len] != b'"' {
+            return None;
+        }
+        let text = std::str::from_utf8(&rest[..len]).ok()?;
+        self.pos += len + 1;
+        Some(text)
+    }
+
+    /// An `i64` written as `0` or as an optional `-` and digits without a
+    /// leading zero. The caller rejects whatever follows the digits
+    /// unless it is `,` or `]`, which rules out fractions and exponents.
+    fn int(&mut self) -> Option<i64> {
+        let rest = &self.body[self.pos..];
+        let negative = rest.first() == Some(&b'-');
+        let sign = usize::from(negative);
+        let len = rest[sign..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let digits = &rest[sign..sign + len];
+        match digits {
+            [] => return None,
+            [b'0'] if !negative => {}
+            [b'0', ..] => return None,
+            _ => {}
+        }
+        let mut n = 0i64;
+        for &d in digits {
+            let d = i64::from(d - b'0');
+            n = n.checked_mul(10)?;
+            n = if negative {
+                n.checked_sub(d)?
+            } else {
+                n.checked_add(d)?
+            };
+        }
+        self.pos += sign + len;
+        Some(n)
     }
 }
 
@@ -1247,6 +1364,204 @@ mod tests {
             "{wire}"
         );
         assert!(wire.ends_with("\r\n\r\n"), "HEAD must send no body");
+    }
+
+    /// What a decoder makes of a body: the pairs and entry count, or the
+    /// 400 message.
+    type Outcome = Result<(Vec<(String, Timestamp)>, usize), String>;
+
+    fn owned(pairs: &[(&str, Timestamp)], users: usize) -> (Vec<(String, Timestamp)>, usize) {
+        (
+            pairs.iter().map(|&(u, ts)| (u.to_string(), ts)).collect(),
+            users,
+        )
+    }
+
+    fn via_tree(body: &[u8]) -> Outcome {
+        let deltas = parse_deltas(body)?;
+        Ok(owned(&flatten_deltas(&deltas), deltas.len()))
+    }
+
+    fn via_decode(body: &[u8]) -> Outcome {
+        let mut spill = Vec::new();
+        decode_deltas(body, &mut spill).map(|(pairs, users)| owned(&pairs, users))
+    }
+
+    /// Users that need no escaping, need escaping, are non-ASCII, or are
+    /// empty (a 400 on both paths).
+    const USERS: &[&str] = &[
+        "member0042",
+        "a",
+        "zoë",
+        "日本語",
+        "😀/ok",
+        "del\u{7f}",
+        "quo\"te",
+        "back\\slash",
+        "tab\tbed",
+        "ctl\u{1}",
+        "",
+    ];
+
+    const SECS: &[i64] = &[0, 1, -1, 9, 10, -10, 1_451_606_400, i64::MAX, i64::MIN];
+
+    /// Random `(user, epoch seconds)` deltas over [`USERS`], synthetic
+    /// pseudonyms, [`SECS`] and arbitrary `i64`s; empty post lists occur.
+    struct AnyDeltas;
+
+    impl proptest::Strategy for AnyDeltas {
+        type Value = Vec<(String, Vec<i64>)>;
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<Self::Value> {
+            let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+            let entries = pick(5);
+            let mut deltas = Vec::with_capacity(entries);
+            for _ in 0..entries {
+                let user = match pick(3) {
+                    0 => format!("member{:04}", pick(10_000)),
+                    _ => USERS[pick(USERS.len())].to_string(),
+                };
+                let posts = (0..pick(4))
+                    .map(|_| match pick(3) {
+                        0 => SECS[pick(SECS.len())],
+                        1 => pick(usize::MAX) as i64,
+                        _ => 1_451_606_400 + pick(31_536_000) as i64,
+                    })
+                    .collect();
+                deltas.push((user, posts));
+            }
+            Some(deltas)
+        }
+    }
+
+    fn encoded(deltas: &[(String, Vec<i64>)]) -> Vec<u8> {
+        let entries: Vec<serde_json::Value> = deltas
+            .iter()
+            .map(|(user, secs)| serde_json::json!({"user": user, "posts": secs}))
+            .collect();
+        serde_json::to_vec(&serde_json::json!({ "deltas": entries })).unwrap()
+    }
+
+    /// The same deltas as JSON the fast path must decline, with one
+    /// departure from the canonical form picked by `noise[0]`: spaces,
+    /// swapped fields, an extra field, a duplicate field, or every
+    /// number written (by `noise[1]`) as a float, with an exponent, with
+    /// a leading zero, outside `i64`, or as `-0`.
+    fn reshaped(deltas: &[(String, Vec<i64>)], noise: &[u64]) -> Vec<u8> {
+        let kind = noise[0] % 5;
+        let ws = if kind == 0 { " " } else { "" };
+        let number = |n: i64| match (kind, noise[1] % 5) {
+            (4, 0) => format!("{n}.0"),
+            (4, 1) => format!("{n}e0"),
+            (4, 2) if n < 0 => format!("-0{}", n.unsigned_abs()),
+            (4, 2) => format!("0{n}"),
+            (4, 3) if n < 0 => (i128::from(n) + i128::from(i64::MIN)).to_string(),
+            (4, 3) => (i128::from(n) + i128::from(i64::MAX) + 1).to_string(),
+            (4, _) => "-0".to_string(),
+            _ => n.to_string(),
+        };
+        let mut out = format!("{{{ws}\"deltas\"{ws}:{ws}[");
+        for (i, (user, secs)) in deltas.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let user = format!("\"user\":{}", serde_json::to_string(user).unwrap());
+            let posts: Vec<String> = secs.iter().map(|&n| number(n)).collect();
+            let posts = format!("\"posts\":[{ws}{}{ws}]", posts.join(","));
+            let entry = match kind {
+                1 => format!("{posts},{user}"),
+                2 => format!("{user},{posts},\"extra\":null"),
+                3 => format!("{user},{posts},{user}"),
+                _ => format!("{user},{ws}{posts}"),
+            };
+            out.push_str(&format!("{{{entry}}}"));
+        }
+        out.push_str(&format!("]{ws}}}"));
+        out.into_bytes()
+    }
+
+    /// A valid body with one byte replaced or dropped, or cut short.
+    fn mutated(body: &[u8], noise: &[u64]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        let at = (noise[1] % body.len() as u64) as usize;
+        match noise[0] % 3 {
+            0 => out[at] = noise[2] as u8,
+            1 => {
+                out.remove(at);
+            }
+            _ => out.truncate(at),
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn canonical_decode_matches_the_json_tree(
+            deltas in AnyDeltas,
+            noise in proptest::collection::vec(proptest::any::<u64>(), 5),
+        ) {
+            let body = encoded(&deltas);
+            let plain = deltas.iter().all(|(user, _)| {
+                !user.is_empty() && !user.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
+            });
+            if plain {
+                let fast = canonical_deltas(&body).map(|(pairs, users)| owned(&pairs, users));
+                proptest::prop_assert_eq!(Some(via_tree(&body)?), fast);
+            }
+            for body in [body.clone(), reshaped(&deltas, &noise), mutated(&body, &noise)] {
+                proptest::prop_assert_eq!(
+                    via_decode(&body),
+                    via_tree(&body),
+                    "{}",
+                    String::from_utf8_lossy(&body)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reshaped_bodies_fall_back_to_the_tree() {
+        let deltas = vec![("u1".to_string(), vec![7, 0]), ("u2".to_string(), vec![])];
+        let body = encoded(&deltas);
+        assert!(canonical_deltas(&body).is_some());
+        for kind in 0..5 {
+            for form in 0..5 {
+                let reshaped = reshaped(&deltas, &[kind, form]);
+                assert_ne!(reshaped, body);
+                assert_eq!(canonical_deltas(&reshaped), None);
+                assert_eq!(via_decode(&reshaped), via_tree(&reshaped));
+            }
+        }
+        // Leading zeros and `-0` read as numbers in the tree; only the
+        // fast path declines them.
+        for body in [
+            &br#"{"deltas":[{"user":"u","posts":[07]}]}"#[..],
+            br#"{"deltas":[{"user":"u","posts":[-0]}]}"#,
+        ] {
+            assert_eq!(canonical_deltas(body), None);
+            assert!(via_tree(body).is_ok());
+        }
+    }
+
+    #[test]
+    fn perfbench_bodies_take_the_fast_path() {
+        // The benchmark's hand-rolled encoder: simulated pseudonyms,
+        // users in order, one grouped delta per user.
+        let body = br#"{"deltas":[{"user":"member0001","posts":[1451606400,1451606460]},{"user":"member0417","posts":[1451606999]}]}"#;
+        let (pairs, users) = canonical_deltas(body).expect("canonical body");
+        assert_eq!(users, 2);
+        assert_eq!(
+            pairs,
+            [
+                ("member0001", Timestamp::from_secs(1_451_606_400)),
+                ("member0001", Timestamp::from_secs(1_451_606_460)),
+                ("member0417", Timestamp::from_secs(1_451_606_999)),
+            ]
+        );
+        assert_eq!(via_decode(body), via_tree(body));
+        assert_eq!(canonical_deltas(br#"{"deltas":[]}"#), Some((Vec::new(), 0)));
     }
 
     #[test]

@@ -154,11 +154,20 @@ def check_sharding(base, cur, failures):
 
 def check_ingest(base, cur, failures):
     """Gate BENCH_ingest.json: concurrent multi-writer ingest posts/sec
-    per (shards, writers) must stay within THRESHOLD. Clamp-aware: rows
-    whose writer count exceeds either run's host_cpus are skipped — an
-    oversubscribed pool measures the scheduler, not the engine. Returns
-    comparisons made."""
+    per (shards, writers), and the one-writer serving-shape figure, must
+    stay within THRESHOLD. Clamp-aware: rows whose writer count exceeds
+    either run's host_cpus are skipped — an oversubscribed pool measures
+    the scheduler, not the engine. Returns comparisons made."""
     checked = 0
+    prev = base.get("serving_ingest_posts_per_sec", 0)
+    now = cur.get("serving_ingest_posts_per_sec", 0)
+    if prev > 0 and now > 0:
+        checked += 1
+        if prev / now > THRESHOLD:
+            failures.append(
+                f"serving-shape ingest: {prev:,.0f} posts/s -> {now:,.0f} posts/s "
+                f"({prev / now:.2f}x slower)"
+            )
     measurable = min(base.get("host_cpus", 1), cur.get("host_cpus", 1))
     # Tolerate baseline rows from older bench layouts that lack a key —
     # a stale artifact cache must degrade to "nothing to compare", not
