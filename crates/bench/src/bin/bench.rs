@@ -23,8 +23,7 @@
 //! at two write-ahead-log suffix lengths over the *same* crawl (replay
 //! cost must scale with the log, not the crawl), the snapshot rotation
 //! itself, and the from-scratch re-analysis a warm restart avoids. The sharding JSON records ingest posts/sec
-//! at 1, 4, and 16 shards plus the placement cache's measured hit rate
-//! on a low-post crowd (colliding profiles) and a 40-post contrast.
+//! at 1, 4, and 16 shards.
 //! The placement JSON carries users/sec for each placement path, the
 //! single-thread batch-kernel throughput on each zone grid (24/48/96),
 //! resamples/sec for each bootstrap thread count, and the headline
@@ -284,8 +283,8 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
     }
 }
 
-/// Ingest throughput across shard counts plus the placement cache's
-/// measured hit rate, written to `BENCH_sharding.json`.
+/// Ingest throughput across shard counts, written to
+/// `BENCH_sharding.json`.
 fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
     let posts_per_user = 40;
     eprintln!("synthesizing {users} sharding traces…");
@@ -314,23 +313,6 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
         }));
     }
 
-    // Cache hit rate on a low-post crowd: with 2 posts per user the
-    // quantized profile CDFs collide heavily, so most users resolve from
-    // the cache. The 40-post crowd is the contrast — near-unique profiles,
-    // near-zero hit rate.
-    let hit_rate = |posts: usize| {
-        let sparse = synthetic_traces(users.min(20_000), posts, 23);
-        let mut streaming =
-            StreamingPipeline::new(GeolocationPipeline::default().threads(threads).min_posts(1));
-        streaming.ingest_set(&sparse);
-        streaming.snapshot().expect("sharding snapshot");
-        let (hits, misses) = streaming.cache_stats();
-        (hits, misses, hits as f64 / (hits + misses).max(1) as f64)
-    };
-    eprintln!("measuring cache hit rates…");
-    let (low_hits, low_misses, low_rate) = hit_rate(2);
-    let (high_hits, high_misses, high_rate) = hit_rate(posts_per_user);
-
     let report = serde_json::json!({
         "users": users,
         "posts_per_user": posts_per_user,
@@ -338,24 +320,11 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
         "threads_effective": clamped_threads(threads),
         "host_cpus": host_cpus,
         "ingest_posts_per_sec": ingest_posts_per_sec,
-        "cache": serde_json::json!({
-            "low_posts_per_user": 2,
-            "low_hits": low_hits,
-            "low_misses": low_misses,
-            "low_hit_rate": low_rate,
-            "high_posts_per_user": posts_per_user,
-            "high_hits": high_hits,
-            "high_misses": high_misses,
-            "high_hit_rate": high_rate,
-        }),
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize sharding report");
     std::fs::write(out_path, format!("{json}\n")).expect("write sharding telemetry");
     println!("{json}");
     eprintln!("wrote {out_path}");
-    if low_rate < 0.5 {
-        eprintln!("WARNING: low-post cache hit rate {low_rate:.2} — expected most users cached");
-    }
 }
 
 /// Concurrent multi-writer ingest throughput (posts/sec) across writer

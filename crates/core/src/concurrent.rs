@@ -35,11 +35,11 @@
 //!   order is fixed, not arrival order.
 //! * Everything downstream of the accumulators (profiles, placements,
 //!   zone counts, fits) is a pure function of that state. The engine
-//!   resolves placements through the same private placement cache as
-//!   the sequential engine, probed only by
+//!   places dirty users through the same batch kernel as the sequential
+//!   engine, only inside
 //!   [`publish`](ConcurrentStreamingPipeline::publish) under the write
-//!   gate — so even the cache's hit/miss/eviction counts are a pure
-//!   function of the published cuts.
+//!   gate — so even the placement counters are a pure function of the
+//!   published cuts.
 //!
 //! Additionally, each writer carries a monotonic **watermark** (batches
 //! fully applied), bumped *inside* its gate hold. A publish captures the
@@ -517,12 +517,6 @@ impl ConcurrentStreamingPipeline {
     /// Number of hash shards the accumulator store is partitioned into.
     pub fn shard_count(&self) -> usize {
         read_gate(&self.shared.gate).stream.shard_count()
-    }
-
-    /// Lifetime placement-cache `(hits, misses)` — equal to those of a
-    /// sequential [`StreamingPipeline`] that snapshots at the same cuts.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        read_gate(&self.shared.gate).stream.cache_stats()
     }
 
     /// Currently registered (not yet dropped) writer handles.

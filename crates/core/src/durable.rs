@@ -33,15 +33,13 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use crowdtz_stats::{Histogram24, BINS};
+use crowdtz_stats::BINS;
 use crowdtz_store::{DurableStore, RealVfs, StoreError, Vfs};
 use crowdtz_time::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
-use crate::placement::UserPlacement;
-use crate::profile::ActivityProfile;
 use crate::shard::{UserAccumulator, UserAnalysis};
 use crate::streaming::StreamingPipeline;
 
@@ -323,14 +321,22 @@ pub(crate) fn build_snapshot_parts(
                     slots: acc.slots.clone(),
                     slot_posts: acc.slot_counts.clone(),
                     posts: acc.posts as u64,
-                    analysis: acc.analysis.as_ref().map(|a| AnalysisSnap {
-                        flat: a.flat,
-                        placed: a.placement.is_some(),
-                        offset_minutes: a
-                            .placement
-                            .as_ref()
-                            .map_or(0, UserPlacement::offset_minutes),
-                        emd_bits: a.placement.as_ref().map_or(0, |p| p.emd().to_bits()),
+                    analysis: acc.analysis.map(|a| match a {
+                        UserAnalysis::Flat => AnalysisSnap {
+                            flat: true,
+                            placed: false,
+                            offset_minutes: 0,
+                            emd_bits: 0,
+                        },
+                        UserAnalysis::Kept {
+                            offset_minutes,
+                            emd,
+                        } => AnalysisSnap {
+                            flat: false,
+                            placed: true,
+                            offset_minutes,
+                            emd_bits: emd.to_bits(),
+                        },
                     }),
                 })
                 .collect(),
@@ -364,9 +370,11 @@ fn apply_batch(inner: &mut StreamingPipeline, batch: &LogBatch) {
     }
 }
 
-/// Rebuilds a [`UserAccumulator`] (hour counts, profile, placement)
-/// from its persisted integer state, using the same pure functions the
-/// live refresh uses so the result is bit-identical.
+/// Rebuilds a [`UserAccumulator`] (hour counts, analysis record) from
+/// its persisted integer state; the engine then rebuilds profiles from
+/// the hour counts with the function the live refresh uses
+/// ([`StreamingPipeline::rebuild_derived_state`]), so the result is
+/// bit-identical.
 fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
     let mut hour_counts = [0u32; BINS];
     for &k in &user.slots {
@@ -374,33 +382,15 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
     }
     let analysis = match &user.analysis {
         None => None,
-        Some(a) => {
-            let mut bins = [0.0_f64; BINS];
-            for (dst, &c) in bins.iter_mut().zip(hour_counts.iter()) {
-                *dst = f64::from(c);
-            }
-            let distribution = Histogram24::from_bins(bins)
-                .normalized()
-                .map_err(|e| codec_err("snapshot analysis with empty activity", e))?;
-            let profile = ActivityProfile::from_parts(
-                user.id.clone(),
-                distribution,
-                user.slots.len(),
-                user.posts as usize,
-            );
-            let placement = a.placed.then(|| {
-                UserPlacement::from_offset_minutes(
-                    profile.user(),
-                    a.offset_minutes,
-                    f64::from_bits(a.emd_bits),
-                )
-            });
-            Some(UserAnalysis {
-                profile,
-                flat: a.flat,
-                placement,
-            })
+        // An analysis needs a profile, and a profile needs activity.
+        Some(_) if user.slots.is_empty() => {
+            return Err(codec_err("snapshot analysis with empty activity", &user.id))
         }
+        Some(a) if a.placed => Some(UserAnalysis::Kept {
+            offset_minutes: a.offset_minutes,
+            emd: f64::from_bits(a.emd_bits),
+        }),
+        Some(_) => Some(UserAnalysis::Flat),
     };
     let slot_counts = if user.slot_posts.len() == user.slots.len() {
         user.slot_posts.clone()

@@ -15,7 +15,7 @@
 //!   difference-and-pruning-bound sweep per zone, then exact O(n)
 //!   selection ([`circular_emd_of_cdf_diff`]) in ascending-bound order;
 //! * a **batch** kernel (used by [`PlacementEngine::place_all`] and the
-//!   cached resolve path) — users are processed in structure-of-arrays
+//!   streaming refresh) — users are processed in structure-of-arrays
 //!   batches of [`BATCH_USERS`]. Every CDF is folded into its quantized
 //!   fixed-point quad planes (`crowdtz-stats`'s [`quad_fold`]), and the
 //!   pruning lower bound for a whole lane block against each zone is one
@@ -53,8 +53,6 @@
 //! decision and metric — is identical for any thread count, including 1
 //! (see `DESIGN.md` §9 and §14).
 
-use std::collections::HashMap;
-
 use crowdtz_stats::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch, prune_slack, quad_fold,
     Distribution24, SortNetwork, BINS, CDF_FIXED_SCALE, EMD_LANES,
@@ -66,8 +64,8 @@ use crate::profile::ActivityProfile;
 
 /// Bucket bounds for the `placement.exact_evals_per_user` histogram on the
 /// hourly grid: zones per evaluated profile that reached the exact EMD
-/// evaluation (of 24 total). With the placement cache on, one observation
-/// is recorded per cache **miss** — hits skip the scan entirely.
+/// evaluation (of 24 total). One observation is recorded per resolved
+/// profile.
 pub(crate) const EXACT_EVAL_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 24];
 
 /// Per-grid bucket bounds for `placement.exact_evals_per_user`: the hourly
@@ -94,19 +92,9 @@ pub(crate) fn exact_eval_bounds(grid: ZoneGrid) -> &'static [u64] {
 /// 400 KiB on the hourly grid — L2-resident on anything current.
 const BATCH_USERS: usize = 1024;
 
-/// Cache key for a polished-profile CDF: the grid-resolution cumulative
-/// values quantized at full `f64` precision via [`f64::to_bits`] (24, 48
-/// or 96 words — the key width follows the grid). Placement, EMD, and the
-/// flatness verdict are pure functions of exactly this grid-resolution
-/// CDF, so two colliding profiles are guaranteed equal results and a hit
-/// can never change anything. (Low-post-count profiles hit constantly: a
-/// user with k active slots has a small finite set of possible CDFs.)
-type CdfKey = Box<[u64]>;
-
 /// Everything placement derives from one CDF: the EMD-closest zone, its
 /// distance, and the §IV.C flatness verdict. A pure function of the CDF
-/// (given the engine's generic profile and grid), which is what makes it
-/// safe to cache and to reuse across users.
+/// (given the engine's generic profile and grid).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedCdf {
     /// UTC offset (minutes east) of the EMD-closest zone.
@@ -237,115 +225,6 @@ fn row_min_unvisited(row: &[i32]) -> Option<(usize, i32)> {
         return None;
     }
     Some((i, m))
-}
-
-/// CDF-keyed placement cache: quantized grid CDF → [`ResolvedCdf`],
-/// bounded by **clock (second-chance) eviction**.
-///
-/// The cache is probed and filled **sequentially** (inside
-/// [`PlacementEngine::resolve_cdfs`]) while only the missed computations
-/// fan out across worker threads, so hit/miss/eviction counts — and
-/// therefore the observability metrics — are identical for every thread
-/// count and every shard count, preserving the workspace-wide
-/// determinism invariant.
-///
-/// At `capacity` entries, each new key evicts one resident: a clock hand
-/// sweeps the slot ring, giving slots whose reference bit was set by a
-/// hit since the hand last passed a second chance (bit cleared, hand
-/// advances) and evicting the first slot found unreferenced. Long-lived
-/// deployments therefore keep hitting after crowd drift — stale CDFs
-/// rotate out instead of permanently squatting the capacity the way the
-/// old stop-inserting-at-capacity policy let them. Eviction only
-/// forgets: a re-miss recomputes through the same resolve kernel, so
-/// results are byte-identical under any eviction schedule.
-#[derive(Debug, Clone)]
-pub(crate) struct PlacementCache {
-    /// Key → index into `slots`.
-    map: HashMap<CdfKey, usize>,
-    /// The clock ring: `(key, value, referenced)` per resident entry.
-    slots: Vec<(CdfKey, ResolvedCdf, bool)>,
-    /// Clock hand: the next eviction candidate.
-    hand: usize,
-    capacity: usize,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl PlacementCache {
-    /// Resident entries before eviction starts. Each entry is ~0.25–1 KiB
-    /// depending on grid, so the bound caps the cache near 1 GiB in the
-    /// worst case — far above any realistic distinct-profile count, but
-    /// finite.
-    const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// An empty cache; when `enabled` is false every lookup misses and
-    /// nothing is stored (used to prove cache-on == cache-off).
-    pub(crate) fn new(enabled: bool) -> PlacementCache {
-        PlacementCache {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            hand: 0,
-            capacity: Self::DEFAULT_CAPACITY,
-            enabled,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks up a key, marking its slot referenced so the clock hand
-    /// passes it over once before eviction.
-    fn get(&mut self, key: &CdfKey) -> Option<ResolvedCdf> {
-        let &i = self.map.get(key)?;
-        self.slots[i].2 = true;
-        Some(self.slots[i].1)
-    }
-
-    /// Inserts a key, evicting the clock hand's first second-chance
-    /// victim when the ring is full. New entries start unreferenced, so
-    /// a never-hit entry is the preferred victim over anything probed
-    /// since the hand last swept by.
-    fn insert(&mut self, key: CdfKey, entry: ResolvedCdf) {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        if self.slots.len() < self.capacity {
-            self.map.insert(key.clone(), self.slots.len());
-            self.slots.push((key, entry, false));
-            return;
-        }
-        // The sweep terminates: clearing bits as it goes, one full
-        // revolution leaves every slot unreferenced.
-        while self.slots[self.hand].2 {
-            self.slots[self.hand].2 = false;
-            self.hand = (self.hand + 1) % self.capacity;
-        }
-        let victim = self.hand;
-        self.map.remove(&self.slots[victim].0);
-        self.map.insert(key.clone(), victim);
-        self.slots[victim] = (key, entry, false);
-        self.hand = (victim + 1) % self.capacity;
-        self.evictions += 1;
-    }
-
-    /// Lifetime `(hits, misses)` counts.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Lifetime count of entries rotated out by the clock hand.
-    #[cfg(test)]
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Distinct CDFs currently stored.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Number of worker threads to use by default: the `CROWDTZ_THREADS`
@@ -765,7 +644,7 @@ impl PlacementEngine {
     /// exact distance comes from the shared sorted-half-sums kernel — so
     /// batch, scalar, and [`place_user`](crate::place_user) placements
     /// are bit-identical (`engine_proptests` pins this per grid, thread
-    /// count, shard count, and cache mode).
+    /// count, and shard count).
     fn resolve_batch(
         &self,
         cdfs: &[[f64; BINS]],
@@ -1040,23 +919,14 @@ impl PlacementEngine {
         let Some(obs) = obs else {
             return self.place_all(profiles, threads);
         };
-        let users = obs.counter("placement.users");
-        let exact = obs.counter("placement.exact_evals");
-        let prunes = obs.counter("placement.batch_prunes");
-        let per_user = obs.histogram(
-            "placement.exact_evals_per_user",
-            exact_eval_bounds(self.grid),
-        );
         let cdfs: Vec<[f64; BINS]> = chunked_map(profiles, threads, |p| p.distribution().cdf());
         let outcomes = self.resolve_batches(&cdfs, threads, false);
+        obs.counter("placement.users").add(profiles.len() as u64);
+        self.observe_outcomes(obs, &outcomes);
         profiles
             .iter()
             .zip(outcomes)
             .map(|(p, o)| {
-                users.inc();
-                exact.add(u64::from(o.exact_evals));
-                prunes.add(u64::from(o.batch_prunes));
-                per_user.observe(u64::from(o.exact_evals));
                 UserPlacement::from_offset_minutes(
                     p.user(),
                     o.resolved.zone_minutes,
@@ -1066,116 +936,43 @@ impl PlacementEngine {
             .collect()
     }
 
-    /// The cache key of a 24-bin CDF: the full-precision bits of its
-    /// grid-resolution upsampling — exactly the input of the pure
-    /// resolve function, so colliding keys are guaranteed equal results.
-    fn cdf_key(&self, cdf24: &[f64; BINS], scratch: &mut [f64]) -> CdfKey {
-        self.upsample_cdf(cdf24, scratch);
-        scratch.iter().map(|v| v.to_bits()).collect()
+    /// Records the batch kernel's pruning accounting: counters
+    /// `placement.exact_evals` and `placement.batch_prunes`, and one
+    /// `placement.exact_evals_per_user` observation per outcome (bucketed
+    /// per grid).
+    fn observe_outcomes(&self, obs: &crowdtz_obs::Observer, outcomes: &[BatchOutcome]) {
+        let exact = obs.counter("placement.exact_evals");
+        let prunes = obs.counter("placement.batch_prunes");
+        let per_user = obs.histogram(
+            "placement.exact_evals_per_user",
+            exact_eval_bounds(self.grid),
+        );
+        for o in outcomes {
+            exact.add(u64::from(o.exact_evals));
+            prunes.add(u64::from(o.batch_prunes));
+            per_user.observe(u64::from(o.exact_evals));
+        }
     }
 
-    /// Resolves a batch of user CDFs through the placement cache:
-    /// placement + EMD + flatness per CDF, computing the exact zone scan
-    /// only for CDFs the cache has never seen.
+    /// Resolves user CDFs — placement, EMD and the §IV.C flatness verdict
+    /// per CDF, in input order — through the SoA batch kernel on
+    /// `threads` workers. Every CDF is scanned; the outcomes are
+    /// byte-identical for every thread count.
     ///
-    /// Three deterministic phases:
-    ///
-    /// 1. **Sequential probe** in input order: hits are answered from the
-    ///    cache; the *first* occurrence of each unseen key joins the miss
-    ///    list (later duplicates in the same batch wait for it).
-    /// 2. **Parallel compute** of the unique misses through the SoA batch
-    ///    kernel — the expensive part, order-stable by construction.
-    /// 3. **Sequential insert + fill**: misses enter the cache (evicting
-    ///    second-chance victims once it is at capacity) and every output
-    ///    slot is assembled in input order.
-    ///
-    /// Because the probe is sequential, hit/miss/eviction counts are a
-    /// pure function of the input sequence — identical for every thread
-    /// count — and because a key hit only ever returns a value computed
-    /// by the same kernel on a bit-identical grid CDF, the returned
-    /// resolutions are byte-identical to a cache-off run.
-    ///
-    /// Observability (when `obs` is attached): counters
-    /// `placement.cache_hits`, `placement.cache_misses`,
-    /// `placement.cache_evictions`, `placement.exact_evals`,
-    /// `placement.batch_prunes`, and one `placement.exact_evals_per_user`
-    /// histogram observation per miss.
+    /// Observability (when `obs` is attached): everything
+    /// [`observe_outcomes`](Self::observe_outcomes) records, one
+    /// histogram observation per CDF.
     pub(crate) fn resolve_cdfs(
         &self,
         cdfs: &[[f64; BINS]],
-        cache: &mut PlacementCache,
         threads: usize,
         obs: Option<&crowdtz_obs::Observer>,
     ) -> Vec<ResolvedCdf> {
-        let mut hits = 0u64;
-        let evictions_before = cache.evictions;
-        let mut key_scratch = vec![0.0_f64; self.grid.zones()];
-        let (resolved, computed) = if cache.enabled {
-            // Phase 1: sequential probe; dedup unseen keys within the batch.
-            let mut out: Vec<Option<ResolvedCdf>> = Vec::with_capacity(cdfs.len());
-            let mut miss_index: HashMap<CdfKey, usize> = HashMap::new();
-            let mut keys: Vec<CdfKey> = Vec::with_capacity(cdfs.len());
-            let mut miss_cdfs: Vec<[f64; BINS]> = Vec::new();
-            for cdf in cdfs {
-                let key = self.cdf_key(cdf, &mut key_scratch);
-                if let Some(entry) = cache.get(&key) {
-                    hits += 1;
-                    out.push(Some(entry));
-                } else {
-                    match miss_index.entry(key.clone()) {
-                        // In-batch duplicate of a pending miss: served by
-                        // the one computation, so it counts as a hit —
-                        // `hits + misses == resolutions`, always.
-                        std::collections::hash_map::Entry::Occupied(_) => hits += 1,
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(miss_cdfs.len());
-                            miss_cdfs.push(*cdf);
-                        }
-                    }
-                    out.push(None);
-                }
-                keys.push(key);
-            }
-            // Phase 2: compute unique misses in parallel.
-            let computed = self.resolve_batches(&miss_cdfs, threads, true);
-            // Phase 3: insert, then fill the waiting slots in input order.
-            for (cdf, outcome) in miss_cdfs.iter().zip(&computed) {
-                cache.insert(self.cdf_key(cdf, &mut key_scratch), outcome.resolved);
-            }
-            let resolved = out
-                .into_iter()
-                .zip(keys)
-                .map(|(slot, key)| slot.unwrap_or_else(|| computed[miss_index[&key]].resolved))
-                .collect();
-            (resolved, computed)
-        } else {
-            // Cache disabled: every CDF is computed (and counted as a
-            // miss), with no dedup — the exact pre-cache cost model.
-            let computed = self.resolve_batches(cdfs, threads, true);
-            let resolved = computed.iter().map(|o| o.resolved).collect();
-            (resolved, computed)
-        };
-        let misses = computed.len() as u64;
-        cache.hits += hits;
-        cache.misses += misses;
+        let outcomes = self.resolve_batches(cdfs, threads, true);
         if let Some(obs) = obs {
-            obs.counter("placement.cache_hits").add(hits);
-            obs.counter("placement.cache_misses").add(misses);
-            obs.counter("placement.cache_evictions")
-                .add(cache.evictions - evictions_before);
-            let exact = obs.counter("placement.exact_evals");
-            let prunes = obs.counter("placement.batch_prunes");
-            let per_miss = obs.histogram(
-                "placement.exact_evals_per_user",
-                exact_eval_bounds(self.grid),
-            );
-            for outcome in &computed {
-                exact.add(u64::from(outcome.exact_evals));
-                prunes.add(u64::from(outcome.batch_prunes));
-                per_miss.observe(u64::from(outcome.exact_evals));
-            }
+            self.observe_outcomes(obs, &outcomes);
         }
-        resolved
+        outcomes.into_iter().map(|o| o.resolved).collect()
     }
 
     /// The §IV.C flatness test: whether `distribution` is circular-EMD
@@ -1339,49 +1136,33 @@ mod tests {
     }
 
     #[test]
-    fn resolve_cdfs_matches_uncached_and_counts_hits() {
+    fn resolve_cdfs_matches_the_direct_kernels() {
         let engine = PlacementEngine::new(&GenericProfile::reference());
         let profiles = [
             profile_from_hours("a", &[(21, 10), (20, 6), (9, 3)]),
             profile_from_hours("b", &[(3, 8), (4, 8), (15, 2)]),
             profile_from_hours("flatish", &(0..24).map(|h| (h, 2)).collect::<Vec<_>>()),
         ];
-        // Repeat each CDF: a twice (in-batch duplicate), b twice across
-        // calls, flatish once.
-        let cdfs: Vec<[f64; BINS]> = [0usize, 0, 1, 2]
+        let order = [0usize, 0, 1, 2];
+        let cdfs: Vec<[f64; BINS]> = order
             .iter()
             .map(|&i| profiles[i].distribution().cdf())
             .collect();
-        let mut on = PlacementCache::new(true);
-        let mut off = PlacementCache::new(false);
         for threads in [1usize, 4] {
-            let cached = engine.resolve_cdfs(&cdfs, &mut on, threads, None);
-            let plain = engine.resolve_cdfs(&cdfs, &mut off, threads, None);
-            for (c, p) in cached.iter().zip(&plain) {
-                assert_eq!(c.zone_minutes, p.zone_minutes);
-                assert_eq!(c.emd.to_bits(), p.emd.to_bits());
-                assert_eq!(c.flat, p.flat);
-            }
-            // And both agree with the direct kernels.
-            for (c, i) in cached.iter().zip([0usize, 0, 1, 2]) {
+            let resolved = engine.resolve_cdfs(&cdfs, threads, None);
+            assert_eq!(resolved.len(), cdfs.len());
+            for (r, i) in resolved.iter().zip(order) {
                 let cdf = profiles[i].distribution().cdf();
                 let (minutes, e) = engine.place_cdf_minutes(&cdf);
-                assert_eq!(c.zone_minutes, minutes);
-                assert_eq!(c.emd.to_bits(), e.to_bits());
-                assert_eq!(c.flat, engine.is_flat(profiles[i].distribution()));
+                assert_eq!(r.zone_minutes, minutes);
+                assert_eq!(r.emd.to_bits(), e.to_bits());
+                assert_eq!(r.flat, engine.is_flat(profiles[i].distribution()));
             }
         }
-        // Call 1: 3 unique misses + 1 in-batch duplicate hit. Call 2
-        // (threads=4): all 4 are map hits.
-        assert_eq!(on.stats(), (5, 3));
-        assert_eq!(on.len(), 3);
-        // Disabled: everything is a miss, nothing is stored.
-        assert_eq!(off.stats(), (0, 8));
-        assert_eq!(off.len(), 0);
     }
 
     #[test]
-    fn resolve_cdfs_is_grid_aware_and_cache_transparent() {
+    fn resolve_cdfs_is_grid_aware_and_thread_invariant() {
         let engine =
             PlacementEngine::with_grid(&GenericProfile::reference(), ZoneGrid::QuarterHour);
         let cdfs: Vec<[f64; BINS]> = (0..7)
@@ -1391,106 +1172,18 @@ mod tests {
                     .cdf()
             })
             .collect();
-        let mut on = PlacementCache::new(true);
-        let mut off = PlacementCache::new(false);
-        let cached = engine.resolve_cdfs(&cdfs, &mut on, 2, None);
-        let cached_again = engine.resolve_cdfs(&cdfs, &mut on, 1, None);
-        let plain = engine.resolve_cdfs(&cdfs, &mut off, 1, None);
-        for ((a, b), c) in cached.iter().zip(&cached_again).zip(&plain) {
+        let two = engine.resolve_cdfs(&cdfs, 2, None);
+        let one = engine.resolve_cdfs(&cdfs, 1, None);
+        for ((a, b), cdf) in two.iter().zip(&one).zip(&cdfs) {
             assert_eq!(a.zone_minutes, b.zone_minutes);
-            assert_eq!(a.zone_minutes, c.zone_minutes);
             assert_eq!(a.emd.to_bits(), b.emd.to_bits());
-            assert_eq!(a.emd.to_bits(), c.emd.to_bits());
+            assert_eq!(a.flat, b.flat);
+            let (minutes, e) = engine.place_cdf_minutes(cdf);
+            assert_eq!(a.zone_minutes, minutes);
+            assert_eq!(a.emd.to_bits(), e.to_bits());
             // Quarter-hour zones carry minute-resolution offsets.
             assert_eq!(a.zone_minutes % 15, 0);
         }
-        assert_eq!(on.stats(), (7, 7));
-    }
-
-    #[test]
-    fn cache_capacity_bounds_insertion_but_not_results() {
-        let engine = PlacementEngine::new(&GenericProfile::reference());
-        let mut cache = PlacementCache::new(true);
-        cache.capacity = 1;
-        let cdfs: Vec<[f64; BINS]> = (0..4)
-            .map(|i| {
-                profile_from_hours(&format!("u{i}"), &[((i * 5 % 24) as u8, 9), (2, 3)])
-                    .distribution()
-                    .cdf()
-            })
-            .collect();
-        let first = engine.resolve_cdfs(&cdfs, &mut cache, 1, None);
-        assert_eq!(cache.len(), 1, "residency never exceeds capacity");
-        let second = engine.resolve_cdfs(&cdfs, &mut cache, 1, None);
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.zone_minutes, b.zone_minutes);
-            assert_eq!(a.emd.to_bits(), b.emd.to_bits());
-        }
-        // Second call: one hit (the clock keeps the last-inserted entry
-        // resident), three re-computed.
-        assert_eq!(cache.stats(), (1, 7));
-    }
-
-    #[test]
-    fn post_capacity_insert_still_caches_via_clock_eviction() {
-        let engine = PlacementEngine::new(&GenericProfile::reference());
-        let mut cache = PlacementCache::new(true);
-        cache.capacity = 2;
-        let cdfs: Vec<[f64; BINS]> = (0..3)
-            .map(|i| {
-                profile_from_hours(&format!("u{i}"), &[((i * 5 % 24) as u8, 9), (2, 3)])
-                    .distribution()
-                    .cdf()
-            })
-            .collect();
-        // Fill to capacity with the first two CDFs.
-        engine.resolve_cdfs(&cdfs[..2], &mut cache, 1, None);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0);
-        // A post-capacity miss evicts a victim instead of being dropped...
-        engine.resolve_cdfs(&cdfs[2..], &mut cache, 1, None);
-        assert_eq!(cache.len(), 2, "ring stays at capacity");
-        assert_eq!(cache.evictions(), 1);
-        // ...so re-probing it is a hit, not another miss.
-        let (hits_before, misses_before) = cache.stats();
-        engine.resolve_cdfs(&cdfs[2..], &mut cache, 1, None);
-        assert_eq!(
-            cache.stats(),
-            (hits_before + 1, misses_before),
-            "post-capacity insert must still cache"
-        );
-    }
-
-    #[test]
-    fn clock_gives_referenced_entries_a_second_chance() {
-        let engine = PlacementEngine::new(&GenericProfile::reference());
-        let mut cache = PlacementCache::new(true);
-        cache.capacity = 2;
-        let cdfs: Vec<[f64; BINS]> = (0..3)
-            .map(|i| {
-                profile_from_hours(&format!("v{i}"), &[((i * 7 % 24) as u8, 8), (5, 2)])
-                    .distribution()
-                    .cdf()
-            })
-            .collect();
-        // Fill with {0, 1}, then hit 0 so its reference bit is set.
-        engine.resolve_cdfs(&cdfs[..2], &mut cache, 1, None);
-        engine.resolve_cdfs(&cdfs[..1], &mut cache, 1, None);
-        // Inserting 2 must spare the referenced 0 and evict 1.
-        engine.resolve_cdfs(&cdfs[2..], &mut cache, 1, None);
-        let (hits_before, misses_before) = cache.stats();
-        engine.resolve_cdfs(&cdfs[..1], &mut cache, 1, None);
-        assert_eq!(
-            cache.stats(),
-            (hits_before + 1, misses_before),
-            "0 survived"
-        );
-        engine.resolve_cdfs(&cdfs[1..2], &mut cache, 1, None);
-        assert_eq!(
-            cache.stats(),
-            (hits_before + 1, misses_before + 1),
-            "1 was the clock's victim"
-        );
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //! 10. **Streaming re-analysis** (§V's monitoring scenario):
 //!     [`StreamingPipeline`] — delta ingestion over hash-partitioned
 //!     shards of per-user integer accumulators, dirty-user re-placement
-//!     through a CDF-keyed placement cache, and the cold mixture fit
+//!     through the batch placement kernel, and the cold mixture fit
 //!     reused while the zone counts are unchanged.
 //!     Batch analysis *is* this engine (one ingest, one snapshot), so
 //!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
-//!     by construction — at every shard count, thread count, and with
-//!     the cache on or off.
+//!     by construction — at every shard count and thread count.
 //!
 //! # Quickstart
 //!

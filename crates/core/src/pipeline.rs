@@ -10,7 +10,7 @@ use crowdtz_stats::BINS;
 
 use crate::confidence::{bootstrap_components_threads, BootstrapConfig, ComponentConfidence};
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, default_threads, PlacementCache, PlacementEngine};
+use crate::engine::{chunked_map, default_threads, PlacementEngine};
 use crate::error::CoreError;
 use crate::generic::GenericProfile;
 use crate::placement::{PlacementHistogram, UserPlacement, ZoneGrid};
@@ -29,10 +29,9 @@ use crate::streaming::StreamingPipeline;
 /// [`analyze`](GeolocationPipeline::analyze) is implemented as
 /// "ingest-then-snapshot" on a fresh [`StreamingPipeline`]: traces are
 /// routed into hash-partitioned accumulator shards
-/// ([`GeolocationPipeline::shards`]), profiles resolve through a
-/// CDF-keyed placement cache
-/// ([`GeolocationPipeline::placement_cache`]), and a single snapshot
-/// produces the report. Every parallel stage uses order-stable chunked
+/// ([`GeolocationPipeline::shards`]), every eligible profile resolves
+/// through the batch placement kernel, and a single snapshot produces
+/// the report. Every parallel stage uses order-stable chunked
 /// reduction on [`GeolocationPipeline::threads`] workers, so reports are
 /// byte-identical for any thread count — and any shard count.
 #[derive(Debug, Clone)]
@@ -43,7 +42,6 @@ pub struct GeolocationPipeline {
     max_components: usize,
     threads: Option<usize>,
     shards: Option<usize>,
-    placement_cache: bool,
     grid: Option<ZoneGrid>,
     observer: Option<Arc<crowdtz_obs::Observer>>,
 }
@@ -60,7 +58,6 @@ impl GeolocationPipeline {
             max_components: 4,
             threads: None,
             shards: None,
-            placement_cache: true,
             grid: None,
             observer: None,
         }
@@ -136,26 +133,13 @@ impl GeolocationPipeline {
         self.grid.unwrap_or_else(ZoneGrid::from_env)
     }
 
-    /// Enables/disables the CDF-keyed placement cache (default: enabled).
-    ///
-    /// The cache maps a profile's full-precision CDF bits to its resolved
-    /// zone, EMD, and flatness verdict, so repeated profile shapes —
-    /// common at low post counts — skip the exact EMD scan. Results are
-    /// byte-identical either way; disabling it exists for benchmarking
-    /// and for the cache-on == cache-off determinism tests.
-    #[must_use]
-    pub fn placement_cache(mut self, enabled: bool) -> GeolocationPipeline {
-        self.placement_cache = enabled;
-        self
-    }
-
     /// Attaches an observer: every analysis records stage spans
     /// (`pipeline.ingest` plus the streaming engine's
     /// `streaming.refresh` / `streaming.snapshot` / `streaming.fit`;
     /// `pipeline.placement` / `pipeline.polish` / `pipeline.fit` for
     /// [`analyze_profiles`](GeolocationPipeline::analyze_profiles)),
-    /// placed-user counters, and the placement engine's pruning and
-    /// cache statistics into it.
+    /// placed-user counters, and the placement engine's pruning
+    /// statistics into it.
     ///
     /// Observation is strictly out-of-band — reports are byte-identical
     /// with or without an observer (asserted by `tests/obs_invariants.rs`).
@@ -180,11 +164,6 @@ impl GeolocationPipeline {
     /// The shard count the analysis engine will use.
     pub fn effective_shards(&self) -> usize {
         self.shards.unwrap_or_else(default_shards)
-    }
-
-    /// Whether the CDF-keyed placement cache is enabled.
-    pub fn placement_cache_enabled(&self) -> bool {
-        self.placement_cache
     }
 
     /// The generic profile in use.
@@ -266,10 +245,8 @@ impl GeolocationPipeline {
     /// (e.g. the 100k-user scale demo) and therefore bypass trace
     /// ingestion.
     ///
-    /// Per-user CDFs resolve through the same cache-backed placement
-    /// kernel the streaming engine uses
-    /// ([`GeolocationPipeline::placement_cache`] applies here too, with a
-    /// per-call cache), on
+    /// Per-user CDFs resolve through the same batch placement kernel the
+    /// streaming engine uses, on
     /// [`effective_threads`](GeolocationPipeline::effective_threads)
     /// workers.
     ///
@@ -289,12 +266,11 @@ impl GeolocationPipeline {
         let threads = self.effective_threads();
         let obs = self.obs();
         let engine = PlacementEngine::with_grid(&self.generic, self.effective_grid());
-        let mut cache = PlacementCache::new(self.placement_cache);
         let resolved = {
             let _s = crowdtz_obs::span!(obs, "pipeline.placement");
             let cdfs: Vec<[f64; BINS]> =
                 chunked_map(&profiles, threads, |p| p.distribution().cdf());
-            engine.resolve_cdfs(&cdfs, &mut cache, threads, obs.as_deref())
+            engine.resolve_cdfs(&cdfs, threads, obs.as_deref())
         };
         let (profiles, placements, flat_removed) = {
             let _s = crowdtz_obs::span!(obs, "pipeline.polish");

@@ -207,6 +207,14 @@ impl UserPlacement {
         }
     }
 
+    /// Moves the placement to another offset and distance, keeping the
+    /// user id — the streaming refresh re-places a user who stays kept in
+    /// place, with no allocation.
+    pub(crate) fn set_offset_minutes(&mut self, offset_minutes: i32, emd: f64) {
+        *self =
+            UserPlacement::from_offset_minutes(std::mem::take(&mut self.user), offset_minutes, emd);
+    }
+
     /// The user's pseudonym.
     pub fn user(&self) -> &str {
         &self.user

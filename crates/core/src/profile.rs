@@ -110,6 +110,19 @@ impl ActivityProfile {
         }
     }
 
+    /// Replaces everything but the user id — the streaming refresh
+    /// re-profiles a user who stays kept in place, with no allocation.
+    pub(crate) fn set_activity(
+        &mut self,
+        distribution: Distribution24,
+        active_slots: usize,
+        post_count: usize,
+    ) {
+        self.distribution = distribution;
+        self.active_slots = active_slots;
+        self.post_count = post_count;
+    }
+
     /// The user's pseudonym.
     pub fn user(&self) -> &str {
         &self.user

@@ -77,8 +77,6 @@ use crowdtz_stats::BINS;
 use crowdtz_time::{Timestamp, TzOffset};
 
 use crate::engine::clamped_threads;
-use crate::placement::UserPlacement;
-use crate::profile::ActivityProfile;
 
 /// Number of shards to use by default: the `CROWDTZ_SHARDS` environment
 /// variable when set to a positive integer, otherwise 8.
@@ -169,7 +167,8 @@ pub(crate) struct SharedIngestObs {
 }
 
 /// Per-user integer accumulator: everything needed to rebuild the user's
-/// [`ActivityProfile`] without touching raw history again.
+/// [`ActivityProfile`](crate::ActivityProfile) without touching raw
+/// history again.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UserAccumulator {
     /// Sorted, deduplicated `day·24 + hour` keys of active slots (UTC).
@@ -333,20 +332,17 @@ impl UserAccumulator {
     }
 }
 
-/// The per-user outputs the batch pipeline would have produced.
-#[derive(Debug, Clone)]
-pub(crate) struct UserAnalysis {
-    pub(crate) profile: ActivityProfile,
-    /// §IV.C flatness flag (always `false` when polishing is disabled).
-    pub(crate) flat: bool,
-    /// Placement, computed only for kept (non-flat) users.
-    pub(crate) placement: Option<UserPlacement>,
-}
-
-impl UserAnalysis {
-    pub(crate) fn kept(&self) -> bool {
-        !self.flat
-    }
+/// An eligible user's analysis as of the last refresh. The engine's kept
+/// vectors own a kept user's profile and placement; this record holds
+/// only what a refresh needs to retire them — the zone to uncount — and
+/// what a durable snapshot persists.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum UserAnalysis {
+    /// Removed by the §IV.C flatness filter (never with polishing off).
+    Flat,
+    /// Kept and placed: the offset in minutes east of UTC and the EMD to
+    /// that zone, in hours.
+    Kept { offset_minutes: i32, emd: f64 },
 }
 
 /// One hash partition of the crowd: its users plus the dirty ids whose

@@ -18,10 +18,12 @@
 //!   [`ingest_posts`](StreamingPipeline::ingest_posts)) are routed once
 //!   and applied **concurrently**, one worker per run of shards, with no
 //!   locks (see `shard.rs` for the determinism argument);
-//! * only dirty users are re-profiled, and their CDFs go through a
-//!   **placement cache** (quantized CDF → zone + EMD + flatness) on the
-//!   long-lived [`PlacementEngine`], so a profile shape seen before —
-//!   common at low post counts — skips the exact EMD scan entirely;
+//! * only dirty users are re-profiled, and their CDFs go straight through
+//!   the batch kernel of the long-lived [`PlacementEngine`];
+//! * each accumulator keeps a `Copy` analysis record (flat, or kept at
+//!   an offset and EMD); the kept profiles and placements live only in
+//!   the id-sorted kept vectors, which a refresh patches in one ascending
+//!   merge with the id-sorted dirty list;
 //! * the placement histogram is maintained as integer zone counts,
 //!   updated by subtracting a re-placed user's old zone and adding the
 //!   new one;
@@ -32,17 +34,17 @@
 //!
 //! [`snapshot`](StreamingPipeline::snapshot) is **byte-identical**
 //! (serialized through `serde_json`) to a from-scratch analysis of the
-//! same cumulative traces, for any thread count, any shard count, and
-//! with the placement cache on or off. Four choices make that exact
-//! rather than approximate:
+//! same cumulative traces, for any thread count and any shard count.
+//! Four choices make that exact rather than approximate:
 //!
 //! 1. All per-user state is integral (slot keys, hour counts, post
 //!    counts), so delta updates commute with batching exactly, and
 //!    shards merge at refresh time by draining dirty ids in globally
 //!    sorted order — the order a single map would have produced.
-//! 2. The placement cache is probed sequentially and keyed on the
-//!    full-precision CDF bits, so a hit returns a value computed from a
-//!    bit-identical input (and hit/miss counts are thread-invariant).
+//! 2. Every eligible dirty user is placed by the same batch kernel on a
+//!    CDF rebuilt from the same integers, and the kernel's batches are
+//!    carved before threading, so each placement — and each pruning
+//!    count — is a pure function of the user's state.
 //! 3. The crowd profile is **re-summed at snapshot time** from the cached
 //!    per-user distributions in user-id order — an O(24·n) pass — rather
 //!    than delta-updated in `f64`, because float addition is not
@@ -59,13 +61,34 @@ use crowdtz_stats::{Distribution24, Histogram24, BINS};
 use crowdtz_time::{Timestamp, TraceSet, UserTrace};
 
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, PlacementCache, PlacementEngine};
+use crate::engine::{chunked_map, PlacementEngine};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::placement::{PlacementHistogram, UserPlacement};
 use crate::profile::ActivityProfile;
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
+
+/// The entries of the vector behind `shared`, leaving an empty one:
+/// moved out when the engine is its only owner, cloned once when a
+/// published report still holds it — a held report is never mutated.
+fn take_shared<T: Clone>(shared: &mut Arc<Vec<T>>) -> std::vec::IntoIter<T> {
+    Arc::try_unwrap(std::mem::take(shared))
+        .unwrap_or_else(|held| held.as_ref().clone())
+        .into_iter()
+}
+
+/// How many of the id-sorted `profiles` sort below `id` — an exponential
+/// search from the front, so a dense run of dirty users costs O(1)
+/// comparisons each and a sparse one O(log gap).
+fn count_below(profiles: &[ActivityProfile], id: &str) -> usize {
+    let mut end = 1;
+    while end <= profiles.len() && profiles[end - 1].user() < id {
+        end *= 2;
+    }
+    let start = end / 2;
+    start + profiles[start..end.min(profiles.len())].partition_point(|p| p.user() < id)
+}
 
 /// Observability handles, created once at construction so the per-post
 /// ingest path pays one atomic add, not a registry lookup.
@@ -136,18 +159,15 @@ pub struct StreamingPipeline {
     /// Hash-partitioned per-user accumulators + dirty sets
     /// ([`GeolocationPipeline::shards`] sets the partition count).
     shards: ShardSet,
-    /// CDF-keyed placement cache, persistent across refreshes
-    /// ([`GeolocationPipeline::placement_cache`] toggles it).
-    cache: PlacementCache,
     /// Kept users' profiles in user-id order — exactly the vector the
-    /// batch pipeline would build, patched in place per dirty user and
-    /// shared with every snapshot through its [`Arc`]. `Arc::make_mut`
-    /// keeps the patch O(dirty) while no snapshot is alive, and falls
-    /// back to one copy-on-write clone when one is.
+    /// batch pipeline would build, and the only owner of each kept
+    /// user's profile. Shared with every snapshot through its [`Arc`]:
+    /// a refresh moves the entries out while no snapshot is alive, and
+    /// clones them once when one is.
     kept_profiles: Arc<Vec<ActivityProfile>>,
     /// Kept users' placements, parallel to `kept_profiles`.
     kept_placements: Arc<Vec<UserPlacement>>,
-    /// Users whose analysis is `Some` (at or above the activity
+    /// Users with an analysis record (at or above the activity
     /// threshold); `eligible − kept` is the flat-removed count.
     eligible: usize,
     /// Kept users per zone index (one slot per zone of the pipeline's
@@ -161,20 +181,18 @@ pub struct StreamingPipeline {
 impl StreamingPipeline {
     /// Wraps a configured batch pipeline. The pipeline's generic profile,
     /// activity threshold, polishing flag, component cap, thread count,
-    /// shard count, and placement-cache toggle all carry over; the
-    /// placement engine is built once and reused across every refresh.
+    /// and shard count all carry over; the placement engine is built
+    /// once and reused across every refresh.
     pub fn new(pipeline: GeolocationPipeline) -> StreamingPipeline {
         let grid = pipeline.effective_grid();
         let engine = PlacementEngine::with_grid(pipeline.generic(), grid);
         let obs = pipeline.obs().map(StreamObs::new);
         let shards = ShardSet::new(pipeline.effective_shards());
-        let cache = PlacementCache::new(pipeline.placement_cache_enabled());
         StreamingPipeline {
             pipeline,
             engine,
             obs,
             shards,
-            cache,
             kept_profiles: Arc::new(Vec::new()),
             kept_placements: Arc::new(Vec::new()),
             eligible: 0,
@@ -214,12 +232,6 @@ impl StreamingPipeline {
         self.shards.occupancy()
     }
 
-    /// Lifetime placement-cache `(hits, misses)`. With the cache disabled
-    /// every resolution counts as a miss.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
     /// Shard store access for the durable-persistence layer (`durable.rs`).
     pub(crate) fn shards_ref(&self) -> &ShardSet {
         &self.shards
@@ -231,28 +243,46 @@ impl StreamingPipeline {
     }
 
     /// Recomputes every piece of derived state (kept vectors, eligible
-    /// count, zone counts) from the accumulators' stored analyses — the
-    /// last step of recovering a durable snapshot. The kept vectors are
-    /// rebuilt in global user-id order, exactly the order incremental
-    /// refreshes maintain, so a recovered engine continues byte-identical
-    /// to one that never restarted. The fit cache is dropped: a cold
-    /// refit is bit-identical anyway.
+    /// count, zone counts) from the accumulators' analysis records — the
+    /// last step of recovering a durable snapshot. Profiles are rebuilt
+    /// from the hour counts by the function refresh uses, in global
+    /// user-id order, exactly the order incremental refreshes maintain,
+    /// so a recovered engine continues byte-identical to one that never
+    /// restarted. (A user restored dirty gets the profile of its current
+    /// counts; the next refresh overwrites it.) The fit cache is
+    /// dropped: a cold refit is bit-identical anyway.
     pub(crate) fn rebuild_derived_state(&mut self) {
         let grid = self.engine.grid();
         let mut profiles = Vec::new();
         let mut placements = Vec::new();
         let mut eligible = 0usize;
         let mut zone_counts = vec![0usize; grid.zones()];
-        for (_, acc) in self.shards.all_users_sorted() {
-            let Some(a) = &acc.analysis else { continue };
+        for (id, acc) in self.shards.all_users_sorted() {
+            let Some(analysis) = acc.analysis else {
+                continue;
+            };
             eligible += 1;
-            if let Some(p) = &a.placement {
-                zone_counts[grid.index_of_minutes(p.offset_minutes())] += 1;
-            }
-            if a.kept() {
-                profiles.push(a.profile.clone());
-                placements.push(a.placement.clone().expect("kept users are placed"));
-            }
+            let UserAnalysis::Kept {
+                offset_minutes,
+                emd,
+            } = analysis
+            else {
+                continue;
+            };
+            zone_counts[grid.index_of_minutes(offset_minutes)] += 1;
+            let (distribution, _) =
+                Self::prepare_user(acc, 0).expect("restored analyses have activity");
+            placements.push(UserPlacement::from_offset_minutes(
+                id.as_str(),
+                offset_minutes,
+                emd,
+            ));
+            profiles.push(ActivityProfile::from_parts(
+                id.clone(),
+                distribution,
+                acc.slots.len(),
+                acc.posts,
+            ));
         }
         self.kept_profiles = Arc::new(profiles);
         self.kept_placements = Arc::new(placements);
@@ -381,12 +411,13 @@ impl StreamingPipeline {
 
     /// Re-analyzes exactly the dirty users: drain every shard's dirty set
     /// in globally sorted id order, rebuild the changed profiles in
-    /// parallel, resolve their CDFs through the placement cache (parallel
-    /// exact scans for the misses only), and patch the zone counts and
-    /// the shared kept vectors sequentially. Chunking is order-stable and
-    /// the cache probe is sequential, so the per-user results — and
-    /// therefore every snapshot — are invariant to both the thread count
-    /// and the shard count.
+    /// parallel, place every eligible CDF through the batch kernel, then
+    /// swap each user's analysis record, patch the zone counts, and merge
+    /// the dirty users into the kept vectors in one ascending pass.
+    /// Chunking is order-stable and the kernel's batches are carved
+    /// before threading, so the per-user results — and therefore every
+    /// snapshot — are invariant to both the thread count and the shard
+    /// count.
     fn refresh(&mut self) {
         if let Some(obs) = &self.obs {
             obs.dirty.set(self.shards.dirty_len() as f64);
@@ -404,101 +435,113 @@ impl StreamingPipeline {
         let threads = self.pipeline.effective_threads();
         // Phase 1 (parallel, pure): rebuild each dirty user's distribution
         // and CDF from its integer accumulator.
-        let prepared: Vec<Option<(Distribution24, [f64; BINS])>> = {
+        let (prepared, kept_before) = {
             let work: Vec<&UserAccumulator> = self.shards.accs_for(&dirty);
-            chunked_map(&work, threads, |&acc| Self::prepare_user(acc, min_posts))
+            let kept_before = work
+                .iter()
+                .filter(|acc| matches!(acc.analysis, Some(UserAnalysis::Kept { .. })))
+                .count();
+            let prepared: Vec<Option<(Distribution24, [f64; BINS])>> =
+                chunked_map(&work, threads, |&acc| Self::prepare_user(acc, min_posts));
+            (prepared, kept_before)
         };
-        // Phase 2: resolve the eligible CDFs through the placement cache
-        // (sequential probe, parallel compute of the misses).
+        // Phase 2: place every eligible CDF (parallel batch kernel).
         let cdfs: Vec<[f64; BINS]> = prepared
             .iter()
             .filter_map(|p| p.as_ref().map(|&(_, cdf)| cdf))
             .collect();
-        let resolved =
+        let resolved = {
+            let _p = crowdtz_obs::span!(observer, "streaming.place");
             self.engine
-                .resolve_cdfs(&cdfs, &mut self.cache, threads, observer.as_deref());
-        // Phase 3 (sequential): assemble analyses and patch shared state.
+                .resolve_cdfs(&cdfs, threads, observer.as_deref())
+        };
+        let kept_after = resolved.iter().filter(|r| !(polish && r.flat)).count();
+        // Phase 3 (sequential): swap each dirty user's analysis record,
+        // patch the zone counts, and merge the user into the kept
+        // vectors — one ascending pass that gallops from dirty user to
+        // dirty user. Runs of clean kept users are carried over in bulk,
+        // a user who stays kept is carried over and overwritten with no
+        // allocation, a newly kept user takes its dirty-list id, and a
+        // dropped user is skipped; nothing shifts a tail.
+        let grid = self.engine.grid();
+        let len = self.kept_profiles.len() + kept_after - kept_before;
+        let mut profiles = Vec::with_capacity(len);
+        let mut placements = Vec::with_capacity(len);
+        let mut old_profiles = take_shared(&mut self.kept_profiles);
+        let mut old_placements = take_shared(&mut self.kept_placements);
         let mut resolutions = resolved.into_iter();
-        let mut placed = 0u64;
-        let profiles = Arc::make_mut(&mut self.kept_profiles);
-        let placements = Arc::make_mut(&mut self.kept_placements);
         for (id, prep) in dirty.into_iter().zip(prepared) {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
-            let analysis = prep.map(|(distribution, _)| {
+            let analysis = prep.as_ref().map(|_| {
                 let r = resolutions
                     .next()
                     .expect("one resolution per eligible user");
-                let profile = ActivityProfile::from_parts(
-                    id.clone(),
-                    distribution,
-                    acc.slots.len(),
-                    acc.posts,
-                );
-                let flat = polish && r.flat;
-                let placement = if flat {
-                    None
+                if polish && r.flat {
+                    UserAnalysis::Flat
                 } else {
-                    Some(UserPlacement::from_offset_minutes(
-                        profile.user(),
-                        r.zone_minutes,
-                        r.emd,
-                    ))
-                };
-                UserAnalysis {
-                    profile,
-                    flat,
-                    placement,
-                }
-            });
-            placed += u64::from(analysis.as_ref().is_some_and(UserAnalysis::kept));
-            let grid = self.engine.grid();
-            let old = acc.analysis.take();
-            if let Some(p) = old.as_ref().and_then(|a| a.placement.as_ref()) {
-                self.zone_counts[grid.index_of_minutes(p.offset_minutes())] -= 1;
-            }
-            if let Some(p) = analysis.as_ref().and_then(|a| a.placement.as_ref()) {
-                self.zone_counts[grid.index_of_minutes(p.offset_minutes())] += 1;
-            }
-            self.eligible -= usize::from(old.is_some());
-            self.eligible += usize::from(analysis.is_some());
-            // Patch the kept vectors at the user's id-ordered position.
-            // Dirty users that stay kept (the steady state) are replaced
-            // in place; membership changes shift the tail, and the
-            // initial bulk ingest arrives in ascending id order, so every
-            // insert is an append.
-            let old_kept = old.as_ref().is_some_and(UserAnalysis::kept);
-            let new_kept = analysis.as_ref().is_some_and(UserAnalysis::kept);
-            let pos = profiles.binary_search_by(|p| p.user().cmp(&id));
-            match (old_kept, new_kept) {
-                (_, true) => {
-                    let a = analysis.as_ref().expect("kept analysis exists");
-                    let profile = a.profile.clone();
-                    let placement = a.placement.clone().expect("kept users are placed");
-                    match pos {
-                        Ok(i) => {
-                            debug_assert!(old_kept);
-                            profiles[i] = profile;
-                            placements[i] = placement;
-                        }
-                        Err(i) => {
-                            debug_assert!(!old_kept);
-                            profiles.insert(i, profile);
-                            placements.insert(i, placement);
-                        }
+                    UserAnalysis::Kept {
+                        offset_minutes: r.zone_minutes,
+                        emd: r.emd,
                     }
                 }
-                (true, false) => {
-                    let i = pos.expect("kept user is in the kept vectors");
-                    profiles.remove(i);
-                    placements.remove(i);
+            });
+            let previous = std::mem::replace(&mut acc.analysis, analysis);
+            let (active_slots, posts) = (acc.slots.len(), acc.posts);
+            self.eligible -= usize::from(previous.is_some());
+            self.eligible += usize::from(analysis.is_some());
+            let run = count_below(old_profiles.as_slice(), &id);
+            profiles.extend(old_profiles.by_ref().take(run));
+            placements.extend(old_placements.by_ref().take(run));
+            let held = match previous {
+                Some(UserAnalysis::Kept { offset_minutes, .. }) => {
+                    self.zone_counts[grid.index_of_minutes(offset_minutes)] -= 1;
+                    let entry = old_profiles.next().zip(old_placements.next());
+                    Some(entry.expect("kept user is in the kept vectors"))
                 }
-                (false, false) => {}
+                _ => None,
+            };
+            let (
+                Some(UserAnalysis::Kept {
+                    offset_minutes,
+                    emd,
+                }),
+                Some((distribution, _)),
+            ) = (analysis, prep)
+            else {
+                continue;
+            };
+            self.zone_counts[grid.index_of_minutes(offset_minutes)] += 1;
+            match held {
+                Some((mut profile, mut placement)) => {
+                    debug_assert_eq!(profile.user(), id);
+                    profile.set_activity(distribution, active_slots, posts);
+                    placement.set_offset_minutes(offset_minutes, emd);
+                    profiles.push(profile);
+                    placements.push(placement);
+                }
+                None => {
+                    placements.push(UserPlacement::from_offset_minutes(
+                        id.as_str(),
+                        offset_minutes,
+                        emd,
+                    ));
+                    profiles.push(ActivityProfile::from_parts(
+                        id,
+                        distribution,
+                        active_slots,
+                        posts,
+                    ));
+                }
             }
-            let acc = self.shards.acc_mut(&id).expect("dirty user exists");
-            acc.analysis = analysis;
         }
+        profiles.extend(old_profiles);
+        placements.extend(old_placements);
+        self.kept_profiles = Arc::new(profiles);
+        self.kept_placements = Arc::new(placements);
         if let Some(obs) = &self.obs {
-            obs.observer.counter("placement.users").add(placed);
+            obs.observer
+                .counter("placement.users")
+                .add(kept_after as u64);
             // Shard occupancy, as of this refresh.
             for (i, n) in self.shards.occupancy().into_iter().enumerate() {
                 obs.observer
@@ -511,7 +554,7 @@ impl StreamingPipeline {
     /// One user's distribution + CDF from the integer accumulator —
     /// `None` below the activity threshold. Pure, so it fans out across
     /// worker threads; the flatness/placement decision happens in the
-    /// cache-backed resolve step.
+    /// resolve step.
     fn prepare_user(
         acc: &UserAccumulator,
         min_posts: usize,
@@ -867,35 +910,5 @@ mod tests {
             report_json(&stream.snapshot().unwrap()),
             report_json(&fresh.snapshot().unwrap())
         );
-    }
-
-    #[test]
-    fn placement_cache_hits_on_repeated_profiles() {
-        // Every user posts at the same two slots → one distinct CDF.
-        let pipeline = GeolocationPipeline::default().min_posts(1).threads(1);
-        let mut stream = StreamingPipeline::new(pipeline.clone());
-        let mut traces = TraceSet::new();
-        let posts = [
-            Timestamp::from_secs(20 * 3_600),
-            Timestamp::from_secs(86_400 + 21 * 3_600),
-        ];
-        for i in 0..30 {
-            let id = format!("u{i:02}");
-            stream.ingest(&id, &posts);
-            for &p in &posts {
-                traces.record(&id, p);
-            }
-        }
-        let inc = stream.snapshot().unwrap();
-        let (hits, misses) = stream.cache_stats();
-        assert_eq!(misses, 1, "one distinct profile shape");
-        assert_eq!(hits, 29);
-        // The cache never changes a byte: cache-off matches exactly.
-        let off = {
-            let mut s = StreamingPipeline::new(pipeline.placement_cache(false));
-            s.ingest_set(&traces);
-            s.snapshot().unwrap()
-        };
-        assert_eq!(report_json(&inc), report_json(&off));
     }
 }

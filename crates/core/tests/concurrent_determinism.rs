@@ -6,9 +6,8 @@
 //! the sequential snapshot of exactly the per-writer batch prefixes its
 //! watermark vector names.
 //!
-//! The placement cache's hit, miss and eviction counts are pinned the
-//! same way: they equal those of a sequential engine that snapshots at
-//! the same cuts.
+//! The placement counters are pinned the same way: they equal those of
+//! a sequential engine that snapshots at the same cuts.
 //!
 //! The schedules are **seeded**: which batches each writer sends, and
 //! in which order, is a pure function of the seed, so a failure here is
@@ -243,9 +242,9 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
 
 /// Single-post batches for users whose profiles coincide, split into
 /// the two halves of a run: twins post at 20:00 in the first half and
-/// at 21:00 in the second, so each half resolves one shape many times;
+/// at 21:00 in the second, so each half places one shape many times;
 /// late users post the first half's 20:00 shape only in the second
-/// half, so they hit entries an earlier publish cached.
+/// half, so a later publish places a shape an earlier one placed.
 fn twin_batches() -> (Vec<Batch>, Vec<Batch>) {
     let at = |day: i64, hour: i64| Timestamp::from_secs(day * 86_400 + hour * 3_600);
     let twins: Vec<String> = (0..12).map(|i| format!("twin{i:02}")).collect();
@@ -258,20 +257,24 @@ fn twin_batches() -> (Vec<Batch>, Vec<Batch>) {
     (first, second)
 }
 
-/// The observer's placement-cache hit, miss and eviction counters.
-fn cache_counters(observer: &Observer) -> [u64; 3] {
+/// The observer's placement counters, then the pruning histogram's
+/// observation count and sum.
+fn placement_counters(observer: &Observer) -> [u64; 5] {
+    let metrics = observer.snapshot();
+    let hist = &metrics.histograms["placement.exact_evals_per_user"];
     [
-        "placement.cache_hits",
-        "placement.cache_misses",
-        "placement.cache_evictions",
+        metrics.counters["placement.users"],
+        metrics.counters["placement.exact_evals"],
+        metrics.counters["placement.batch_prunes"],
+        hist.count,
+        hist.sum,
     ]
-    .map(|name| observer.counter(name).get())
 }
 
 #[test]
-fn concurrent_cache_counters_match_the_sequential_engine() {
-    // The concurrent engine resolves placements only when it publishes,
-    // under the write gate, so its cache sees exactly the dirty users a
+fn concurrent_placement_counters_match_the_sequential_engine() {
+    // The concurrent engine places users only when it publishes, under
+    // the write gate, so its kernel sees exactly the dirty users a
     // sequential engine snapshotting at the same cuts sees: the counts
     // are a function of the cuts, not of the writer schedule.
     let (twins_head, twins_tail) = twin_batches();
@@ -293,10 +296,11 @@ fn concurrent_cache_counters_match_the_sequential_engine() {
                 }
                 reference.snapshot().unwrap();
             }
-            let want = (reference.cache_stats(), cache_counters(&observer));
-            // 11 twin hits per half plus 6 late hits on the first
-            // half's entry.
-            assert!(want.0 .0 >= 28, "too few cache hits: {want:?}");
+            let want = placement_counters(&observer);
+            // Both halves resolve every twin, the second also the late
+            // users, and every resolution scans at least one zone.
+            assert!(want[3] >= 12 + 12 + 6, "too few resolutions: {want:?}");
+            assert!(want[4] >= want[3], "{want:?}");
             for writers in WRITER_GRID {
                 let observer = Observer::from_env();
                 let engine = ConcurrentStreamingPipeline::new(
@@ -316,9 +320,9 @@ fn concurrent_cache_counters_match_the_sequential_engine() {
                     engine.publish().unwrap();
                 }
                 assert_eq!(
-                    (engine.cache_stats(), cache_counters(&observer)),
+                    placement_counters(&observer),
                     want,
-                    "cache counters diverged at seed {seed}, {shards} shards, {writers} writers"
+                    "placement counters diverged at seed {seed}, {shards} shards, {writers} writers"
                 );
             }
         }

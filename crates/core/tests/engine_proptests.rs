@@ -116,11 +116,10 @@ proptest! {
     }
 
     /// Full-pipeline identity: for each grid, a streaming snapshot over
-    /// any shard count, with the placement cache on or off, carries the
-    /// exact placements batch `analyze` produces — the cache and the
-    /// shard partitioning are invisible to the numbers.
+    /// any shard count carries the exact placements batch `analyze`
+    /// produces — the shard partitioning is invisible to the numbers.
     #[test]
-    fn pipeline_placements_invariant_to_shards_and_cache(
+    fn pipeline_placements_invariant_to_shards(
         crowds in proptest::collection::vec(
             proptest::collection::vec(0usize..8, BINS), 4..24,
         ),
@@ -151,21 +150,16 @@ proptest! {
                 .min_posts(1);
             let Ok(batch) = base.clone().analyze(&traces) else { continue };
             for shards in [1usize, 4, 16] {
-                for cache in [true, false] {
-                    let mut streaming = StreamingPipeline::new(
-                        base.clone().shards(shards).placement_cache(cache),
-                    );
-                    streaming.ingest_set(&traces);
-                    let snap = streaming.snapshot().unwrap();
-                    prop_assert_eq!(
-                        batch.placements(),
-                        snap.placements(),
-                        "grid {} shards {} cache {}",
-                        grid,
-                        shards,
-                        cache
-                    );
-                }
+                let mut streaming = StreamingPipeline::new(base.clone().shards(shards));
+                streaming.ingest_set(&traces);
+                let snap = streaming.snapshot().unwrap();
+                prop_assert_eq!(
+                    batch.placements(),
+                    snap.placements(),
+                    "grid {} shards {}",
+                    grid,
+                    shards
+                );
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The sharded streaming core is a pure refactor: snapshots are
-//! byte-identical across shard counts, worker-thread counts, and with the
-//! placement cache on or off.
+//! byte-identical across shard counts and worker-thread counts.
 //!
 //! CI runs this file under `CROWDTZ_THREADS=1` and `CROWDTZ_THREADS=4`
 //! alongside `streaming_identity.rs`, so the env knobs are exercised on
@@ -51,12 +50,11 @@ fn numeric_json(report: &GeolocationReport) -> String {
     .unwrap()
 }
 
-fn snapshot_json(traces: &TraceSet, shards: usize, threads: usize, cache: bool) -> String {
+fn snapshot_json(traces: &TraceSet, shards: usize, threads: usize) -> String {
     let mut streaming = StreamingPipeline::new(
         GeolocationPipeline::default()
             .shards(shards)
-            .threads(threads)
-            .placement_cache(cache),
+            .threads(threads),
     );
     streaming.ingest_set(traces);
     numeric_json(&streaming.snapshot().unwrap())
@@ -65,27 +63,15 @@ fn snapshot_json(traces: &TraceSet, shards: usize, threads: usize, cache: bool) 
 #[test]
 fn snapshots_are_byte_identical_across_the_shard_and_thread_grid() {
     let traces = two_region_crowd();
-    let baseline = snapshot_json(&traces, 1, 1, true);
+    let baseline = snapshot_json(&traces, 1, 1);
     for shards in SHARD_GRID {
         for threads in THREAD_GRID {
             assert_eq!(
                 baseline,
-                snapshot_json(&traces, shards, threads, true),
+                snapshot_json(&traces, shards, threads),
                 "snapshot diverged at {shards} shards / {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn placement_cache_never_changes_a_snapshot() {
-    let traces = two_region_crowd();
-    for shards in SHARD_GRID {
-        assert_eq!(
-            snapshot_json(&traces, shards, 2, true),
-            snapshot_json(&traces, shards, 2, false),
-            "cache changed output at {shards} shards"
-        );
     }
 }
 
@@ -171,12 +157,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn random_crowds_are_shard_thread_and_cache_invariant(traces in arbitrary_traces()) {
+    fn random_crowds_are_shard_and_thread_invariant(traces in arbitrary_traces()) {
         let pipeline = || GeolocationPipeline::default().min_posts(1);
-        let snapshot = |shards: usize, threads: usize, cache: bool| {
-            let mut streaming = StreamingPipeline::new(
-                pipeline().shards(shards).threads(threads).placement_cache(cache),
-            );
+        let snapshot = |shards: usize, threads: usize| {
+            let mut streaming =
+                StreamingPipeline::new(pipeline().shards(shards).threads(threads));
             streaming.ingest_set(&traces);
             // A degenerate random crowd may legitimately fail (all flat);
             // the failure itself must then be invariant too.
@@ -185,20 +170,15 @@ proptest! {
                 .map(|r| numeric_json(&r))
                 .map_err(|e| e.to_string())
         };
-        let baseline = snapshot(1, 1, true);
+        let baseline = snapshot(1, 1);
         for shards in SHARD_GRID {
             for threads in THREAD_GRID {
                 prop_assert_eq!(
                     &baseline,
-                    &snapshot(shards, threads, true),
+                    &snapshot(shards, threads),
                     "diverged at {} shards / {} threads", shards, threads
                 );
             }
-            prop_assert_eq!(
-                &baseline,
-                &snapshot(shards, 2, false),
-                "cache-off diverged at {} shards", shards
-            );
         }
     }
 }

@@ -232,9 +232,8 @@ fn main() {
         snapshot.users_classified(),
         snapshot.flat_removed()
     );
-    let (hits, misses) = streaming.cache_stats();
     println!(
-        "engine: {} accumulator shards {:?}, placement cache {hits} hits / {misses} misses",
+        "engine: {} accumulator shards {:?}",
         streaming.shard_count(),
         streaming.shard_occupancy(),
     );

@@ -6,7 +6,7 @@ use crowdtz::core::{
     StreamingPipeline, ZoneGrid,
 };
 use crowdtz::synth::PopulationSpec;
-use crowdtz::time::{HolidayCalendar, Region, RegionDb, TzOffset, Zone};
+use crowdtz::time::{HolidayCalendar, Region, RegionDb, Timestamp, TzOffset, Zone};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -225,4 +225,159 @@ proptest! {
         prop_assert_eq!(serde_json::to_string(&cut).unwrap(), tree.clone());
         prop_assert_eq!(serde_json::to_vec(&cut).unwrap(), tree.into_bytes());
     }
+}
+
+/// Where a churned user stands at a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Standing {
+    Below,
+    Flat,
+    Kept,
+}
+
+/// One random post burst for a user: peaked near the user's hour (a
+/// placeable profile), spread evenly over the day (a flat one), or at
+/// random hours — so users turn flat and back as bursts accumulate.
+fn burst(rng: &mut proptest::TestRng, peak: u64) -> Vec<Timestamp> {
+    let n = 1 + rng.next_u64() % 5;
+    let kind = rng.next_u64() % 3;
+    let start = rng.next_u64() % 24;
+    (0..n)
+        .map(|k| {
+            let hour = match kind {
+                0 => peak + rng.next_u64() % 2,
+                1 => start + k * 24 / n,
+                _ => rng.next_u64() % 24,
+            } % 24;
+            let day = rng.next_u64() % 90;
+            let minute = rng.next_u64() % 60;
+            Timestamp::from_secs((day * 86_400 + hour * 3_600 + minute * 60) as i64)
+        })
+        .collect()
+}
+
+/// Kept-set churn: random signed sequences over a dozen users, with a
+/// low activity threshold and polishing on, push users across the
+/// threshold in both directions, flat and back, and out of the kept set
+/// and into it again. At every snapshot the churned engine's bytes equal
+/// a fresh engine fed only the surviving posts, the previous report —
+/// held across the refresh — serializes to its old bytes, the kept
+/// vectors are strictly ascending by user, and the histogram is the one
+/// the placements give. Every kind of membership change must occur over
+/// the run, so the property cannot hold vacuously.
+#[test]
+fn kept_set_churn_matches_a_fresh_engine_and_spares_held_reports() {
+    const USERS: usize = 12;
+    const MIN_POSTS: usize = 4;
+    let id = |u: usize| format!("u{u:02}");
+    // Crossed up, crossed down, turned flat, turned back, re-entered.
+    let mut seen = [0usize; 5];
+    let config = ProptestConfig::with_cases(24);
+    proptest::run_cases(&config, "kept_set_churn", |rng| {
+        let grid = GRIDS[(rng.next_u64() % 2) as usize];
+        let pipeline = GeolocationPipeline::with_generic(GenericProfile::reference())
+            .min_posts(MIN_POSTS)
+            .polish(true)
+            .threads(1)
+            .shards(3)
+            .grid(grid);
+        let mut engine = StreamingPipeline::new(pipeline.clone());
+        let peaks: Vec<u64> = (0..USERS).map(|_| rng.next_u64() % 24).collect();
+        let mut live: Vec<Vec<Timestamp>> = vec![Vec::new(); USERS];
+        let mut standing = [Standing::Below; USERS];
+        let mut left_kept = [false; USERS];
+        let mut held: Option<(GeolocationReport, String)> = None;
+        for step in 0..60 {
+            let u = (rng.next_u64() % USERS as u64) as usize;
+            if rng.next_u64() % 3 == 0 && !live[u].is_empty() {
+                // Retract seen posts: all of them, or a few.
+                let n = if rng.next_u64() % 3 == 0 {
+                    live[u].len()
+                } else {
+                    (1 + rng.next_u64() % 3).min(live[u].len() as u64) as usize
+                };
+                let gone: Vec<Timestamp> = (0..n)
+                    .map(|_| {
+                        let i = (rng.next_u64() % live[u].len() as u64) as usize;
+                        live[u].swap_remove(i)
+                    })
+                    .collect();
+                engine.retract(&id(u), &gone);
+            } else {
+                let posts = burst(rng, peaks[u]);
+                live[u].extend(&posts);
+                engine.ingest(&id(u), &posts);
+            }
+            if step % 3 != 2 {
+                continue;
+            }
+            let got = engine.snapshot();
+            if let Some((report, bytes)) = &held {
+                prop_assert_eq!(
+                    &serde_json::to_string(report).unwrap(),
+                    bytes,
+                    "a held report changed at step {}",
+                    step
+                );
+            }
+            let mut fresh = StreamingPipeline::new(pipeline.clone());
+            for (v, posts) in live.iter().enumerate() {
+                if !posts.is_empty() {
+                    fresh.ingest(&id(v), posts);
+                }
+            }
+            let want = fresh
+                .snapshot()
+                .map(|r| serde_json::to_string(&r).unwrap())
+                .map_err(|e| e.to_string());
+            let got_bytes = got
+                .as_ref()
+                .map(|r| serde_json::to_string(r).unwrap())
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(&got_bytes, &want, "step {}", step);
+            let mut kept = [false; USERS];
+            if let Ok(report) = got {
+                let users: Vec<&str> = report.profiles().iter().map(|p| p.user()).collect();
+                let placed: Vec<&str> = report.placements().iter().map(|p| p.user()).collect();
+                prop_assert!(users.windows(2).all(|w| w[0] < w[1]), "{:?}", users);
+                prop_assert_eq!(&placed, &users);
+                prop_assert_eq!(
+                    report.histogram(),
+                    &PlacementHistogram::from_placements_on_grid(report.placements(), grid)
+                );
+                for user in users {
+                    kept[user[1..].parse::<usize>().unwrap()] = true;
+                }
+                held = Some((report, got_bytes.unwrap()));
+            }
+            for v in 0..USERS {
+                let now = if live[v].len() < MIN_POSTS {
+                    Standing::Below
+                } else if kept[v] {
+                    Standing::Kept
+                } else {
+                    Standing::Flat
+                };
+                match (standing[v], now) {
+                    (Standing::Below, Standing::Flat | Standing::Kept) => seen[0] += 1,
+                    (Standing::Flat | Standing::Kept, Standing::Below) => seen[1] += 1,
+                    (Standing::Kept, Standing::Flat) => seen[2] += 1,
+                    (Standing::Flat, Standing::Kept) => seen[3] += 1,
+                    _ => {}
+                }
+                if standing[v] == Standing::Kept && now != Standing::Kept {
+                    left_kept[v] = true;
+                }
+                if standing[v] != Standing::Kept && now == Standing::Kept && left_kept[v] {
+                    seen[4] += 1;
+                }
+                standing[v] = now;
+            }
+        }
+        Ok(())
+    });
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a kind of membership change never happened: {seen:?}"
+    );
 }

@@ -10,7 +10,7 @@ when either
   pruned EMD scan — grew more than ``THRESHOLD``x,
 
 which catches both "someone made a stage slow" and "someone quietly
-disabled the pruning or the placement cache".
+disabled the pruning".
 
 With the optional durability pair (``BENCH_durability.json`` from the
 bench bin), additionally fails when the warm ``open_durable`` restart or
