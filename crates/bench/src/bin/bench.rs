@@ -22,7 +22,9 @@
 //! at 1/2/4 clients) to `BENCH_serve.json`, in the working directory. The durability JSON times the warm `open_durable` restart
 //! at two write-ahead-log suffix lengths over the *same* crawl (replay
 //! cost must scale with the log, not the crawl), the snapshot rotation
-//! itself, and the from-scratch re-analysis a warm restart avoids. The sharding JSON records ingest posts/sec
+//! itself, the from-scratch re-analysis a warm restart avoids, and the
+//! bytes the store writes: log bytes per post and generation bytes per
+//! user. The sharding JSON records ingest posts/sec
 //! at 1, 4, and 16 shards.
 //! The placement JSON carries users/sec for each placement path, the
 //! single-thread batch-kernel throughput on each zone grid (24/48/96),
@@ -772,7 +774,8 @@ fn window_bench(host_cpus: usize, out_path: &str) {
 /// Warm-restart cost of the durable store at two log-suffix lengths
 /// over the same crawl, plus snapshot rotation and the from-scratch
 /// re-analysis a warm restart avoids, written to
-/// `BENCH_durability.json`.
+/// `BENCH_durability.json` with two deterministic size rows: write-ahead
+/// log bytes per suffix post and snapshot-generation bytes per user.
 fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
     // The durable engine's cost profile is about record counts, not
     // crowd scale — a modest crowd keeps the bench quick.
@@ -836,6 +839,9 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
     for b in short_suffix + 1..=long_suffix {
         engine.ingest_batch(1 + b, &delta(b), None).expect("delta");
     }
+    // The log now holds exactly the suffix records.
+    let suffix_posts: usize = (1..=long_suffix).map(|b| delta(b).len()).sum();
+    let log_bytes_per_post = engine.store().log_len() as f64 / suffix_posts as f64;
     drop(engine);
     let warm_long_s = warm_open("long suffix");
     let (_, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
@@ -846,9 +852,17 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
     let mut engine =
         StreamingPipeline::open_durable(pipeline(), &dir).expect("reopen for rotation");
     let start = Instant::now();
-    engine.checkpoint_now().expect("rotation snapshot");
+    let generation = engine.checkpoint_now().expect("rotation snapshot");
     let rotation_s = start.elapsed().as_secs_f64();
     drop(engine);
+    // Every file of the generation just written: its parts and manifest.
+    let prefix = format!("snap-{generation:016}");
+    let generation_bytes: u64 = std::fs::read_dir(&dir)
+        .expect("list durable dir")
+        .map(|entry| entry.expect("durable dir entry"))
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|entry| entry.metadata().expect("generation file size").len())
+        .sum();
     let warm_compacted_s = warm_open("post-rotation");
 
     // The alternative to any of this: re-analyze the whole crawl cold.
@@ -877,6 +891,8 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
         "replay_secs_per_record":
             (warm_long_s - warm_short_s) / (long_records - short_records).max(1) as f64,
         "snapshot_rotation_secs": rotation_s,
+        "log_bytes_per_post": log_bytes_per_post,
+        "generation_bytes_per_user": generation_bytes as f64 / users as f64,
         "cold_reanalyze_secs": cold_s,
         "warm_open_speedup_vs_cold": cold_s / warm_long_s,
     });

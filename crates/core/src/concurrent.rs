@@ -450,8 +450,7 @@ impl ConcurrentStreamingPipeline {
         if let Some(wal) = wal {
             let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
             if wal.store.should_snapshot() {
-                let parts =
-                    build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref())?;
+                let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref());
                 let last_seq = wal.store.last_seq();
                 wal.store.write_snapshot(last_seq, &parts)?;
             }
@@ -494,7 +493,7 @@ impl ConcurrentStreamingPipeline {
             return Ok(None);
         };
         let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref())?;
+        let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref());
         let last_seq = wal.store.last_seq();
         Ok(Some(wal.store.write_snapshot(last_seq, &parts)?))
     }
@@ -612,7 +611,7 @@ impl IngestWriter {
         }
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
-            let payload = encode_batch(deltas, retract)?;
+            let payload = encode_batch(deltas, retract);
             let mut wal = relock(wal);
             wal.store.append_delta(&payload)?;
         }
@@ -849,7 +848,7 @@ mod tests {
         let Engine { stream, wal } = &mut *guard;
         let wal = wal.as_mut().expect("durable engine");
         let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-        build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref()).unwrap()
+        build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref())
     }
 
     #[test]
@@ -928,26 +927,14 @@ mod tests {
         assert_eq!(parts, snapshot_parts(&interleaved));
         let (meta, shards) = parts.split_last().unwrap();
         assert!(!meta.is_empty());
-        let field = |value: &serde_json::Value, name: &str| match value {
-            serde_json::Value::Object(fields) => {
-                fields.iter().find(|(f, _)| f == name).unwrap().1.clone()
-            }
-            _ => panic!("{name}'s parent is an object"),
-        };
-        let items = |value: serde_json::Value| match value {
-            serde_json::Value::Array(items) => items,
-            _ => panic!("an array"),
-        };
         let mut dirty_seen = 0;
         for part in shards {
-            let part: serde_json::Value = serde_json::from_slice(part).unwrap();
-            let ids: Vec<String> = items(field(&part, "users"))
+            let users = crate::durable::decode_shard(part).unwrap();
+            let ids: Vec<&str> = users.iter().map(|(id, _, _)| id.as_str()).collect();
+            let dirty: Vec<&str> = users
                 .iter()
-                .map(|user| field(user, "id").as_str().unwrap().to_string())
-                .collect();
-            let dirty: Vec<String> = items(field(&part, "dirty"))
-                .iter()
-                .map(|id| id.as_str().unwrap().to_string())
+                .filter(|&&(_, _, dirty)| dirty)
+                .map(|(id, _, _)| id.as_str())
                 .collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
             assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{dirty:?}");

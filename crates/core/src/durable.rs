@@ -29,6 +29,29 @@
 //! killed and resumed from its persisted checkpoint may re-deliver the
 //! boundary batch, and the engine drops it by sequence number instead
 //! of double-counting posts.
+//!
+//! # Payload codec
+//!
+//! Every payload this module writes is a binary record whose first byte
+//! names its kind: `1` a log batch, `2` a shard snapshot part, `3` the
+//! snapshot meta part. Inside a record:
+//!
+//! * counts, lengths and sequence numbers are LEB128 varints, and a
+//!   string is its byte length then its UTF-8 bytes;
+//! * a post timestamp is the zigzag varint of its difference from the
+//!   record's previous timestamp; a user's ascending slot keys are
+//!   zigzag-varint deltas the same way, restarting at 0 for each user;
+//! * each persisted user carries one flag byte holding its analysis tag
+//!   (none, flat, kept) and whether it awaits a refresh (dirty);
+//! * a kept user's offset travels in minutes (a zigzag varint) and its
+//!   EMD as the raw little-endian `f64::to_bits`.
+//!
+//! A payload whose first byte is `{` is a JSON record from a store
+//! written before the binary codec. Such records are still read, never
+//! written, so older stores recover byte-identically. Decoding never
+//! panics: bytes that pass the frame CRC but are malformed return
+//! [`StoreError::Codec`], and every declared count or length is checked
+//! against the bytes left before anything is reserved for it.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -36,27 +59,50 @@ use std::path::PathBuf;
 use crowdtz_stats::BINS;
 use crowdtz_store::{DurableStore, RealVfs, StoreError, Vfs};
 use crowdtz_time::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::{UserAccumulator, UserAnalysis};
 use crate::streaming::StreamingPipeline;
 
+/// Record-kind byte of a log batch.
+const KIND_BATCH: u8 = 1;
+/// Record-kind byte of a shard snapshot part.
+const KIND_SHARD: u8 = 2;
+/// Record-kind byte of the snapshot meta part.
+const KIND_META: u8 = 3;
+/// First byte of a legacy JSON payload (an object).
+const LEGACY_JSON: u8 = b'{';
+
+/// The analysis-tag bits of a persisted user's flag byte.
+const TAG_MASK: u8 = 0b011;
+const TAG_NONE: u8 = 0;
+const TAG_FLAT: u8 = 1;
+const TAG_KEPT: u8 = 2;
+/// Flag bit of a user that was awaiting a refresh when persisted.
+const DIRTY_BIT: u8 = 0b100;
+
+/// Largest persisted zone offset, in minutes either side of UTC.
+const MAX_OFFSET_MINUTES: u64 = 24 * 60;
+
 /// One ingest batch as logged: the engine-visible deltas plus the
-/// monitor bookkeeping stored transactionally with them.
+/// monitor bookkeeping stored transactionally with them. Recovery
+/// decodes every log record into one, whichever codec wrote it.
 ///
 /// # Record versioning
 ///
-/// The signed-delta extension rides in the `retractions` field, omitted
-/// from the wire when empty and defaulted when absent (hand-written
-/// impls below — the vendored serde derive has no attribute support):
-/// pre-signed-record logs, which have no such field, decode with no
-/// retractions and replay as pure ingest, and a new log that only ever
-/// ingests is byte-identical to what the old code would have written —
-/// the field's *presence* is the version marker, no framing change
-/// needed.
-#[derive(Debug)]
+/// The first payload byte versions every record: the binary kinds
+/// (`1` batch, `2` shard part, `3` meta) are what this code writes, and
+/// `{` marks a JSON record written before the binary codec, read
+/// through the `Deserialize` impls below and never written. A future
+/// layout takes a new kind byte, and the readers of the old ones stay.
+///
+/// Within the legacy JSON, the signed-delta extension rides in the
+/// `retractions` field, defaulted when absent (hand-written impl below —
+/// the vendored serde derive has no attribute support): pre-signed-record
+/// logs decode with no retractions and replay as pure ingest.
+#[derive(Debug, PartialEq)]
 struct LogBatch {
     /// Source (monitor) batch sequence number; `0` for batches that
     /// did not come through [`DurableStreamingPipeline::ingest_batch`].
@@ -67,20 +113,6 @@ struct LogBatch {
     deltas: Vec<(String, Vec<i64>)>,
     /// Signed (negative) deltas, applied after `deltas` — same shape.
     retractions: Vec<(String, Vec<i64>)>,
-}
-
-impl Serialize for LogBatch {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("source_seq".to_owned(), self.source_seq.to_value()),
-            ("checkpoint".to_owned(), self.checkpoint.to_value()),
-            ("deltas".to_owned(), self.deltas.to_value()),
-        ];
-        if !self.retractions.is_empty() {
-            fields.push(("retractions".to_owned(), self.retractions.to_value()));
-        }
-        serde::Value::object(fields)
-    }
 }
 
 impl Deserialize for LogBatch {
@@ -98,50 +130,30 @@ impl Deserialize for LogBatch {
     }
 }
 
-/// Persisted form of one user's placement analysis.
-/// `offset_minutes`/`emd_bits` are meaningful only when `placed`; the
-/// EMD travels as raw bits so the recovered value is the identical
-/// `f64`, and the offset travels in minutes so sub-hour placements on
-/// the half- and quarter-hour grids survive recovery exactly (a
-/// whole-hours field would silently truncate ±15/±30/±45).
-#[derive(Debug, Serialize, Deserialize)]
+/// Legacy JSON form of one user's placement analysis: an unplaced
+/// analysis is flat, so the record's `flat` key is not read.
+/// `offset_minutes`/`emd_bits` are meaningful only when `placed`.
+#[derive(Debug, Deserialize)]
 struct AnalysisSnap {
-    flat: bool,
     placed: bool,
     offset_minutes: i32,
     emd_bits: u64,
 }
 
-/// Persisted form of one user's accumulator. Hour counts are derivable
+/// Legacy JSON form of one user's accumulator. Hour counts are derivable
 /// from the slot keys and are rebuilt on load.
 #[derive(Debug)]
 struct UserSnap {
     id: String,
     slots: Vec<i64>,
-    /// Live post count per slot, parallel to `slots` — the refcounts the
-    /// retraction path needs. Absent in pre-signed-record snapshots
-    /// (hand-written impls below, defaulted when missing);
+    /// Live post count per slot, parallel to `slots`. Absent in
+    /// pre-signed-record snapshots (defaulted when missing);
     /// [`rebuild_accumulator`] then reconstructs counts that preserve
     /// the `sum == posts` invariant (analysis output never depends on
     /// the split, only later retractions would).
     slot_posts: Vec<u32>,
     posts: u64,
     analysis: Option<AnalysisSnap>,
-}
-
-impl Serialize for UserSnap {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("slots".to_owned(), self.slots.to_value()),
-        ];
-        if !self.slot_posts.is_empty() {
-            fields.push(("slot_posts".to_owned(), self.slot_posts.to_value()));
-        }
-        fields.push(("posts".to_owned(), self.posts.to_value()));
-        fields.push(("analysis".to_owned(), self.analysis.to_value()));
-        serde::Value::object(fields)
-    }
 }
 
 impl Deserialize for UserSnap {
@@ -159,19 +171,24 @@ impl Deserialize for UserSnap {
     }
 }
 
-/// One snapshot part: a shard's users (in id order) plus its dirty ids.
-#[derive(Debug, Serialize, Deserialize)]
+/// Legacy JSON shard part: a shard's users (in id order) plus its dirty
+/// ids.
+#[derive(Debug, Deserialize)]
 struct ShardSnap {
     users: Vec<UserSnap>,
     dirty: Vec<String>,
 }
 
-/// The final snapshot part: engine-level bookkeeping.
-#[derive(Debug, Serialize, Deserialize)]
+/// The snapshot's final part: engine-level bookkeeping.
+#[derive(Debug, Deserialize)]
 struct MetaSnap {
     source_seq: u64,
     checkpoint: Option<String>,
 }
+
+/// One persisted user as recovery restores it: id, accumulator, and
+/// whether it was awaiting a refresh.
+pub(crate) type RestoredUser = (String, UserAccumulator, bool);
 
 fn codec_err(what: &str, e: impl std::fmt::Display) -> CoreError {
     CoreError::Store(StoreError::Codec {
@@ -179,15 +196,378 @@ fn codec_err(what: &str, e: impl std::fmt::Display) -> CoreError {
     })
 }
 
-fn encode_json<T: Serialize>(what: &str, value: &T) -> Result<Vec<u8>, CoreError> {
-    Ok(serde_json::to_string(value)
-        .map_err(|e| codec_err(what, e))?
-        .into_bytes())
-}
-
 fn decode_json<T: serde::Deserialize>(what: &str, bytes: &[u8]) -> Result<T, CoreError> {
     let text = std::str::from_utf8(bytes).map_err(|e| codec_err(what, e))?;
     serde_json::from_str(text).map_err(|e| codec_err(what, e))
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// `None` as `0`, `Some(s)` as `s.len() + 1` followed by the bytes.
+fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
+    match s {
+        None => put_varint(out, 0),
+        Some(s) => {
+            put_varint(out, s.len() as u64 + 1);
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+/// Encodes one log batch: the source sequence number, the checkpoint,
+/// then the ingest and the retraction deltas as two counted lists of
+/// `(user, posts)`. Timestamps delta-chain across the whole record.
+fn encode_batch_record<'a>(
+    source_seq: u64,
+    checkpoint: Option<&str>,
+    ingest: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
+    retract: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + 24 * (ingest.len() + retract.len()));
+    out.push(KIND_BATCH);
+    put_varint(&mut out, source_seq);
+    put_opt_str(&mut out, checkpoint);
+    let mut prev = 0i64;
+    put_deltas(&mut out, &mut prev, ingest);
+    put_deltas(&mut out, &mut prev, retract);
+    out
+}
+
+/// One counted list of `(user, posts)` deltas, continuing the record's
+/// timestamp chain in `prev`.
+fn put_deltas<'a>(
+    out: &mut Vec<u8>,
+    prev: &mut i64,
+    deltas: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
+) {
+    put_varint(out, deltas.len() as u64);
+    for (user, posts) in deltas {
+        put_str(out, user);
+        put_varint(out, posts.len() as u64);
+        for ts in posts {
+            let secs = ts.as_secs();
+            put_varint(out, zigzag(secs.wrapping_sub(*prev)));
+            *prev = secs;
+        }
+    }
+}
+
+/// Encodes one shard snapshot part: the user count, then per user its
+/// id, flag byte, post count, slot keys, slot counts and, when kept,
+/// its offset and EMD bits.
+fn encode_shard(users: &[(&str, &UserAccumulator)]) -> Vec<u8> {
+    let bytes: usize = users
+        .iter()
+        .map(|(id, acc)| id.len() + 16 + 3 * acc.slots.len())
+        .sum();
+    let mut out = Vec::with_capacity(8 + bytes);
+    out.push(KIND_SHARD);
+    put_varint(&mut out, users.len() as u64);
+    for &(id, acc) in users {
+        put_str(&mut out, id);
+        let tag = match acc.analysis {
+            None => TAG_NONE,
+            Some(UserAnalysis::Flat) => TAG_FLAT,
+            Some(UserAnalysis::Kept { .. }) => TAG_KEPT,
+        };
+        out.push(if acc.dirty { tag | DIRTY_BIT } else { tag });
+        put_varint(&mut out, acc.posts as u64);
+        put_varint(&mut out, acc.slots.len() as u64);
+        let mut prev = 0i64;
+        for &key in &acc.slots {
+            put_varint(&mut out, zigzag(key.wrapping_sub(prev)));
+            prev = key;
+        }
+        for &count in &acc.slot_counts {
+            put_varint(&mut out, u64::from(count));
+        }
+        if let Some(UserAnalysis::Kept {
+            offset_minutes,
+            emd,
+        }) = acc.analysis
+        {
+            put_varint(&mut out, zigzag(i64::from(offset_minutes)));
+            out.extend_from_slice(&emd.to_bits().to_le_bytes());
+        }
+    }
+    out
+}
+
+fn encode_meta(source_seq: u64, checkpoint: Option<&str>) -> Vec<u8> {
+    let mut out = vec![KIND_META];
+    put_varint(&mut out, source_seq);
+    put_opt_str(&mut out, checkpoint);
+    out
+}
+
+/// A cursor over one binary payload. Every read checks the bytes left,
+/// so malformed input surfaces as a `Codec` error naming `what`.
+struct Reader<'a> {
+    what: &'static str,
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Opens `payload` past its record-kind byte, which must be `kind`.
+    fn open(what: &'static str, payload: &'a [u8], kind: u8) -> Result<Reader<'a>, CoreError> {
+        match payload.split_first() {
+            Some((&k, bytes)) if k == kind => Ok(Reader { what, bytes }),
+            Some((&k, _)) => Err(codec_err(what, format!("record kind {k}, want {kind}"))),
+            None => Err(codec_err(what, "empty payload")),
+        }
+    }
+
+    fn err(&self, reason: &str) -> CoreError {
+        codec_err(self.what, reason)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
+        if n > self.bytes.len() {
+            return Err(self.err("truncated"));
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn byte(&mut self) -> Result<u8, CoreError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, CoreError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            // The tenth byte carries only bit 63.
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(self.err("varint overflows 64 bits"))
+    }
+
+    fn zigzag(&mut self) -> Result<i64, CoreError> {
+        self.varint().map(unzigzag)
+    }
+
+    /// A count of items that each take at least `min_bytes`; larger than
+    /// the bytes left could hold is an error, so no count reserves more
+    /// than the payload can back.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CoreError> {
+        let n = self.varint()?;
+        if n > (self.bytes.len() / min_bytes) as u64 {
+            return Err(self.err("count exceeds the payload"));
+        }
+        Ok(n as usize)
+    }
+
+    fn str_of_len(&mut self, len: usize) -> Result<&'a str, CoreError> {
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes).map_err(|e| codec_err(self.what, e))
+    }
+
+    fn str(&mut self) -> Result<&'a str, CoreError> {
+        let len = self.count(1)?;
+        self.str_of_len(len)
+    }
+
+    fn opt_str(&mut self) -> Result<Option<&'a str>, CoreError> {
+        match self.varint()? {
+            0 => Ok(None),
+            n => match usize::try_from(n - 1) {
+                Ok(len) => self.str_of_len(len).map(Some),
+                Err(_) => Err(self.err("truncated")),
+            },
+        }
+    }
+
+    /// One counted list of `(user, posts)` deltas, continuing the
+    /// record's timestamp chain in `prev`.
+    fn deltas(&mut self, prev: &mut i64) -> Result<Vec<(String, Vec<i64>)>, CoreError> {
+        let n = self.count(2)?;
+        let mut deltas = Vec::with_capacity(n);
+        for _ in 0..n {
+            let user = self.str()?.to_owned();
+            let posts = self.count(1)?;
+            let mut secs = Vec::with_capacity(posts);
+            for _ in 0..posts {
+                *prev = prev.wrapping_add(self.zigzag()?);
+                secs.push(*prev);
+            }
+            deltas.push((user, secs));
+        }
+        Ok(deltas)
+    }
+
+    /// One persisted user of a shard part.
+    fn user(&mut self) -> Result<RestoredUser, CoreError> {
+        let id = self.str()?.to_owned();
+        let flags = self.byte()?;
+        if flags & !(TAG_MASK | DIRTY_BIT) != 0 {
+            return Err(self.err("unknown user flag bits"));
+        }
+        let posts = self.varint()?;
+        let n = self.count(2)?;
+        let mut slots = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for i in 0..n {
+            let key = prev.wrapping_add(self.zigzag()?);
+            if i > 0 && key <= prev {
+                return Err(self.err("slot keys not ascending"));
+            }
+            slots.push(key);
+            prev = key;
+        }
+        let mut slot_counts = Vec::with_capacity(n);
+        let mut total = 0u64;
+        for _ in 0..n {
+            let count = match u32::try_from(self.varint()?) {
+                Ok(count) if count > 0 => count,
+                _ => return Err(self.err("slot count outside 1..=u32::MAX")),
+            };
+            total = total
+                .checked_add(u64::from(count))
+                .ok_or_else(|| self.err("slot counts overflow"))?;
+            slot_counts.push(count);
+        }
+        if total != posts {
+            return Err(self.err("slot counts do not sum to the post count"));
+        }
+        let analysis = match flags & TAG_MASK {
+            TAG_NONE => None,
+            TAG_FLAT => Some(UserAnalysis::Flat),
+            TAG_KEPT => {
+                let offset = self.zigzag()?;
+                if offset.unsigned_abs() > MAX_OFFSET_MINUTES {
+                    return Err(self.err("zone offset beyond a day"));
+                }
+                let mut bits = [0u8; 8];
+                bits.copy_from_slice(self.take(8)?);
+                Some(UserAnalysis::Kept {
+                    offset_minutes: offset as i32,
+                    emd: f64::from_bits(u64::from_le_bytes(bits)),
+                })
+            }
+            _ => return Err(self.err("unknown analysis tag")),
+        };
+        // An analysis needs a profile, and a profile needs activity.
+        if analysis.is_some() && slots.is_empty() {
+            return Err(self.err("analysis with empty activity"));
+        }
+        let posts = usize::try_from(posts).map_err(|e| codec_err(self.what, e))?;
+        let acc = UserAccumulator {
+            hour_counts: hour_counts(&slots),
+            slots,
+            slot_counts,
+            posts,
+            analysis,
+            dirty: false,
+        };
+        Ok((id, acc, flags & DIRTY_BIT != 0))
+    }
+
+    /// Ends the record: trailing bytes are an error.
+    fn finish(self) -> Result<(), CoreError> {
+        if self.bytes.is_empty() {
+            Ok(())
+        } else {
+            Err(self.err("trailing bytes"))
+        }
+    }
+}
+
+fn is_legacy_json(payload: &[u8]) -> bool {
+    payload.first() == Some(&LEGACY_JSON)
+}
+
+/// Decodes one log record, binary or legacy JSON.
+fn decode_batch(payload: &[u8]) -> Result<LogBatch, CoreError> {
+    const WHAT: &str = "log record";
+    if is_legacy_json(payload) {
+        return decode_json(WHAT, payload);
+    }
+    let mut r = Reader::open(WHAT, payload, KIND_BATCH)?;
+    let source_seq = r.varint()?;
+    let checkpoint = r.opt_str()?.map(str::to_owned);
+    let mut prev = 0i64;
+    let deltas = r.deltas(&mut prev)?;
+    let retractions = r.deltas(&mut prev)?;
+    r.finish()?;
+    Ok(LogBatch {
+        source_seq,
+        checkpoint,
+        deltas,
+        retractions,
+    })
+}
+
+/// Decodes one binary shard part into its users, in stored (id) order.
+pub(crate) fn decode_shard(part: &[u8]) -> Result<Vec<RestoredUser>, CoreError> {
+    let mut r = Reader::open("shard snapshot", part, KIND_SHARD)?;
+    let n = r.count(4)?;
+    let mut users = Vec::with_capacity(n);
+    for _ in 0..n {
+        users.push(r.user()?);
+    }
+    r.finish()?;
+    Ok(users)
+}
+
+/// Decodes one shard part, binary or legacy JSON.
+fn read_shard(part: &[u8]) -> Result<Vec<RestoredUser>, CoreError> {
+    if !is_legacy_json(part) {
+        return decode_shard(part);
+    }
+    let shard: ShardSnap = decode_json("shard snapshot", part)?;
+    let dirty: BTreeSet<String> = shard.dirty.into_iter().collect();
+    shard
+        .users
+        .into_iter()
+        .map(|user| {
+            let acc = rebuild_accumulator(&user)?;
+            let was_dirty = dirty.contains(&user.id);
+            Ok((user.id, acc, was_dirty))
+        })
+        .collect()
+}
+
+/// Decodes the meta part, binary or legacy JSON.
+fn read_meta(part: &[u8]) -> Result<MetaSnap, CoreError> {
+    const WHAT: &str = "snapshot meta";
+    if is_legacy_json(part) {
+        return decode_json(WHAT, part);
+    }
+    let mut r = Reader::open(WHAT, part, KIND_META)?;
+    let source_seq = r.varint()?;
+    let checkpoint = r.opt_str()?.map(str::to_owned);
+    r.finish()?;
+    Ok(MetaSnap {
+        source_seq,
+        checkpoint,
+    })
 }
 
 impl StreamingPipeline {
@@ -207,7 +587,7 @@ impl StreamingPipeline {
     /// # Errors
     ///
     /// [`CoreError::Store`] when the directory is unusable or a
-    /// CRC-valid snapshot fails structural decoding.
+    /// CRC-valid snapshot or log record fails structural decoding.
     pub fn open_durable(
         pipeline: GeolocationPipeline,
         dir: impl Into<PathBuf>,
@@ -235,22 +615,18 @@ impl StreamingPipeline {
                     reason: "snapshot has no parts".into(),
                 })
             })?;
-            let meta: MetaSnap = decode_json("snapshot meta", meta_part)?;
+            let meta = read_meta(meta_part)?;
             source_seq = meta.source_seq;
             checkpoint = meta.checkpoint;
             for part in shard_parts {
-                let shard: ShardSnap = decode_json("shard snapshot", part)?;
-                let dirty: BTreeSet<String> = shard.dirty.into_iter().collect();
-                for user in shard.users {
-                    let was_dirty = dirty.contains(&user.id);
-                    let acc = rebuild_accumulator(&user)?;
-                    inner.shards_mut_ref().restore_user(user.id, acc, was_dirty);
+                for (id, acc, dirty) in read_shard(part)? {
+                    inner.shards_mut_ref().restore_user(id, acc, dirty);
                 }
             }
             inner.rebuild_derived_state();
         }
         for (_, payload) in &recovered.deltas {
-            let batch: LogBatch = decode_json("log record", payload)?;
+            let batch = decode_batch(payload)?;
             apply_batch(&mut inner, &batch);
             if batch.source_seq != 0 {
                 source_seq = source_seq.max(batch.source_seq);
@@ -272,37 +648,19 @@ impl StreamingPipeline {
 /// engine's writer path (`concurrent.rs`) appends these under its WAL
 /// lock before applying the deltas in memory, the same write-ahead
 /// contract [`DurableStreamingPipeline::ingest_batch`] keeps. A
-/// retraction batch rides in the record's `retractions` field; recovery
+/// retraction batch fills the record's retraction list; recovery
 /// replays either kind through [`apply_batch`] unchanged.
-pub(crate) fn encode_batch(
-    deltas: &[(&str, &[Timestamp])],
-    retract: bool,
-) -> Result<Vec<u8>, CoreError> {
-    let owned: Vec<(String, Vec<i64>)> = deltas
-        .iter()
-        .map(|(user, posts)| {
-            (
-                (*user).to_owned(),
-                posts.iter().map(|t| t.as_secs()).collect(),
-            )
-        })
-        .collect();
-    let (deltas, retractions) = if retract {
-        (Vec::new(), owned)
+pub(crate) fn encode_batch(deltas: &[(&str, &[Timestamp])], retract: bool) -> Vec<u8> {
+    let (ingest, retractions): (&[_], &[_]) = if retract {
+        (&[], deltas)
     } else {
-        (owned, Vec::new())
+        (deltas, &[])
     };
-    let batch = LogBatch {
-        source_seq: 0,
-        checkpoint: None,
-        deltas,
-        retractions,
-    };
-    encode_json("log record", &batch)
+    encode_batch_record(0, None, ingest.iter().copied(), retractions.iter().copied())
 }
 
-/// Builds the full snapshot part set — one [`ShardSnap`] per shard in
-/// shard-index order, then the [`MetaSnap`] — for the engine's current
+/// Builds the full snapshot part set — one shard part per shard in
+/// shard-index order, then the meta part — for the engine's current
 /// in-memory state. Shared by [`DurableStreamingPipeline::checkpoint_now`]
 /// and the concurrent engine's publish-time rotation (`concurrent.rs`),
 /// so both persist byte-identical generations for identical state.
@@ -310,50 +668,13 @@ pub(crate) fn build_snapshot_parts(
     stream: &StreamingPipeline,
     source_seq: u64,
     checkpoint: Option<&str>,
-) -> Result<Vec<Vec<u8>>, CoreError> {
-    let mut parts: Vec<Result<Vec<u8>, CoreError>> = Vec::new();
-    stream.shards_ref().for_each_shard(|users| {
-        let snap = ShardSnap {
-            users: users
-                .iter()
-                .map(|&(id, acc)| UserSnap {
-                    id: id.to_owned(),
-                    slots: acc.slots.clone(),
-                    slot_posts: acc.slot_counts.clone(),
-                    posts: acc.posts as u64,
-                    analysis: acc.analysis.map(|a| match a {
-                        UserAnalysis::Flat => AnalysisSnap {
-                            flat: true,
-                            placed: false,
-                            offset_minutes: 0,
-                            emd_bits: 0,
-                        },
-                        UserAnalysis::Kept {
-                            offset_minutes,
-                            emd,
-                        } => AnalysisSnap {
-                            flat: false,
-                            placed: true,
-                            offset_minutes,
-                            emd_bits: emd.to_bits(),
-                        },
-                    }),
-                })
-                .collect(),
-            dirty: users
-                .iter()
-                .filter(|(_, acc)| acc.dirty)
-                .map(|&(id, _)| id.to_owned())
-                .collect(),
-        };
-        parts.push(encode_json("shard snapshot", &snap));
-    });
-    let meta = MetaSnap {
-        source_seq,
-        checkpoint: checkpoint.map(str::to_owned),
-    };
-    parts.push(encode_json("snapshot meta", &meta));
-    parts.into_iter().collect()
+) -> Vec<Vec<u8>> {
+    let mut parts = Vec::new();
+    stream
+        .shards_ref()
+        .for_each_shard(|users| parts.push(encode_shard(users)));
+    parts.push(encode_meta(source_seq, checkpoint));
+    parts
 }
 
 /// Replays one logged batch through the normal delta-update path —
@@ -370,16 +691,21 @@ fn apply_batch(inner: &mut StreamingPipeline, batch: &LogBatch) {
     }
 }
 
+/// Active slots per hour of day, from the slot keys.
+fn hour_counts(slots: &[i64]) -> [u32; BINS] {
+    let mut hour_counts = [0u32; BINS];
+    for &k in slots {
+        hour_counts[k.rem_euclid(24) as usize] += 1;
+    }
+    hour_counts
+}
+
 /// Rebuilds a [`UserAccumulator`] (hour counts, analysis record) from
-/// its persisted integer state; the engine then rebuilds profiles from
-/// the hour counts with the function the live refresh uses
+/// a legacy JSON user; the engine then rebuilds profiles from the hour
+/// counts with the function the live refresh uses
 /// ([`StreamingPipeline::rebuild_derived_state`]), so the result is
 /// bit-identical.
 fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
-    let mut hour_counts = [0u32; BINS];
-    for &k in &user.slots {
-        hour_counts[k.rem_euclid(24) as usize] += 1;
-    }
     let analysis = match &user.analysis {
         None => None,
         // An analysis needs a profile, and a profile needs activity.
@@ -408,7 +734,7 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
     Ok(UserAccumulator {
         slots: user.slots.clone(),
         slot_counts,
-        hour_counts,
+        hour_counts: hour_counts(&user.slots),
         posts: user.posts as usize,
         analysis,
         dirty: false,
@@ -447,35 +773,24 @@ impl DurableStreamingPipeline {
         if source_seq <= self.source_seq {
             return Ok(false);
         }
-        let batch = LogBatch {
-            source_seq,
-            checkpoint: checkpoint.map(str::to_owned),
-            deltas: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(true)
-    }
-
-    /// Append the record, apply it in memory, rotate the snapshot if
-    /// the log has outgrown its threshold.
-    fn log_and_apply(&mut self, batch: LogBatch) -> Result<(), CoreError> {
-        let payload = encode_json("log record", &batch)?;
+        // One single-post delta per post, the shape replay applies.
+        let deltas = posts
+            .iter()
+            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)));
+        let payload =
+            encode_batch_record(source_seq, checkpoint, deltas.clone(), std::iter::empty());
         self.store.append_delta(&payload)?;
-        apply_batch(&mut self.inner, &batch);
-        if batch.source_seq != 0 {
-            self.source_seq = batch.source_seq;
-            if batch.checkpoint.is_some() {
-                self.checkpoint = batch.checkpoint;
-            }
+        for (user, post) in deltas {
+            self.inner.ingest(user, post);
+        }
+        self.source_seq = source_seq;
+        if let Some(checkpoint) = checkpoint {
+            self.checkpoint = Some(checkpoint.to_owned());
         }
         if self.store.should_snapshot() {
             self.checkpoint_now()?;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Writes a snapshot generation covering everything ingested so
@@ -484,7 +799,7 @@ impl DurableStreamingPipeline {
     /// threshold; callers can also invoke it explicitly (e.g. before a
     /// planned shutdown). Returns the generation number.
     pub fn checkpoint_now(&mut self) -> Result<u64, CoreError> {
-        let parts = build_snapshot_parts(&self.inner, self.source_seq, self.checkpoint.as_deref())?;
+        let parts = build_snapshot_parts(&self.inner, self.source_seq, self.checkpoint.as_deref());
         let last_seq = self.store.last_seq();
         Ok(self.store.write_snapshot(last_seq, &parts)?)
     }
@@ -538,5 +853,349 @@ impl DurableStreamingPipeline {
     /// the stream and the store behind its own locks.
     pub(crate) fn into_parts(self) -> (StreamingPipeline, DurableStore, u64, Option<String>) {
         (self.inner, self.store, self.source_seq, self.checkpoint)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Draws below `n` (`n > 0`).
+    fn pick(rng: &mut proptest::TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// Ids and checkpoints: empty, ASCII, and multi-byte UTF-8.
+    fn text(rng: &mut proptest::TestRng) -> String {
+        const WORDS: &[&str] = &[
+            "",
+            "u1",
+            "vendor_42",
+            "привет",
+            "東京",
+            "ü",
+            "🧅-relay",
+            "a b",
+        ];
+        (0..pick(rng, 3))
+            .map(|_| WORDS[pick(rng, WORDS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Timestamps near each other, far apart, and at the `i64` extremes.
+    fn secs(rng: &mut proptest::TestRng, near: i64) -> i64 {
+        match pick(rng, 6) {
+            0 => i64::MIN + pick(rng, 3) as i64,
+            1 => i64::MAX - pick(rng, 3) as i64,
+            2 => rng.next_u64() as i64,
+            _ => near.wrapping_add(pick(rng, 7_200) as i64 - 3_600),
+        }
+    }
+
+    /// A batch as the writers hand it over: sequence, checkpoint,
+    /// ingest deltas, retraction deltas.
+    type Batch = (
+        u64,
+        Option<String>,
+        Vec<(String, Vec<Timestamp>)>,
+        Vec<(String, Vec<Timestamp>)>,
+    );
+
+    struct Batches;
+
+    impl proptest::Strategy for Batches {
+        type Value = Batch;
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<Batch> {
+            let source_seq = match pick(rng, 4) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64() >> pick(rng, 64),
+            };
+            let checkpoint = (pick(rng, 2) == 0).then(|| text(rng));
+            let mut near = 1_451_606_400 + pick(rng, 1 << 25) as i64;
+            let mut deltas = |rng: &mut proptest::TestRng| -> Vec<(String, Vec<Timestamp>)> {
+                (0..pick(rng, 5))
+                    .map(|_| {
+                        let posts = (0..pick(rng, 6))
+                            .map(|_| {
+                                near = secs(rng, near);
+                                Timestamp::from_secs(near)
+                            })
+                            .collect();
+                        (text(rng), posts)
+                    })
+                    .collect()
+            };
+            let ingest = deltas(rng);
+            let retract = deltas(rng);
+            Some((source_seq, checkpoint, ingest, retract))
+        }
+    }
+
+    fn encode<'a>(batch: &'a Batch) -> Vec<u8> {
+        let (source_seq, checkpoint, ingest, retract) = batch;
+        let list = |deltas: &'a [(String, Vec<Timestamp>)]| {
+            deltas
+                .iter()
+                .map(|(user, posts)| (user.as_str(), posts.as_slice()))
+        };
+        encode_batch_record(
+            *source_seq,
+            checkpoint.as_deref(),
+            list(ingest),
+            list(retract),
+        )
+    }
+
+    fn as_secs(deltas: &[(String, Vec<Timestamp>)]) -> Vec<(String, Vec<i64>)> {
+        deltas
+            .iter()
+            .map(|(user, posts)| (user.clone(), posts.iter().map(|t| t.as_secs()).collect()))
+            .collect()
+    }
+
+    /// A shard's worth of accumulators: every analysis variant, sub-hour
+    /// offsets, NaN and other odd EMD bits, `u32::MAX` slot counts, and
+    /// slot keys out to the `i64` extremes.
+    struct Shards;
+
+    impl proptest::Strategy for Shards {
+        type Value = Vec<(String, UserAccumulator)>;
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<Self::Value> {
+            let users = (0..pick(rng, 6))
+                .map(|_| {
+                    let mut key = match pick(rng, 4) {
+                        0 => i64::MIN + pick(rng, 4) as i64,
+                        1 => i64::MAX - 40,
+                        _ => 400_000 + pick(rng, 1 << 20) as i64 - (1 << 19),
+                    };
+                    let mut slots = Vec::new();
+                    for _ in 0..pick(rng, 12) {
+                        slots.push(key);
+                        let span = if pick(rng, 3) == 0 { 1 << 40 } else { 30 };
+                        let gap = 1 + pick(rng, span);
+                        match key.checked_add(gap as i64) {
+                            Some(next) => key = next,
+                            None => break,
+                        }
+                    }
+                    let slot_counts: Vec<u32> = slots
+                        .iter()
+                        .map(|_| match pick(rng, 5) {
+                            0 => u32::MAX,
+                            1 => 1 + pick(rng, u64::from(u32::MAX)) as u32,
+                            _ => 1 + pick(rng, 3) as u32,
+                        })
+                        .collect();
+                    let analysis = match (slots.is_empty(), pick(rng, 3)) {
+                        (true, _) | (_, 0) => None,
+                        (_, 1) => Some(UserAnalysis::Flat),
+                        _ => Some(UserAnalysis::Kept {
+                            offset_minutes: (pick(rng, 105) as i32 - 48) * 15,
+                            emd: match pick(rng, 4) {
+                                0 => f64::NAN,
+                                1 => f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+                                2 => f64::from_bits(rng.next_u64()),
+                                _ => rng.unit_f64() * 12.0,
+                            },
+                        }),
+                    };
+                    let acc = UserAccumulator {
+                        hour_counts: hour_counts(&slots),
+                        posts: slot_counts.iter().map(|&c| c as usize).sum(),
+                        slots,
+                        slot_counts,
+                        analysis,
+                        dirty: pick(rng, 2) == 0,
+                    };
+                    (text(rng), acc)
+                })
+                .collect();
+            Some(users)
+        }
+    }
+
+    fn encode_users(users: &[(String, UserAccumulator)]) -> Vec<u8> {
+        let refs: Vec<(&str, &UserAccumulator)> =
+            users.iter().map(|(id, acc)| (id.as_str(), acc)).collect();
+        encode_shard(&refs)
+    }
+
+    /// `Copy` view of an analysis that compares the EMD by its bits.
+    fn analysis_bits(analysis: Option<UserAnalysis>) -> Option<(bool, i32, u64)> {
+        analysis.map(|a| match a {
+            UserAnalysis::Flat => (false, 0, 0),
+            UserAnalysis::Kept {
+                offset_minutes,
+                emd,
+            } => (true, offset_minutes, emd.to_bits()),
+        })
+    }
+
+    fn is_codec_err<T>(result: &Result<T, CoreError>) -> bool {
+        matches!(result, Err(CoreError::Store(StoreError::Codec { .. })))
+    }
+
+    /// Decoded, or refused with a `Codec` error — never anything else.
+    fn ok_or_codec_err<T>(result: Result<T, CoreError>) -> bool {
+        result.is_ok() || is_codec_err(&result)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn batches_round_trip(batch in Batches) {
+            let decoded = decode_batch(&encode(&batch)).map_err(|e| e.to_string())?;
+            let (source_seq, checkpoint, ingest, retract) = &batch;
+            proptest::prop_assert_eq!(
+                decoded,
+                LogBatch {
+                    source_seq: *source_seq,
+                    checkpoint: checkpoint.clone(),
+                    deltas: as_secs(ingest),
+                    retractions: as_secs(retract),
+                }
+            );
+        }
+
+        #[test]
+        fn accumulators_round_trip(users in Shards) {
+            let decoded = decode_shard(&encode_users(&users)).map_err(|e| e.to_string())?;
+            proptest::prop_assert_eq!(decoded.len(), users.len());
+            for ((id, acc, dirty), (want_id, want)) in decoded.iter().zip(&users) {
+                proptest::prop_assert_eq!(id, want_id);
+                proptest::prop_assert_eq!(&acc.slots, &want.slots);
+                proptest::prop_assert_eq!(&acc.slot_counts, &want.slot_counts);
+                proptest::prop_assert_eq!(acc.hour_counts, want.hour_counts);
+                proptest::prop_assert_eq!(acc.posts, want.posts);
+                proptest::prop_assert_eq!(analysis_bits(acc.analysis), analysis_bits(want.analysis));
+                proptest::prop_assert_eq!(*dirty, want.dirty);
+                proptest::prop_assert!(!acc.dirty, "restored accumulators arrive clean");
+            }
+        }
+
+        #[test]
+        fn damaged_payloads_are_codec_errors(batch in Batches, users in Shards, seed in 0u64..u64::MAX) {
+            let meta = encode_meta(batch.0, batch.1.as_deref());
+            let payloads = [encode(&batch), encode_users(&users), meta];
+            let decoders: [fn(&[u8]) -> bool; 3] = [
+                |p| ok_or_codec_err(decode_batch(p)),
+                |p| ok_or_codec_err(read_shard(p)),
+                |p| ok_or_codec_err(read_meta(p)),
+            ];
+            let strict: [fn(&[u8]) -> bool; 3] = [
+                |p| is_codec_err(&decode_batch(p)),
+                |p| is_codec_err(&read_shard(p)),
+                |p| is_codec_err(&read_meta(p)),
+            ];
+            let mut rng = proptest::TestRng::for_case("damaged_payloads", (seed % 1_000) as u32);
+            for (i, payload) in payloads.iter().enumerate() {
+                // Every strict prefix is missing bytes the parse needs.
+                for cut in 0..payload.len() {
+                    proptest::prop_assert!(strict[i](&payload[..cut]), "kind {i} cut at {cut}");
+                }
+                // A trailing byte is never silently ignored.
+                let mut longer = payload.clone();
+                longer.push(0);
+                proptest::prop_assert!(strict[i](&longer), "kind {i} with a trailing byte");
+                // A flipped bit decodes to something or fails as a codec error.
+                for _ in 0..16 {
+                    let mut flipped = payload.clone();
+                    let at = pick(&mut rng, flipped.len() as u64) as usize;
+                    flipped[at] ^= 1 << pick(&mut rng, 8);
+                    proptest::prop_assert!(decoders[i](&flipped), "kind {i} flip at {at}");
+                }
+                // So does noise behind any first byte.
+                let mut noise = vec![0u8; pick(&mut rng, 48) as usize + 1];
+                for byte in noise.iter_mut() {
+                    *byte = rng.next_u64() as u8;
+                }
+                noise[0] = [KIND_BATCH, KIND_SHARD, KIND_META, LEGACY_JSON, noise[0]]
+                    [pick(&mut rng, 5) as usize];
+                proptest::prop_assert!(decoders[i](&noise), "kind {i} noise {noise:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn forged_counts_fail_before_reserving() {
+        // 2^63 users, slots or deltas promised by a dozen bytes.
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let shard = [&[KIND_SHARD][..], &huge].concat();
+        assert!(is_codec_err(&decode_shard(&shard)));
+        let user = [&[KIND_SHARD, 1, 1, b'u', TAG_NONE, 0][..], &huge].concat();
+        assert!(is_codec_err(&decode_shard(&user)));
+        let batch = [&[KIND_BATCH, 0, 0][..], &huge].concat();
+        assert!(is_codec_err(&decode_batch(&batch)));
+        // An eleventh varint byte, and a tenth carrying more than bit 63.
+        let long = [&[KIND_META][..], &[0x80; 10], &[0x00]].concat();
+        assert!(is_codec_err(&read_meta(&long)));
+        let wide = [&[KIND_META][..], &[0xFF; 9], &[0x02, 0x00]].concat();
+        assert!(is_codec_err(&read_meta(&wide)));
+    }
+
+    #[test]
+    fn shard_records_reject_what_the_engine_cannot_hold() {
+        let one = |flags: u8, keys: &[u64], counts: &[u64], posts: u64| {
+            let mut out = vec![KIND_SHARD, 1, 1, b'u', flags];
+            put_varint(&mut out, posts);
+            put_varint(&mut out, keys.len() as u64);
+            for &k in keys {
+                put_varint(&mut out, k);
+            }
+            for &c in counts {
+                put_varint(&mut out, c);
+            }
+            decode_shard(&out)
+        };
+        assert!(one(TAG_NONE, &[zigzag(5), zigzag(1)], &[1, 1], 2).is_ok());
+        assert!(
+            is_codec_err(&one(TAG_NONE, &[zigzag(5), zigzag(0)], &[1, 1], 2)),
+            "repeated key"
+        );
+        assert!(
+            is_codec_err(&one(TAG_NONE, &[zigzag(5), zigzag(-1)], &[1, 1], 2)),
+            "descending"
+        );
+        assert!(
+            is_codec_err(&one(TAG_NONE, &[zigzag(5)], &[0], 0)),
+            "empty slot"
+        );
+        assert!(
+            is_codec_err(&one(TAG_NONE, &[zigzag(5)], &[1 << 32], 1 << 32)),
+            "u32 overflow"
+        );
+        assert!(
+            is_codec_err(&one(TAG_NONE, &[zigzag(5)], &[2], 3)),
+            "posts mismatch"
+        );
+        assert!(
+            is_codec_err(&one(TAG_FLAT, &[], &[], 0)),
+            "analysis without activity"
+        );
+        assert!(is_codec_err(&one(3, &[zigzag(5)], &[1], 1)), "unknown tag");
+        assert!(
+            is_codec_err(&one(0x08, &[zigzag(5)], &[1], 1)),
+            "unknown flag bit"
+        );
+    }
+
+    #[test]
+    fn meta_round_trips_and_records_check_their_kind() {
+        for (seq, checkpoint) in [(0, None), (7, Some("")), (u64::MAX, Some("ckpt-✓"))] {
+            let meta = read_meta(&encode_meta(seq, checkpoint)).unwrap();
+            assert_eq!(
+                (meta.source_seq, meta.checkpoint.as_deref()),
+                (seq, checkpoint)
+            );
+        }
+        let meta = encode_meta(1, None);
+        assert!(is_codec_err(&decode_batch(&meta)));
+        assert!(is_codec_err(&read_shard(&meta)));
+        assert!(is_codec_err(&read_meta(&[])));
+        assert!(is_codec_err(&read_meta(b"{\"source_seq\":")));
     }
 }

@@ -1,15 +1,18 @@
-//! Backward compatibility: write-ahead logs written *before* the
-//! signed-delta extension (no `retractions` field in any record) must
-//! recover byte-identically on today's engine, and snapshot generations
-//! must keep their on-disk bytes.
+//! Backward compatibility: stores written by older code must recover
+//! byte-identically on today's engine, and snapshot generations must
+//! keep their on-disk bytes.
 //!
 //! The fixture at `tests/fixtures/legacy-deltas.log` is a committed
-//! old-format log — its bytes are pinned in git, so this test keeps
-//! passing even if the current encoder evolves further. The files under
-//! `tests/fixtures/generation-48/` are one snapshot generation, pinned
-//! the same way: a 48-zone durable engine writes exactly these bytes for
-//! [`generation_batches`], and reopening them resumes where it left off.
-//! Regenerate either fixture (only if it must change) with:
+//! JSON log from before the signed-delta extension (no `retractions`
+//! field in any record) — its bytes are pinned in git, so this test
+//! keeps passing even as the current encoder evolves. The files under
+//! `tests/fixtures/generation-48/` are one JSON snapshot generation,
+//! written before the binary codec; `tests/fixtures/generation-48-v2/`
+//! is the same state as today's binary codec writes it: a 48-zone
+//! durable engine writes exactly those bytes for [`generation_batches`],
+//! and reopening either directory resumes where it left off.
+//! Regenerate the log or the v2 generation (only if they must change)
+//! with:
 //!
 //! ```text
 //! cargo test -p crowdtz-core --test legacy_wal_compat -- --ignored
@@ -17,7 +20,10 @@
 
 use std::path::{Path, PathBuf};
 
-use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline, ZoneGrid};
+use crowdtz_core::{
+    ConcurrentStreamingPipeline, CoreError, DurableStreamingPipeline, GeolocationPipeline,
+    GeolocationReport, StreamingPipeline, ZoneGrid,
+};
 use crowdtz_store::{encode_record, LOG_FILE};
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, Timestamp};
@@ -183,8 +189,15 @@ fn old_format_log_recovers_byte_identically_on_the_concurrent_engine() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The JSON generation, written before the binary codec: read-only.
 const GENERATION_FIXTURE: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/generation-48");
+
+/// The same generation as the binary codec writes it.
+const GENERATION_FIXTURE_V2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/generation-48-v2"
+);
 
 /// The configuration the generation fixture is pinned against: the
 /// 48-zone grid, a 10-post threshold, polishing on.
@@ -277,14 +290,14 @@ fn generation_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// Regenerates the committed generation fixture. Ignored: run it
+/// Regenerates the committed binary generation fixture. Ignored: run it
 /// manually only when the fixture itself has to change, then commit it.
 #[test]
 #[ignore = "writes the committed fixture; run manually"]
 fn regenerate_generation_fixture() {
     let dir = tmp_dir("generation-regen");
     write_generation(&dir);
-    let fixture = PathBuf::from(GENERATION_FIXTURE);
+    let fixture = PathBuf::from(GENERATION_FIXTURE_V2);
     let _ = std::fs::remove_dir_all(&fixture);
     std::fs::create_dir_all(&fixture).unwrap();
     for (name, bytes) in generation_files(&dir) {
@@ -297,7 +310,7 @@ fn regenerate_generation_fixture() {
 fn checkpoint_writes_the_pinned_generation_bytes() {
     let dir = tmp_dir("generation-write");
     write_generation(&dir);
-    let pinned = generation_files(Path::new(GENERATION_FIXTURE));
+    let pinned = generation_files(Path::new(GENERATION_FIXTURE_V2));
     assert!(!pinned.is_empty(), "committed generation fixture present");
     let written = generation_files(&dir);
     let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
@@ -310,19 +323,19 @@ fn checkpoint_writes_the_pinned_generation_bytes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn pinned_generation_reopens_into_the_reference_next_report() {
-    let dir = tmp_dir("generation-open");
+/// A temp store directory seeded with the generation in `fixture`.
+fn seeded_generation_dir(tag: &str, fixture: &str) -> PathBuf {
+    let dir = tmp_dir(tag);
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, bytes) in generation_files(Path::new(GENERATION_FIXTURE)) {
+    for (name, bytes) in generation_files(Path::new(fixture)) {
         std::fs::write(dir.join(name), bytes).unwrap();
     }
-    let mut reopened = StreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
-    assert_eq!(reopened.last_source_seq(), 3);
-    assert_eq!(reopened.source_checkpoint(), Some("gen-3"));
-    let got = reopened.snapshot().unwrap();
+    dir
+}
 
-    // The in-memory reference: the same batches and publishes, no disk.
+/// The generation fixture's state in memory: its batches, with a
+/// publish after the second, and no disk.
+fn generation_reference() -> StreamingPipeline {
     let mut reference = StreamingPipeline::new(generation_pipeline());
     let [first, second, third] = generation_batches();
     for (i, batch) in [first, second, third].iter().enumerate() {
@@ -331,12 +344,31 @@ fn pinned_generation_reopens_into_the_reference_next_report() {
             reference.snapshot().unwrap();
         }
     }
+    reference
+}
+
+/// The JSON bytes of a report.
+fn json(report: Result<GeolocationReport, CoreError>) -> String {
+    serde_json::to_string(&report.unwrap()).unwrap()
+}
+
+#[test]
+fn pinned_generation_reopens_into_the_reference_next_report() {
+    let mut reference = generation_reference();
     let want = reference.snapshot().unwrap();
-    assert_eq!(
-        serde_json::to_string(&got).unwrap(),
-        serde_json::to_string(&want).unwrap(),
-        "reopened generation diverged from the reference"
-    );
+    for fixture in [GENERATION_FIXTURE, GENERATION_FIXTURE_V2] {
+        let dir = seeded_generation_dir("generation-open", fixture);
+        let mut reopened = StreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
+        assert_eq!(reopened.last_source_seq(), 3, "{fixture}");
+        assert_eq!(reopened.source_checkpoint(), Some("gen-3"), "{fixture}");
+        let got = reopened.snapshot().unwrap();
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            serde_json::to_string(&want).unwrap(),
+            "reopened {fixture} diverged from the reference"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
     // The crowd covers what the fixture is for.
     assert!(
         want.placements()
@@ -347,5 +379,115 @@ fn pinned_generation_reopens_into_the_reference_next_report() {
     );
     assert_eq!(want.flat_removed(), 1, "gen-flat is flat-removed");
     assert!(want.profiles().iter().all(|p| p.user() != "gen-sub"));
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One post per `(user, epoch seconds)` pair, as a monitor batch.
+fn monitor_batch(posts: &[(&str, i64)]) -> Posts {
+    posts
+        .iter()
+        .map(|&(user, secs)| (user.to_owned(), Timestamp::from_secs(secs)))
+        .collect()
+}
+
+/// A store written before the binary codec upgrades in place: its JSON
+/// generation and JSON log records load, new records and the next
+/// generation are binary, and after every step — reopen, ingest,
+/// rotation, reopen, and a fallback onto the JSON generation that
+/// replays a mixed log — the engine publishes the bytes of one that
+/// never touched disk.
+#[test]
+fn json_store_upgrades_to_binary_in_place() {
+    const DAY: i64 = 86_400;
+    let dir = seeded_generation_dir("upgrade", GENERATION_FIXTURE);
+    let mut reference = generation_reference();
+
+    // Two JSON log records past the generation, which covers seq 3:
+    // `gen-sub` crosses the threshold, `gen-new` arrives.
+    let sub: Vec<i64> = (0..9).map(|k| 500 * DAY + k * DAY + 3 * 3_600).collect();
+    let new: Vec<i64> = (0..12).map(|k| 500 * DAY + k * DAY + 14 * 3_600).collect();
+    let legacy: [FixtureBatch; 2] = [
+        (4, Some("json-4"), vec![("gen-sub", sub)]),
+        (
+            5,
+            None,
+            vec![("gen-new", new), ("gen-half", vec![510 * DAY])],
+        ),
+    ];
+    let mut log = Vec::new();
+    for (seq, checkpoint, deltas) in &legacy {
+        let payload = legacy_payload(*seq, *checkpoint, deltas);
+        log.extend_from_slice(&encode_record(*seq, payload.as_bytes()));
+        for (user, posts) in deltas {
+            let posts: Vec<Timestamp> = posts.iter().map(|&s| Timestamp::from_secs(s)).collect();
+            reference.ingest(user, &posts);
+        }
+    }
+    std::fs::write(dir.join(LOG_FILE), log).unwrap();
+
+    let mut engine = StreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
+    assert_eq!(engine.last_source_seq(), 5);
+    assert_eq!(engine.source_checkpoint(), Some("json-4"));
+    assert_eq!(json(engine.snapshot()), json(reference.snapshot()));
+
+    // Binary records after the JSON ones, then a binary rotation.
+    let ingest = |engine: &mut DurableStreamingPipeline,
+                  reference: &mut StreamingPipeline,
+                  seq: u64,
+                  posts: &[(&str, i64)]| {
+        let batch = monitor_batch(posts);
+        assert!(engine
+            .ingest_batch(seq, &batch, Some(&format!("bin-{seq}")))
+            .unwrap());
+        for (user, ts) in &batch {
+            reference.ingest(user, std::slice::from_ref(ts));
+        }
+        assert_eq!(json(engine.snapshot()), json(reference.snapshot()));
+    };
+    ingest(
+        &mut engine,
+        &mut reference,
+        6,
+        &[("gen-new", 520 * DAY + 15 * 3_600), ("gen-x", 520 * DAY)],
+    );
+    assert_eq!(engine.checkpoint_now().unwrap(), 2);
+    for (name, bytes) in generation_files(&dir) {
+        if name.starts_with("snap-0000000000000002-") {
+            let payload = crowdtz_store::decode_blob(&bytes, 2).unwrap();
+            assert!(matches!(payload[0], 2 | 3), "{name} is not a binary part");
+        }
+    }
+    ingest(
+        &mut engine,
+        &mut reference,
+        7,
+        &[("gen-sub", 521 * DAY + 3 * 3_600), ("gen-half", 522 * DAY)],
+    );
+    drop(engine);
+    let want = json(reference.snapshot());
+
+    // A copy whose binary generation rots falls back to the JSON one and
+    // replays two JSON records, then two binary ones.
+    let fallback = tmp_dir("upgrade-fallback");
+    std::fs::create_dir_all(&fallback).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, fallback.join(path.file_name().unwrap())).unwrap();
+    }
+    let rotten = fallback.join("snap-0000000000000002-0000.part");
+    let mut bytes = std::fs::read(&rotten).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&rotten, bytes).unwrap();
+
+    for (store, generation) in [(&dir, 2), (&fallback, 1)] {
+        let mut reopened = StreamingPipeline::open_durable(generation_pipeline(), store).unwrap();
+        assert_eq!(reopened.last_source_seq(), 7, "generation {generation}");
+        assert_eq!(reopened.source_checkpoint(), Some("bin-7"));
+        assert_eq!(
+            json(reopened.snapshot()),
+            want,
+            "reopened onto generation {generation} diverged"
+        );
+        std::fs::remove_dir_all(store).unwrap();
+    }
 }

@@ -192,10 +192,12 @@ impl DurableStore {
         }
 
         // Delete uncommitted or pruned leftovers: part files whose
-        // generation has no surviving manifest, and older committed
-        // generations beyond the one we just verified (they would have
-        // been pruned at the next rotation anyway; recovery proves the
-        // newest one good, so the fallback has served its purpose).
+        // generation has no surviving manifest, and committed generations
+        // older than the one we just verified (they would have been
+        // pruned at the next rotation anyway; recovery proves the newest
+        // one good, so the fallback has served its purpose). An older
+        // generation that fails verification is quarantined like a newer
+        // one, not deleted: its files are the evidence of the rot.
         let keep_gen = snapshot.as_ref().map(|s| s.generation);
         for &(gen, part) in &part_index {
             if Some(gen) != keep_gen && manifest_gens.binary_search(&gen).is_err() {
@@ -205,9 +207,15 @@ impl DurableStore {
                 }
             }
         }
-        for &gen in &manifest_gens {
-            if Some(gen) != keep_gen && Self::load_generation(vfs.as_ref(), &dir, gen).is_some() {
+        for &gen in manifest_gens
+            .iter()
+            .filter(|&&g| keep_gen.is_some_and(|k| g < k))
+        {
+            if Self::load_generation(vfs.as_ref(), &dir, gen).is_some() {
                 Self::delete_generation(vfs.as_ref(), &dir, gen, &part_index)?;
+            } else {
+                stats.generations_quarantined += 1;
+                Self::quarantine_generation(vfs.as_ref(), &dir, gen, &part_index)?;
             }
         }
 

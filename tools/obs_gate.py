@@ -14,10 +14,14 @@ disabled the pruning".
 
 With the optional durability pair (``BENCH_durability.json`` from the
 bench bin), additionally fails when the warm ``open_durable`` restart or
-the snapshot rotation regressed more than ``THRESHOLD``x, and — baseline
-or not — when the replay-scaling invariant is broken: the long-suffix
-run must replay more log records than the short-suffix run over the same
-crawl (replay cost scales with the write-ahead log, not the crawl).
+the snapshot rotation regressed more than ``THRESHOLD``x, when either
+deterministic byte count (``log_bytes_per_post``,
+``generation_bytes_per_user``) grew at all over a baseline with the same
+``users``, and —
+baseline or not — when the replay-scaling invariant is broken: the
+long-suffix run must replay more log records than the short-suffix run
+over the same crawl (replay cost scales with the write-ahead log, not
+the crawl).
 
 With the optional placement pair (``--placement base.json current.json``,
 the bench bin's ``BENCH_placement.json``), additionally fails when the
@@ -82,11 +86,14 @@ MIN_EVALS = 1_000
 MIN_STORE_SECS = 0.010
 # Timed durability keys gated against the baseline.
 DURABILITY_KEYS = ("warm_open_long_suffix_secs", "snapshot_rotation_secs")
+# Deterministic durability byte counts: any growth over the baseline fails.
+DURABILITY_BYTE_KEYS = ("log_bytes_per_post", "generation_bytes_per_user")
 
 
 def check_durability(base, cur, failures):
-    """Gate BENCH_durability.json: timed regressions plus the
-    replay-scales-with-the-log invariant. Returns comparisons made."""
+    """Gate BENCH_durability.json: timed regressions, byte-count growth,
+    and the replay-scales-with-the-log invariant. Returns comparisons
+    made."""
     checked = 0
     short = cur.get("short_suffix_records", 0)
     long_ = cur.get("long_suffix_records", 0)
@@ -109,6 +116,15 @@ def check_durability(base, cur, failures):
                 f"durability {key}: {prev_s * 1e3:.1f} ms -> "
                 f"{now_s * 1e3:.1f} ms ({ratio:.2f}x)"
             )
+    # The byte counts repeat exactly only over the same crowd.
+    same_crowd = base.get("users") == cur.get("users")
+    for key in DURABILITY_BYTE_KEYS:
+        prev_b, now_b = base.get(key), cur.get(key)
+        if prev_b is None or now_b is None or not same_crowd:
+            continue
+        checked += 1
+        if now_b > prev_b:
+            failures.append(f"durability {key}: {prev_b:.2f} B -> {now_b:.2f} B (grew)")
     return checked
 
 
