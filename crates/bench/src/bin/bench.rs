@@ -37,6 +37,7 @@
 //! streaming JSON compares a full batch re-analysis against an
 //! incremental snapshot with ~1% dirty users.
 
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use crowdtz_bench::{synthetic_profiles, synthetic_traces};
@@ -801,58 +802,65 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
             })
             .collect()
     };
-    let primer: Vec<(String, Timestamp)> = traces
-        .iter()
-        .flat_map(|t| t.posts().iter().map(|&ts| (t.id().to_owned(), ts)))
-        .collect();
+    let ingest_deltas = |engine: &ConcurrentStreamingPipeline, batches: RangeInclusive<u64>| {
+        let writer = engine.writer();
+        for b in batches {
+            let posts = delta(b);
+            let posts: Vec<(&str, Timestamp)> = posts
+                .iter()
+                .map(|(user, ts)| (user.as_str(), *ts))
+                .collect();
+            writer.ingest_batch(1 + b, &posts, None).expect("delta");
+        }
+    };
+    let open = || ConcurrentStreamingPipeline::open_durable(pipeline(), &dir);
 
+    // Nothing publishes, so the log rotates only at the explicit
+    // checkpoints and the suffix grows to exactly the lengths under test.
     eprintln!("building the durable state ({long_suffix}-record suffix)…");
     {
-        let mut engine =
-            StreamingPipeline::open_durable(pipeline(), &dir).expect("open durable engine");
-        // Rotation is timed separately below; disable the automatic one
-        // so the log suffix grows to exactly the lengths under test.
-        engine.snapshot_every_bytes(u64::MAX);
+        let engine = open().expect("open durable engine");
+        let primer: Vec<(&str, Timestamp)> = traces
+            .iter()
+            .flat_map(|t| t.posts().iter().map(move |&ts| (t.id(), ts)))
+            .collect();
         engine
+            .writer()
             .ingest_batch(1, &primer, None)
             .expect("ingest primer batch");
         engine.checkpoint_now().expect("primer snapshot");
-        for b in 1..=short_suffix {
-            engine.ingest_batch(1 + b, &delta(b), None).expect("delta");
-        }
+        ingest_deltas(&engine, 1..=short_suffix);
     }
     let runs = 3;
     let warm_open = |label: &str| {
         eprintln!("timing warm open ({label}, best of {runs})…");
-        time_best(runs, || {
-            StreamingPipeline::open_durable(pipeline(), &dir).expect("warm open")
-        })
+        time_best(runs, || open().expect("warm open"))
     };
     let warm_short_s = warm_open("short suffix");
     let (_, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
     let short_records = rec.stats.records_replayed;
 
     // Same crawl, longer un-snapshotted suffix.
-    let mut engine =
-        StreamingPipeline::open_durable(pipeline(), &dir).expect("reopen durable engine");
-    engine.snapshot_every_bytes(u64::MAX);
-    for b in short_suffix + 1..=long_suffix {
-        engine.ingest_batch(1 + b, &delta(b), None).expect("delta");
-    }
+    ingest_deltas(
+        &open().expect("reopen durable engine"),
+        short_suffix + 1..=long_suffix,
+    );
     // The log now holds exactly the suffix records.
     let suffix_posts: usize = (1..=long_suffix).map(|b| delta(b).len()).sum();
-    let log_bytes_per_post = engine.store().log_len() as f64 / suffix_posts as f64;
-    drop(engine);
-    let warm_long_s = warm_open("long suffix");
-    let (_, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
+    let (store, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
+    let log_bytes_per_post = store.log_len() as f64 / suffix_posts as f64;
     let long_records = rec.stats.records_replayed;
+    drop(store);
+    let warm_long_s = warm_open("long suffix");
 
     // Snapshot rotation: fold the long suffix into a new generation and
     // compact the log. Timed once — the first call does the real work.
-    let mut engine =
-        StreamingPipeline::open_durable(pipeline(), &dir).expect("reopen for rotation");
+    let engine = open().expect("reopen for rotation");
     let start = Instant::now();
-    let generation = engine.checkpoint_now().expect("rotation snapshot");
+    let generation = engine
+        .checkpoint_now()
+        .expect("rotation snapshot")
+        .expect("durable engine");
     let rotation_s = start.elapsed().as_secs_f64();
     drop(engine);
     // Every file of the generation just written: its parts and manifest.

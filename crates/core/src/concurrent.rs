@@ -51,15 +51,16 @@
 //!
 //! # Durable mode
 //!
-//! [`ConcurrentStreamingPipeline::open_durable`] recovers through the
-//! normal [`StreamingPipeline::open_durable_with`] path, then re-homes
-//! the store behind a WAL mutex *inside* the gate. A writer's batch is
-//! appended and fsynced under gate-read + WAL-lock *before* the shard
-//! apply (the same write-ahead contract as the sequential
-//! [`DurableStreamingPipeline`](crate::DurableStreamingPipeline)), and
-//! snapshot rotation runs only under the write gate — so at rotation the
-//! in-memory state equals the logged state exactly, and recovery is
-//! unchanged.
+//! [`ConcurrentStreamingPipeline::open_durable`] recovers snapshot + log
+//! suffix (`durable.rs`), then keeps the store behind a WAL mutex
+//! *inside* the gate. A writer's batch is appended and fsynced under
+//! gate-read + WAL-lock *before* the shard apply; a monitor batch
+//! ([`IngestWriter::ingest_batch`]) also carries its sequence number and
+//! checkpoint, and a re-delivered one is dropped under the same lock.
+//! Snapshot rotation runs only under the write gate — at a publish once
+//! the log has passed 1 MiB, and on
+//! [`checkpoint_now`](ConcurrentStreamingPipeline::checkpoint_now) — so
+//! at rotation the in-memory state equals the logged state exactly.
 //!
 //! ```
 //! use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline};
@@ -93,7 +94,7 @@ use std::time::Instant;
 use crowdtz_store::{DurableStore, RealVfs, Vfs};
 use crowdtz_time::Timestamp;
 
-use crate::durable::{build_snapshot_parts, encode_batch};
+use crate::durable::{build_snapshot_parts, encode_batch, recover};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::SharedIngestObs;
@@ -180,6 +181,25 @@ struct Wal {
 struct Engine {
     stream: StreamingPipeline,
     wal: Option<Mutex<Wal>>,
+}
+
+impl Engine {
+    /// The one rotation rule (write gate held): when `force`d, or once
+    /// the store says the log is due, write a generation of the current
+    /// state and compact the log. `None`: not durable, or not due.
+    fn rotate(&mut self, force: bool) -> Result<Option<u64>, CoreError> {
+        let Engine { stream, wal } = self;
+        let Some(wal) = wal else {
+            return Ok(None);
+        };
+        let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if !force && !wal.store.should_snapshot() {
+            return Ok(None);
+        }
+        let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref());
+        let last_seq = wal.store.last_seq();
+        Ok(Some(wal.store.write_snapshot(last_seq, &parts)?))
+    }
 }
 
 /// One published snapshot: the report plus the exact cut it reflects.
@@ -337,15 +357,17 @@ impl ConcurrentStreamingPipeline {
     }
 
     /// Opens (creating if necessary) a **durable** concurrent engine at
-    /// `dir`: recovery runs through the sequential
-    /// [`StreamingPipeline::open_durable`] path (byte-identical resume),
-    /// then the store is re-homed behind the WAL lock. See the module
-    /// docs for the write-ahead contract under concurrency.
+    /// `dir`: the newest valid snapshot generation plus the valid log
+    /// suffix resume byte-identical to an engine that never crashed,
+    /// monitor sequence and checkpoint included. Corrupt generations
+    /// are quarantined with fallback to the previous one; a torn log
+    /// tail is truncated. Pass the same pipeline configuration across
+    /// restarts — the store persists state, not configuration.
     ///
     /// # Errors
     ///
     /// [`CoreError::Store`] when the directory is unusable or a
-    /// CRC-valid snapshot fails structural decoding.
+    /// CRC-valid snapshot or log record fails structural decoding.
     pub fn open_durable(
         pipeline: GeolocationPipeline,
         dir: impl Into<PathBuf>,
@@ -365,8 +387,7 @@ impl ConcurrentStreamingPipeline {
         dir: impl Into<PathBuf>,
     ) -> Result<ConcurrentStreamingPipeline, CoreError> {
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
-        let durable = StreamingPipeline::open_durable_with(pipeline, vfs, dir)?;
-        let (stream, store, source_seq, checkpoint) = durable.into_parts();
+        let (stream, store, source_seq, checkpoint) = recover(pipeline, vfs, dir.into())?;
         Ok(Self::assemble(
             stream,
             Some(Wal {
@@ -417,9 +438,8 @@ impl ConcurrentStreamingPipeline {
     /// Takes the write gate — a **consistent cut**: every writer batch
     /// is fully applied or not yet started, and the per-writer
     /// watermarks captured here name exactly the applied prefixes. In
-    /// durable mode, snapshot rotation happens here (and only here) when
-    /// the log has outgrown its threshold, so rotation always persists a
-    /// state equal to the log it compacts.
+    /// durable mode the log is rotated here once it has outgrown its
+    /// threshold — whether or not the report succeeds.
     ///
     /// # Errors
     ///
@@ -445,17 +465,11 @@ impl ConcurrentStreamingPipeline {
             .iter()
             .map(|w| w.load(Ordering::Acquire))
             .collect();
-        let Engine { stream, wal } = &mut *guard;
-        let report = stream.snapshot_with_coverage(coverage)?;
-        if let Some(wal) = wal {
-            let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if wal.store.should_snapshot() {
-                let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref());
-                let last_seq = wal.store.last_seq();
-                wal.store.write_snapshot(last_seq, &parts)?;
-            }
-        }
-        let posts_ingested = stream.posts_ingested();
+        // Rotation reads the store alone: a failed report still rotates.
+        let report = guard.stream.snapshot_with_coverage(coverage);
+        guard.rotate(false)?;
+        let report = report?;
+        let posts_ingested = guard.stream.posts_ingested();
         let published = Arc::new(PublishedReport {
             report,
             epoch: self.shared.cell.next_epoch(),
@@ -487,15 +501,23 @@ impl ConcurrentStreamingPipeline {
     ///
     /// [`CoreError::Store`] when writing the generation fails.
     pub fn checkpoint_now(&self) -> Result<Option<u64>, CoreError> {
-        let mut guard = write_gate(&self.shared.gate);
-        let Engine { stream, wal } = &mut *guard;
-        let Some(wal) = wal else {
-            return Ok(None);
-        };
-        let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref());
-        let last_seq = wal.store.last_seq();
-        Ok(Some(wal.store.write_snapshot(last_seq, &parts)?))
+        write_gate(&self.shared.gate).rotate(true)
+    }
+
+    /// Highest monitor batch sequence applied (0 before any, and on a
+    /// non-durable engine); [`IngestWriter::ingest_batch`] drops batches
+    /// at or below it.
+    pub fn last_source_seq(&self) -> u64 {
+        let guard = read_gate(&self.shared.gate);
+        guard.wal.as_ref().map_or(0, |wal| relock(wal).source_seq)
+    }
+
+    /// The monitor checkpoint stored with the newest applied batch that
+    /// carried one — where to resume the monitor after a restart.
+    pub fn source_checkpoint(&self) -> Option<String> {
+        let guard = read_gate(&self.shared.gate);
+        let wal = relock(guard.wal.as_ref()?);
+        wal.checkpoint.clone()
     }
 
     /// Number of users ever ingested (brief gate-read).
@@ -551,6 +573,33 @@ impl IngestWriter {
             .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
             .collect();
         self.ingest_deltas(&deltas)
+    }
+
+    /// Ingests one monitor batch with its sequence number (≥ 1) and the
+    /// checkpoint valid once it is applied, both stored in the batch's
+    /// log record. A durable engine drops a batch whose `source_seq` is
+    /// not beyond the highest applied (`Ok(false)`), so a monitor
+    /// restarted from a stale checkpoint never double-counts; the check,
+    /// the append and the bookkeeping share the WAL lock. A non-durable
+    /// engine has no restart to dedupe across: it applies the batch and
+    /// returns `Ok(true)`. The engine keeps one sequence, so it belongs
+    /// to one monitor thread; feed other producers through
+    /// [`ingest_posts_ref`](Self::ingest_posts_ref).
+    ///
+    /// # Errors
+    ///
+    /// As [`ingest`](Self::ingest).
+    pub fn ingest_batch(
+        &self,
+        source_seq: u64,
+        posts: &[(&str, Timestamp)],
+        checkpoint: Option<&str>,
+    ) -> Result<bool, CoreError> {
+        let deltas: Vec<(&str, &[Timestamp])> = posts
+            .iter()
+            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
+            .collect();
+        self.apply_batch(&deltas, false, Some((source_seq, checkpoint)))
     }
 
     /// Retracts posts for one user — one signed batch, one gate hold,
@@ -609,11 +658,33 @@ impl IngestWriter {
         if deltas.iter().all(|(_, posts)| posts.is_empty()) {
             return Ok(());
         }
+        self.apply_batch(deltas, retract, None).map(drop)
+    }
+
+    /// One batch in the lock order of [`ingest_deltas`](Self::ingest_deltas);
+    /// `source` is a monitor batch's sequence number and checkpoint.
+    /// `Ok(false)`: a durable engine had already applied that sequence.
+    fn apply_batch(
+        &self,
+        deltas: &[(&str, &[Timestamp])],
+        retract: bool,
+        source: Option<(u64, Option<&str>)>,
+    ) -> Result<bool, CoreError> {
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
-            let payload = encode_batch(deltas, retract);
+            let (seq, checkpoint) = source.unwrap_or((0, None));
+            let payload = encode_batch(seq, checkpoint, deltas, retract);
             let mut wal = relock(wal);
+            if source.is_some() && seq <= wal.source_seq {
+                return Ok(false);
+            }
             wal.store.append_delta(&payload)?;
+            if source.is_some() {
+                wal.source_seq = seq;
+                if let Some(checkpoint) = checkpoint {
+                    wal.checkpoint = Some(checkpoint.to_owned());
+                }
+            }
         }
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
         guard.stream.apply_deltas_shared(deltas, retract, obs);
@@ -622,7 +693,7 @@ impl IngestWriter {
         }
         self.watermark.fetch_add(1, Ordering::Release);
         drop(guard);
-        Ok(())
+        Ok(true)
     }
 
     /// Batches this writer has fully applied — its own watermark.

@@ -1,17 +1,12 @@
-//! Durable streaming analysis — crash-safe persistence of the shard
-//! accumulators via `crowdtz-store`.
+//! Durable streaming analysis — the payload codec and the recovery
+//! behind `ConcurrentStreamingPipeline::open_durable`.
 //!
-//! [`StreamingPipeline::open_durable`] wraps the streaming engine in a
-//! [`DurableStreamingPipeline`] backed by a store directory holding
-//! per-shard **snapshots** plus an append-only, CRC-framed **delta
-//! log** (one record per batch). Every batch is write-ahead: it is
-//! appended and fsynced *before* it is applied in memory, so once
-//! [`DurableStreamingPipeline::ingest_batch`] (or a durable
-//! [`IngestWriter`](crate::IngestWriter) batch) returns `Ok` the posts
-//! survive any crash. Signed records — the concurrent engine's
-//! retractions — replay through the same path.
-//! Reopening the directory recovers *snapshot + valid log suffix* and
-//! resumes **byte-identical** to an engine that never crashed:
+//! A durable engine is backed by a `crowdtz-store` directory holding
+//! per-shard **snapshots** plus an append-only, CRC-framed **delta log**
+//! (one record per batch, ingest or retraction), written ahead of every
+//! in-memory apply (`concurrent.rs`). Reopening the directory recovers
+//! *snapshot + valid log suffix* and resumes **byte-identical** to an
+//! engine that never crashed:
 //!
 //! * Everything the snapshot persists per user is integral — slot keys,
 //!   post counts, the flatness flag, the zone, and the EMD as raw
@@ -23,12 +18,11 @@
 //!   recovery replays only the suffix — warm-restart cost scales with
 //!   the log length, not the crawl length.
 //!
-//! The monitor-facing [`DurableStreamingPipeline::ingest_batch`] stores
-//! a *source* sequence number and an opaque checkpoint blob inside the
-//! same log record as the batch, transactionally: a monitor that is
-//! killed and resumed from its persisted checkpoint may re-deliver the
-//! boundary batch, and the engine drops it by sequence number instead
-//! of double-counting posts.
+//! A monitor batch (`IngestWriter::ingest_batch`) stores its *source*
+//! sequence number and an opaque checkpoint blob inside the same log
+//! record as its posts, transactionally; recovery restores both, so a
+//! monitor resumed from its checkpoint re-delivers the boundary batch
+//! and the engine drops it by sequence number.
 //!
 //! # Payload codec
 //!
@@ -57,12 +51,12 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use crowdtz_stats::BINS;
-use crowdtz_store::{DurableStore, RealVfs, StoreError, Vfs};
+use crowdtz_store::{DurableStore, StoreError, Vfs};
 use crowdtz_time::Timestamp;
 use serde::Deserialize;
 
 use crate::error::CoreError;
-use crate::pipeline::{GeolocationPipeline, GeolocationReport};
+use crate::pipeline::GeolocationPipeline;
 use crate::shard::{UserAccumulator, UserAnalysis};
 use crate::streaming::StreamingPipeline;
 
@@ -105,7 +99,7 @@ const MAX_OFFSET_MINUTES: u64 = 24 * 60;
 #[derive(Debug, PartialEq)]
 struct LogBatch {
     /// Source (monitor) batch sequence number; `0` for batches that
-    /// did not come through [`DurableStreamingPipeline::ingest_batch`].
+    /// did not come through `IngestWriter::ingest_batch`.
     source_seq: u64,
     /// Opaque monitor checkpoint valid *after* this batch.
     checkpoint: Option<String>,
@@ -233,37 +227,40 @@ fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
-/// Encodes one log batch: the source sequence number, the checkpoint,
-/// then the ingest and the retraction deltas as two counted lists of
-/// `(user, posts)`. Timestamps delta-chain across the whole record.
-fn encode_batch_record<'a>(
+/// Encodes one log batch: the source sequence number (`0` for a batch
+/// that is not a monitor's), the checkpoint, then the ingest and the
+/// retraction deltas as two counted lists of `(user, posts)`. `deltas`
+/// fill the retraction list when `retract`, else the ingest list.
+/// Timestamps delta-chain across the whole record.
+pub(crate) fn encode_batch(
     source_seq: u64,
     checkpoint: Option<&str>,
-    ingest: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
-    retract: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
+    deltas: &[(&str, &[Timestamp])],
+    retract: bool,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 24 * (ingest.len() + retract.len()));
+    let (ingest, retractions): (&[_], &[_]) = if retract {
+        (&[], deltas)
+    } else {
+        (deltas, &[])
+    };
+    let mut out = Vec::with_capacity(16 + 24 * deltas.len());
     out.push(KIND_BATCH);
     put_varint(&mut out, source_seq);
     put_opt_str(&mut out, checkpoint);
     let mut prev = 0i64;
     put_deltas(&mut out, &mut prev, ingest);
-    put_deltas(&mut out, &mut prev, retract);
+    put_deltas(&mut out, &mut prev, retractions);
     out
 }
 
 /// One counted list of `(user, posts)` deltas, continuing the record's
 /// timestamp chain in `prev`.
-fn put_deltas<'a>(
-    out: &mut Vec<u8>,
-    prev: &mut i64,
-    deltas: impl ExactSizeIterator<Item = (&'a str, &'a [Timestamp])>,
-) {
+fn put_deltas(out: &mut Vec<u8>, prev: &mut i64, deltas: &[(&str, &[Timestamp])]) {
     put_varint(out, deltas.len() as u64);
     for (user, posts) in deltas {
         put_str(out, user);
         put_varint(out, posts.len() as u64);
-        for ts in posts {
+        for ts in *posts {
             let secs = ts.as_secs();
             put_varint(out, zigzag(secs.wrapping_sub(*prev)));
             *prev = secs;
@@ -570,100 +567,55 @@ fn read_meta(part: &[u8]) -> Result<MetaSnap, CoreError> {
     })
 }
 
-impl StreamingPipeline {
-    /// Opens (creating if necessary) a durable streaming engine at
-    /// `dir`, recovering any persisted state: the newest valid snapshot
-    /// generation is loaded, the valid log suffix is replayed through
-    /// the normal ingest path, and the engine resumes byte-identical to
-    /// one that never crashed. Corrupt snapshot generations are
-    /// quarantined with fallback to the previous one; a torn log tail
-    /// is truncated silently (it is the expected crash signature, not
-    /// an error).
-    ///
-    /// The caller must pass the same pipeline *configuration* (activity
-    /// threshold, polishing, generic profile) across restarts — the
-    /// store persists accumulated state, not configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the directory is unusable or a
-    /// CRC-valid snapshot or log record fails structural decoding.
-    pub fn open_durable(
-        pipeline: GeolocationPipeline,
-        dir: impl Into<PathBuf>,
-    ) -> Result<DurableStreamingPipeline, CoreError> {
-        Self::open_durable_with(pipeline, Box::new(RealVfs::new()), dir)
-    }
-
-    /// [`StreamingPipeline::open_durable`] with an explicit VFS —
-    /// the hook fault-injection tests use to run the whole engine over
-    /// a `crowdtz_store::FaultStore`.
-    pub fn open_durable_with(
-        pipeline: GeolocationPipeline,
-        vfs: Box<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-    ) -> Result<DurableStreamingPipeline, CoreError> {
-        let obs = pipeline.obs();
-        let (store, recovered) = DurableStore::open_with(vfs, dir, obs)?;
-        let mut inner = StreamingPipeline::new(pipeline);
-        let mut source_seq = 0u64;
-        let mut checkpoint = None;
-        if let Some(snap) = &recovered.snapshot {
-            let (meta_part, shard_parts) = snap.parts.split_last().ok_or_else(|| {
-                CoreError::Store(StoreError::Corrupt {
-                    path: String::new(),
-                    reason: "snapshot has no parts".into(),
-                })
-            })?;
-            let meta = read_meta(meta_part)?;
-            source_seq = meta.source_seq;
-            checkpoint = meta.checkpoint;
-            for part in shard_parts {
-                for (id, acc, dirty) in read_shard(part)? {
-                    inner.shards_mut_ref().restore_user(id, acc, dirty);
-                }
-            }
-            inner.rebuild_derived_state();
-        }
-        for (_, payload) in &recovered.deltas {
-            let batch = decode_batch(payload)?;
-            apply_batch(&mut inner, &batch);
-            if batch.source_seq != 0 {
-                source_seq = source_seq.max(batch.source_seq);
-                if batch.checkpoint.is_some() {
-                    checkpoint = batch.checkpoint;
-                }
+/// Opens (creating if necessary) the store at `dir` and recovers the
+/// engine persisted there: the newest valid snapshot generation is
+/// loaded and the valid log suffix replayed through the normal ingest
+/// path. Returns the engine, the open store, and the highest monitor
+/// batch sequence with its checkpoint.
+pub(crate) fn recover(
+    pipeline: GeolocationPipeline,
+    vfs: Box<dyn Vfs>,
+    dir: PathBuf,
+) -> Result<(StreamingPipeline, DurableStore, u64, Option<String>), CoreError> {
+    let obs = pipeline.obs();
+    let (store, recovered) = DurableStore::open_with(vfs, dir, obs)?;
+    let mut stream = StreamingPipeline::new(pipeline);
+    let mut source_seq = 0u64;
+    let mut checkpoint = None;
+    if let Some(snap) = &recovered.snapshot {
+        let (meta_part, shard_parts) = snap.parts.split_last().ok_or_else(|| {
+            CoreError::Store(StoreError::Corrupt {
+                path: String::new(),
+                reason: "snapshot has no parts".into(),
+            })
+        })?;
+        let meta = read_meta(meta_part)?;
+        source_seq = meta.source_seq;
+        checkpoint = meta.checkpoint;
+        for part in shard_parts {
+            for (id, acc, dirty) in read_shard(part)? {
+                stream.shards_mut_ref().restore_user(id, acc, dirty);
             }
         }
-        Ok(DurableStreamingPipeline {
-            inner,
-            store,
-            source_seq,
-            checkpoint,
-        })
+        stream.rebuild_derived_state();
     }
-}
-
-/// Encodes a source-less signed batch as one WAL record — the concurrent
-/// engine's writer path (`concurrent.rs`) appends these under its WAL
-/// lock before applying the deltas in memory, the same write-ahead
-/// contract [`DurableStreamingPipeline::ingest_batch`] keeps. A
-/// retraction batch fills the record's retraction list; recovery
-/// replays either kind through [`apply_batch`] unchanged.
-pub(crate) fn encode_batch(deltas: &[(&str, &[Timestamp])], retract: bool) -> Vec<u8> {
-    let (ingest, retractions): (&[_], &[_]) = if retract {
-        (&[], deltas)
-    } else {
-        (deltas, &[])
-    };
-    encode_batch_record(0, None, ingest.iter().copied(), retractions.iter().copied())
+    for (_, payload) in &recovered.deltas {
+        let batch = decode_batch(payload)?;
+        apply_batch(&mut stream, &batch);
+        if batch.source_seq != 0 {
+            source_seq = source_seq.max(batch.source_seq);
+            if batch.checkpoint.is_some() {
+                checkpoint = batch.checkpoint;
+            }
+        }
+    }
+    Ok((stream, store, source_seq, checkpoint))
 }
 
 /// Builds the full snapshot part set — one shard part per shard in
 /// shard-index order, then the meta part — for the engine's current
-/// in-memory state. Shared by [`DurableStreamingPipeline::checkpoint_now`]
-/// and the concurrent engine's publish-time rotation (`concurrent.rs`),
-/// so both persist byte-identical generations for identical state.
+/// in-memory state: what the concurrent engine's rotation
+/// (`concurrent.rs`) persists.
 pub(crate) fn build_snapshot_parts(
     stream: &StreamingPipeline,
     source_seq: u64,
@@ -703,7 +655,7 @@ fn hour_counts(slots: &[i64]) -> [u32; BINS] {
 /// Rebuilds a [`UserAccumulator`] (hour counts, analysis record) from
 /// a legacy JSON user; the engine then rebuilds profiles from the hour
 /// counts with the function the live refresh uses
-/// ([`StreamingPipeline::rebuild_derived_state`]), so the result is
+/// (`StreamingPipeline::rebuild_derived_state`), so the result is
 /// bit-identical.
 fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
     let analysis = match &user.analysis {
@@ -739,121 +691,6 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
         analysis,
         dirty: false,
     })
-}
-
-/// A [`StreamingPipeline`] whose every ingest is logged write-ahead to
-/// a [`DurableStore`], with periodic snapshot rotation. See the module
-/// docs for the recovery guarantees.
-#[derive(Debug)]
-pub struct DurableStreamingPipeline {
-    inner: StreamingPipeline,
-    store: DurableStore,
-    /// Highest monitor batch sequence applied (0 before any).
-    source_seq: u64,
-    /// Monitor checkpoint blob valid as of the current state.
-    checkpoint: Option<String>,
-}
-
-impl DurableStreamingPipeline {
-    /// Ingests one monitor batch with its sequence number and the
-    /// checkpoint that becomes valid once the batch is applied, stored
-    /// transactionally in the same log record. Batches whose
-    /// `source_seq` is not beyond the highest already applied are
-    /// dropped (`Ok(false)`) — the warm-restart dedup that keeps a
-    /// re-delivered boundary batch from double-counting posts.
-    ///
-    /// `source_seq` must be ≥ 1; sequence numbers are expected to be
-    /// assigned densely by the monitor.
-    pub fn ingest_batch(
-        &mut self,
-        source_seq: u64,
-        posts: &[(String, Timestamp)],
-        checkpoint: Option<&str>,
-    ) -> Result<bool, CoreError> {
-        if source_seq <= self.source_seq {
-            return Ok(false);
-        }
-        // One single-post delta per post, the shape replay applies.
-        let deltas = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)));
-        let payload =
-            encode_batch_record(source_seq, checkpoint, deltas.clone(), std::iter::empty());
-        self.store.append_delta(&payload)?;
-        for (user, post) in deltas {
-            self.inner.ingest(user, post);
-        }
-        self.source_seq = source_seq;
-        if let Some(checkpoint) = checkpoint {
-            self.checkpoint = Some(checkpoint.to_owned());
-        }
-        if self.store.should_snapshot() {
-            self.checkpoint_now()?;
-        }
-        Ok(true)
-    }
-
-    /// Writes a snapshot generation covering everything ingested so
-    /// far, rotating out the oldest retained generation and compacting
-    /// the log. Called automatically when the log outgrows the
-    /// threshold; callers can also invoke it explicitly (e.g. before a
-    /// planned shutdown). Returns the generation number.
-    pub fn checkpoint_now(&mut self) -> Result<u64, CoreError> {
-        let parts = build_snapshot_parts(&self.inner, self.source_seq, self.checkpoint.as_deref());
-        let last_seq = self.store.last_seq();
-        Ok(self.store.write_snapshot(last_seq, &parts)?)
-    }
-
-    /// Produces the current report — see
-    /// [`StreamingPipeline::snapshot`]. Pure analysis; nothing is
-    /// persisted (the report is derivable, and recovery recomputes it).
-    pub fn snapshot(&mut self) -> Result<GeolocationReport, CoreError> {
-        self.inner.snapshot()
-    }
-
-    /// [`StreamingPipeline::snapshot_with_coverage`] passthrough.
-    pub fn snapshot_with_coverage(
-        &mut self,
-        coverage: f64,
-    ) -> Result<GeolocationReport, CoreError> {
-        self.inner.snapshot_with_coverage(coverage)
-    }
-
-    /// The wrapped streaming engine (read-only: mutating it directly
-    /// would bypass the write-ahead log).
-    pub fn stream(&self) -> &StreamingPipeline {
-        &self.inner
-    }
-
-    /// The underlying store (log length, last sequence, directory).
-    pub fn store(&self) -> &DurableStore {
-        &self.store
-    }
-
-    /// Highest monitor batch sequence applied; batches at or below it
-    /// are dropped by [`DurableStreamingPipeline::ingest_batch`].
-    pub fn last_source_seq(&self) -> u64 {
-        self.source_seq
-    }
-
-    /// The monitor checkpoint stored with the newest applied batch.
-    pub fn source_checkpoint(&self) -> Option<&str> {
-        self.checkpoint.as_deref()
-    }
-
-    /// Sets the log-size threshold (bytes) that triggers automatic
-    /// snapshot rotation mid-ingest.
-    pub fn snapshot_every_bytes(&mut self, bytes: u64) {
-        self.store.set_compact_threshold(bytes);
-    }
-
-    /// Splits the durable engine into its pieces. The concurrent engine
-    /// (`concurrent.rs`) recovers through the normal
-    /// [`StreamingPipeline::open_durable_with`] path and then re-homes
-    /// the stream and the store behind its own locks.
-    pub(crate) fn into_parts(self) -> (StreamingPipeline, DurableStore, u64, Option<String>) {
-        (self.inner, self.store, self.source_seq, self.checkpoint)
-    }
 }
 
 #[cfg(test)]
@@ -893,13 +730,8 @@ mod tests {
     }
 
     /// A batch as the writers hand it over: sequence, checkpoint,
-    /// ingest deltas, retraction deltas.
-    type Batch = (
-        u64,
-        Option<String>,
-        Vec<(String, Vec<Timestamp>)>,
-        Vec<(String, Vec<Timestamp>)>,
-    );
+    /// deltas, and whether they are retractions.
+    type Batch = (u64, Option<String>, Vec<(String, Vec<Timestamp>)>, bool);
 
     struct Batches;
 
@@ -927,25 +759,18 @@ mod tests {
                     })
                     .collect()
             };
-            let ingest = deltas(rng);
-            let retract = deltas(rng);
-            Some((source_seq, checkpoint, ingest, retract))
+            let deltas = deltas(rng);
+            Some((source_seq, checkpoint, deltas, pick(rng, 2) == 0))
         }
     }
 
-    fn encode<'a>(batch: &'a Batch) -> Vec<u8> {
-        let (source_seq, checkpoint, ingest, retract) = batch;
-        let list = |deltas: &'a [(String, Vec<Timestamp>)]| {
-            deltas
-                .iter()
-                .map(|(user, posts)| (user.as_str(), posts.as_slice()))
-        };
-        encode_batch_record(
-            *source_seq,
-            checkpoint.as_deref(),
-            list(ingest),
-            list(retract),
-        )
+    fn encode(batch: &Batch) -> Vec<u8> {
+        let (source_seq, checkpoint, deltas, retract) = batch;
+        let deltas: Vec<(&str, &[Timestamp])> = deltas
+            .iter()
+            .map(|(user, posts)| (user.as_str(), posts.as_slice()))
+            .collect();
+        encode_batch(*source_seq, checkpoint.as_deref(), &deltas, *retract)
     }
 
     fn as_secs(deltas: &[(String, Vec<Timestamp>)]) -> Vec<(String, Vec<i64>)> {
@@ -1049,14 +874,19 @@ mod tests {
         #[test]
         fn batches_round_trip(batch in Batches) {
             let decoded = decode_batch(&encode(&batch)).map_err(|e| e.to_string())?;
-            let (source_seq, checkpoint, ingest, retract) = &batch;
+            let (source_seq, checkpoint, deltas, retract) = &batch;
+            let (ingest, retractions) = if *retract {
+                (Vec::new(), as_secs(deltas))
+            } else {
+                (as_secs(deltas), Vec::new())
+            };
             proptest::prop_assert_eq!(
                 decoded,
                 LogBatch {
                     source_seq: *source_seq,
                     checkpoint: checkpoint.clone(),
-                    deltas: as_secs(ingest),
-                    retractions: as_secs(retract),
+                    deltas: ingest,
+                    retractions,
                 }
             );
         }

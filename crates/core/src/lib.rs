@@ -33,6 +33,12 @@
 //!     Batch analysis *is* this engine (one ingest, one snapshot), so
 //!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
 //!     by construction — at every shard count and thread count.
+//! 11. **Serving** (the monitor deployed): [`ConcurrentStreamingPipeline`]
+//!     — many writers, wait-free reads of published reports — and,
+//!     opened with [`ConcurrentStreamingPipeline::open_durable`], the one
+//!     durable engine: write-ahead batches, monitor batches deduped by
+//!     sequence number ([`IngestWriter::ingest_batch`]), and warm
+//!     restarts byte-identical to an engine that never stopped.
 //!
 //! # Quickstart
 //!
@@ -80,7 +86,6 @@ pub use confidence::{
     bootstrap_components, bootstrap_components_threads, BootstrapConfig, ComponentConfidence,
 };
 pub use crowd::CrowdProfile;
-pub use durable::DurableStreamingPipeline;
 pub use engine::{clamped_threads, default_threads, PlacementEngine};
 pub use error::CoreError;
 pub use generic::GenericProfile;

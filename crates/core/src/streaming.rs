@@ -58,7 +58,7 @@
 use std::sync::Arc;
 
 use crowdtz_stats::{Distribution24, Histogram24, BINS};
-use crowdtz_time::{Timestamp, TraceSet, UserTrace};
+use crowdtz_time::{Timestamp, TraceSet};
 
 use crate::crowd::CrowdProfile;
 use crate::engine::{chunked_map, PlacementEngine};
@@ -309,12 +309,6 @@ impl StreamingPipeline {
         }
         self.count(&[(user, posts)], false);
         self.shards.ingest(user, posts);
-    }
-
-    /// Ingests a whole trace as one delta (convenience for replaying
-    /// per-user deltas such as [`TraceSet::delta_from`]).
-    pub fn ingest_trace(&mut self, trace: &UserTrace) {
-        self.ingest(trace.id(), trace.posts());
     }
 
     /// Ingests every trace of a set (e.g. a first full crawl before
@@ -662,7 +656,7 @@ impl StreamingPipeline {
 mod tests {
     use super::*;
     use crowdtz_synth::PopulationSpec;
-    use crowdtz_time::RegionDb;
+    use crowdtz_time::{RegionDb, UserTrace};
 
     fn crowd(region: &str, users: usize, seed: u64) -> TraceSet {
         let db = RegionDb::extended();
@@ -866,7 +860,7 @@ mod tests {
         let pipeline = GeolocationPipeline::default().min_posts(10).threads(2);
         let mut stream = StreamingPipeline::new(pipeline.clone());
         for t in &all {
-            stream.ingest_trace(t);
+            stream.ingest(t.id(), t.posts());
         }
         // B = the back half of every user's history.
         for t in &all {
@@ -904,7 +898,7 @@ mod tests {
         }
         let mut fresh = StreamingPipeline::new(pipeline);
         for t in traces.iter().skip(10) {
-            fresh.ingest_trace(t);
+            fresh.ingest(t.id(), t.posts());
         }
         assert_eq!(
             report_json(&stream.snapshot().unwrap()),

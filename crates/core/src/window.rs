@@ -27,8 +27,9 @@
 //! Retraction is only an exact inverse when it runs *after* the ingest
 //! that delivered the posts (releasing an unseen post is a skip, not a
 //! debt). The pipeline guarantees this by construction: posts enter the
-//! queue only via [`track`](WindowedPipeline::track) after their ingest
-//! batch returned, and expiry happens at publish under the queue lock.
+//! queue only in [`ingest_posts`](WindowedPipeline::ingest_posts), after
+//! their ingest batch returned, and expiry happens at publish under the
+//! queue lock.
 //! Explicit retraction ([`retract_posts`](WindowedPipeline::retract_posts))
 //! also *unregisters* the posts from the queue — otherwise a later
 //! expiry would retract them a second time and break the identity (two
@@ -274,7 +275,7 @@ impl WindowedPipeline {
     }
 
     /// The bucket index a timestamp falls into.
-    pub fn bucket_of(&self, ts: Timestamp) -> i64 {
+    fn bucket_of(&self, ts: Timestamp) -> i64 {
         ts.as_secs().div_euclid(self.config.bucket_secs)
     }
 
@@ -289,7 +290,7 @@ impl WindowedPipeline {
     /// must never get ahead of the engine, or expiry would retract
     /// posts the shards have not absorbed (a silent skip that breaks
     /// the window, see the module docs on ordering).
-    pub fn track(&self, posts: &[(&str, Timestamp)]) {
+    fn track(&self, posts: &[(&str, Timestamp)]) {
         if posts.is_empty() {
             return;
         }
@@ -404,7 +405,7 @@ impl WindowedPipeline {
         let _s = crowdtz_obs::span!(observer, "window.publish");
         // Hold the queue lock through expiry + publish: a concurrent
         // publish cannot interleave its cut between our retraction and
-        // our snapshot. Writers calling track() block only briefly.
+        // our snapshot. Writers in ingest_posts block on it only briefly.
         let mut state = relock(&self.state);
         if let Some(max_bucket) = state.max_bucket {
             let cutoff = max_bucket - self.config.window_buckets as i64 + 1;

@@ -163,14 +163,65 @@ fn durable_concurrent_matches_plain_sequential_and_recovers_identically() {
     engine.checkpoint_now().unwrap().expect("durable engine");
     drop(engine);
 
-    // Recovery through the *sequential* durable path sees the same state:
-    // the concurrent WAL is an ordinary log.
-    let mut recovered =
-        StreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+    // Recovery sees the same state: the concurrent WAL is an ordinary
+    // log.
+    let recovered =
+        ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
     assert_eq!(
-        serde_json::to_string(&recovered.snapshot().unwrap()).unwrap(),
+        serde_json::to_string(recovered.publish().unwrap().report()).unwrap(),
         want,
         "recovery diverged"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn racing_monitor_replays_apply_each_batch_once() {
+    // Four writers replay the same monitor sequence 1..=B at once. The
+    // dedup check, the append and the bookkeeping share the WAL lock, so
+    // every sequence number is applied by exactly one of them and the
+    // publish equals a single sequential delivery.
+    let all = batches(13);
+    let want = sequential_json(&all, 4, ZoneGrid::Hourly);
+    let monitor: Vec<Vec<(&str, Timestamp)>> = all
+        .iter()
+        .map(|(user, posts)| posts.iter().map(|&ts| (user.as_str(), ts)).collect())
+        .collect();
+    let total = monitor.len() as u64;
+
+    let dir = std::env::temp_dir().join(format!("crowdtz-monitor-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine =
+        ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+    let applied = std::sync::atomic::AtomicU64::new(0);
+    // Released together, so the replays race from the first batch on.
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let writer = engine.writer();
+            let (monitor, applied, start) = (&monitor, &applied, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (seq, posts) in (1..).zip(monitor) {
+                    let checkpoint = format!("poll-{seq}");
+                    if writer.ingest_batch(seq, posts, Some(&checkpoint)).unwrap() {
+                        applied.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        applied.into_inner(),
+        total,
+        "each batch applied exactly once"
+    );
+    assert_eq!(engine.last_source_seq(), total);
+    assert_eq!(engine.source_checkpoint(), Some(format!("poll-{total}")));
+    assert_eq!(
+        serde_json::to_string(engine.publish().unwrap().report()).unwrap(),
+        want,
+        "racing replays diverged from one sequential delivery"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

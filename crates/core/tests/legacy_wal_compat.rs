@@ -21,8 +21,8 @@
 use std::path::{Path, PathBuf};
 
 use crowdtz_core::{
-    ConcurrentStreamingPipeline, CoreError, DurableStreamingPipeline, GeolocationPipeline,
-    GeolocationReport, StreamingPipeline, ZoneGrid,
+    ConcurrentStreamingPipeline, CoreError, GeolocationPipeline, GeolocationReport,
+    StreamingPipeline, ZoneGrid,
 };
 use crowdtz_store::{encode_record, LOG_FILE};
 use crowdtz_synth::PopulationSpec;
@@ -139,24 +139,15 @@ fn reference_json() -> String {
 }
 
 #[test]
-fn old_format_log_recovers_byte_identically_on_the_durable_engine() {
-    let dir = seeded_dir("single");
-    let mut recovered = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+fn old_format_log_recovers_byte_identically() {
+    let dir = seeded_dir("log");
+    let recovered = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
     assert_eq!(recovered.last_source_seq(), 5, "source seq recovered");
     assert_eq!(
-        recovered.source_checkpoint(),
+        recovered.source_checkpoint().as_deref(),
         Some("round-5"),
         "checkpoint recovered"
     );
-    let got = serde_json::to_string(&recovered.snapshot().unwrap()).unwrap();
-    assert_eq!(got, reference_json(), "legacy replay diverged");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn old_format_log_recovers_byte_identically_on_the_concurrent_engine() {
-    let dir = seeded_dir("concurrent");
-    let recovered = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
     let published = recovered.publish().unwrap();
     let got = serde_json::to_string(published.report()).unwrap();
     assert_eq!(got, reference_json(), "legacy replay diverged");
@@ -212,6 +203,14 @@ fn generation_pipeline() -> GeolocationPipeline {
 /// One monitor batch of `(user, post)` pairs.
 type Posts = Vec<(String, Timestamp)>;
 
+/// A batch in the borrowed shape the engine's writers take.
+fn refs(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
+    posts
+        .iter()
+        .map(|(user, ts)| (user.as_str(), *ts))
+        .collect()
+}
+
 /// The generation fixture's crowd, as three monitor batches: the first
 /// two precede a publish, the third follows it. `gen-half` is an India
 /// (UTC+5:30) user, kept at a half-hour offset; `gen-flat` posts at every
@@ -261,13 +260,18 @@ fn generation_batches() -> [Posts; 3] {
 /// Feeds the fixture batches to a durable engine in `dir`, publishing
 /// after the second, and writes one snapshot generation.
 fn write_generation(dir: &Path) {
-    let mut engine = StreamingPipeline::open_durable(generation_pipeline(), dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(generation_pipeline(), dir).unwrap();
+    let writer = engine.writer();
     let [first, second, third] = generation_batches();
-    engine.ingest_batch(1, &first, Some("gen-1")).unwrap();
-    engine.ingest_batch(2, &second, None).unwrap();
-    engine.snapshot().unwrap();
-    engine.ingest_batch(3, &third, Some("gen-3")).unwrap();
-    assert_eq!(engine.stream().dirty_users(), 1, "gen-home is left dirty");
+    writer
+        .ingest_batch(1, &refs(&first), Some("gen-1"))
+        .unwrap();
+    writer.ingest_batch(2, &refs(&second), None).unwrap();
+    engine.publish().unwrap();
+    writer
+        .ingest_batch(3, &refs(&third), Some("gen-3"))
+        .unwrap();
+    assert_eq!(engine.dirty_users(), 1, "gen-home is left dirty");
     engine.checkpoint_now().unwrap();
 }
 
@@ -352,18 +356,27 @@ fn json(report: Result<GeolocationReport, CoreError>) -> String {
     serde_json::to_string(&report.unwrap()).unwrap()
 }
 
+/// The JSON bytes of the report `engine` publishes now.
+fn published(engine: &ConcurrentStreamingPipeline) -> String {
+    serde_json::to_string(engine.publish().unwrap().report()).unwrap()
+}
+
 #[test]
 fn pinned_generation_reopens_into_the_reference_next_report() {
     let mut reference = generation_reference();
     let want = reference.snapshot().unwrap();
     for fixture in [GENERATION_FIXTURE, GENERATION_FIXTURE_V2] {
         let dir = seeded_generation_dir("generation-open", fixture);
-        let mut reopened = StreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
+        let reopened =
+            ConcurrentStreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
         assert_eq!(reopened.last_source_seq(), 3, "{fixture}");
-        assert_eq!(reopened.source_checkpoint(), Some("gen-3"), "{fixture}");
-        let got = reopened.snapshot().unwrap();
         assert_eq!(
-            serde_json::to_string(&got).unwrap(),
+            reopened.source_checkpoint().as_deref(),
+            Some("gen-3"),
+            "{fixture}"
+        );
+        assert_eq!(
+            published(&reopened),
             serde_json::to_string(&want).unwrap(),
             "reopened {fixture} diverged from the reference"
         );
@@ -424,32 +437,29 @@ fn json_store_upgrades_to_binary_in_place() {
     }
     std::fs::write(dir.join(LOG_FILE), log).unwrap();
 
-    let mut engine = StreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(generation_pipeline(), &dir).unwrap();
+    let writer = engine.writer();
     assert_eq!(engine.last_source_seq(), 5);
-    assert_eq!(engine.source_checkpoint(), Some("json-4"));
-    assert_eq!(json(engine.snapshot()), json(reference.snapshot()));
+    assert_eq!(engine.source_checkpoint().as_deref(), Some("json-4"));
+    assert_eq!(published(&engine), json(reference.snapshot()));
 
     // Binary records after the JSON ones, then a binary rotation.
-    let ingest = |engine: &mut DurableStreamingPipeline,
-                  reference: &mut StreamingPipeline,
-                  seq: u64,
-                  posts: &[(&str, i64)]| {
+    let ingest = |reference: &mut StreamingPipeline, seq: u64, posts: &[(&str, i64)]| {
         let batch = monitor_batch(posts);
-        assert!(engine
-            .ingest_batch(seq, &batch, Some(&format!("bin-{seq}")))
+        assert!(writer
+            .ingest_batch(seq, &refs(&batch), Some(&format!("bin-{seq}")))
             .unwrap());
         for (user, ts) in &batch {
             reference.ingest(user, std::slice::from_ref(ts));
         }
-        assert_eq!(json(engine.snapshot()), json(reference.snapshot()));
+        assert_eq!(published(&engine), json(reference.snapshot()));
     };
     ingest(
-        &mut engine,
         &mut reference,
         6,
         &[("gen-new", 520 * DAY + 15 * 3_600), ("gen-x", 520 * DAY)],
     );
-    assert_eq!(engine.checkpoint_now().unwrap(), 2);
+    assert_eq!(engine.checkpoint_now().unwrap(), Some(2));
     for (name, bytes) in generation_files(&dir) {
         if name.starts_with("snap-0000000000000002-") {
             let payload = crowdtz_store::decode_blob(&bytes, 2).unwrap();
@@ -457,12 +467,11 @@ fn json_store_upgrades_to_binary_in_place() {
         }
     }
     ingest(
-        &mut engine,
         &mut reference,
         7,
         &[("gen-sub", 521 * DAY + 3 * 3_600), ("gen-half", 522 * DAY)],
     );
-    drop(engine);
+    drop((writer, engine));
     let want = json(reference.snapshot());
 
     // A copy whose binary generation rots falls back to the JSON one and
@@ -480,11 +489,12 @@ fn json_store_upgrades_to_binary_in_place() {
     std::fs::write(&rotten, bytes).unwrap();
 
     for (store, generation) in [(&dir, 2), (&fallback, 1)] {
-        let mut reopened = StreamingPipeline::open_durable(generation_pipeline(), store).unwrap();
+        let reopened =
+            ConcurrentStreamingPipeline::open_durable(generation_pipeline(), store).unwrap();
         assert_eq!(reopened.last_source_seq(), 7, "generation {generation}");
-        assert_eq!(reopened.source_checkpoint(), Some("bin-7"));
+        assert_eq!(reopened.source_checkpoint().as_deref(), Some("bin-7"));
         assert_eq!(
-            json(reopened.snapshot()),
+            published(&reopened),
             want,
             "reopened onto generation {generation} diverged"
         );

@@ -824,12 +824,13 @@ impl Monitor {
     ///
     /// This is the durable streaming feed. The sequence number closes
     /// the restart gap: persist it *with* the batch (e.g. hand both to
-    /// `crowdtz_core::DurableStreamingPipeline::ingest_batch`, which
-    /// stores the serialized checkpoint in the same log record as the
-    /// batch) and a killed session restarted from a recovered — possibly
-    /// stale — checkpoint re-delivers the boundary batch with its
-    /// original sequence number, so the consumer drops it by comparison
-    /// instead of double-counting it.
+    /// `crowdtz_core::IngestWriter::ingest_batch` on an engine opened
+    /// with `ConcurrentStreamingPipeline::open_durable`, which stores the
+    /// serialized checkpoint in the same log record as the batch) and a
+    /// killed session restarted from a recovered — possibly stale —
+    /// checkpoint re-delivers the boundary batch with its original
+    /// sequence number, so the consumer drops it by comparison instead
+    /// of double-counting it.
     ///
     /// Unlike [`resume_run`](Monitor::resume_run), the checkpoint does
     /// **not** accumulate traces (the consumer owns the observations),

@@ -42,7 +42,7 @@ pub const LOG_FILE: &str = "deltas.log";
 /// Manifest format version; bumped if the layout ever changes.
 const MANIFEST_VERSION: u32 = 1;
 
-/// Default log size (bytes) above which [`DurableStore::should_snapshot`]
+/// Log size (bytes) above which [`DurableStore::should_snapshot`]
 /// recommends rotating.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
@@ -101,7 +101,6 @@ pub struct DurableStore {
     retained: Vec<(u64, u64)>,
     /// Current byte length of the (valid portion of the) delta log.
     log_len: u64,
-    compact_threshold: u64,
     obs: Option<Arc<Observer>>,
 }
 
@@ -283,7 +282,6 @@ impl DurableStore {
             next_gen: max_gen_seen + 1,
             retained,
             log_len,
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             obs,
         };
         Ok((
@@ -485,16 +483,10 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Whether the log has grown past the configured threshold and the
-    /// caller should snapshot (which rotates and compacts).
+    /// Whether the log has grown past [`DEFAULT_COMPACT_THRESHOLD`] and
+    /// the caller should snapshot (which rotates and compacts).
     pub fn should_snapshot(&self) -> bool {
-        self.log_len >= self.compact_threshold
-    }
-
-    /// Set the log-size threshold (bytes) behind
-    /// [`DurableStore::should_snapshot`].
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
-        self.compact_threshold = bytes.max(1);
+        self.log_len >= DEFAULT_COMPACT_THRESHOLD
     }
 
     /// Highest sequence number assigned so far (0 before any append).

@@ -13,9 +13,10 @@
 //! and an incremental snapshot that re-places only the dirty users. The
 //! reports are byte-identical every round; only the wall-clock differs.
 //!
-//! With `--durable DIR` the demo runs the crash-safe engine instead:
-//! every round is one sequence-numbered batch in `DIR`'s write-ahead
-//! log, and the final report lands in `DIR/final_report.json`. Because
+//! With `--durable DIR` the demo runs the crash-safe engine instead (a
+//! durable [`ConcurrentStreamingPipeline`] fed by one writer): every
+//! round is one sequence-numbered batch in `DIR`'s write-ahead log, and
+//! the final published report lands in `DIR/final_report.json`. Because
 //! the workload is derived deterministically from the seed, re-running
 //! the same command after a kill resumes from the recovered state and
 //! produces a byte-identical final report — `--crash-after R` aborts
@@ -24,7 +25,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crowdtz::core::{GenericProfile, GeolocationPipeline, StreamingPipeline};
+use crowdtz::core::{
+    ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, StreamingPipeline,
+};
 use crowdtz::time::{Timestamp, TraceSet, UserTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,19 +78,20 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
     println!("synthesizing {users} users (60% UTC+9, 40% UTC-3)…");
     let cumulative = synthesize(users, 42);
 
-    let mut engine = StreamingPipeline::open_durable(GeolocationPipeline::default(), &dir)
+    let engine = ConcurrentStreamingPipeline::open_durable(GeolocationPipeline::default(), &dir)
         .expect("open durable engine");
+    let writer = engine.writer();
     let recovered = engine.last_source_seq();
     if recovered > 0 {
         println!("warm restart: recovered through batch {recovered}, resuming…");
     }
 
     // Batch 1: the primer crowd. A restart skips it by sequence number.
-    let primer: Vec<(String, crowdtz::time::Timestamp)> = cumulative
+    let primer: Vec<(&str, Timestamp)> = cumulative
         .iter()
-        .flat_map(|t| t.posts().iter().map(|&ts| (t.id().to_owned(), ts)))
+        .flat_map(|t| t.posts().iter().map(move |&ts| (t.id(), ts)))
         .collect();
-    if engine
+    if writer
         .ingest_batch(1, &primer, Some("primed"))
         .expect("ingest primer")
     {
@@ -111,8 +115,12 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
                 (user, ts)
             })
             .collect();
+        let batch: Vec<(&str, Timestamp)> = batch
+            .iter()
+            .map(|(user, ts)| (user.as_str(), *ts))
+            .collect();
         let ckpt = format!("round-{round}");
-        let applied = engine
+        let applied = writer
             .ingest_batch(1 + round, &batch, Some(&ckpt))
             .expect("ingest round");
         if applied && Some(round) == crash_after {
@@ -121,8 +129,9 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
         }
     }
 
-    let report = engine.snapshot().expect("final snapshot");
-    let json = serde_json::to_string(&report).expect("serialize report");
+    let published = engine.publish().expect("final publish");
+    let report = published.report();
+    let json = serde_json::to_string(report).expect("serialize report");
     let out = dir.join("final_report.json");
     std::fs::write(&out, &json).expect("write final report");
     println!(
@@ -131,8 +140,7 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
         report.flat_removed()
     );
     println!(
-        "log: {} bytes after {} batches; final report written to {}",
-        engine.store().log_len(),
+        "{} batches durable; final report written to {}",
         engine.last_source_seq(),
         out.display()
     );

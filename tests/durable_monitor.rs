@@ -3,8 +3,8 @@
 //!
 //! The pairing under test (ISSUE 6): `Monitor::resume_run_batched`
 //! delivers each poll as a sequence-numbered batch, and
-//! `DurableStreamingPipeline::ingest_batch` persists the batch *and*
-//! the monitor checkpoint in one log record. Killing the process at any
+//! `IngestWriter::ingest_batch` on a durable `ConcurrentStreamingPipeline`
+//! persists the batch *and* the monitor checkpoint in one log record. Killing the process at any
 //! batch boundary and restarting from the recovered checkpoint — even a
 //! stale one — must end with a snapshot byte-identical to a session
 //! that was never killed, with the boundary batch deduped by sequence
@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use crowdtz::core::{GeolocationPipeline, StreamingPipeline};
+use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline};
 use crowdtz::forum::{
     CrowdComponent, ForumHost, ForumSpec, Monitor, MonitorCheckpoint, TimestampPolicy,
 };
@@ -59,6 +59,18 @@ fn report_json(engine: &mut StreamingPipeline) -> String {
     serde_json::to_string(&engine.snapshot().expect("snapshot")).unwrap()
 }
 
+fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
+    serde_json::to_string(engine.publish().expect("publish").report()).unwrap()
+}
+
+/// A monitor batch in the borrowed shape the engine's writers take.
+fn refs(batch: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
+    batch
+        .iter()
+        .map(|(user, ts)| (user.as_str(), *ts))
+        .collect()
+}
+
 #[test]
 fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     let (from, to, interval) = window();
@@ -84,8 +96,8 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     // boundary mid-window (drop with no orderly shutdown — the
     // write-ahead log is the only thing that survives).
     {
-        let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
-        engine.snapshot_every_bytes(4096);
+        let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = engine.writer();
         fresh_monitor()
             .resume_run_batched(
                 from,
@@ -94,7 +106,12 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+                    assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
+                    // Rotate every 8 batches, so the restart recovers a
+                    // snapshot generation plus a log suffix.
+                    if seq % 8 == 0 {
+                        engine.checkpoint_now().unwrap();
+                    }
                     seq < kill_after
                 },
             )
@@ -104,25 +121,26 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
 
     // Run 2 ("the restart"): recover the engine, resume the monitor from
     // the checkpoint the recovery hands back.
-    let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let writer = engine.writer();
     assert_eq!(
         engine.last_source_seq(),
         kill_after,
         "warm restart lost batches"
     );
     let cp: MonitorCheckpoint =
-        serde_json::from_str(engine.source_checkpoint().expect("recovered checkpoint")).unwrap();
+        serde_json::from_str(&engine.source_checkpoint().expect("recovered checkpoint")).unwrap();
     assert_eq!(cp.batch_seq(), kill_after);
     fresh_monitor()
         .resume_run_batched(from, to, interval, cp, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+            assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
             true
         })
         .unwrap();
     assert_eq!(engine.last_source_seq(), total_batches);
     assert_eq!(
-        serde_json::to_string(&engine.snapshot().unwrap()).unwrap(),
+        published_json(&engine),
         want,
         "kill/restart diverged from the uninterrupted session"
     );
@@ -154,7 +172,8 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
 
     let dir = tmp_dir("stale-restart");
     {
-        let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = engine.writer();
         fresh_monitor()
             .resume_run_batched(
                 from,
@@ -163,7 +182,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+                    assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
                     seq < boundary
                 },
             )
@@ -174,14 +193,15 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
     // state — the worst-case restart gap. The monitor re-delivers the
     // boundary batch with its original sequence number; the engine must
     // drop it (`Ok(false)`), not double-count it.
-    let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let writer = engine.writer();
     assert_eq!(engine.last_source_seq(), boundary);
     let stale = checkpoints[boundary as usize - 2].clone();
     let mut deduped = 0u32;
     fresh_monitor()
         .resume_run_batched(from, to, interval, stale, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            if !engine.ingest_batch(seq, b, Some(&blob)).unwrap() {
+            if !writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap() {
                 deduped += 1;
                 assert_eq!(seq, boundary, "only the boundary batch may dedupe");
             }
@@ -190,7 +210,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
         .unwrap();
     assert_eq!(deduped, 1, "boundary batch was not re-delivered/deduped");
     assert_eq!(
-        serde_json::to_string(&engine.snapshot().unwrap()).unwrap(),
+        published_json(&engine),
         want,
         "stale-checkpoint restart double-counted or lost observations"
     );
