@@ -57,6 +57,8 @@
 //! gate-read + WAL-lock *before* the shard apply; a monitor batch
 //! ([`IngestWriter::ingest_batch`]) also carries its sequence number and
 //! checkpoint, and a re-delivered one is dropped under the same lock.
+//! A windowed cut (`window.rs`) releases expired slots under the write
+//! gate and journals its cutoff first, as one record.
 //! Snapshot rotation runs only under the write gate — at a publish once
 //! the log has passed 1 MiB, and on
 //! [`checkpoint_now`](ConcurrentStreamingPipeline::checkpoint_now) — so
@@ -86,6 +88,7 @@
 //! assert_eq!(engine.snapshot().unwrap().epoch(), published.epoch());
 //! ```
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -94,7 +97,7 @@ use std::time::Instant;
 use crowdtz_store::{DurableStore, RealVfs, Vfs};
 use crowdtz_time::Timestamp;
 
-use crate::durable::{build_snapshot_parts, encode_batch, recover};
+use crate::durable::{build_snapshot_parts, encode_batch, encode_expiry, recover};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::SharedIngestObs;
@@ -200,6 +203,58 @@ impl Engine {
         let last_seq = wal.store.last_seq();
         Ok(Some(wal.store.write_snapshot(last_seq, &parts)?))
     }
+
+    /// Releases every slot older than the window (write gate held). The
+    /// cutoff is `window_buckets − 1` buckets before the bucket of the
+    /// newest live slot; when a slot lies below it, a durable engine
+    /// journals the cutoff before the release.
+    fn expire(&mut self, span: WindowSpan) -> Result<Expiry, CoreError> {
+        let Some((oldest, newest)) = self.stream.shards_mut_ref().live_slot_range() else {
+            return Ok(Expiry::default());
+        };
+        let newest_bucket = newest.div_euclid(span.bucket_hours);
+        let cutoff = newest_bucket
+            .saturating_sub(span.window_buckets - 1)
+            .saturating_mul(span.bucket_hours);
+        let mut expiry = Expiry {
+            newest_bucket: Some(newest_bucket),
+            ..Expiry::default()
+        };
+        if oldest >= cutoff {
+            return Ok(expiry);
+        }
+        if let Some(wal) = &mut self.wal {
+            let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
+            wal.store.append_delta(&encode_expiry(cutoff))?;
+        }
+        let mut buckets = BTreeSet::new();
+        expiry.posts = self.stream.shards_mut_ref().release_below(cutoff, |slot| {
+            buckets.insert(slot.div_euclid(span.bucket_hours));
+        });
+        expiry.buckets = buckets.len();
+        Ok(expiry)
+    }
+}
+
+/// The window a windowed cut expires against, in hour slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowSpan {
+    /// Hour slots per bucket (≥ 1).
+    pub(crate) bucket_hours: i64,
+    /// Buckets kept live (≥ 1).
+    pub(crate) window_buckets: i64,
+}
+
+/// What a windowed cut released.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Expiry {
+    /// The bucket of the newest live slot at the cut; `None` while the
+    /// engine holds no post.
+    pub(crate) newest_bucket: Option<i64>,
+    /// Posts released.
+    pub(crate) posts: usize,
+    /// Distinct buckets that lost slots.
+    pub(crate) buckets: usize,
 }
 
 /// One published snapshot: the report plus the exact cut it reflects.
@@ -458,7 +513,28 @@ impl ConcurrentStreamingPipeline {
     /// * [`CoreError::InvalidCoverage`] when `coverage` is outside
     ///   `(0, 1]`, plus everything [`publish`](Self::publish) returns.
     pub fn publish_with_coverage(&self, coverage: f64) -> Result<Arc<PublishedReport>, CoreError> {
+        self.cut(&mut write_gate(&self.shared.gate), coverage)
+    }
+
+    /// A windowed cut: under one write-gate hold, releases every slot
+    /// older than `span` (see `window.rs`), then publishes as
+    /// [`publish_with_coverage`](Self::publish_with_coverage). Expiry and
+    /// cut are one atomic step: no batch lands between them. What was
+    /// released comes back even when the report fails.
+    pub(crate) fn publish_windowed(
+        &self,
+        coverage: f64,
+        span: WindowSpan,
+    ) -> (Expiry, Result<Arc<PublishedReport>, CoreError>) {
         let mut guard = write_gate(&self.shared.gate);
+        match guard.expire(span) {
+            Ok(expiry) => (expiry, self.cut(&mut guard, coverage)),
+            Err(e) => (Expiry::default(), Err(e)),
+        }
+    }
+
+    /// The body of every publish, write gate held.
+    fn cut(&self, guard: &mut Engine, coverage: f64) -> Result<Arc<PublishedReport>, CoreError> {
         // Under the write gate no watermark can move (bumps happen under
         // a read hold), so this vector is the exact cut.
         let watermarks: Vec<u64> = relock(&self.shared.writers)
@@ -600,6 +676,7 @@ impl IngestWriter {
             .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
             .collect();
         self.apply_batch(&deltas, false, Some((source_seq, checkpoint)))
+            .map(|applied| applied.is_some())
     }
 
     /// Retracts posts for one user — one signed batch, one gate hold,
@@ -615,7 +692,7 @@ impl IngestWriter {
         if posts.is_empty() {
             return Ok(());
         }
-        self.apply_deltas(&[(user, posts)], true)
+        self.apply_deltas(&[(user, posts)], true).map(drop)
     }
 
     /// Retracts a batch of single-post observations as one signed batch.
@@ -624,6 +701,14 @@ impl IngestWriter {
     ///
     /// As [`ingest`](Self::ingest).
     pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
+        self.retract_released(posts).map(drop)
+    }
+
+    /// [`retract_posts_ref`](Self::retract_posts_ref), returning how many
+    /// posts the shards actually released: a post whose slot holds no
+    /// live count (never ingested, already retracted or expired)
+    /// releases nothing.
+    pub(crate) fn retract_released(&self, posts: &[(&str, Timestamp)]) -> Result<usize, CoreError> {
         let deltas: Vec<(&str, &[Timestamp])> = posts
             .iter()
             .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
@@ -644,39 +729,42 @@ impl IngestWriter {
     ///
     /// As [`ingest`](Self::ingest).
     pub fn ingest_deltas(&self, deltas: &[(&str, &[Timestamp])]) -> Result<(), CoreError> {
-        self.apply_deltas(deltas, false)
+        self.apply_deltas(deltas, false).map(drop)
     }
 
     /// [`ingest_deltas`](Self::ingest_deltas), or with `retract` its
     /// signed inverse: the same gate/WAL/shard lock order, but the record
-    /// is a retraction and the shards release the posts.
+    /// is a retraction and the shards release the posts. Returns the
+    /// posts applied (for a retraction, those actually released).
     fn apply_deltas(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
-    ) -> Result<(), CoreError> {
+    ) -> Result<usize, CoreError> {
         if deltas.iter().all(|(_, posts)| posts.is_empty()) {
-            return Ok(());
+            return Ok(0);
         }
-        self.apply_batch(deltas, retract, None).map(drop)
+        self.apply_batch(deltas, retract, None)
+            .map(|applied| applied.unwrap_or(0))
     }
 
     /// One batch in the lock order of [`ingest_deltas`](Self::ingest_deltas);
     /// `source` is a monitor batch's sequence number and checkpoint.
-    /// `Ok(false)`: a durable engine had already applied that sequence.
+    /// Returns the posts applied, or `None` when a durable engine had
+    /// already applied that sequence.
     fn apply_batch(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
         source: Option<(u64, Option<&str>)>,
-    ) -> Result<bool, CoreError> {
+    ) -> Result<Option<usize>, CoreError> {
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
             let (seq, checkpoint) = source.unwrap_or((0, None));
             let payload = encode_batch(seq, checkpoint, deltas, retract);
             let mut wal = relock(wal);
             if source.is_some() && seq <= wal.source_seq {
-                return Ok(false);
+                return Ok(None);
             }
             wal.store.append_delta(&payload)?;
             if source.is_some() {
@@ -687,13 +775,13 @@ impl IngestWriter {
             }
         }
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
-        guard.stream.apply_deltas_shared(deltas, retract, obs);
+        let applied = guard.stream.apply_deltas_shared(deltas, retract, obs);
         if let Some(obs) = &self.shared.obs {
             obs.batches.inc();
         }
         self.watermark.fetch_add(1, Ordering::Release);
         drop(guard);
-        Ok(true)
+        Ok(Some(applied))
     }
 
     /// Batches this writer has fully applied — its own watermark.

@@ -13,7 +13,8 @@
 //!   `f64::to_bits` — and everything derived (distributions, profiles,
 //!   kept vectors, zone counts) is recomputed by the same pure
 //!   functions the live engine uses, in the same global user-id order.
-//! * Log records replay through the same ingest path as live batches.
+//! * Log records replay through the same ingest path as live batches,
+//!   and a windowed cut's expiry record through the same slot release.
 //! * The store assigns sequence numbers; a snapshot covers a prefix,
 //!   recovery replays only the suffix — warm-restart cost scales with
 //!   the log length, not the crawl length.
@@ -28,7 +29,8 @@
 //!
 //! Every payload this module writes is a binary record whose first byte
 //! names its kind: `1` a log batch, `2` a shard snapshot part, `3` the
-//! snapshot meta part. Inside a record:
+//! snapshot meta part, `4` a log expiry (the cutoff slot of a windowed
+//! cut, as a zigzag varint). Inside a record:
 //!
 //! * counts, lengths and sequence numbers are LEB128 varints, and a
 //!   string is its byte length then its UTF-8 bytes;
@@ -66,6 +68,9 @@ const KIND_BATCH: u8 = 1;
 const KIND_SHARD: u8 = 2;
 /// Record-kind byte of the snapshot meta part.
 const KIND_META: u8 = 3;
+/// Record-kind byte of a log expiry: every slot below its cutoff was
+/// released.
+const KIND_EXPIRY: u8 = 4;
 /// First byte of a legacy JSON payload (an object).
 const LEGACY_JSON: u8 = b'{';
 
@@ -87,7 +92,8 @@ const MAX_OFFSET_MINUTES: u64 = 24 * 60;
 /// # Record versioning
 ///
 /// The first payload byte versions every record: the binary kinds
-/// (`1` batch, `2` shard part, `3` meta) are what this code writes, and
+/// (`1` batch, `2` shard part, `3` meta, `4` expiry) are what this code
+/// writes, and
 /// `{` marks a JSON record written before the binary codec, read
 /// through the `Deserialize` impls below and never written. A future
 /// layout takes a new kind byte, and the readers of the old ones stay.
@@ -281,7 +287,11 @@ fn encode_shard(users: &[(&str, &UserAccumulator)]) -> Vec<u8> {
     put_varint(&mut out, users.len() as u64);
     for &(id, acc) in users {
         put_str(&mut out, id);
-        let tag = match acc.analysis {
+        // A user emptied since the last refresh (every post retracted or
+        // expired) is dirty with a stale analysis. Persisting none is
+        // what that refresh concludes, and an analysis needs activity.
+        let analysis = acc.analysis.filter(|_| !acc.slots.is_empty());
+        let tag = match analysis {
             None => TAG_NONE,
             Some(UserAnalysis::Flat) => TAG_FLAT,
             Some(UserAnalysis::Kept { .. }) => TAG_KEPT,
@@ -300,7 +310,7 @@ fn encode_shard(users: &[(&str, &UserAccumulator)]) -> Vec<u8> {
         if let Some(UserAnalysis::Kept {
             offset_minutes,
             emd,
-        }) = acc.analysis
+        }) = analysis
         {
             put_varint(&mut out, zigzag(i64::from(offset_minutes)));
             out.extend_from_slice(&emd.to_bits().to_le_bytes());
@@ -313,6 +323,14 @@ fn encode_meta(source_seq: u64, checkpoint: Option<&str>) -> Vec<u8> {
     let mut out = vec![KIND_META];
     put_varint(&mut out, source_seq);
     put_opt_str(&mut out, checkpoint);
+    out
+}
+
+/// Encodes one log expiry: the cutoff slot below which a windowed cut
+/// released every slot.
+pub(crate) fn encode_expiry(cutoff: i64) -> Vec<u8> {
+    let mut out = vec![KIND_EXPIRY];
+    put_varint(&mut out, zigzag(cutoff));
     out
 }
 
@@ -521,6 +539,14 @@ fn decode_batch(payload: &[u8]) -> Result<LogBatch, CoreError> {
     })
 }
 
+/// Decodes one log expiry into its cutoff slot.
+fn decode_expiry(payload: &[u8]) -> Result<i64, CoreError> {
+    let mut r = Reader::open("log expiry", payload, KIND_EXPIRY)?;
+    let cutoff = r.zigzag()?;
+    r.finish()?;
+    Ok(cutoff)
+}
+
 /// Decodes one binary shard part into its users, in stored (id) order.
 pub(crate) fn decode_shard(part: &[u8]) -> Result<Vec<RestoredUser>, CoreError> {
     let mut r = Reader::open("shard snapshot", part, KIND_SHARD)?;
@@ -569,9 +595,10 @@ fn read_meta(part: &[u8]) -> Result<MetaSnap, CoreError> {
 
 /// Opens (creating if necessary) the store at `dir` and recovers the
 /// engine persisted there: the newest valid snapshot generation is
-/// loaded and the valid log suffix replayed through the normal ingest
-/// path. Returns the engine, the open store, and the highest monitor
-/// batch sequence with its checkpoint.
+/// loaded and the valid log suffix replayed in log order, batches
+/// through the normal ingest path and expiries through the slot
+/// release of a windowed cut. Returns the engine, the open store, and
+/// the highest monitor batch sequence with its checkpoint.
 pub(crate) fn recover(
     pipeline: GeolocationPipeline,
     vfs: Box<dyn Vfs>,
@@ -600,6 +627,11 @@ pub(crate) fn recover(
         stream.rebuild_derived_state();
     }
     for (_, payload) in &recovered.deltas {
+        if payload.first() == Some(&KIND_EXPIRY) {
+            let cutoff = decode_expiry(payload)?;
+            stream.shards_mut_ref().release_below(cutoff, |_| {});
+            continue;
+        }
         let batch = decode_batch(payload)?;
         apply_batch(&mut stream, &batch);
         if batch.source_seq != 0 {
@@ -842,6 +874,22 @@ mod tests {
         }
     }
 
+    /// Cutoff slots: 0 and −1, the `i64` extremes, random bits, and keys
+    /// near the slots of today's posts.
+    struct Cutoffs;
+
+    impl proptest::Strategy for Cutoffs {
+        type Value = i64;
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<i64> {
+            Some(match pick(rng, 4) {
+                0 => [0, -1, i64::MIN, i64::MAX][pick(rng, 4) as usize],
+                1 => rng.next_u64() as i64,
+                _ => 400_000 + pick(rng, 1 << 20) as i64 - (1 << 19),
+            })
+        }
+    }
+
     fn encode_users(users: &[(String, UserAccumulator)]) -> Vec<u8> {
         let refs: Vec<(&str, &UserAccumulator)> =
             users.iter().map(|(id, acc)| (id.as_str(), acc)).collect();
@@ -908,18 +956,32 @@ mod tests {
         }
 
         #[test]
-        fn damaged_payloads_are_codec_errors(batch in Batches, users in Shards, seed in 0u64..u64::MAX) {
+        fn expiries_round_trip(cutoff in Cutoffs) {
+            let payload = encode_expiry(cutoff);
+            proptest::prop_assert_eq!(decode_expiry(&payload).map_err(|e| e.to_string())?, cutoff);
+            proptest::prop_assert!(is_codec_err(&decode_batch(&payload)), "an expiry is not a batch");
+        }
+
+        #[test]
+        fn damaged_payloads_are_codec_errors(
+            batch in Batches,
+            users in Shards,
+            cutoff in Cutoffs,
+            seed in 0u64..u64::MAX,
+        ) {
             let meta = encode_meta(batch.0, batch.1.as_deref());
-            let payloads = [encode(&batch), encode_users(&users), meta];
-            let decoders: [fn(&[u8]) -> bool; 3] = [
+            let payloads = [encode(&batch), encode_users(&users), meta, encode_expiry(cutoff)];
+            let decoders: [fn(&[u8]) -> bool; 4] = [
                 |p| ok_or_codec_err(decode_batch(p)),
                 |p| ok_or_codec_err(read_shard(p)),
                 |p| ok_or_codec_err(read_meta(p)),
+                |p| ok_or_codec_err(decode_expiry(p)),
             ];
-            let strict: [fn(&[u8]) -> bool; 3] = [
+            let strict: [fn(&[u8]) -> bool; 4] = [
                 |p| is_codec_err(&decode_batch(p)),
                 |p| is_codec_err(&read_shard(p)),
                 |p| is_codec_err(&read_meta(p)),
+                |p| is_codec_err(&decode_expiry(p)),
             ];
             let mut rng = proptest::TestRng::for_case("damaged_payloads", (seed % 1_000) as u32);
             for (i, payload) in payloads.iter().enumerate() {
@@ -943,8 +1005,8 @@ mod tests {
                 for byte in noise.iter_mut() {
                     *byte = rng.next_u64() as u8;
                 }
-                noise[0] = [KIND_BATCH, KIND_SHARD, KIND_META, LEGACY_JSON, noise[0]]
-                    [pick(&mut rng, 5) as usize];
+                noise[0] = [KIND_BATCH, KIND_SHARD, KIND_META, KIND_EXPIRY, LEGACY_JSON, noise[0]]
+                    [pick(&mut rng, 6) as usize];
                 proptest::prop_assert!(decoders[i](&noise), "kind {i} noise {noise:?}");
             }
         }
@@ -1027,5 +1089,125 @@ mod tests {
         assert!(is_codec_err(&read_shard(&meta)));
         assert!(is_codec_err(&read_meta(&[])));
         assert!(is_codec_err(&read_meta(b"{\"source_seq\":")));
+    }
+
+    /// Days `from..=to` of a small two-zone crowd, two posts per user per
+    /// day.
+    fn days(from: i64, to: i64) -> Vec<(String, Timestamp)> {
+        (from..=to)
+            .flat_map(|d| {
+                (0..6i64).flat_map(move |u| {
+                    (0..2i64).map(move |k| {
+                        let hour = (u * 5 + k * 7 + d) % 24;
+                        (
+                            format!("u{u}"),
+                            Timestamp::from_secs(d * 86_400 + hour * 3_600),
+                        )
+                    })
+                })
+            })
+            .collect()
+    }
+
+    fn refs(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
+        posts.iter().map(|(u, t)| (u.as_str(), *t)).collect()
+    }
+
+    fn durable_pipeline() -> GeolocationPipeline {
+        GeolocationPipeline::default()
+            .min_posts(1)
+            .threads(1)
+            .shards(4)
+    }
+
+    fn report_of(engine: &crate::ConcurrentStreamingPipeline) -> String {
+        serde_json::to_string(engine.publish().unwrap().report()).unwrap()
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("crowdtz-durable-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn recovery_replays_cutoff_records_around_a_checkpoint() {
+        use crate::{ConcurrentStreamingPipeline, WindowConfig, WindowedPipeline};
+        let dir = scratch_dir("cutoffs");
+        // Three daily buckets: the cut after day `d` keeps days d−2..=d.
+        let survivors = |d: i64| {
+            let fresh = ConcurrentStreamingPipeline::new(durable_pipeline());
+            fresh
+                .writer()
+                .ingest_posts_ref(&refs(&days((d - 2).max(0), d)))
+                .unwrap();
+            report_of(&fresh)
+        };
+        {
+            let engine =
+                ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+            let config = WindowConfig {
+                bucket_secs: 86_400,
+                window_buckets: 3,
+                ..WindowConfig::default()
+            };
+            let window = WindowedPipeline::new(engine, config, None);
+            let writer = window.engine().writer();
+            for d in 0..9 {
+                window.ingest_posts(&writer, &refs(&days(d, d))).unwrap();
+                let published = window.publish().unwrap();
+                assert_eq!(
+                    serde_json::to_string(published.report()).unwrap(),
+                    survivors(d),
+                    "day {d}"
+                );
+                if d == 4 {
+                    assert!(window.engine().checkpoint_now().unwrap().is_some());
+                }
+            }
+        }
+        let (_, recovered) = DurableStore::open(&dir).unwrap();
+        assert!(recovered.snapshot.is_some(), "the checkpoint's generation");
+        let kinds: Vec<u8> = recovered.deltas.iter().map(|(_, p)| p[0]).collect();
+        // Days 5–8 after the checkpoint: a batch then a cutoff each.
+        assert_eq!(kinds, [KIND_BATCH, KIND_EXPIRY].repeat(4));
+        let engine = ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+        assert_eq!(report_of(&engine), survivors(8));
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_user_emptied_before_a_checkpoint_recovers() {
+        use crate::ConcurrentStreamingPipeline;
+        let dir = scratch_dir("emptied");
+        let gone = days(0, 2);
+        let kept = days(3, 5);
+        {
+            let engine =
+                ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+            let writer = engine.writer();
+            writer.ingest_posts_ref(&refs(&gone)).unwrap();
+            writer
+                .ingest("stays", &[Timestamp::from_secs(20 * 3_600)])
+                .unwrap();
+            engine.publish().unwrap();
+            // Every post of u0..u5 retracted, then a generation written
+            // before any refresh: those users are dirty and empty.
+            writer.retract_posts_ref(&refs(&gone)).unwrap();
+            assert!(engine.checkpoint_now().unwrap().is_some());
+            writer.ingest_posts_ref(&refs(&kept)).unwrap();
+        }
+        let engine = ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+        let fresh = ConcurrentStreamingPipeline::new(durable_pipeline());
+        let writer = fresh.writer();
+        writer
+            .ingest("stays", &[Timestamp::from_secs(20 * 3_600)])
+            .unwrap();
+        writer.ingest_posts_ref(&refs(&kept)).unwrap();
+        assert_eq!(report_of(&engine), report_of(&fresh));
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -330,6 +330,24 @@ impl UserAccumulator {
         self.posts -= removed;
         removed
     }
+
+    /// Drops every slot below `cutoff` whole, whatever its refcount,
+    /// with its posts and its hour-count contribution; `on_slot` sees
+    /// each dropped key. Slots are sorted, so the dropped ones are a
+    /// prefix. Returns how many posts were released.
+    pub(crate) fn release_below(&mut self, cutoff: i64, on_slot: &mut impl FnMut(i64)) -> usize {
+        let n = self.slots.partition_point(|&k| k < cutoff);
+        let mut released = 0usize;
+        for (&k, &c) in self.slots[..n].iter().zip(&self.slot_counts[..n]) {
+            self.hour_counts[k.rem_euclid(24) as usize] -= 1;
+            released += c as usize;
+            on_slot(k);
+        }
+        self.slots.drain(..n);
+        self.slot_counts.drain(..n);
+        self.posts -= released;
+        released
+    }
 }
 
 /// An eligible user's analysis as of the last refresh. The engine's kept
@@ -395,27 +413,43 @@ impl Shard {
     /// accumulator stays in the map: an empty accumulator analyzes to
     /// nothing, so reports are unaffected, and keeping it preserves the
     /// refresh invariant that every dirty id resolves to an accumulator.
-    fn retract(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
+    /// Returns how many posts were released.
+    fn retract(&mut self, user: &str, posts: &[Timestamp]) -> usize {
         let Some(acc) = self.users.get_mut(user) else {
-            return;
+            return 0;
         };
-        if acc.release(posts) == 0 {
-            return;
+        let released = acc.release(posts);
+        if released > 0 {
+            mark_dirty(acc, &mut self.dirty, user);
         }
-        mark_dirty(acc, &mut self.dirty, user);
+        released
     }
 
     /// Dispatches one delta by sign — the shared inner loop of the batch
-    /// paths, so ingest and retraction route identically.
-    fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) {
+    /// paths, so ingest and retraction route identically. Returns the
+    /// posts applied: all of them for an ingest, those actually
+    /// released for a retraction.
+    fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) -> usize {
         if retract {
-            self.retract(user, posts);
+            self.retract(user, posts)
         } else {
             self.ingest(user, posts);
+            posts.len()
         }
+    }
+
+    /// Releases every slot below `cutoff` from every user and marks each
+    /// user that lost one dirty. Returns the posts released.
+    fn release_below(&mut self, cutoff: i64, on_slot: &mut impl FnMut(i64)) -> usize {
+        let Shard { users, dirty } = self;
+        let mut released = 0usize;
+        for (user, acc) in users.iter_mut() {
+            if acc.slots.first().is_some_and(|&k| k < cutoff) {
+                released += acc.release_below(cutoff, on_slot);
+                mark_dirty(acc, dirty, user);
+            }
+        }
+        released
     }
 }
 
@@ -498,6 +532,27 @@ impl ShardSet {
         remut(&mut self.shards[shard]).retract(user, posts);
     }
 
+    /// The oldest and newest live slot keys across the crowd, `None`
+    /// while no user holds a slot (single-owner access).
+    pub(crate) fn live_slot_range(&mut self) -> Option<(i64, i64)> {
+        self.shards
+            .iter_mut()
+            .flat_map(|s| remut(s).users.values())
+            .filter_map(|acc| Some((*acc.slots.first()?, *acc.slots.last()?)))
+            .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
+    }
+
+    /// Releases every slot below `cutoff` from every user in one pass
+    /// over the shards, marking each user that lost one dirty; `on_slot`
+    /// sees each released slot key. Returns the posts released
+    /// (single-owner access).
+    pub(crate) fn release_below(&mut self, cutoff: i64, mut on_slot: impl FnMut(i64)) -> usize {
+        self.shards
+            .iter_mut()
+            .map(|s| remut(s).release_below(cutoff, &mut on_slot))
+            .sum()
+    }
+
     /// Routes a batch of signed deltas to their shards (in arrival
     /// order), then applies the shards concurrently on up to `threads`
     /// workers — each worker owns a contiguous run of whole shards, so no
@@ -552,21 +607,25 @@ impl ShardSet {
     /// Retraction only commutes with ingestion of the *same* posts when
     /// it runs after them (releasing an unseen post is a skip, not a
     /// debt), so callers sequence a post's retraction after the batch
-    /// that ingested it; see `window.rs`.
+    /// that ingested it. Window expiry needs no such ordering: it
+    /// releases whole slots under the write gate
+    /// ([`release_below`](Self::release_below)).
     ///
     /// Contended acquisitions are counted and their wait timed into the
     /// `ingest.*` metrics when `obs` is attached; the uncontended fast
-    /// path costs one `try_lock`.
+    /// path costs one `try_lock`. Returns the posts applied: all of an
+    /// ingest, the released ones of a retraction.
     pub(crate) fn apply_batch_shared(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
         obs: Option<&SharedIngestObs>,
-    ) {
+    ) -> usize {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (user, _)) in deltas.iter().enumerate() {
             routed[self.shard_of(user)].push(i);
         }
+        let mut applied = 0usize;
         for (mutex, idxs) in self.shards.iter().zip(&routed) {
             if idxs.is_empty() {
                 continue;
@@ -586,9 +645,10 @@ impl ShardSet {
             };
             for &i in idxs {
                 let (user, posts) = deltas[i];
-                shard.apply(user, posts, retract);
+                applied += shard.apply(user, posts, retract);
             }
         }
+        applied
     }
 
     /// Drains every shard's dirty list into one globally id-sorted vector
@@ -981,6 +1041,53 @@ mod tests {
         let mut shared = shared;
         assert_eq!(shared.posts_ingested(), owned.posts_ingested());
         assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
+    }
+
+    #[test]
+    fn release_below_drops_whole_slots_like_a_fresh_ingest_of_the_rest() {
+        // Slots 3 (two posts), 7, 9 (three posts) and 30: a cutoff of 9
+        // drops slots 3 and 7 whole, whatever their refcounts.
+        let posts = [ts(3), ts(3), ts(7), ts(9), ts(9), ts(9), ts(30)];
+        let mut acc = UserAccumulator::default();
+        acc.absorb(&posts);
+        let mut seen = Vec::new();
+        assert_eq!(acc.release_below(9, &mut |k| seen.push(k)), 3);
+        assert_eq!(seen, [3, 7]);
+        let mut fresh = UserAccumulator::default();
+        fresh.absorb(&posts[3..]);
+        assert_eq!(acc.slots, fresh.slots);
+        assert_eq!(acc.slot_counts, fresh.slot_counts);
+        assert_eq!(acc.hour_counts, fresh.hour_counts);
+        assert_eq!(acc.posts, fresh.posts);
+        assert_eq!(
+            acc.release_below(9, &mut |_| panic!("nothing left below")),
+            0
+        );
+    }
+
+    #[test]
+    fn shard_set_expiry_dirties_only_users_that_lost_slots() {
+        for shards in [1usize, 4, 16] {
+            let mut set = ShardSet::new(shards);
+            assert_eq!(set.live_slot_range(), None);
+            set.ingest("old", &[ts(1), ts(2)]);
+            set.ingest("mixed", &[ts(4), ts(4), ts(50)]);
+            set.ingest("new", &[ts(60)]);
+            set.ingest("emptied", &[ts(5)]);
+            set.retract("emptied", &[ts(5)]);
+            set.take_dirty_sorted();
+            assert_eq!(set.live_slot_range(), Some((1, 60)));
+            let mut released_slots = Vec::new();
+            assert_eq!(set.release_below(10, |k| released_slots.push(k)), 4);
+            released_slots.sort_unstable();
+            assert_eq!(released_slots, [1, 2, 4]);
+            assert_eq!(set.take_dirty_sorted(), ["mixed", "old"], "shards={shards}");
+            assert_eq!(set.live_slot_range(), Some((50, 60)));
+            assert_eq!(set.posts_ingested(), 2);
+            assert_eq!(set.users_tracked(), 4, "emptied users stay in the map");
+            assert_eq!(set.release_below(10, |_| panic!("nothing below")), 0);
+            assert_eq!(set.dirty_len(), 0);
+        }
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl StreamingPipeline {
     /// the snapshot afterwards is byte-identical to an engine that never
     /// saw the retracted posts. Retracting posts the engine never saw is
     /// a no-op, so retraction must be sequenced after the ingest that
-    /// delivered the posts (the windowed pipeline guarantees this).
+    /// delivered the posts.
     pub fn retract(&mut self, user: &str, posts: &[Timestamp]) {
         if posts.is_empty() {
             return;
@@ -375,18 +375,19 @@ impl StreamingPipeline {
     /// atomic add, so any number of writer threads may call this at once;
     /// deltas commute (see `shard.rs`), so the final accumulator state —
     /// and with it every later snapshot — is identical to a serial
-    /// application of the same batches in any order.
+    /// application of the same batches in any order. Returns the posts
+    /// applied: all of an ingest, the released ones of a retraction.
     pub(crate) fn apply_deltas_shared(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
         ingest_obs: Option<&SharedIngestObs>,
-    ) {
+    ) -> usize {
         if deltas.is_empty() {
-            return;
+            return 0;
         }
         self.count(deltas, retract);
-        self.shards.apply_batch_shared(deltas, retract, ingest_obs);
+        self.shards.apply_batch_shared(deltas, retract, ingest_obs)
     }
 
     /// Counts a signed batch into `streaming.posts_ingested` or

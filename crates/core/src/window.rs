@@ -1,18 +1,30 @@
 //! Sliding-window analysis and longitudinal drift tracking — the
 //! scenario layer the signed-delta ingestion path exists for.
 //!
-//! A [`WindowedPipeline`] fronts a [`ConcurrentStreamingPipeline`] with
-//! a **time-bucketed retraction queue**: every ingested post is also
-//! registered under its event-time bucket (`floor(secs / bucket_secs)`),
-//! and at publish time every bucket older than the configured window
-//! span (measured from the newest bucket ever seen — an event-time high
-//! watermark) is retracted through the engine's signed-delta path. The
-//! engine therefore always analyzes exactly the posts inside the
-//! sliding window, and because retraction is an exact inverse
-//! (`shard.rs`), each windowed report is byte-identical to a fresh
-//! engine fed only the surviving posts — the invariant
-//! `tests/window_identity.rs` pins across writers × shards × grids,
-//! with and without durability.
+//! A [`WindowedPipeline`] fronts a [`ConcurrentStreamingPipeline`] and
+//! derives window expiry from the engine's own accumulators. Buckets are
+//! whole hours (`bucket_secs` is a positive multiple of 3 600), so an
+//! accumulator's hour slot (`day·24 + hour`) never straddles a bucket
+//! boundary. At each publish, under the write gate that makes the cut,
+//! the engine finds the bucket of its newest *live* slot and releases
+//! every slot of every bucket older than the configured span. No post is
+//! tracked beside the engine: posts from any writer path expire, and a
+//! durable engine keeps expiring after a restart because the window
+//! state *is* engine state. The engine therefore always analyzes
+//! exactly the posts inside the sliding window, and each windowed report
+//! is byte-identical to a fresh engine fed only the surviving posts —
+//! the invariant `tests/window_identity.rs` pins across writers ×
+//! shards × grids, with and without durability.
+//!
+//! The newest bucket is read from live slots at the cut, not kept as a
+//! high watermark. The two differ in one case: when every post of the
+//! newest bucket(s) was explicitly retracted, the window measures from
+//! the newest bucket that still holds a post.
+//!
+//! Explicit retraction ([`retract_posts`](WindowedPipeline::retract_posts))
+//! is the engine's signed path, exactly as on a plain tenant: a post
+//! releases one count of its slot when the slot is live (even if that
+//! exact post was never ingested), and nothing once its slot expired.
 //!
 //! On top of the window sits a [`DriftTracker`]: each publish appends a
 //! [`DriftPoint`] carrying the zone-composition fractions of the
@@ -20,28 +32,18 @@
 //! the previous points, and a **change-point flag** raised when the
 //! shift exceeds the configured threshold — the per-community
 //! time-zone-composition trajectory the ROADMAP's longitudinal-drift
-//! item calls for (user-base migration, DST-season re-checks).
-//!
-//! # Ordering
-//!
-//! Retraction is only an exact inverse when it runs *after* the ingest
-//! that delivered the posts (releasing an unseen post is a skip, not a
-//! debt). The pipeline guarantees this by construction: posts enter the
-//! queue only in [`ingest_posts`](WindowedPipeline::ingest_posts), after
-//! their ingest batch returned, and expiry happens at publish under the
-//! queue lock.
-//! Explicit retraction ([`retract_posts`](WindowedPipeline::retract_posts))
-//! also *unregisters* the posts from the queue — otherwise a later
-//! expiry would retract them a second time and break the identity (two
-//! posts sharing a slot would lose the slot while one still survives).
+//! item calls for (user-base migration, DST-season re-checks). The
+//! trajectory lives in memory and starts over after a restart.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crowdtz_time::Timestamp;
 
-use crate::concurrent::{ConcurrentStreamingPipeline, IngestWriter, PublishedReport};
+use crate::concurrent::{ConcurrentStreamingPipeline, IngestWriter, PublishedReport, WindowSpan};
 use crate::error::CoreError;
+
+/// Seconds in one hour slot — the unit every bucket is a multiple of.
+const HOUR_SECS: i64 = 3_600;
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -50,12 +52,12 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Configuration of the sliding window and its drift tracker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowConfig {
-    /// Width of one retraction bucket in seconds of event time
-    /// (default: one week). Posts are grouped by
+    /// Width of one bucket in seconds of event time, a positive multiple
+    /// of 3 600 (default: one week). Posts are grouped by
     /// `floor(secs / bucket_secs)`.
     pub bucket_secs: i64,
     /// Window span in buckets (default 8): a bucket expires once the
-    /// newest tracked bucket is at least this far ahead of it.
+    /// bucket of the newest live post is at least this far ahead of it.
     pub window_buckets: usize,
     /// L1 threshold on the zone-fraction shift (against the trailing
     /// mean) above which a publish is flagged as a change-point
@@ -95,8 +97,8 @@ impl DriftPoint {
         self.epoch
     }
 
-    /// The event-time high watermark (newest tracked bucket index) at
-    /// the publish — the trajectory's x-axis.
+    /// The bucket of the newest live post at the publish — the
+    /// trajectory's x-axis.
     pub fn bucket(&self) -> i64 {
         self.bucket
     }
@@ -193,40 +195,27 @@ impl DriftTracker {
     }
 }
 
-/// The retraction queue: live posts pending expiry, keyed by event-time
-/// bucket, plus the high watermark expiry is measured from.
-#[derive(Debug, Default)]
-struct WindowState {
-    buckets: BTreeMap<i64, Vec<(String, Timestamp)>>,
-    /// Newest bucket ever tracked (event time, not wall time): buckets
-    /// at or below `max_bucket − window_buckets` are expired.
-    max_bucket: Option<i64>,
-}
-
 /// Observability handles (`window.*`), resolved once at construction.
 #[derive(Debug)]
 struct WindowObs {
     observer: Arc<crowdtz_obs::Observer>,
-    /// `window.retractions`: posts retracted (expiry + explicit).
+    /// `window.retractions`: posts released (expiry + explicit).
     retractions: crowdtz_obs::Counter,
-    /// `window.expired_buckets`: buckets auto-retracted at publish.
+    /// `window.expired_buckets`: distinct buckets that lost slots at a
+    /// publish.
     expired_buckets: crowdtz_obs::Counter,
     /// `window.changepoints`: publishes flagged by the drift tracker.
     changepoints: crowdtz_obs::Counter,
 }
 
-/// A sliding-window front over the concurrent engine: tracks ingested
-/// posts in event-time buckets, auto-retracts expired buckets at
-/// publish, and records the drift trajectory. See the module docs.
+/// A sliding-window front over the concurrent engine: expires every
+/// bucket older than the window at publish, from the engine's own
+/// accumulators, and records the drift trajectory. See the module docs.
 #[derive(Debug)]
 pub struct WindowedPipeline {
     engine: ConcurrentStreamingPipeline,
     config: WindowConfig,
-    state: Mutex<WindowState>,
     tracker: Mutex<DriftTracker>,
-    /// Dedicated writer for expiry batches, registered once so repeated
-    /// publishes do not grow the engine's watermark vector.
-    retractor: IngestWriter,
     obs: Option<WindowObs>,
 }
 
@@ -234,19 +223,21 @@ impl WindowedPipeline {
     /// Wraps an engine (cheap handle clone) with the given window
     /// config. `observer` attaches the `window.*` metrics and the
     /// `window.publish` span; pass the same observer the engine uses.
-    /// `bucket_secs` and `window_buckets` are clamped to ≥ 1.
+    /// `bucket_secs` is clamped to ≥ 1 and rounded up to whole hours;
+    /// `window_buckets` is clamped to ≥ 1.
     pub fn new(
         engine: ConcurrentStreamingPipeline,
         config: WindowConfig,
         observer: Option<Arc<crowdtz_obs::Observer>>,
     ) -> WindowedPipeline {
+        let bucket_hours =
+            ((config.bucket_secs.max(1) - 1) / HOUR_SECS + 1).min(i64::MAX / HOUR_SECS);
         let config = WindowConfig {
-            bucket_secs: config.bucket_secs.max(1),
+            bucket_secs: bucket_hours * HOUR_SECS,
             window_buckets: config.window_buckets.max(1),
             ..config
         };
         let tracker = DriftTracker::new(config.drift_history, config.drift_threshold);
-        let retractor = engine.writer();
         let obs = observer.map(|observer| WindowObs {
             retractions: observer.counter("window.retractions"),
             expired_buckets: observer.counter("window.expired_buckets"),
@@ -256,9 +247,7 @@ impl WindowedPipeline {
         WindowedPipeline {
             engine,
             config,
-            state: Mutex::new(WindowState::default()),
             tracker: Mutex::new(tracker),
-            retractor,
             obs,
         }
     }
@@ -269,67 +258,38 @@ impl WindowedPipeline {
         &self.engine
     }
 
-    /// The window configuration (after clamping).
+    /// The window configuration (after clamping and rounding).
     pub fn config(&self) -> &WindowConfig {
         &self.config
     }
 
-    /// The bucket index a timestamp falls into.
-    fn bucket_of(&self, ts: Timestamp) -> i64 {
-        ts.as_secs().div_euclid(self.config.bucket_secs)
-    }
-
-    /// Posts currently tracked in the retraction queue (not yet
-    /// expired or explicitly retracted).
+    /// Live posts the engine holds: ingested, not yet expired or
+    /// retracted.
     pub fn pending_posts(&self) -> usize {
-        relock(&self.state).buckets.values().map(Vec::len).sum()
+        self.engine.posts_ingested()
     }
 
-    /// Registers already-ingested posts in the retraction queue. Call
-    /// after the ingest batch that delivered them returned — the queue
-    /// must never get ahead of the engine, or expiry would retract
-    /// posts the shards have not absorbed (a silent skip that breaks
-    /// the window, see the module docs on ordering).
-    fn track(&self, posts: &[(&str, Timestamp)]) {
-        if posts.is_empty() {
-            return;
-        }
-        let mut state = relock(&self.state);
-        for &(user, ts) in posts {
-            let bucket = self.bucket_of(ts);
-            state
-                .buckets
-                .entry(bucket)
-                .or_default()
-                .push((user.to_owned(), ts));
-            state.max_bucket = Some(state.max_bucket.map_or(bucket, |m| m.max(bucket)));
-        }
-    }
-
-    /// Ingests posts through `writer` and tracks them in one call — the
-    /// convenience most callers want.
+    /// Ingests posts through `writer` — the same path as
+    /// [`IngestWriter::ingest_posts_ref`]: expiry reads the engine, so
+    /// posts need no registration and any writer path expires alike.
     ///
     /// # Errors
     ///
     /// [`CoreError::Store`] in durable mode when the write-ahead append
-    /// fails; the queue is only updated on success.
+    /// fails.
     pub fn ingest_posts(
         &self,
         writer: &IngestWriter,
         posts: &[(&str, Timestamp)],
     ) -> Result<(), CoreError> {
-        writer.ingest_posts_ref(posts)?;
-        self.track(posts);
-        Ok(())
+        writer.ingest_posts_ref(posts)
     }
 
-    /// Explicitly retracts posts (a moderation takedown, a dedup fix):
-    /// removes them from the retraction queue, then releases **exactly
-    /// the entries that were still tracked** from the engine through
-    /// `writer`'s signed path. Posts no longer in the queue (already
-    /// expired, or retracted before) are skipped — retracting them
-    /// again would strip slots that surviving posts still hold. Returns
-    /// how many posts were retracted.
+    /// Explicitly retracts posts (a moderation takedown, a dedup fix)
+    /// through `writer`'s signed path, as on a plain tenant. Returns how
+    /// many posts the shards actually released: a post whose slot is
+    /// live releases one count of it, a post whose slot is gone
+    /// (expired, retracted, never ingested) releases nothing.
     ///
     /// # Errors
     ///
@@ -340,49 +300,19 @@ impl WindowedPipeline {
         writer: &IngestWriter,
         posts: &[(&str, Timestamp)],
     ) -> Result<usize, CoreError> {
-        if posts.is_empty() {
-            return Ok(0);
-        }
-        let live = self.untrack(posts);
-        if live.is_empty() {
-            return Ok(0);
-        }
-        let refs: Vec<(&str, Timestamp)> = live.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-        writer.retract_posts_ref(&refs)?;
+        let released = writer.retract_released(posts)?;
         if let Some(obs) = &self.obs {
-            obs.retractions.add(live.len() as u64);
+            obs.retractions.add(released as u64);
         }
-        Ok(live.len())
+        Ok(released)
     }
 
-    /// Removes the first queue entry matching each `(user, timestamp)`
-    /// pair, returning the entries that were actually tracked (posts
-    /// already expired are simply gone and must not be released again).
-    fn untrack(&self, posts: &[(&str, Timestamp)]) -> Vec<(String, Timestamp)> {
-        let mut state = relock(&self.state);
-        let mut removed = Vec::new();
-        for &(user, ts) in posts {
-            let bucket = self.bucket_of(ts);
-            if let Some(entries) = state.buckets.get_mut(&bucket) {
-                if let Some(i) = entries
-                    .iter()
-                    .position(|(u, t)| u == user && t.as_secs() == ts.as_secs())
-                {
-                    removed.push(entries.swap_remove(i));
-                    if entries.is_empty() {
-                        state.buckets.remove(&bucket);
-                    }
-                }
-            }
-        }
-        removed
-    }
-
-    /// Publishes a windowed report: expires every bucket older than the
-    /// window span (retracting its posts through the engine's signed
-    /// path), publishes through the engine's consistent cut, and
-    /// records the drift-trajectory point. Concurrent publishes
-    /// serialize on the queue lock, so expiry and cut always pair up.
+    /// Publishes a windowed report: under the engine's write gate,
+    /// releases every slot of every bucket older than the window span
+    /// (journaling the cutoff first in durable mode) and publishes the
+    /// cut, then records the drift-trajectory point. Concurrent
+    /// publishes serialize on the tracker lock, so the trajectory stays
+    /// in epoch order.
     ///
     /// # Errors
     ///
@@ -403,43 +333,23 @@ impl WindowedPipeline {
     pub fn publish_with_coverage(&self, coverage: f64) -> Result<Arc<PublishedReport>, CoreError> {
         let observer = self.obs.as_ref().map(|o| Arc::clone(&o.observer));
         let _s = crowdtz_obs::span!(observer, "window.publish");
-        // Hold the queue lock through expiry + publish: a concurrent
-        // publish cannot interleave its cut between our retraction and
-        // our snapshot. Writers in ingest_posts block on it only briefly.
-        let mut state = relock(&self.state);
-        if let Some(max_bucket) = state.max_bucket {
-            let cutoff = max_bucket - self.config.window_buckets as i64 + 1;
-            let mut expired_posts: Vec<(String, Timestamp)> = Vec::new();
-            let mut expired_buckets = 0u64;
-            while let Some(entry) = state.buckets.first_entry() {
-                if *entry.key() >= cutoff {
-                    break;
-                }
-                expired_buckets += 1;
-                expired_posts.extend(entry.remove());
-            }
-            if !expired_posts.is_empty() {
-                let refs: Vec<(&str, Timestamp)> = expired_posts
-                    .iter()
-                    .map(|(u, t)| (u.as_str(), *t))
-                    .collect();
-                self.retractor.retract_posts_ref(&refs)?;
-                if let Some(obs) = &self.obs {
-                    obs.expired_buckets.add(expired_buckets);
-                    obs.retractions.add(expired_posts.len() as u64);
-                }
-            }
-        }
-        let published = self.engine.publish_with_coverage(coverage)?;
-        let bucket = state.max_bucket.unwrap_or(0);
-        let point_is_changepoint = {
-            let mut tracker = relock(&self.tracker);
-            let fractions = published.report().histogram().fractions().to_vec();
-            tracker
-                .record(published.epoch(), bucket, fractions)
-                .is_changepoint()
+        let span = WindowSpan {
+            bucket_hours: self.config.bucket_secs / HOUR_SECS,
+            window_buckets: i64::try_from(self.config.window_buckets).unwrap_or(i64::MAX),
         };
-        if point_is_changepoint {
+        // Held across the cut: a concurrent publish cannot record its
+        // point between our cut and our record.
+        let mut tracker = relock(&self.tracker);
+        let (expiry, published) = self.engine.publish_windowed(coverage, span);
+        if let Some(obs) = &self.obs {
+            obs.expired_buckets.add(expiry.buckets as u64);
+            obs.retractions.add(expiry.posts as u64);
+        }
+        let published = published?;
+        let fractions = published.report().histogram().fractions().to_vec();
+        let bucket = expiry.newest_bucket.unwrap_or(0);
+        let point = tracker.record(published.epoch(), bucket, fractions);
+        if point.is_changepoint() {
             if let Some(obs) = &self.obs {
                 obs.changepoints.inc();
             }
@@ -514,10 +424,42 @@ mod tests {
     }
 
     #[test]
+    fn a_user_who_stops_posting_leaves_with_the_window() {
+        // `alice` is placed at the first cut, then never posts again:
+        // the cut that expires her days must drop her from the report
+        // although nothing else touched her since.
+        let window = windowed(1, 2);
+        let writer = window.engine().writer();
+        let day = |user: &str, d: i64, hour: u8| -> Vec<(String, Timestamp)> {
+            daily(d, hour, 1)
+                .into_iter()
+                .map(|t| (user.to_owned(), t))
+                .collect()
+        };
+        let ingest = |posts: &[(String, Timestamp)]| {
+            let refs: Vec<(&str, Timestamp)> =
+                posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+            window.ingest_posts(&writer, &refs).unwrap();
+        };
+        ingest(&[day("alice", 0, 20), day("bob", 0, 9)].concat());
+        assert_eq!(window.publish().unwrap().report().profiles().len(), 2);
+        let late = [day("bob", 2, 9), day("bob", 3, 10)].concat();
+        ingest(&late);
+        let published = window.publish().unwrap();
+        let fresh = ConcurrentStreamingPipeline::new(pipeline());
+        let refs: Vec<(&str, Timestamp)> = late.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+        fresh.writer().ingest_posts_ref(&refs).unwrap();
+        assert_eq!(
+            serde_json::to_string(published.report()).unwrap(),
+            serde_json::to_string(fresh.publish().unwrap().report()).unwrap()
+        );
+    }
+
+    #[test]
     fn explicit_retraction_prevents_double_expiry() {
-        // Two posts share a slot; explicitly retracting one must not
-        // let the later expiry retract it again (which would strip the
-        // slot the surviving post still holds).
+        // Two posts share a slot; explicitly retracting one must leave
+        // the slot live, with the surviving post's count, through the
+        // next cut.
         let window = windowed(1, 1);
         let writer = window.engine().writer();
         let t = Timestamp::from_secs(20 * 3_600);
@@ -535,8 +477,8 @@ mod tests {
         let writer = window.engine().writer();
         let t = Timestamp::from_secs(20 * 3_600);
         window.ingest_posts(&writer, &[("u", t), ("u", t)]).unwrap();
-        // The queue holds two copies: two retracts succeed, the third
-        // finds nothing tracked and must not touch the engine.
+        // The slot holds two counts: two retracts release one each, the
+        // third finds the slot gone and releases nothing.
         assert_eq!(window.retract_posts(&writer, &[("u", t)]).unwrap(), 1);
         assert_eq!(window.retract_posts(&writer, &[("u", t)]).unwrap(), 1);
         assert_eq!(window.retract_posts(&writer, &[("u", t)]).unwrap(), 0);
@@ -545,16 +487,16 @@ mod tests {
 
     #[test]
     fn expired_posts_cannot_be_retracted_twice() {
-        // 30-minute buckets: posts at 20:00 and 20:30 share the hourly
-        // accumulator slot but live in different buckets. After 20:00
-        // expires, an explicit retract of it must NOT strip the slot the
-        // 20:30 post still holds.
+        // One-hour buckets, a one-bucket window: `u`'s posts at 20:00 and
+        // 20:30 share slot 20 and expire together once 21:00 is the
+        // newest bucket. Retracting the expired 20:00 post afterwards
+        // must release nothing — not a count of `u`'s surviving slot 21.
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let window = WindowedPipeline::new(
             engine,
             WindowConfig {
-                bucket_secs: 1_800,
-                window_buckets: 2,
+                bucket_secs: 3_600,
+                window_buckets: 1,
                 ..WindowConfig::default()
             },
             None,
@@ -563,21 +505,60 @@ mod tests {
         let a = Timestamp::from_secs(20 * 3_600);
         let b = Timestamp::from_secs(20 * 3_600 + 1_800);
         let c = Timestamp::from_secs(21 * 3_600);
+        let d = Timestamp::from_secs(21 * 3_600 + 900);
         window.ingest_posts(&writer, &[("u", a), ("u", b)]).unwrap();
-        window.ingest_posts(&writer, &[("v", c)]).unwrap();
-        window.publish().unwrap(); // expires only `a`
+        window.ingest_posts(&writer, &[("v", c), ("u", d)]).unwrap();
+        window.publish().unwrap(); // expires slot 20: `a` and `b`
+        assert_eq!(window.pending_posts(), 2);
         assert_eq!(window.retract_posts(&writer, &[("u", a)]).unwrap(), 0);
+        assert_eq!(
+            window.pending_posts(),
+            2,
+            "the expired post released nothing"
+        );
         let published = window.publish().unwrap();
         let fresh = ConcurrentStreamingPipeline::new(pipeline());
         fresh
             .writer()
-            .ingest_posts_ref(&[("u", b), ("v", c)])
+            .ingest_posts_ref(&[("v", c), ("u", d)])
             .unwrap();
         let expected = fresh.publish().unwrap();
         assert_eq!(
             serde_json::to_string(published.report()).unwrap(),
             serde_json::to_string(expected.report()).unwrap()
         );
+    }
+
+    #[test]
+    fn buckets_round_up_to_whole_hours() {
+        for (asked, got) in [
+            (0, 3_600),
+            (1, 3_600),
+            (1_800, 3_600),
+            (3_600, 3_600),
+            (3_601, 7_200),
+        ] {
+            let engine = ConcurrentStreamingPipeline::new(pipeline());
+            let config = WindowConfig {
+                bucket_secs: asked,
+                ..WindowConfig::default()
+            };
+            assert_eq!(
+                WindowedPipeline::new(engine, config, None)
+                    .config()
+                    .bucket_secs,
+                got
+            );
+        }
+        let engine = ConcurrentStreamingPipeline::new(pipeline());
+        let config = WindowConfig {
+            bucket_secs: i64::MAX,
+            ..WindowConfig::default()
+        };
+        let secs = WindowedPipeline::new(engine, config, None)
+            .config()
+            .bucket_secs;
+        assert_eq!(secs % 3_600, 0, "the largest bucket is still whole hours");
     }
 
     #[test]

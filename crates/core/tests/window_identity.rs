@@ -293,3 +293,110 @@ fn migration_changepoint_lands_within_one_bucket_of_ground_truth() {
         "late rounds are UTC+8"
     );
 }
+
+/// The reference for a cut whose newest round is `newest` with nothing
+/// explicitly retracted: a fresh engine fed only the rounds still inside
+/// the window.
+fn window_reference(grid: ZoneGrid, shards: usize, seed: u64, newest: usize) -> String {
+    let fresh = ConcurrentStreamingPipeline::new(pipeline(grid, shards));
+    let live: Vec<(String, Timestamp)> = (newest.saturating_sub(SPAN - 1)..=newest)
+        .flat_map(|r| round_posts(seed, r))
+        .collect();
+    let refs: Vec<(&str, Timestamp)> = live.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+    fresh.writer().ingest_posts_ref(&refs).unwrap();
+    report_json(fresh.publish())
+}
+
+/// A durable windowed engine dropped without a checkpoint keeps
+/// expiring after the restart: the window is engine state, recovered
+/// from the log's batch and cutoff records, so rounds ingested before
+/// the restart still leave the window on time.
+#[test]
+fn durable_window_keeps_expiring_after_a_restart_without_checkpoint() {
+    let (grid, shards, seed) = (ZoneGrid::Hourly, 4, 13);
+    let dir = tmp_dir("restart");
+    let round = |window: &WindowedPipeline, r: usize| -> String {
+        let posts = round_posts(seed, r);
+        let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
+        window
+            .ingest_posts(&window.engine().writer(), &refs)
+            .unwrap();
+        report_json(window.publish())
+    };
+    {
+        let engine =
+            ConcurrentStreamingPipeline::open_durable(pipeline(grid, shards), &dir).unwrap();
+        let window = WindowedPipeline::new(engine, window_config(), None);
+        for r in 0..5 {
+            assert_eq!(
+                round(&window, r),
+                window_reference(grid, shards, seed, r),
+                "round {r}"
+            );
+        }
+        // Dropped here with NO checkpoint: the restart replays the log.
+    }
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(grid, shards), &dir).unwrap();
+    assert_eq!(
+        report_json(engine.publish()),
+        window_reference(grid, shards, seed, 4),
+        "the replayed log holds exactly the last cut's window"
+    );
+    let window = WindowedPipeline::new(engine, window_config(), None);
+    for r in 5..9 {
+        assert_eq!(
+            round(&window, r),
+            window_reference(grid, shards, seed, r),
+            "round {r} after the restart"
+        );
+    }
+    drop(window);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Expiry reads the accumulators, so posts expire whichever writer path
+/// delivered them: a monitor's sequence-numbered batches, plain
+/// `ingest_posts_ref` batches, and the window front's `ingest_posts`,
+/// in memory and durable.
+#[test]
+fn posts_from_every_writer_path_expire() {
+    let (grid, shards, seed) = (ZoneGrid::HalfHour, 4, 21);
+    for durable in [false, true] {
+        let dir = tmp_dir("writer-paths");
+        let engine = if durable {
+            ConcurrentStreamingPipeline::open_durable(pipeline(grid, shards), &dir).unwrap()
+        } else {
+            ConcurrentStreamingPipeline::new(pipeline(grid, shards))
+        };
+        let window = WindowedPipeline::new(engine, window_config(), None);
+        let (monitor, plain, front) = (
+            window.engine().writer(),
+            window.engine().writer(),
+            window.engine().writer(),
+        );
+        for r in 0..ROUNDS + 2 {
+            let posts = round_posts(seed, r);
+            let third = |k: usize| -> Vec<(&str, Timestamp)> {
+                posts
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % 3 == k)
+                    .map(|(_, (u, t))| (u.as_str(), *t))
+                    .collect()
+            };
+            let checkpoint = format!("round-{r}");
+            assert!(monitor
+                .ingest_batch(r as u64 + 1, &third(0), Some(&checkpoint))
+                .unwrap());
+            plain.ingest_posts_ref(&third(1)).unwrap();
+            window.ingest_posts(&front, &third(2)).unwrap();
+            assert_eq!(
+                report_json(window.publish()),
+                window_reference(grid, shards, seed, r),
+                "round {r}, durable {durable}"
+            );
+        }
+        drop((monitor, plain, front, window));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

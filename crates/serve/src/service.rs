@@ -389,13 +389,9 @@ impl AnalysisService {
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        let result = match tenant.window() {
-            // Windowed tenants ingest-and-track in one call, so every
-            // post is queued for expiry the moment it is acknowledged.
-            Some(window) => window.ingest_posts(writer, &flat),
-            None => writer.ingest_posts_ref(&flat),
-        };
-        if let Err(e) = result {
+        // Windowed tenants ingest the same way: their expiry reads the
+        // engine's accumulators at each publish.
+        if let Err(e) = writer.ingest_posts_ref(&flat) {
             // Only the durable append can fail; the in-memory engine is
             // untouched, but this connection's journal is now suspect.
             return Response::error(500, &format!("write-ahead append failed: {e}")).closing();
@@ -412,8 +408,8 @@ impl AnalysisService {
     }
 
     /// `POST …/retract`: the signed inverse of ingest, same body shape.
-    /// On a windowed tenant the posts are also removed from the expiry
-    /// queue so they cannot be retracted a second time.
+    /// A windowed tenant answers with the posts actually released (a
+    /// post whose slot already expired releases nothing).
     fn retract(&self, name: &str, request: &Request, conn: &mut ConnState) -> Response {
         let Some(tenant) = self.registry.get(name) else {
             return Response::error(404, &format!("unknown tenant {name:?}"));
@@ -427,8 +423,8 @@ impl AnalysisService {
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        // On a windowed tenant only still-tracked posts are released
-        // (the count comes back); unwindowed retraction submits all.
+        // A windowed tenant counts the posts its shards released; a plain
+        // one reports the posts submitted.
         let retracted = match tenant.window() {
             Some(window) => window.retract_posts(writer, &flat),
             None => writer.retract_posts_ref(&flat).map(|()| flat.len()),
@@ -672,7 +668,8 @@ fn flatten_deltas(deltas: &[(String, Vec<Timestamp>)]) -> Vec<(&str, Timestamp)>
 
 /// `window` is an optional object: `{"bucket_secs": n, "window_buckets":
 /// n, "drift_threshold": x, "drift_history": n}`, each field defaulting
-/// to [`WindowConfig::default`].
+/// to [`WindowConfig::default`]. Buckets are whole hours: `bucket_secs`
+/// must be a positive multiple of 3 600.
 fn parse_window(spec: &serde_json::Value) -> Result<Option<WindowConfig>, String> {
     let Some(value) = field_of(spec, "window") else {
         return Ok(None);
@@ -684,8 +681,10 @@ fn parse_window(spec: &serde_json::Value) -> Result<Option<WindowConfig>, String
     if let Some(raw) = field_of(value, "bucket_secs") {
         config.bucket_secs = raw
             .as_i64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "window.bucket_secs must be a positive integer".to_string())?;
+            .filter(|&n| n > 0 && n % 3_600 == 0)
+            .ok_or_else(|| {
+                "window.bucket_secs must be a positive multiple of 3600 (whole hours)".to_string()
+            })?;
     }
     if let Some(raw) = field_of(value, "window_buckets") {
         let n = raw
@@ -1102,6 +1101,12 @@ mod tests {
                 "POST",
                 "/v1/tenants/beta",
                 br#"{"window": {"bucket_secs": 0}}"#,
+                400,
+            ),
+            (
+                "POST",
+                "/v1/tenants/beta",
+                br#"{"window": {"bucket_secs": 1800}}"#,
                 400,
             ),
             (

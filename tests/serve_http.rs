@@ -500,6 +500,87 @@ fn durable_tenant_warm_restarts_into_identical_bytes() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A durable windowed tenant keeps expiring across a restart: days 0–4
+/// are ingested and published, the server shuts down, a new server on
+/// the same root re-creates the tenant, and days 5–8 continue. Every
+/// publish after the restart must equal a fresh engine fed only the
+/// days still inside the three-day window — including the days that
+/// arrived before the restart.
+#[test]
+fn durable_windowed_tenant_keeps_expiring_across_a_restart() {
+    const NAME: &str = "rolling-market";
+    const SPAN: i64 = 3;
+    // Two posts per user per day, each inside its own day.
+    let day = |d: i64| -> Vec<(String, Vec<Timestamp>)> {
+        (0..24i64)
+            .map(|i| {
+                let home = if i % 3 == 0 { 12 } else { 20 };
+                let posts = (0..2i64)
+                    .map(|k| {
+                        let hour = (home + 2 * k - 1 + (i + d) % 3).rem_euclid(24);
+                        Timestamp::from_secs(d * 86_400 + hour * 3_600 + i * 61)
+                    })
+                    .collect();
+                (format!("r{i:03}"), posts)
+            })
+            .collect()
+    };
+    let reference = |newest: i64| -> Vec<u8> {
+        let engine =
+            ConcurrentStreamingPipeline::new(GeolocationPipeline::default().min_posts(2).shards(4));
+        let writer = engine.writer();
+        for d in (newest - SPAN + 1).max(0)..=newest {
+            for (user, posts) in day(d) {
+                writer.ingest(&user, &posts).expect("reference ingest");
+            }
+        }
+        let published = engine.publish().expect("reference publish");
+        serde_json::to_vec(published.report()).expect("serialize reference")
+    };
+    let create = |handle: &ServerHandle| {
+        let mut client = HttpClient::connect(handle.addr()).expect("connect");
+        let created = client
+            .post_json(
+                &format!("/v1/tenants/{NAME}"),
+                &json!({
+                    "min_posts": 2,
+                    "shards": 4,
+                    "durable": true,
+                    "window": json!({"bucket_secs": 86_400, "window_buckets": SPAN}),
+                }),
+            )
+            .expect("create windowed tenant");
+        assert_eq!(created.status, 201);
+        client
+    };
+    let ingest_and_publish = |client: &mut HttpClient, d: i64| {
+        ingest_batch(client, NAME, &day(d));
+        let published = client
+            .get(&format!("/v1/tenants/{NAME}/snapshot?publish=1"))
+            .expect("publish");
+        assert_eq!(published.status, 200, "publish day {d}");
+        assert_eq!(published.body, reference(d), "day {d}");
+    };
+
+    let root = tmp_dir("window-restart");
+    let handle = start_server(Some(root.clone()));
+    let mut client = create(&handle);
+    for d in 0..5 {
+        ingest_and_publish(&mut client, d);
+    }
+    drop(client);
+    handle.shutdown().expect("first shutdown");
+
+    let handle = start_server(Some(root.clone()));
+    let mut client = create(&handle);
+    for d in 5..9 {
+        ingest_and_publish(&mut client, d);
+    }
+    drop(client);
+    handle.shutdown().expect("second shutdown");
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// Ingests `chunk` as one batch over `client` and asserts it applied.
 fn ingest_batch(client: &mut HttpClient, name: &str, chunk: &[(String, Vec<Timestamp>)]) {
     let response = client
