@@ -35,16 +35,19 @@
 //! omitted entirely when the host clamps every request to one worker
 //! (it would measure scheduler noise, not speedup). The
 //! streaming JSON compares a full batch re-analysis against an
-//! incremental snapshot with ~1% dirty users.
+//! incremental snapshot with ~1% dirty users, and times the serving
+//! path's publish and body encode with ~1% dirty users and the previous
+//! report held, against a full encode of the same report.
 
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crowdtz_bench::{synthetic_profiles, synthetic_traces};
 use crowdtz_core::{
     bootstrap_components_threads, clamped_threads, default_threads, place_user, BootstrapConfig,
     ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, PlacementEngine,
-    StreamingPipeline, ZoneGrid,
+    StreamingPipeline, TenantConfig, TenantRegistry, ZoneGrid,
 };
 use crowdtz_time::Timestamp;
 
@@ -229,7 +232,8 @@ fn main() {
 }
 
 /// Full batch re-analysis vs incremental streaming snapshot with ~1%
-/// dirty users, written to `BENCH_streaming.json`.
+/// dirty users, plus the held-report round of [`held_report_round`],
+/// written to `BENCH_streaming.json`.
 fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
     let posts_per_user = 40;
     eprintln!("synthesizing {users} streaming traces…");
@@ -262,6 +266,9 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
         streaming.snapshot().expect("incremental snapshot")
     });
 
+    drop(streaming);
+    let held = held_report_round(&traces, dirty, threads, runs);
+
     let speedup = full_s / incr_s;
     let report = serde_json::json!({
         "users": users,
@@ -276,6 +283,10 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
         "full_users_per_sec": users as f64 / full_s,
         "incremental_users_per_sec": users as f64 / incr_s,
         "incremental_speedup_vs_full": speedup,
+        "held_publish_secs": held.publish_s,
+        "held_encode_secs": held.encode_s,
+        "held_full_encode_secs": held.full_encode_s,
+        "held_encode_copied_share": held.copied_share,
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize streaming report");
     std::fs::write(out_path, format!("{json}\n")).expect("write streaming telemetry");
@@ -284,6 +295,89 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
     if speedup < 10.0 {
         eprintln!("WARNING: incremental speedup {speedup:.2}x is below the 10x bar");
     }
+    let encode_speedup = held.full_encode_s / held.encode_s;
+    if encode_speedup < 3.0 {
+        eprintln!(
+            "WARNING: the spliced encode is {encode_speedup:.2}x the full one, below the 3x bar"
+        );
+    }
+}
+
+/// Best-of-`runs` seconds of the serving path's steps, and the share of
+/// body bytes the spliced encodes copied (deterministic).
+struct HeldRound {
+    publish_s: f64,
+    encode_s: f64,
+    full_encode_s: f64,
+    copied_share: f64,
+}
+
+/// Rounds through a [`TenantRegistry`] tenant primed with `traces`: each
+/// round ingests one post for `dirty` users, publishes with the previous
+/// report still held, and encodes the body (`Tenant::report_body`,
+/// spliced from the previous body), which must equal the full encode
+/// (`serde_json::to_vec`) timed beside it.
+fn held_report_round(
+    traces: &crowdtz_time::TraceSet,
+    dirty: usize,
+    threads: usize,
+    runs: usize,
+) -> HeldRound {
+    let users = traces.len();
+    eprintln!(
+        "timing held-report publishes and encodes ({dirty} dirty users/round, best of {runs})…"
+    );
+    let observer = crowdtz_obs::Observer::with_level(crowdtz_obs::LogLevel::Off);
+    let registry = TenantRegistry::new();
+    let config = TenantConfig {
+        threads,
+        ..TenantConfig::default()
+    };
+    let tenant = registry
+        .create("held", config, Some(Arc::clone(&observer)))
+        .expect("create the held tenant");
+    let writer = tenant.engine().writer();
+    let deltas: Vec<(&str, &[Timestamp])> = traces.iter().map(|t| (t.id(), t.posts())).collect();
+    writer.ingest_deltas(&deltas).expect("prime the tenant");
+    let mut held = tenant.engine().publish().expect("priming publish");
+    tenant.report_body(&held).expect("priming body");
+    let counters = || {
+        let counters = observer.snapshot().counters;
+        (
+            counters["tenant.body_bytes"],
+            counters["tenant.body_bytes_copied"],
+        )
+    };
+    let (bytes_before, copied_before) = counters();
+    let mut round = HeldRound {
+        publish_s: f64::INFINITY,
+        encode_s: f64::INFINITY,
+        full_encode_s: f64::INFINITY,
+        copied_share: 0.0,
+    };
+    for r in 1..=runs {
+        for i in 0..dirty {
+            let user = format!("u{:06}", (i * 89 + r * 53) % users);
+            let ts = Timestamp::from_secs(100 * 86_400 + r as i64 * 3_600 + i as i64);
+            writer.ingest(&user, &[ts]).expect("dirty ingest");
+        }
+        let start = Instant::now();
+        let published = tenant.engine().publish().expect("held publish");
+        round.publish_s = round.publish_s.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let body = tenant.report_body(&published).expect("spliced body");
+        round.encode_s = round.encode_s.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let full = serde_json::to_vec(published.report()).expect("full encode");
+        round.full_encode_s = round.full_encode_s.min(start.elapsed().as_secs_f64());
+        assert!(*body == full, "the spliced body must equal the full encode");
+        // The previous report stays held across the next publish.
+        held = published;
+    }
+    drop(held);
+    let (bytes, copied) = counters();
+    round.copied_share = (copied - copied_before) as f64 / (bytes - bytes_before) as f64;
+    round
 }
 
 /// Ingest throughput across shard counts, written to

@@ -264,6 +264,11 @@ pub struct PublishedReport {
     epoch: u64,
     watermarks: Vec<u64>,
     posts_ingested: usize,
+    /// The refresh generation that last wrote each kept entry, parallel
+    /// to the report's profiles and placements.
+    stamps: Arc<Vec<u64>>,
+    /// The engine's refresh generation at the cut.
+    generation: u64,
 }
 
 impl PublishedReport {
@@ -289,6 +294,18 @@ impl PublishedReport {
     /// Total posts ingested (duplicates included) at the cut.
     pub fn posts_ingested(&self) -> usize {
         self.posts_ingested
+    }
+
+    /// The refresh generation that last wrote each kept user's entry, in
+    /// the order of the report's profiles: an entry stamped at or before
+    /// generation `g` is unchanged since the engine's report at `g`.
+    pub(crate) fn stamps(&self) -> &[u64] {
+        &self.stamps
+    }
+
+    /// The engine's refresh generation at the cut.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 }
 
@@ -546,11 +563,15 @@ impl ConcurrentStreamingPipeline {
         guard.rotate(false)?;
         let report = report?;
         let posts_ingested = guard.stream.posts_ingested();
+        let (stamps, generation) = guard.stream.kept_stamps();
+        debug_assert_eq!(stamps.len(), report.profiles().len());
         let published = Arc::new(PublishedReport {
             report,
             epoch: self.shared.cell.next_epoch(),
             watermarks,
             posts_ingested,
+            stamps,
+            generation,
         });
         self.shared.cell.install(Arc::clone(&published));
         if let Some(obs) = &self.shared.obs {
@@ -696,19 +717,14 @@ impl IngestWriter {
     }
 
     /// Retracts a batch of single-post observations as one signed batch.
+    /// Returns how many posts the shards actually released: a post whose
+    /// slot holds no live count (never ingested, already retracted or
+    /// expired) releases nothing.
     ///
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
-    pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
-        self.retract_released(posts).map(drop)
-    }
-
-    /// [`retract_posts_ref`](Self::retract_posts_ref), returning how many
-    /// posts the shards actually released: a post whose slot holds no
-    /// live count (never ingested, already retracted or expired)
-    /// releases nothing.
-    pub(crate) fn retract_released(&self, posts: &[(&str, Timestamp)]) -> Result<usize, CoreError> {
+    pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<usize, CoreError> {
         let deltas: Vec<(&str, &[Timestamp])> = posts
             .iter()
             .map(|(user, ts)| (*user, std::slice::from_ref(ts)))

@@ -620,8 +620,13 @@ pub(crate) fn recover(
         source_seq = meta.source_seq;
         checkpoint = meta.checkpoint;
         for part in shard_parts {
+            // A user with no live post analyzes to nothing, and a refresh
+            // would forget it; generations written before refreshes
+            // forgot emptied users still list them.
             for (id, acc, dirty) in read_shard(part)? {
-                stream.shards_mut_ref().restore_user(id, acc, dirty);
+                if !acc.slots.is_empty() {
+                    stream.shards_mut_ref().restore_user(id, acc, dirty);
+                }
             }
         }
         stream.rebuild_derived_state();
@@ -1175,6 +1180,64 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
         assert_eq!(report_of(&engine), survivors(8));
         drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_user_whose_posts_all_expire_is_forgotten_across_a_reopen() {
+        use crate::{ConcurrentStreamingPipeline, WindowConfig, WindowedPipeline};
+        let dir = scratch_dir("forgotten");
+        // Two daily buckets: the cut after day 3 keeps days 2–3.
+        let windowed = |engine| {
+            let config = WindowConfig {
+                bucket_secs: 86_400,
+                window_buckets: 2,
+                ..WindowConfig::default()
+            };
+            WindowedPipeline::new(engine, config, None)
+        };
+        let uninterrupted = windowed(ConcurrentStreamingPipeline::new(durable_pipeline()));
+        let publish_both = |durable: &WindowedPipeline, posts: &[(String, Timestamp)]| {
+            for window in [durable, &uninterrupted] {
+                let writer = window.engine().writer();
+                window.ingest_posts(&writer, &refs(posts)).unwrap();
+            }
+            let got = durable.publish().unwrap();
+            let want = uninterrupted.publish().unwrap();
+            assert_eq!(
+                serde_json::to_string(got.report()).unwrap(),
+                serde_json::to_string(want.report()).unwrap()
+            );
+        };
+        let gone = [("gone".to_owned(), Timestamp::from_secs(20 * 3_600))];
+        {
+            let durable = windowed(
+                ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap(),
+            );
+            publish_both(&durable, &[&gone[..], &days(0, 1)].concat());
+            assert_eq!(durable.engine().users_tracked(), 7);
+            // Day 3 expires days 0–1: `gone` has no live post left.
+            publish_both(&durable, &days(2, 3));
+            assert_eq!(durable.engine().users_tracked(), 6, "`gone` is forgotten");
+            assert!(durable.engine().checkpoint_now().unwrap().is_some());
+        }
+        let (_, recovered) = DurableStore::open(&dir).unwrap();
+        let parts = &recovered
+            .snapshot
+            .expect("the checkpoint's generation")
+            .parts;
+        let (_, shards) = parts.split_last().unwrap();
+        let mut ids: Vec<String> = Vec::new();
+        for part in shards {
+            ids.extend(decode_shard(part).unwrap().into_iter().map(|(id, _, _)| id));
+        }
+        ids.sort();
+        assert_eq!(ids, ["u0", "u1", "u2", "u3", "u4", "u5"]);
+        let reopened =
+            windowed(ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap());
+        assert_eq!(reopened.engine().users_tracked(), 6);
+        publish_both(&reopened, &days(4, 4));
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -90,7 +90,7 @@ pub(crate) fn exact_eval_bounds(grid: ZoneGrid) -> &'static [u64] {
 /// padding a mostly-idle SIMD group per 64 users. 1024 lanes keep the
 /// whole working set (grid CDFs + bound matrix + its transpose) around
 /// 400 KiB on the hourly grid — L2-resident on anything current.
-const BATCH_USERS: usize = 1024;
+pub(crate) const BATCH_USERS: usize = 1024;
 
 /// Everything placement derives from one CDF: the EMD-closest zone, its
 /// distance, and the §IV.C flatness verdict. A pure function of the CDF
@@ -267,6 +267,13 @@ pub fn clamped_threads(requested: usize) -> usize {
 /// are concatenated in chunk order, so for a pure `map` the output is
 /// identical for every thread count. Used by placement, profile building,
 /// polishing, and the bootstrap.
+///
+/// Each call with more than one worker spawns and joins its threads,
+/// which costs on the order of 100 µs of CPU — more than a cheap `map`
+/// over a few hundred items. Callers with small per-item work cap
+/// `threads` themselves: the streaming refresh runs at most one worker
+/// per [`BATCH_USERS`] dirty users, so a small refresh stays on the
+/// calling thread, as its kernel pass does.
 pub(crate) fn chunked_map<T, U, F>(items: &[T], threads: usize, map: F) -> Vec<U>
 where
     T: Sync,

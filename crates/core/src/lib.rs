@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod body;
 mod concurrent;
 mod confidence;
 mod crowd;

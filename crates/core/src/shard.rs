@@ -410,10 +410,10 @@ impl Shard {
     /// no-op), and a retraction that changes nothing leaves the dirty set
     /// untouched — the state remains exactly what an engine that never
     /// saw the retracted posts would hold. The user's (possibly now-empty)
-    /// accumulator stays in the map: an empty accumulator analyzes to
-    /// nothing, so reports are unaffected, and keeping it preserves the
-    /// refresh invariant that every dirty id resolves to an accumulator.
-    /// Returns how many posts were released.
+    /// accumulator stays in the map until the next refresh forgets it: an
+    /// empty accumulator analyzes to nothing, so reports are unaffected,
+    /// and keeping it preserves the refresh invariant that every dirty id
+    /// resolves to an accumulator. Returns how many posts were released.
     fn retract(&mut self, user: &str, posts: &[Timestamp]) -> usize {
         let Some(acc) = self.users.get_mut(user) else {
             return 0;
@@ -518,6 +518,15 @@ impl ShardSet {
     pub(crate) fn acc_mut(&mut self, user: &str) -> Option<&mut UserAccumulator> {
         let shard = self.shard_of(user);
         remut(&mut self.shards[shard]).users.get_mut(user)
+    }
+
+    /// Removes a user's accumulator (single-owner access) — the refresh
+    /// forgets a user left with no live post. The user must be clean:
+    /// a dirty id would outlive its accumulator in the shard's list.
+    pub(crate) fn forget(&mut self, user: &str) {
+        let shard = self.shard_of(user);
+        let removed = remut(&mut self.shards[shard]).users.remove(user);
+        debug_assert!(removed.is_some_and(|acc| !acc.dirty && acc.posts == 0));
     }
 
     /// Routes and applies a single delta (single-owner access).
@@ -677,7 +686,8 @@ impl ShardSet {
         self.shards.iter().map(|s| relock(s).dirty.len()).sum()
     }
 
-    /// Total users ever ingested.
+    /// Users held in the shards: every user with a live post, plus
+    /// users emptied since the last refresh (which forgets them).
     pub(crate) fn users_tracked(&self) -> usize {
         self.shards.iter().map(|s| relock(s).users.len()).sum()
     }

@@ -23,7 +23,12 @@
 //! * each accumulator keeps a `Copy` analysis record (flat, or kept at
 //!   an offset and EMD); the kept profiles and placements live only in
 //!   the id-sorted kept vectors, which a refresh patches in one ascending
-//!   merge with the id-sorted dirty list;
+//!   merge with the id-sorted dirty list, together with a refresh
+//!   generation stamp per entry: the generation of the refresh that last
+//!   wrote it, which lets a tenant splice an unchanged user's JSON from
+//!   its previous body (`body.rs`);
+//! * a refresh forgets a dirty user left with no live post, so the
+//!   shards hold users with posts, not every user ever seen;
 //! * the placement histogram is maintained as integer zone counts,
 //!   updated by subtracting a re-placed user's old zone and adding the
 //!   new one;
@@ -61,7 +66,7 @@ use crowdtz_stats::{Distribution24, Histogram24, BINS};
 use crowdtz_time::{Timestamp, TraceSet};
 
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, PlacementEngine};
+use crate::engine::{chunked_map, PlacementEngine, BATCH_USERS};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::placement::{PlacementHistogram, UserPlacement};
@@ -167,6 +172,13 @@ pub struct StreamingPipeline {
     kept_profiles: Arc<Vec<ActivityProfile>>,
     /// Kept users' placements, parallel to `kept_profiles`.
     kept_placements: Arc<Vec<UserPlacement>>,
+    /// The refresh generation that last wrote each kept entry, parallel
+    /// to `kept_profiles`: an entry whose stamp is not newer than some
+    /// earlier generation is unchanged since that generation's report.
+    kept_stamps: Arc<Vec<u64>>,
+    /// Refreshes that changed at least one user since this engine was
+    /// built or recovered.
+    generation: u64,
     /// Users with an analysis record (at or above the activity
     /// threshold); `eligible − kept` is the flat-removed count.
     eligible: usize,
@@ -195,6 +207,8 @@ impl StreamingPipeline {
             shards,
             kept_profiles: Arc::new(Vec::new()),
             kept_placements: Arc::new(Vec::new()),
+            kept_stamps: Arc::new(Vec::new()),
+            generation: 0,
             eligible: 0,
             zone_counts: vec![0; grid.zones()],
             fit_cache: None,
@@ -206,7 +220,9 @@ impl StreamingPipeline {
         &self.pipeline
     }
 
-    /// Number of users ever ingested.
+    /// Number of users the engine holds state for: every user with a
+    /// live post, plus users emptied (every post retracted or expired)
+    /// since the last refresh, which forgets them.
     pub fn users_tracked(&self) -> usize {
         self.shards.users_tracked()
     }
@@ -249,8 +265,9 @@ impl StreamingPipeline {
     /// user-id order, exactly the order incremental refreshes maintain,
     /// so a recovered engine continues byte-identical to one that never
     /// restarted. (A user restored dirty gets the profile of its current
-    /// counts; the next refresh overwrites it.) The fit cache is
-    /// dropped: a cold refit is bit-identical anyway.
+    /// counts; the next refresh overwrites it.) Every kept entry is
+    /// stamped with the current generation. The fit cache is dropped: a
+    /// cold refit is bit-identical anyway.
     pub(crate) fn rebuild_derived_state(&mut self) {
         let grid = self.engine.grid();
         let mut profiles = Vec::new();
@@ -284,6 +301,7 @@ impl StreamingPipeline {
                 acc.posts,
             ));
         }
+        self.kept_stamps = Arc::new(vec![self.generation; profiles.len()]);
         self.kept_profiles = Arc::new(profiles);
         self.kept_placements = Arc::new(placements);
         self.eligible = eligible;
@@ -405,10 +423,13 @@ impl StreamingPipeline {
     }
 
     /// Re-analyzes exactly the dirty users: drain every shard's dirty set
-    /// in globally sorted id order, rebuild the changed profiles in
-    /// parallel, place every eligible CDF through the batch kernel, then
-    /// swap each user's analysis record, patch the zone counts, and merge
-    /// the dirty users into the kept vectors in one ascending pass.
+    /// in globally sorted id order, rebuild the changed profiles (in
+    /// parallel, one worker per kernel batch at most), place every
+    /// eligible CDF through the batch kernel, then swap each user's
+    /// analysis record, patch the zone counts, and merge the dirty users
+    /// into the kept vectors in one ascending pass, stamping each entry
+    /// it writes with the new refresh generation. A dirty user left with
+    /// no live post is forgotten: its accumulator leaves its shard.
     /// Chunking is order-stable and the kernel's batches are carved
     /// before threading, so the per-user results — and therefore every
     /// snapshot — are invariant to both the thread count and the shard
@@ -424,12 +445,17 @@ impl StreamingPipeline {
         // borrow of `self` across the mutable refresh work below.
         let observer = self.obs.as_ref().map(|o| Arc::clone(&o.observer));
         let _s = crowdtz_obs::span!(observer, "streaming.refresh");
+        self.generation += 1;
         let dirty: Vec<String> = self.shards.take_dirty_sorted();
         let min_posts = self.pipeline.min_posts_threshold();
         let polish = self.pipeline.polish_enabled();
         let threads = self.pipeline.effective_threads();
         // Phase 1 (parallel, pure): rebuild each dirty user's distribution
-        // and CDF from its integer accumulator.
+        // and CDF from its integer accumulator — on at most one worker per
+        // kernel batch, so a refresh of up to `BATCH_USERS` users runs on
+        // this thread, like its kernel pass: spawning and joining workers
+        // would cost more than the work.
+        let prepare_threads = threads.min(dirty.len().div_ceil(BATCH_USERS));
         let (prepared, kept_before) = {
             let work: Vec<&UserAccumulator> = self.shards.accs_for(&dirty);
             let kept_before = work
@@ -437,7 +463,9 @@ impl StreamingPipeline {
                 .filter(|acc| matches!(acc.analysis, Some(UserAnalysis::Kept { .. })))
                 .count();
             let prepared: Vec<Option<(Distribution24, [f64; BINS])>> =
-                chunked_map(&work, threads, |&acc| Self::prepare_user(acc, min_posts));
+                chunked_map(&work, prepare_threads, |&acc| {
+                    Self::prepare_user(acc, min_posts)
+                });
             (prepared, kept_before)
         };
         // Phase 2: place every eligible CDF (parallel batch kernel).
@@ -454,16 +482,19 @@ impl StreamingPipeline {
         // Phase 3 (sequential): swap each dirty user's analysis record,
         // patch the zone counts, and merge the user into the kept
         // vectors — one ascending pass that gallops from dirty user to
-        // dirty user. Runs of clean kept users are carried over in bulk,
-        // a user who stays kept is carried over and overwritten with no
-        // allocation, a newly kept user takes its dirty-list id, and a
-        // dropped user is skipped; nothing shifts a tail.
+        // dirty user. Runs of clean kept users are carried over in bulk
+        // with their stamps, a user who stays kept is carried over and
+        // overwritten with no allocation, a newly kept user takes its
+        // dirty-list id, and a dropped user is skipped; nothing shifts a
+        // tail. Every entry written here takes the new generation's stamp.
         let grid = self.engine.grid();
         let len = self.kept_profiles.len() + kept_after - kept_before;
         let mut profiles = Vec::with_capacity(len);
         let mut placements = Vec::with_capacity(len);
+        let mut stamps = Vec::with_capacity(len);
         let mut old_profiles = take_shared(&mut self.kept_profiles);
         let mut old_placements = take_shared(&mut self.kept_placements);
+        let mut old_stamps = take_shared(&mut self.kept_stamps);
         let mut resolutions = resolved.into_iter();
         for (id, prep) in dirty.into_iter().zip(prepared) {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
@@ -482,14 +513,21 @@ impl StreamingPipeline {
             });
             let previous = std::mem::replace(&mut acc.analysis, analysis);
             let (active_slots, posts) = (acc.slots.len(), acc.posts);
+            if active_slots == 0 {
+                // Every post retracted or expired: nothing is left to
+                // analyze, and a later post starts a fresh accumulator.
+                self.shards.forget(&id);
+            }
             self.eligible -= usize::from(previous.is_some());
             self.eligible += usize::from(analysis.is_some());
             let run = count_below(old_profiles.as_slice(), &id);
             profiles.extend(old_profiles.by_ref().take(run));
             placements.extend(old_placements.by_ref().take(run));
+            stamps.extend(old_stamps.by_ref().take(run));
             let held = match previous {
                 Some(UserAnalysis::Kept { offset_minutes, .. }) => {
                     self.zone_counts[grid.index_of_minutes(offset_minutes)] -= 1;
+                    old_stamps.next();
                     let entry = old_profiles.next().zip(old_placements.next());
                     Some(entry.expect("kept user is in the kept vectors"))
                 }
@@ -506,6 +544,7 @@ impl StreamingPipeline {
                 continue;
             };
             self.zone_counts[grid.index_of_minutes(offset_minutes)] += 1;
+            stamps.push(self.generation);
             match held {
                 Some((mut profile, mut placement)) => {
                     debug_assert_eq!(profile.user(), id);
@@ -531,8 +570,10 @@ impl StreamingPipeline {
         }
         profiles.extend(old_profiles);
         placements.extend(old_placements);
+        stamps.extend(old_stamps);
         self.kept_profiles = Arc::new(profiles);
         self.kept_placements = Arc::new(placements);
+        self.kept_stamps = Arc::new(stamps);
         if let Some(obs) = &self.obs {
             obs.observer
                 .counter("placement.users")
@@ -544,6 +585,14 @@ impl StreamingPipeline {
                     .set(n as f64);
             }
         }
+    }
+
+    /// The refresh generation stamp of each kept entry (parallel to the
+    /// kept vectors, so to the profiles of the last snapshot) and the
+    /// current refresh generation: what a published report carries so a
+    /// tenant can splice its body from an older one (`body.rs`).
+    pub(crate) fn kept_stamps(&self) -> (Arc<Vec<u64>>, u64) {
+        (Arc::clone(&self.kept_stamps), self.generation)
     }
 
     /// One user's distribution + CDF from the integer accumulator —

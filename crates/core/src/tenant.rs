@@ -22,6 +22,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
+use crate::body::{encode, Base, BodyIndex};
 use crate::concurrent::{ConcurrentStreamingPipeline, PublishedReport};
 use crate::error::CoreError;
 use crate::pipeline::GeolocationPipeline;
@@ -108,13 +109,42 @@ pub struct Tenant {
     config: TenantConfig,
     engine: ConcurrentStreamingPipeline,
     window: Option<WindowedPipeline>,
-    /// The newest encoded epoch and its report body (see
-    /// [`Tenant::report_body`]).
-    body: Mutex<KeptBody>,
+    /// The newest encoded epoch's body and index, and a spare
+    /// allocation for the next body (see [`Tenant::report_body`]).
+    body: Mutex<Kept>,
+    obs: Option<BodyObs>,
 }
 
-/// An epoch and `serde_json::to_vec` of that epoch's report.
-type KeptBody = Option<(u64, Arc<Vec<u8>>)>;
+/// What [`Tenant::report_body`] keeps between calls.
+#[derive(Debug, Default)]
+struct Kept {
+    newest: Option<KeptBody>,
+    /// The allocation of the body the newest replaced, when no reader
+    /// still held it: the next body is written into it.
+    spare: Vec<u8>,
+}
+
+/// The newest encoded epoch: `serde_json::to_vec` of its report, and
+/// where each kept user's JSON sits in it.
+#[derive(Debug)]
+struct KeptBody {
+    epoch: u64,
+    /// The engine's refresh generation at the epoch's cut.
+    generation: u64,
+    body: Arc<Vec<u8>>,
+    /// `None` when the body outgrew the index's offsets.
+    index: Option<Arc<BodyIndex>>,
+}
+
+/// Observability handles (`tenant.*`), resolved once at creation.
+#[derive(Debug)]
+struct BodyObs {
+    /// `tenant.body_bytes`: bytes of every body kept as the newest.
+    bytes: crowdtz_obs::Counter,
+    /// `tenant.body_bytes_copied`: those bytes copied from the previous
+    /// body rather than encoded.
+    copied: crowdtz_obs::Counter,
+}
 
 impl Tenant {
     /// The tenant's (validated) name.
@@ -150,8 +180,20 @@ impl Tenant {
     /// later read of the same cut shares it. Whichever caller first
     /// encodes a newer epoch replaces the kept body; the encode runs
     /// with no lock held. A report older than the kept one (a caller
-    /// still holding a superseded cut) is encoded on demand and not
-    /// kept.
+    /// still holding a superseded cut) is encoded in full on demand and
+    /// not kept.
+    ///
+    /// A newer epoch is spliced from the kept body, so its cost scales
+    /// with the users that changed rather than with the crowd. Beside
+    /// the body the tenant keeps an index — each kept user's id and the
+    /// byte ranges of its profile and placement, about 20 bytes per user
+    /// plus its id — and the new body copies those ranges for every user
+    /// the engine has not rewritten since the kept body's cut (a refresh
+    /// generation stamp per kept entry says which); only the rest, and
+    /// the top-level fields, are encoded. The first body of a tenant
+    /// (after a durable reopen too) is a full encode. A new body is
+    /// written into the allocation of the body the kept one replaced,
+    /// when no reader still holds it, and is shrunk to its exact size.
     ///
     /// # Errors
     ///
@@ -161,25 +203,70 @@ impl Tenant {
         published: &PublishedReport,
     ) -> Result<Arc<Vec<u8>>, serde_json::Error> {
         let epoch = published.epoch();
-        if let Some((kept, body)) = &*self.kept_body() {
-            if *kept == epoch {
-                return Ok(Arc::clone(body));
+        let (superseded, base, buffer) = {
+            let mut kept = self.kept_body();
+            match &kept.newest {
+                Some(newest) if newest.epoch == epoch => return Ok(Arc::clone(&newest.body)),
+                Some(newest) if newest.epoch > epoch => (true, None, Vec::new()),
+                Some(newest) => (
+                    false,
+                    newest
+                        .index
+                        .as_ref()
+                        .filter(|_| newest.generation <= published.generation())
+                        .map(|index| {
+                            (
+                                Arc::clone(&newest.body),
+                                Arc::clone(index),
+                                newest.generation,
+                            )
+                        }),
+                    std::mem::take(&mut kept.spare),
+                ),
+                None => (false, None, Vec::new()),
             }
+        };
+        if superseded {
+            return Ok(Arc::new(serde_json::to_vec(published.report())?));
         }
-        let body = Arc::new(serde_json::to_vec(published.report())?);
+        let encoded = encode(
+            published,
+            base.as_ref().map(|(body, index, generation)| Base {
+                body,
+                index,
+                generation: *generation,
+            }),
+            buffer,
+        );
+        // Let go of the kept body, so that once replaced its allocation
+        // can become the spare.
+        drop(base);
+        let body = Arc::new(encoded.body);
         let mut kept = self.kept_body();
-        match &*kept {
+        match &kept.newest {
             // Another reader encoded this epoch meanwhile: share theirs.
-            Some((newest, existing)) if *newest == epoch => Ok(Arc::clone(existing)),
-            Some((newest, _)) if *newest > epoch => Ok(body),
+            Some(newest) if newest.epoch == epoch => Ok(Arc::clone(&newest.body)),
+            Some(newest) if newest.epoch > epoch => Ok(body),
             _ => {
-                *kept = Some((epoch, Arc::clone(&body)));
+                if let Some(obs) = &self.obs {
+                    obs.bytes.add(body.len() as u64);
+                    obs.copied.add(encoded.copied as u64);
+                }
+                let replaced = kept.newest.replace(KeptBody {
+                    epoch,
+                    generation: published.generation(),
+                    body: Arc::clone(&body),
+                    index: encoded.index.map(Arc::new),
+                });
+                if let Some(spare) = replaced.and_then(|old| Arc::try_unwrap(old.body).ok()) {
+                    kept.spare = spare;
+                }
                 Ok(body)
             }
         }
     }
 
-    fn kept_body(&self) -> MutexGuard<'_, KeptBody> {
+    fn kept_body(&self) -> MutexGuard<'_, Kept> {
         self.body.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -275,6 +362,10 @@ impl TenantRegistry {
             None => ConcurrentStreamingPipeline::new(pipeline),
             Some(dir) => ConcurrentStreamingPipeline::open_durable(pipeline, dir)?,
         };
+        let obs = observer.as_ref().map(|observer| BodyObs {
+            bytes: observer.counter("tenant.body_bytes"),
+            copied: observer.counter("tenant.body_bytes_copied"),
+        });
         let window = config
             .window
             .clone()
@@ -284,7 +375,8 @@ impl TenantRegistry {
             config,
             engine,
             window,
-            body: Mutex::new(None),
+            body: Mutex::default(),
+            obs,
         });
         tenants.insert(name.to_string(), Arc::clone(&tenant));
         Ok(tenant)

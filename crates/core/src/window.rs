@@ -300,7 +300,7 @@ impl WindowedPipeline {
         writer: &IngestWriter,
         posts: &[(&str, Timestamp)],
     ) -> Result<usize, CoreError> {
-        let released = writer.retract_released(posts)?;
+        let released = writer.retract_posts_ref(posts)?;
         if let Some(obs) = &self.obs {
             obs.retractions.add(released as u64);
         }

@@ -393,7 +393,7 @@ fn run_sweep(vfs: FaultStore, dir: &Path) -> (u64, Option<CoreError>) {
                 .ingest_batch(seq, &posts, Some(&format!("ckpt-{seq}")))
                 .map(|applied| assert!(applied, "batch {seq} deduped")),
             Step::Plain => writer.ingest_posts_ref(&posts),
-            Step::Retract => writer.retract_posts_ref(&posts),
+            Step::Retract => writer.retract_posts_ref(&posts).map(drop),
             Step::Rotate => engine.checkpoint_now().map(drop),
         };
         if let Err(e) = result {

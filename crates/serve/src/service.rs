@@ -408,8 +408,9 @@ impl AnalysisService {
     }
 
     /// `POST …/retract`: the signed inverse of ingest, same body shape.
-    /// A windowed tenant answers with the posts actually released (a
-    /// post whose slot already expired releases nothing).
+    /// Answers with the posts actually released: a post whose slot holds
+    /// no live count (never ingested, already retracted or expired)
+    /// releases nothing.
     fn retract(&self, name: &str, request: &Request, conn: &mut ConnState) -> Response {
         let Some(tenant) = self.registry.get(name) else {
             return Response::error(404, &format!("unknown tenant {name:?}"));
@@ -423,11 +424,9 @@ impl AnalysisService {
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        // A windowed tenant counts the posts its shards released; a plain
-        // one reports the posts submitted.
         let retracted = match tenant.window() {
             Some(window) => window.retract_posts(writer, &flat),
-            None => writer.retract_posts_ref(&flat).map(|()| flat.len()),
+            None => writer.retract_posts_ref(&flat),
         };
         let retracted = match retracted {
             Ok(n) => n,
@@ -1080,6 +1079,42 @@ mod tests {
             "full composition shift must be flagged"
         );
         assert!(points[1].field("shift").unwrap().as_f64().unwrap() > 0.5);
+    }
+
+    #[test]
+    fn retract_answers_the_posts_released_on_every_tenant() {
+        let service = service();
+        let mut conn = ConnState::default();
+        for (name, spec) in [
+            ("plain", &br#"{"min_posts": 1, "threads": 1}"#[..]),
+            (
+                "windowed",
+                br#"{"min_posts": 1, "threads": 1, "window": {"bucket_secs": 86400}}"#,
+            ),
+        ] {
+            let (created, _) = service.handle(
+                &request("POST", &format!("/v1/tenants/{name}"), spec),
+                &mut conn,
+            );
+            assert_eq!(created.status, 201);
+            let post = br#"{"deltas":[{"user":"u","posts":[72000]}]}"#;
+            let (r, _) = service.handle(
+                &request("POST", &format!("/v1/tenants/{name}/ingest"), post),
+                &mut conn,
+            );
+            assert_eq!(r.status, 200);
+            // The first retraction releases the post; the second finds
+            // nothing left to release.
+            for want in [1, 0] {
+                let (r, route) = service.handle(
+                    &request("POST", &format!("/v1/tenants/{name}/retract"), post),
+                    &mut conn,
+                );
+                assert_eq!((r.status, route), (200, "retract"));
+                let body: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+                assert_eq!(body.field("posts").unwrap().as_u64(), Some(want), "{name}");
+            }
+        }
     }
 
     #[test]
