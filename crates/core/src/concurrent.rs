@@ -1,10 +1,11 @@
-//! Concurrent multi-writer ingestion with wait-free snapshot reads.
+//! Concurrent multi-writer ingestion with snapshot reads that never touch
+//! the batch gate or a shard lock.
 //!
 //! [`ConcurrentStreamingPipeline`] fronts one [`StreamingPipeline`] with
 //! the locking the ROADMAP's "serve it" item calls for: many `Monitor`s
 //! (or any producer threads) feed one shared engine through
 //! [`IngestWriter`] handles, while readers consume published reports
-//! without ever touching a writer-visible lock. Three layers, with a
+//! without ever touching a lock a writer holds. Three layers, with a
 //! strict lock order (DESIGN.md §15):
 //!
 //! 1. **The batch gate** — an `RwLock` around the engine. Writers hold
@@ -12,14 +13,19 @@
 //!    ingest simultaneously; [`publish`](ConcurrentStreamingPipeline::publish)
 //!    takes the *write* side, which is a consistent cut: every batch is
 //!    either fully applied or not yet started when the snapshot runs.
-//! 2. **Per-shard mutexes** (`shard.rs`) — inside the read gate, a batch
-//!    routes users by the stable FNV hash and locks **one shard at a
-//!    time**, so writers touching different shards never contend, and
-//!    the lock order (gate → WAL → one shard) is trivially cycle-free.
-//! 3. **The published cell** — an epoch/`Arc`-swap double buffer.
+//! 2. **Per-shard mutexes** (`shard.rs`) — inside the read gate, every
+//!    writer batch, ingest or retraction, is one signed call to the
+//!    engine's one write path: it routes users by the stable FNV hash
+//!    and locks **one shard at a time**, so writers touching different
+//!    shards never contend, and the lock order (gate → WAL → one shard)
+//!    is trivially cycle-free.
+//! 3. **The published slot** — one `RwLock<Option<Arc<…>>>`, replaced
+//!    by the publisher under the write gate.
 //!    [`snapshot`](ConcurrentStreamingPipeline::snapshot) clones the
-//!    newest published `Arc` without acquiring the gate: readers never
-//!    block writers and writers never block readers.
+//!    newest published `Arc` under the slot's read side without
+//!    acquiring the gate or a shard lock: readers never block writers,
+//!    writers never block readers, and a reader waits at most for a
+//!    publisher's `Arc` swap.
 //!
 //! # Determinism under concurrency
 //!
@@ -84,7 +90,7 @@
 //! });
 //! let published = engine.publish().unwrap();
 //! assert_eq!(published.report().profiles().len(), 4);
-//! // Wait-free read of the newest published report:
+//! // Read the newest published report, without the batch gate:
 //! assert_eq!(engine.snapshot().unwrap().epoch(), published.epoch());
 //! ```
 
@@ -101,7 +107,7 @@ use crate::durable::{build_snapshot_parts, encode_batch, encode_expiry, recover}
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::SharedIngestObs;
-use crate::streaming::StreamingPipeline;
+use crate::streaming::{singles, StreamingPipeline};
 
 /// Bucket bounds for the `ingest.lock_wait_ns` histogram: nanoseconds a
 /// writer spent blocked on a contended gate or shard lock, from "one
@@ -123,26 +129,26 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn read_gate<T>(gate: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    gate.read().unwrap_or_else(PoisonError::into_inner)
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write_gate<T>(gate: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    gate.write().unwrap_or_else(PoisonError::into_inner)
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Observability handles, resolved once so the per-batch cost is an
 /// atomic add per metric, not a registry lookup.
 #[derive(Debug)]
 struct ConcurrentObs {
-    /// Shard-level handles threaded into `ShardSet::apply_batch_shared`.
+    /// Shard-level handles threaded into `ShardSet::apply`.
     shared: SharedIngestObs,
     /// `ingest.gate_contention`: batch-gate acquisitions that blocked
     /// (a publish was running or pending).
     gate_contention: crowdtz_obs::Counter,
     /// `ingest.batches`: writer batches fully applied.
     batches: crowdtz_obs::Counter,
-    /// `ingest.publishes`: reports published through the cell.
+    /// `ingest.publishes`: reports published.
     publishes: crowdtz_obs::Counter,
     /// `ingest.writers`: currently registered [`IngestWriter`] handles.
     writers: crowdtz_obs::Gauge,
@@ -178,8 +184,8 @@ struct Wal {
 }
 
 /// Everything the batch gate guards. Writers reach `stream` through a
-/// shared reference (`apply_deltas_shared` locks per shard); the
-/// publisher's write guard gives the `&mut` that `snapshot()` needs.
+/// shared reference (its `apply` locks per shard); the publisher's
+/// write guard gives the `&mut` that `snapshot()` needs.
 #[derive(Debug)]
 struct Engine {
     stream: StreamingPipeline,
@@ -309,62 +315,14 @@ impl PublishedReport {
     }
 }
 
-/// The epoch/`Arc`-swap publication cell: an atomic epoch plus two
-/// slots. The publisher (serialized by the write gate) stores the new
-/// `Arc` into the *inactive* slot, then flips the epoch with `Release`;
-/// readers load the epoch, briefly lock the epoch's slot, and clone the
-/// `Arc`. A reader therefore never blocks a writer (writers don't touch
-/// the cell) and blocks the *next* publish only for the nanoseconds an
-/// `Arc` clone takes — two publishes apart, never the current one.
-#[derive(Debug, Default)]
-struct PublishedCell {
-    /// 0 = nothing published yet; otherwise the newest report's epoch,
-    /// stored in slot `epoch & 1`.
-    epoch: AtomicU64,
-    slots: [Mutex<Option<Arc<PublishedReport>>>; 2],
-}
-
-impl PublishedCell {
-    /// The epoch the next publish will carry. Single-publisher (write
-    /// gate held), so a plain read is exact.
-    fn next_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed) + 1
-    }
-
-    /// Installs a report (single publisher, write gate held): inactive
-    /// slot first, then the epoch flip that makes it visible.
-    fn install(&self, report: Arc<PublishedReport>) {
-        let epoch = report.epoch;
-        *relock(&self.slots[(epoch & 1) as usize]) = Some(report);
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// The newest published report, or `None` before the first publish.
-    /// Retries only when a publish flipped the epoch mid-read; slots are
-    /// replaced wholesale under their mutex, so the clone is never torn
-    /// and always some fully published report (possibly newer than the
-    /// epoch first observed).
-    fn read(&self) -> Option<Arc<PublishedReport>> {
-        loop {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            if epoch == 0 {
-                return None;
-            }
-            let slot = relock(&self.slots[(epoch & 1) as usize]);
-            if let Some(report) = slot.as_ref() {
-                if report.epoch >= epoch {
-                    return Some(Arc::clone(report));
-                }
-            }
-        }
-    }
-}
-
 /// State shared by the pipeline handle and every writer.
 #[derive(Debug)]
 struct Shared {
     gate: RwLock<Engine>,
-    cell: PublishedCell,
+    /// The newest published report, `None` before the first publish.
+    /// Replaced only under the write gate; a reader holds its read side
+    /// for one `Arc` clone and never touches the gate or a shard lock.
+    published: RwLock<Option<Arc<PublishedReport>>>,
     /// Per-writer applied-batch watermarks, in registration order. The
     /// vector only grows — a dropped writer's watermark stays, so
     /// published watermark vectors keep their indices stable.
@@ -387,7 +345,7 @@ impl Shared {
                     obs.gate_contention.inc();
                     Instant::now()
                 });
-                let guard = read_gate(&self.gate);
+                let guard = read_lock(&self.gate);
                 if let (Some(obs), Some(t0)) = (&self.obs, started) {
                     obs.shared
                         .lock_wait
@@ -482,7 +440,7 @@ impl ConcurrentStreamingPipeline {
                     stream,
                     wal: wal.map(Mutex::new),
                 }),
-                cell: PublishedCell::default(),
+                published: RwLock::new(None),
                 writers: Mutex::new(Vec::new()),
                 active_writers: AtomicUsize::new(0),
                 obs,
@@ -505,7 +463,7 @@ impl ConcurrentStreamingPipeline {
         }
     }
 
-    /// Publishes a fresh report through the cell and returns it.
+    /// Publishes a fresh report and returns it.
     ///
     /// Takes the write gate — a **consistent cut**: every writer batch
     /// is fully applied or not yet started, and the per-writer
@@ -530,7 +488,7 @@ impl ConcurrentStreamingPipeline {
     /// * [`CoreError::InvalidCoverage`] when `coverage` is outside
     ///   `(0, 1]`, plus everything [`publish`](Self::publish) returns.
     pub fn publish_with_coverage(&self, coverage: f64) -> Result<Arc<PublishedReport>, CoreError> {
-        self.cut(&mut write_gate(&self.shared.gate), coverage)
+        self.cut(&mut write_lock(&self.shared.gate), coverage)
     }
 
     /// A windowed cut: under one write-gate hold, releases every slot
@@ -543,7 +501,7 @@ impl ConcurrentStreamingPipeline {
         coverage: f64,
         span: WindowSpan,
     ) -> (Expiry, Result<Arc<PublishedReport>, CoreError>) {
-        let mut guard = write_gate(&self.shared.gate);
+        let mut guard = write_lock(&self.shared.gate);
         match guard.expire(span) {
             Ok(expiry) => (expiry, self.cut(&mut guard, coverage)),
             Err(e) => (Expiry::default(), Err(e)),
@@ -565,28 +523,32 @@ impl ConcurrentStreamingPipeline {
         let posts_ingested = guard.stream.posts_ingested();
         let (stamps, generation) = guard.stream.kept_stamps();
         debug_assert_eq!(stamps.len(), report.profiles().len());
+        let mut slot = write_lock(&self.shared.published);
         let published = Arc::new(PublishedReport {
             report,
-            epoch: self.shared.cell.next_epoch(),
+            epoch: slot.as_ref().map_or(0, |held| held.epoch) + 1,
             watermarks,
             posts_ingested,
             stamps,
             generation,
         });
-        self.shared.cell.install(Arc::clone(&published));
+        // Readers wait for the swap only: the superseded report drops
+        // after the slot is released.
+        let _superseded = slot.replace(Arc::clone(&published));
+        drop(slot);
         if let Some(obs) = &self.shared.obs {
             obs.publishes.inc();
         }
         Ok(published)
     }
 
-    /// The newest published report — **wait-free with respect to
-    /// writers**: this never acquires the batch gate or a shard lock, so
-    /// a reader loop cannot slow ingestion down (and ingestion cannot
-    /// starve readers). `None` before the first
+    /// The newest published report. This never acquires the batch gate
+    /// or a shard lock, so a reader loop cannot slow ingestion down (and
+    /// ingestion cannot starve readers); it waits at most for a publish
+    /// to swap in its `Arc`. `None` before the first
     /// [`publish`](Self::publish).
     pub fn snapshot(&self) -> Option<Arc<PublishedReport>> {
-        self.shared.cell.read()
+        read_lock(&self.shared.published).clone()
     }
 
     /// Writes a durable snapshot generation now (compacting the log),
@@ -598,43 +560,43 @@ impl ConcurrentStreamingPipeline {
     ///
     /// [`CoreError::Store`] when writing the generation fails.
     pub fn checkpoint_now(&self) -> Result<Option<u64>, CoreError> {
-        write_gate(&self.shared.gate).rotate(true)
+        write_lock(&self.shared.gate).rotate(true)
     }
 
     /// Highest monitor batch sequence applied (0 before any, and on a
     /// non-durable engine); [`IngestWriter::ingest_batch`] drops batches
     /// at or below it.
     pub fn last_source_seq(&self) -> u64 {
-        let guard = read_gate(&self.shared.gate);
+        let guard = read_lock(&self.shared.gate);
         guard.wal.as_ref().map_or(0, |wal| relock(wal).source_seq)
     }
 
     /// The monitor checkpoint stored with the newest applied batch that
     /// carried one — where to resume the monitor after a restart.
     pub fn source_checkpoint(&self) -> Option<String> {
-        let guard = read_gate(&self.shared.gate);
+        let guard = read_lock(&self.shared.gate);
         let wal = relock(guard.wal.as_ref()?);
         wal.checkpoint.clone()
     }
 
     /// Number of users ever ingested (brief gate-read).
     pub fn users_tracked(&self) -> usize {
-        read_gate(&self.shared.gate).stream.users_tracked()
+        read_lock(&self.shared.gate).stream.users_tracked()
     }
 
     /// Total posts ingested across all users, duplicates included.
     pub fn posts_ingested(&self) -> usize {
-        read_gate(&self.shared.gate).stream.posts_ingested()
+        read_lock(&self.shared.gate).stream.posts_ingested()
     }
 
     /// Users whose profiles changed since the last refresh.
     pub fn dirty_users(&self) -> usize {
-        read_gate(&self.shared.gate).stream.dirty_users()
+        read_lock(&self.shared.gate).stream.dirty_users()
     }
 
     /// Number of hash shards the accumulator store is partitioned into.
     pub fn shard_count(&self) -> usize {
-        read_gate(&self.shared.gate).stream.shard_count()
+        read_lock(&self.shared.gate).stream.shard_count()
     }
 
     /// Currently registered (not yet dropped) writer handles.
@@ -651,10 +613,7 @@ impl IngestWriter {
     /// [`CoreError::Store`] in durable mode when the write-ahead append
     /// fails; the in-memory engine is unchanged in that case.
     pub fn ingest(&self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        self.ingest_deltas(&[(user, posts)])
+        self.apply_batch(&[(user, posts)], false, None).map(drop)
     }
 
     /// Ingests a batch of single-post observations (the monitor poll
@@ -665,11 +624,7 @@ impl IngestWriter {
     ///
     /// As [`ingest`](Self::ingest).
     pub fn ingest_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas)
+        self.apply_batch(&singles(posts), false, None).map(drop)
     }
 
     /// Ingests one monitor batch with its sequence number (≥ 1) and the
@@ -692,11 +647,7 @@ impl IngestWriter {
         posts: &[(&str, Timestamp)],
         checkpoint: Option<&str>,
     ) -> Result<bool, CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.apply_batch(&deltas, false, Some((source_seq, checkpoint)))
+        self.apply_batch(&singles(posts), false, Some((source_seq, checkpoint)))
             .map(|applied| applied.is_some())
     }
 
@@ -710,10 +661,7 @@ impl IngestWriter {
     ///
     /// As [`ingest`](Self::ingest).
     pub fn retract(&self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        self.apply_deltas(&[(user, posts)], true).map(drop)
+        self.apply_batch(&[(user, posts)], true, None).map(drop)
     }
 
     /// Retracts a batch of single-post observations as one signed batch.
@@ -725,55 +673,43 @@ impl IngestWriter {
     ///
     /// As [`ingest`](Self::ingest).
     pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<usize, CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.apply_deltas(&deltas, true)
+        self.apply_batch(&singles(posts), true, None)
+            .map(|applied| applied.unwrap_or(0))
     }
 
-    /// Ingests a batch of per-user deltas. Empty batches are ignored
-    /// (no gate hold, no watermark step).
-    ///
-    /// Lock order: gate (read) → WAL append + fsync (durable mode) →
-    /// shards, one at a time → watermark bump → gate release. The
-    /// watermark moves only after the batch is fully applied and only
-    /// inside the gate hold, which is what makes publish-time watermark
-    /// capture an exact cut.
+    /// Ingests a batch of per-user deltas — one gate hold, one WAL
+    /// record in durable mode, one watermark step. A batch with no post
+    /// is ignored (no gate hold, no watermark step).
     ///
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
     pub fn ingest_deltas(&self, deltas: &[(&str, &[Timestamp])]) -> Result<(), CoreError> {
-        self.apply_deltas(deltas, false).map(drop)
+        self.apply_batch(deltas, false, None).map(drop)
     }
 
-    /// [`ingest_deltas`](Self::ingest_deltas), or with `retract` its
-    /// signed inverse: the same gate/WAL/shard lock order, but the record
-    /// is a retraction and the shards release the posts. Returns the
-    /// posts applied (for a retraction, those actually released).
-    fn apply_deltas(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        retract: bool,
-    ) -> Result<usize, CoreError> {
-        if deltas.iter().all(|(_, posts)| posts.is_empty()) {
-            return Ok(0);
-        }
-        self.apply_batch(deltas, retract, None)
-            .map(|applied| applied.unwrap_or(0))
-    }
-
-    /// One batch in the lock order of [`ingest_deltas`](Self::ingest_deltas);
-    /// `source` is a monitor batch's sequence number and checkpoint.
-    /// Returns the posts applied, or `None` when a durable engine had
-    /// already applied that sequence.
+    /// The one batch step behind every write of this handle: a signed
+    /// batch (with `retract`, a retraction), optionally a monitor batch
+    /// whose `source` is its sequence number and checkpoint. A batch
+    /// with no post and no `source` is ignored (no gate hold, no WAL
+    /// record, no watermark step).
+    ///
+    /// Lock order: gate (read) → WAL append + fsync (durable mode) →
+    /// shards, one at a time → watermark bump → gate release. The
+    /// watermark moves only after the batch is fully applied and only
+    /// inside the gate hold, which is what makes publish-time watermark
+    /// capture an exact cut. Returns the posts applied (for a
+    /// retraction, those actually released), or `None` when a durable
+    /// engine had already applied that sequence.
     fn apply_batch(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
         source: Option<(u64, Option<&str>)>,
     ) -> Result<Option<usize>, CoreError> {
+        if source.is_none() && deltas.iter().all(|(_, posts)| posts.is_empty()) {
+            return Ok(Some(0));
+        }
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
             let (seq, checkpoint) = source.unwrap_or((0, None));
@@ -791,7 +727,7 @@ impl IngestWriter {
             }
         }
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
-        let applied = guard.stream.apply_deltas_shared(deltas, retract, obs);
+        let applied = guard.stream.apply(deltas, retract, 1, obs);
         if let Some(obs) = &self.shared.obs {
             obs.batches.inc();
         }
@@ -1019,7 +955,7 @@ mod tests {
 
     /// What a checkpoint of `engine` would persist right now.
     fn snapshot_parts(engine: &ConcurrentStreamingPipeline) -> Vec<Vec<u8>> {
-        let mut guard = write_gate(&engine.shared.gate);
+        let mut guard = write_lock(&engine.shared.gate);
         let Engine { stream, wal } = &mut *guard;
         let wal = wal.as_mut().expect("durable engine");
         let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);

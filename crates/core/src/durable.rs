@@ -13,8 +13,10 @@
 //!   `f64::to_bits` — and everything derived (distributions, profiles,
 //!   kept vectors, zone counts) is recomputed by the same pure
 //!   functions the live engine uses, in the same global user-id order.
-//! * Log records replay through the same ingest path as live batches,
-//!   and a windowed cut's expiry record through the same slot release.
+//! * Log records replay through the same write path as live batches:
+//!   each record's ingest list is one batch and its retraction list one
+//!   signed batch, through the call every writer batch takes. A
+//!   windowed cut's expiry record replays through the same slot release.
 //! * The store assigns sequence numbers; a snapshot covers a prefix,
 //!   recovery replays only the suffix — warm-restart cost scales with
 //!   the log length, not the crawl length.
@@ -109,10 +111,11 @@ struct LogBatch {
     source_seq: u64,
     /// Opaque monitor checkpoint valid *after* this batch.
     checkpoint: Option<String>,
-    /// `(user, post timestamps as epoch seconds)` deltas.
-    deltas: Vec<(String, Vec<i64>)>,
+    /// `(user, post timestamps)` deltas; legacy JSON stores each
+    /// timestamp as its epoch seconds.
+    deltas: Vec<(String, Vec<Timestamp>)>,
     /// Signed (negative) deltas, applied after `deltas` — same shape.
-    retractions: Vec<(String, Vec<i64>)>,
+    retractions: Vec<(String, Vec<Timestamp>)>,
 }
 
 impl Deserialize for LogBatch {
@@ -421,18 +424,18 @@ impl<'a> Reader<'a> {
 
     /// One counted list of `(user, posts)` deltas, continuing the
     /// record's timestamp chain in `prev`.
-    fn deltas(&mut self, prev: &mut i64) -> Result<Vec<(String, Vec<i64>)>, CoreError> {
+    fn deltas(&mut self, prev: &mut i64) -> Result<Vec<(String, Vec<Timestamp>)>, CoreError> {
         let n = self.count(2)?;
         let mut deltas = Vec::with_capacity(n);
         for _ in 0..n {
             let user = self.str()?.to_owned();
             let posts = self.count(1)?;
-            let mut secs = Vec::with_capacity(posts);
+            let mut timestamps = Vec::with_capacity(posts);
             for _ in 0..posts {
                 *prev = prev.wrapping_add(self.zigzag()?);
-                secs.push(*prev);
+                timestamps.push(Timestamp::from_secs(*prev));
             }
-            deltas.push((user, secs));
+            deltas.push((user, timestamps));
         }
         Ok(deltas)
     }
@@ -595,10 +598,12 @@ fn read_meta(part: &[u8]) -> Result<MetaSnap, CoreError> {
 
 /// Opens (creating if necessary) the store at `dir` and recovers the
 /// engine persisted there: the newest valid snapshot generation is
-/// loaded and the valid log suffix replayed in log order, batches
-/// through the normal ingest path and expiries through the slot
-/// release of a windowed cut. Returns the engine, the open store, and
-/// the highest monitor batch sequence with its checkpoint.
+/// loaded and the valid log suffix replayed in log order, expiries
+/// through the slot release of a windowed cut and each batch through
+/// the engine's one write path — its ingest list as one batch, then its
+/// retraction list as one signed batch, the order the live writer
+/// logged them in. Returns the engine, the open store, and the highest
+/// monitor batch sequence with its checkpoint.
 pub(crate) fn recover(
     pipeline: GeolocationPipeline,
     vfs: Box<dyn Vfs>,
@@ -638,7 +643,13 @@ pub(crate) fn recover(
             continue;
         }
         let batch = decode_batch(payload)?;
-        apply_batch(&mut stream, &batch);
+        for (deltas, retract) in [(&batch.deltas, false), (&batch.retractions, true)] {
+            let deltas: Vec<(&str, &[Timestamp])> = deltas
+                .iter()
+                .map(|(user, posts)| (user.as_str(), posts.as_slice()))
+                .collect();
+            stream.apply(&deltas, retract, 1, None);
+        }
         if batch.source_seq != 0 {
             source_seq = source_seq.max(batch.source_seq);
             if batch.checkpoint.is_some() {
@@ -664,20 +675,6 @@ pub(crate) fn build_snapshot_parts(
         .for_each_shard(|users| parts.push(encode_shard(users)));
     parts.push(encode_meta(source_seq, checkpoint));
     parts
-}
-
-/// Replays one logged batch through the normal delta-update path —
-/// ingests first, then retractions, matching the live order (a record
-/// never carries both today, but the order makes mixed records safe).
-fn apply_batch(inner: &mut StreamingPipeline, batch: &LogBatch) {
-    for (user, secs) in &batch.deltas {
-        let posts: Vec<Timestamp> = secs.iter().map(|&s| Timestamp::from_secs(s)).collect();
-        inner.ingest(user, &posts);
-    }
-    for (user, secs) in &batch.retractions {
-        let posts: Vec<Timestamp> = secs.iter().map(|&s| Timestamp::from_secs(s)).collect();
-        inner.retract(user, &posts);
-    }
 }
 
 /// Active slots per hour of day, from the slot keys.
@@ -810,13 +807,6 @@ mod tests {
         encode_batch(*source_seq, checkpoint.as_deref(), &deltas, *retract)
     }
 
-    fn as_secs(deltas: &[(String, Vec<Timestamp>)]) -> Vec<(String, Vec<i64>)> {
-        deltas
-            .iter()
-            .map(|(user, posts)| (user.clone(), posts.iter().map(|t| t.as_secs()).collect()))
-            .collect()
-    }
-
     /// A shard's worth of accumulators: every analysis variant, sub-hour
     /// offsets, NaN and other odd EMD bits, `u32::MAX` slot counts, and
     /// slot keys out to the `i64` extremes.
@@ -929,9 +919,9 @@ mod tests {
             let decoded = decode_batch(&encode(&batch)).map_err(|e| e.to_string())?;
             let (source_seq, checkpoint, deltas, retract) = &batch;
             let (ingest, retractions) = if *retract {
-                (Vec::new(), as_secs(deltas))
+                (Vec::new(), deltas.clone())
             } else {
-                (as_secs(deltas), Vec::new())
+                (deltas.clone(), Vec::new())
             };
             proptest::prop_assert_eq!(
                 decoded,
@@ -1238,6 +1228,108 @@ mod tests {
         assert_eq!(reopened.engine().users_tracked(), 6);
         publish_both(&reopened, &days(4, 4));
         drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_with_both_lists_replays_as_ingest_then_retraction() {
+        use crate::ConcurrentStreamingPipeline;
+        // `gone` is ingested and retracted by the same record: replaying
+        // the retraction list first would leave its post behind.
+        let gone = ("gone".to_owned(), Timestamp::from_secs(20 * 3_600));
+        let posts = [days(0, 3), vec![gone.clone()]].concat();
+        let retracted = [posts.iter().step_by(3).cloned().collect(), vec![gone]].concat();
+        let per_post = |posts: &[(String, Timestamp)]| -> Vec<(String, Vec<Timestamp>)> {
+            posts.iter().map(|(u, t)| (u.clone(), vec![*t])).collect()
+        };
+        let (ingest, retractions) = (per_post(&posts), per_post(&retracted));
+        fn as_refs(deltas: &[(String, Vec<Timestamp>)]) -> Vec<(&str, &[Timestamp])> {
+            deltas
+                .iter()
+                .map(|(u, p)| (u.as_str(), p.as_slice()))
+                .collect()
+        }
+        let mut binary = vec![KIND_BATCH];
+        put_varint(&mut binary, 7);
+        put_opt_str(&mut binary, Some("mixed"));
+        let mut prev = 0i64;
+        put_deltas(&mut binary, &mut prev, &as_refs(&ingest));
+        put_deltas(&mut binary, &mut prev, &as_refs(&retractions));
+        let json = |deltas: &[(String, Vec<Timestamp>)]| -> String {
+            let items: Vec<String> = deltas
+                .iter()
+                .map(|(u, p)| format!("[{u:?},[{}]]", p[0].as_secs()))
+                .collect();
+            items.join(",")
+        };
+        let legacy = format!(
+            r#"{{"source_seq":7,"checkpoint":"mixed","deltas":[{}],"retractions":[{}]}}"#,
+            json(&ingest),
+            json(&retractions)
+        );
+        let decoded = decode_batch(&binary).unwrap();
+        assert_eq!(decoded, decode_batch(legacy.as_bytes()).unwrap());
+        assert_eq!((decoded.deltas, decoded.retractions), (ingest, retractions));
+
+        let live = ConcurrentStreamingPipeline::new(durable_pipeline());
+        let writer = live.writer();
+        writer.ingest_posts_ref(&refs(&posts)).unwrap();
+        writer.retract_posts_ref(&refs(&retracted)).unwrap();
+        let want = report_of(&live);
+        for (tag, payload) in [
+            ("mixed-binary", binary),
+            ("mixed-json", legacy.into_bytes()),
+        ] {
+            let dir = scratch_dir(tag);
+            DurableStore::open(&dir)
+                .unwrap()
+                .0
+                .append_delta(&payload)
+                .unwrap();
+            let engine =
+                ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+            assert_eq!(engine.posts_ingested(), live.posts_ingested(), "{tag}");
+            assert_eq!(report_of(&engine), want, "{tag}");
+            assert_eq!(engine.users_tracked(), live.users_tracked(), "{tag}");
+            assert_eq!(engine.last_source_seq(), 7);
+            assert_eq!(engine.source_checkpoint().as_deref(), Some("mixed"));
+            drop(engine);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn replay_counts_deltas_and_releases_like_the_live_writer() {
+        use crate::ConcurrentStreamingPipeline;
+        use crowdtz_obs::Observer;
+        let dir = scratch_dir("counters");
+        let counters = |observer: &Observer| {
+            let counters = observer.snapshot().counters;
+            [
+                "streaming.deltas",
+                "streaming.posts_ingested",
+                "streaming.posts_retracted",
+            ]
+            .map(|name| counters[name])
+        };
+        let open = |observer: &std::sync::Arc<Observer>| {
+            let pipeline = durable_pipeline().observer(std::sync::Arc::clone(observer));
+            ConcurrentStreamingPipeline::open_durable(pipeline, &dir).unwrap()
+        };
+        let t = Timestamp::from_secs(20 * 3_600);
+        let live = Observer::from_env();
+        let released = {
+            let writer = open(&live).writer();
+            // An empty delta beside a real one, then a post never ingested.
+            writer.ingest_deltas(&[("a", &[]), ("b", &[t])]).unwrap();
+            writer.retract_posts_ref(&[("b", t + 3_600)]).unwrap()
+        };
+        let replayed = Observer::from_env();
+        let engine = open(&replayed);
+        assert_eq!(released, 0);
+        assert_eq!(counters(&live), [2, 1, 0]);
+        assert_eq!(counters(&replayed), counters(&live));
+        drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -585,21 +585,6 @@ impl PlacementEngine {
         (minutes / 60, emd)
     }
 
-    /// Like [`place_cdf`](Self::place_cdf), additionally returning how many
-    /// zones reached the exact EMD evaluation — the rest were pruned by
-    /// the lower bound. Placement itself is unchanged; the count feeds
-    /// the observability layer's pruning stats.
-    pub fn place_cdf_counted(&self, user_cdf: &[f64; BINS]) -> (i32, f64, u32) {
-        let mut ucdf = vec![0.0_f64; self.grid.zones()];
-        self.upsample_cdf(user_cdf, &mut ucdf);
-        let (idx, emd_bins, evals) = self.scan_cdf_grid(&ucdf);
-        (
-            self.grid.minutes_of(idx) / 60,
-            emd_bins * self.step_hours(),
-            evals,
-        )
-    }
-
     /// Places a bare hourly distribution (UTC hours), like
     /// [`place_distribution`](crate::place_distribution) but against the
     /// precomputed zone CDFs.
@@ -910,65 +895,15 @@ impl PlacementEngine {
             .collect()
     }
 
-    /// Like [`place_all`](Self::place_all), additionally recording pruning
-    /// statistics into `obs`: counters `placement.users`,
-    /// `placement.exact_evals` and `placement.batch_prunes`, and the
-    /// per-user histogram `placement.exact_evals_per_user` (bucketed per
-    /// grid). Metric updates are commutative atomic adds, so totals are
-    /// identical for any thread count, and the returned placements are
-    /// byte-identical to [`place_all`](Self::place_all).
-    pub fn place_all_observed(
-        &self,
-        profiles: &[ActivityProfile],
-        threads: usize,
-        obs: Option<&crowdtz_obs::Observer>,
-    ) -> Vec<UserPlacement> {
-        let Some(obs) = obs else {
-            return self.place_all(profiles, threads);
-        };
-        let cdfs: Vec<[f64; BINS]> = chunked_map(profiles, threads, |p| p.distribution().cdf());
-        let outcomes = self.resolve_batches(&cdfs, threads, false);
-        obs.counter("placement.users").add(profiles.len() as u64);
-        self.observe_outcomes(obs, &outcomes);
-        profiles
-            .iter()
-            .zip(outcomes)
-            .map(|(p, o)| {
-                UserPlacement::from_offset_minutes(
-                    p.user(),
-                    o.resolved.zone_minutes,
-                    o.resolved.emd,
-                )
-            })
-            .collect()
-    }
-
-    /// Records the batch kernel's pruning accounting: counters
-    /// `placement.exact_evals` and `placement.batch_prunes`, and one
-    /// `placement.exact_evals_per_user` observation per outcome (bucketed
-    /// per grid).
-    fn observe_outcomes(&self, obs: &crowdtz_obs::Observer, outcomes: &[BatchOutcome]) {
-        let exact = obs.counter("placement.exact_evals");
-        let prunes = obs.counter("placement.batch_prunes");
-        let per_user = obs.histogram(
-            "placement.exact_evals_per_user",
-            exact_eval_bounds(self.grid),
-        );
-        for o in outcomes {
-            exact.add(u64::from(o.exact_evals));
-            prunes.add(u64::from(o.batch_prunes));
-            per_user.observe(u64::from(o.exact_evals));
-        }
-    }
-
     /// Resolves user CDFs — placement, EMD and the §IV.C flatness verdict
     /// per CDF, in input order — through the SoA batch kernel on
     /// `threads` workers. Every CDF is scanned; the outcomes are
     /// byte-identical for every thread count.
     ///
-    /// Observability (when `obs` is attached): everything
-    /// [`observe_outcomes`](Self::observe_outcomes) records, one
-    /// histogram observation per CDF.
+    /// Observability (when `obs` is attached): the kernel's pruning
+    /// accounting — counters `placement.exact_evals` and
+    /// `placement.batch_prunes`, and one `placement.exact_evals_per_user`
+    /// observation per CDF (bucketed per grid).
     pub(crate) fn resolve_cdfs(
         &self,
         cdfs: &[[f64; BINS]],
@@ -977,7 +912,17 @@ impl PlacementEngine {
     ) -> Vec<ResolvedCdf> {
         let outcomes = self.resolve_batches(cdfs, threads, true);
         if let Some(obs) = obs {
-            self.observe_outcomes(obs, &outcomes);
+            let exact = obs.counter("placement.exact_evals");
+            let prunes = obs.counter("placement.batch_prunes");
+            let per_user = obs.histogram(
+                "placement.exact_evals_per_user",
+                exact_eval_bounds(self.grid),
+            );
+            for o in &outcomes {
+                exact.add(u64::from(o.exact_evals));
+                prunes.add(u64::from(o.batch_prunes));
+                per_user.observe(u64::from(o.exact_evals));
+            }
         }
         outcomes.into_iter().map(|o| o.resolved).collect()
     }

@@ -34,7 +34,8 @@
 //!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
 //!     by construction — at every shard count and thread count.
 //! 11. **Serving** (the monitor deployed): [`ConcurrentStreamingPipeline`]
-//!     — many writers, wait-free reads of published reports — and,
+//!     — many writers, and reads of published reports that never touch
+//!     the batch gate or a shard lock — and,
 //!     opened with [`ConcurrentStreamingPipeline::open_durable`], the one
 //!     durable engine: write-ahead batches, monitor batches deduped by
 //!     sequence number ([`IngestWriter::ingest_batch`]), and warm

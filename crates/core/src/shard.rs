@@ -6,18 +6,21 @@
 //! full crawl round, a monitor poll batch) touches users all over the id
 //! space, but every insert goes through the same map. A [`ShardSet`]
 //! splits the crowd into N disjoint shards by a stable hash of the user
-//! id, so a batch of deltas can be **routed once and applied
-//! concurrently** — each worker owns whole shards, no locks, no shared
-//! mutable state.
+//! id, each behind its own mutex.
 //!
-//! Each shard additionally sits behind its own mutex, so a
+//! Every write — a bulk backfill, a writer's batch, a retraction, a
+//! replayed log record — goes through one call, [`ShardSet::apply`]: the
+//! batch is **routed once**, then each touched shard is locked once
+//! (an uncontended `try_lock` on the fast path) while its deltas are
+//! applied. Writers route by the same FNV hash and hold one shard at a
+//! time, so many writer threads of a
 //! [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline)
-//! can drive the same shards from **many writer threads at once**
-//! ([`ShardSet::apply_batch_shared`]): writers route by the same FNV hash
-//! and lock one shard at a time, so two writers touching different shards
-//! never contend. The single-owner `&mut` paths are unchanged in
-//! cost — they reach through the mutexes with
-//! [`Mutex::get_mut`], which is a plain borrow, not a lock.
+//! drive the same shards at once and two writers touching different
+//! shards never contend. A bulk ingest may also fan out: scoped workers
+//! each own a contiguous run of whole shards. Only the single-owner
+//! phases that never write posts — refresh, window expiry and snapshot
+//! restore — reach through the mutexes with [`Mutex::get_mut`], a plain
+//! borrow.
 //!
 //! # Per-post cost
 //!
@@ -70,6 +73,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -383,58 +387,46 @@ fn mark_dirty(acc: &mut UserAccumulator, dirty: &mut Vec<String>, user: &str) {
 }
 
 impl Shard {
-    /// Applies one delta to this shard's slice of the crowd. Empty deltas
-    /// are ignored (they would not change the profile). Any non-empty
-    /// delta changes the profile (at minimum its post count), so the
-    /// user must be re-analyzed. A known user costs one map probe.
-    fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
-        match self.users.get_mut(user) {
+    /// Applies one signed delta to this shard's slice of the crowd — the
+    /// inner loop of [`ShardSet::apply`], so ingest and retraction route
+    /// identically — and returns the posts applied: all of an ingest,
+    /// those actually released by a retraction. A known user costs one
+    /// map probe.
+    ///
+    /// Any non-empty ingest changes the profile (at minimum its post
+    /// count), so the user must be re-analyzed; an empty delta changes
+    /// nothing. A retraction skips unknown users and never-ingested posts
+    /// (retracting a post the engine never saw is a no-op), and one that
+    /// releases nothing leaves the dirty set untouched — the state
+    /// remains exactly what an engine that never saw the retracted posts
+    /// would hold. A user's (possibly now-empty) accumulator stays in the
+    /// map until the next refresh forgets it: an empty accumulator
+    /// analyzes to nothing, so reports are unaffected, and keeping it
+    /// preserves the refresh invariant that every dirty id resolves to an
+    /// accumulator.
+    fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) -> usize {
+        let Shard { users, dirty } = self;
+        match users.get_mut(user) {
             Some(acc) => {
-                acc.absorb(posts);
-                mark_dirty(acc, &mut self.dirty, user);
+                let applied = if retract {
+                    acc.release(posts)
+                } else {
+                    acc.absorb(posts);
+                    posts.len()
+                };
+                if applied > 0 {
+                    mark_dirty(acc, dirty, user);
+                }
+                applied
             }
+            None if retract || posts.is_empty() => 0,
             None => {
                 let mut acc = UserAccumulator::default();
                 acc.absorb(posts);
-                mark_dirty(&mut acc, &mut self.dirty, user);
-                self.users.insert(user.to_owned(), acc);
+                mark_dirty(&mut acc, dirty, user);
+                users.insert(user.to_owned(), acc);
+                posts.len()
             }
-        }
-    }
-
-    /// Applies one signed delta. Unknown users and never-ingested posts
-    /// are skipped (retraction of a post the engine never saw is a
-    /// no-op), and a retraction that changes nothing leaves the dirty set
-    /// untouched — the state remains exactly what an engine that never
-    /// saw the retracted posts would hold. The user's (possibly now-empty)
-    /// accumulator stays in the map until the next refresh forgets it: an
-    /// empty accumulator analyzes to nothing, so reports are unaffected,
-    /// and keeping it preserves the refresh invariant that every dirty id
-    /// resolves to an accumulator. Returns how many posts were released.
-    fn retract(&mut self, user: &str, posts: &[Timestamp]) -> usize {
-        let Some(acc) = self.users.get_mut(user) else {
-            return 0;
-        };
-        let released = acc.release(posts);
-        if released > 0 {
-            mark_dirty(acc, &mut self.dirty, user);
-        }
-        released
-    }
-
-    /// Dispatches one delta by sign — the shared inner loop of the batch
-    /// paths, so ingest and retraction route identically. Returns the
-    /// posts applied: all of them for an ingest, those actually
-    /// released for a retraction.
-    fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) -> usize {
-        if retract {
-            self.retract(user, posts)
-        } else {
-            self.ingest(user, posts);
-            posts.len()
         }
     }
 
@@ -455,8 +447,8 @@ impl Shard {
 
 /// N hash-partitioned shards of per-user accumulators with per-shard
 /// dirty sets, each behind its own mutex. See the module docs for the
-/// determinism argument; single-owner paths bypass the mutexes with
-/// `get_mut`, multi-writer paths lock one shard at a time.
+/// determinism argument; writes ([`apply`](Self::apply)) lock one shard
+/// at a time, the single-owner phases bypass the mutexes with `get_mut`.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     shards: Vec<Mutex<Shard>>,
@@ -529,18 +521,6 @@ impl ShardSet {
         debug_assert!(removed.is_some_and(|acc| !acc.dirty && acc.posts == 0));
     }
 
-    /// Routes and applies a single delta (single-owner access).
-    pub(crate) fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
-        let shard = self.shard_of(user);
-        remut(&mut self.shards[shard]).ingest(user, posts);
-    }
-
-    /// Routes and retracts a single delta (single-owner access).
-    pub(crate) fn retract(&mut self, user: &str, posts: &[Timestamp]) {
-        let shard = self.shard_of(user);
-        remut(&mut self.shards[shard]).retract(user, posts);
-    }
-
     /// The oldest and newest live slot keys across the crowd, `None`
     /// while no user holds a slot (single-owner access).
     pub(crate) fn live_slot_range(&mut self) -> Option<(i64, i64)> {
@@ -562,57 +542,17 @@ impl ShardSet {
             .sum()
     }
 
-    /// Routes a batch of signed deltas to their shards (in arrival
-    /// order), then applies the shards concurrently on up to `threads`
-    /// workers — each worker owns a contiguous run of whole shards, so no
-    /// two threads ever touch the same accumulator. With `retract` each
-    /// delta is released from its accumulator instead of absorbed.
-    /// Single-owner access: workers split the mutexes mutably instead of
-    /// locking them.
-    pub(crate) fn apply_batch(
-        &mut self,
-        deltas: &[(&str, &[Timestamp])],
-        retract: bool,
-        threads: usize,
-    ) {
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (user, _)) in deltas.iter().enumerate() {
-            routed[self.shard_of(user)].push(i);
-        }
-        let threads = clamped_threads(threads).min(self.shards.len());
-        if threads == 1 {
-            for (shard, idxs) in self.shards.iter_mut().zip(&routed) {
-                let shard = remut(shard);
-                for &i in idxs {
-                    let (user, posts) = deltas[i];
-                    shard.apply(user, posts, retract);
-                }
-            }
-            return;
-        }
-        let mut work: Vec<(&mut Shard, Vec<usize>)> =
-            self.shards.iter_mut().map(remut).zip(routed).collect();
-        let chunk_len = work.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for chunk in work.chunks_mut(chunk_len) {
-                scope.spawn(move |_| {
-                    for (shard, idxs) in chunk.iter_mut() {
-                        for &i in idxs.iter() {
-                            let (user, posts) = deltas[i];
-                            shard.apply(user, posts, retract);
-                        }
-                    }
-                });
-            }
-        })
-        .expect("thread scope failed");
-    }
-
-    /// Multi-writer signed batch: routes the batch per shard, then locks
-    /// each touched shard **once**, applies its deltas in arrival order,
-    /// and releases before moving to the next — at most one shard lock is
-    /// held at a time, so writer/writer deadlock is impossible and two
+    /// The one write path: routes a batch of signed deltas to their
+    /// shards (in arrival order), then locks each touched shard **once**,
+    /// applies its deltas in arrival order, and releases it before
+    /// moving on. With `retract` each delta is released from its
+    /// accumulator instead of absorbed. At most one shard lock is held
+    /// per thread, so writer/writer deadlock is impossible and two
     /// writers whose batches route to disjoint shards never contend.
+    /// With `threads > 1` the shards are split into contiguous runs, one
+    /// scoped worker each, so no two workers ever touch the same
+    /// accumulator.
+    ///
     /// Retraction only commutes with ingestion of the *same* posts when
     /// it runs after them (releasing an unseen post is a skip, not a
     /// debt), so callers sequence a post's retraction after the batch
@@ -624,40 +564,62 @@ impl ShardSet {
     /// `ingest.*` metrics when `obs` is attached; the uncontended fast
     /// path costs one `try_lock`. Returns the posts applied: all of an
     /// ingest, the released ones of a retraction.
-    pub(crate) fn apply_batch_shared(
+    pub(crate) fn apply(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
+        threads: usize,
         obs: Option<&SharedIngestObs>,
     ) -> usize {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (user, _)) in deltas.iter().enumerate() {
             routed[self.shard_of(user)].push(i);
         }
-        let mut applied = 0usize;
-        for (mutex, idxs) in self.shards.iter().zip(&routed) {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = match mutex.try_lock() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    let start = Instant::now();
-                    let guard = relock(mutex);
-                    if let Some(obs) = obs {
-                        obs.shard_contention.inc();
-                        obs.lock_wait.observe(start.elapsed().as_nanos() as u64);
-                    }
-                    guard
+        let apply_run = |shards: &[Mutex<Shard>], routed: &[Vec<usize>]| {
+            let mut applied = 0usize;
+            for (mutex, idxs) in shards.iter().zip(routed) {
+                if idxs.is_empty() {
+                    continue;
                 }
-            };
-            for &i in idxs {
-                let (user, posts) = deltas[i];
-                applied += shard.apply(user, posts, retract);
+                let mut shard = match mutex.try_lock() {
+                    Ok(guard) => guard,
+                    Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+                    Err(std::sync::TryLockError::WouldBlock) => {
+                        let start = Instant::now();
+                        let guard = relock(mutex);
+                        if let Some(obs) = obs {
+                            obs.shard_contention.inc();
+                            obs.lock_wait.observe(start.elapsed().as_nanos() as u64);
+                        }
+                        guard
+                    }
+                };
+                for &i in idxs {
+                    let (user, posts) = deltas[i];
+                    applied += shard.apply(user, posts, retract);
+                }
             }
+            applied
+        };
+        // Clamped only when asked to fan out: reading the host's
+        // parallelism costs microseconds, more than a small writer batch.
+        let threads = match threads.min(self.shards.len()) {
+            0 | 1 => 1,
+            n => clamped_threads(n),
+        };
+        if threads == 1 {
+            return apply_run(&self.shards, &routed);
         }
-        applied
+        let chunk_len = self.shards.len().div_ceil(threads);
+        let applied = AtomicUsize::new(0);
+        let (apply_run, total) = (&apply_run, &applied);
+        crossbeam::thread::scope(|scope| {
+            for (shards, routed) in self.shards.chunks(chunk_len).zip(routed.chunks(chunk_len)) {
+                scope.spawn(move |_| total.fetch_add(apply_run(shards, routed), Ordering::Relaxed));
+            }
+        })
+        .expect("thread scope failed");
+        applied.into_inner()
     }
 
     /// Drains every shard's dirty list into one globally id-sorted vector
@@ -764,6 +726,16 @@ mod tests {
         Timestamp::from_secs(slot * 3_600)
     }
 
+    /// One delta through the write path, on the calling thread.
+    fn ingest(set: &ShardSet, user: &str, posts: &[Timestamp]) {
+        set.apply(&[(user, posts)], false, 1, None);
+    }
+
+    /// One retraction through the write path, on the calling thread.
+    fn retract(set: &ShardSet, user: &str, posts: &[Timestamp]) {
+        set.apply(&[(user, posts)], true, 1, None);
+    }
+
     #[test]
     fn routing_is_stable_and_in_range() {
         let set = ShardSet::new(7);
@@ -808,11 +780,11 @@ mod tests {
             .collect();
         let mut serial = ShardSet::new(4);
         for &(user, posts) in &borrowed {
-            serial.ingest(user, posts);
+            ingest(&serial, user, posts);
         }
         for threads in [1usize, 2, 8] {
             let mut batched = ShardSet::new(4);
-            batched.apply_batch(&borrowed, false, threads);
+            batched.apply(&borrowed, false, threads, None);
             assert_eq!(batched.users_tracked(), serial.users_tracked());
             assert_eq!(batched.posts_ingested(), serial.posts_ingested());
             assert_eq!(batched.take_dirty_sorted(), {
@@ -829,6 +801,7 @@ mod tests {
         }
     }
 
+    /// The fanned-out batch (two workers) against the calling thread.
     #[test]
     fn shared_batch_ingest_matches_owned_batch_ingest() {
         let deltas: Vec<(String, Vec<Timestamp>)> = (0..60)
@@ -843,14 +816,13 @@ mod tests {
             .iter()
             .map(|(u, p)| (u.as_str(), p.as_slice()))
             .collect();
-        let mut owned = ShardSet::new(4);
-        owned.apply_batch(&borrowed, false, 1);
-        let shared = ShardSet::new(4);
-        shared.apply_batch_shared(&borrowed, false, None);
-        let mut shared = shared;
-        assert_eq!(shared.users_tracked(), owned.users_tracked());
-        assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
+        let mut one = ShardSet::new(4);
+        one.apply(&borrowed, false, 1, None);
+        let mut two = ShardSet::new(4);
+        two.apply(&borrowed, false, 2, None);
+        assert_eq!(two.users_tracked(), one.users_tracked());
+        assert_eq!(two.posts_ingested(), one.posts_ingested());
+        assert_eq!(two.take_dirty_sorted(), one.take_dirty_sorted());
     }
 
     #[test]
@@ -862,7 +834,7 @@ mod tests {
             .collect();
         let mut serial = ShardSet::new(4);
         for (u, p) in &deltas {
-            serial.ingest(u, p);
+            ingest(&serial, u, p);
         }
         let shared = ShardSet::new(4);
         std::thread::scope(|scope| {
@@ -871,7 +843,7 @@ mod tests {
                 scope.spawn(move || {
                     for (u, p) in chunk {
                         let one = [(u.as_str(), p.as_slice())];
-                        shared.apply_batch_shared(&one, false, None);
+                        shared.apply(&one, false, 1, None);
                     }
                 });
             }
@@ -895,7 +867,7 @@ mod tests {
             let mut set = ShardSet::new(shards);
             // Deliberately unsorted arrival order.
             for user in ["zeta", "alpha", "mike", "beta", "zeta"] {
-                set.ingest(user, &[ts(1)]);
+                ingest(&set, user, &[ts(1)]);
             }
             assert_eq!(set.dirty_len(), 4);
             let drained = set.take_dirty_sorted();
@@ -1000,14 +972,14 @@ mod tests {
                 .map(|i| (format!("u{i:02}"), vec![ts(i * 3 + 1), ts(i * 100 + 40)]))
                 .collect();
             for (u, p) in keep.iter().chain(&drop) {
-                set.ingest(u, p);
+                ingest(&set, u, p);
             }
             for (u, p) in &drop {
-                set.retract(u, p);
+                retract(&set, u, p);
             }
             let mut fresh = ShardSet::new(shards);
             for (u, p) in &keep {
-                fresh.ingest(u, p);
+                ingest(&fresh, u, p);
             }
             assert_eq!(set.posts_ingested(), fresh.posts_ingested());
             for (u, _) in &keep {
@@ -1024,15 +996,17 @@ mod tests {
     #[test]
     fn retract_of_unknown_user_changes_nothing() {
         let mut set = ShardSet::new(4);
-        set.ingest("known", &[ts(1)]);
+        ingest(&set, "known", &[ts(1)]);
         set.take_dirty_sorted();
-        set.retract("ghost", &[ts(1)]);
+        retract(&set, "ghost", &[ts(1)]);
         // A retraction that removed nothing must not dirty the user.
-        set.retract("known", &[ts(999)]);
+        retract(&set, "known", &[ts(999)]);
         assert_eq!(set.dirty_len(), 0);
         assert_eq!(set.users_tracked(), 1);
     }
 
+    /// Signed batches fanned out over two workers against the calling
+    /// thread.
     #[test]
     fn retract_batch_shared_matches_owned_retract_batch() {
         let posts: Vec<(String, Vec<Timestamp>)> = (0..40)
@@ -1042,15 +1016,14 @@ mod tests {
         fn as_refs(v: &[(String, Vec<Timestamp>)]) -> Vec<(&str, &[Timestamp])> {
             v.iter().map(|(u, p)| (u.as_str(), p.as_slice())).collect()
         }
-        let mut owned = ShardSet::new(4);
-        owned.apply_batch(&as_refs(&posts), false, 2);
-        owned.apply_batch(&as_refs(&dropped), true, 2);
-        let shared = ShardSet::new(4);
-        shared.apply_batch_shared(&as_refs(&posts), false, None);
-        shared.apply_batch_shared(&as_refs(&dropped), true, None);
-        let mut shared = shared;
-        assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
+        let mut one = ShardSet::new(4);
+        one.apply(&as_refs(&posts), false, 1, None);
+        one.apply(&as_refs(&dropped), true, 1, None);
+        let mut two = ShardSet::new(4);
+        two.apply(&as_refs(&posts), false, 2, None);
+        two.apply(&as_refs(&dropped), true, 2, None);
+        assert_eq!(two.posts_ingested(), one.posts_ingested());
+        assert_eq!(two.take_dirty_sorted(), one.take_dirty_sorted());
     }
 
     #[test]
@@ -1080,11 +1053,11 @@ mod tests {
         for shards in [1usize, 4, 16] {
             let mut set = ShardSet::new(shards);
             assert_eq!(set.live_slot_range(), None);
-            set.ingest("old", &[ts(1), ts(2)]);
-            set.ingest("mixed", &[ts(4), ts(4), ts(50)]);
-            set.ingest("new", &[ts(60)]);
-            set.ingest("emptied", &[ts(5)]);
-            set.retract("emptied", &[ts(5)]);
+            ingest(&set, "old", &[ts(1), ts(2)]);
+            ingest(&set, "mixed", &[ts(4), ts(4), ts(50)]);
+            ingest(&set, "new", &[ts(60)]);
+            ingest(&set, "emptied", &[ts(5)]);
+            retract(&set, "emptied", &[ts(5)]);
             set.take_dirty_sorted();
             assert_eq!(set.live_slot_range(), Some((1, 60)));
             let mut released_slots = Vec::new();
@@ -1102,8 +1075,8 @@ mod tests {
 
     #[test]
     fn empty_delta_is_ignored() {
-        let mut set = ShardSet::new(3);
-        set.ingest("ghost", &[]);
+        let set = ShardSet::new(3);
+        ingest(&set, "ghost", &[]);
         assert_eq!(set.users_tracked(), 0);
         assert_eq!(set.dirty_len(), 0);
     }
@@ -1236,8 +1209,8 @@ mod tests {
         #[test]
         fn accumulators_match_the_slot_model(steps in Steps, shards in 1usize..5) {
             let mut model = Model::default();
-            let mut owned = ShardSet::new(shards);
-            let mut shared = ShardSet::new(shards);
+            let mut one = ShardSet::new(shards);
+            let mut two = ShardSet::new(shards);
             for step in &steps {
                 match step {
                     Step::Apply { retract, deltas } => {
@@ -1246,20 +1219,20 @@ mod tests {
                             .iter()
                             .map(|(u, p)| (MODEL_USERS[*u], p.as_slice()))
                             .collect();
-                        owned.apply_batch(&refs, *retract, 1 + shards % 2);
-                        shared.apply_batch_shared(&refs, *retract, None);
+                        one.apply(&refs, *retract, 1, None);
+                        two.apply(&refs, *retract, 2, None);
                     }
                     Step::Drain => {
                         let want: Vec<&str> = std::mem::take(&mut model.changed).into_iter().collect();
-                        for set in [&mut owned, &mut shared] {
+                        for set in [&mut one, &mut two] {
                             proptest::prop_assert_eq!(set.dirty_len(), want.len());
                             proptest::prop_assert_eq!(&set.take_dirty_sorted(), &want);
                             proptest::prop_assert!(set.take_dirty_sorted().is_empty());
                         }
                     }
                 }
-                model.check(&mut owned)?;
-                model.check(&mut shared)?;
+                model.check(&mut one)?;
+                model.check(&mut two)?;
             }
         }
     }

@@ -13,11 +13,15 @@
 //!   never re-scans history (a post in time order is appended in place),
 //!   and [`retract`](StreamingPipeline::retract) is its exact inverse;
 //! * accumulators live in a [`ShardSet`] — N shards keyed by a stable
-//!   hash of the user id, each a hash map plus a list of dirty ids — so
-//!   bulk deltas ([`ingest_set`](StreamingPipeline::ingest_set),
-//!   [`ingest_posts`](StreamingPipeline::ingest_posts)) are routed once
-//!   and applied **concurrently**, one worker per run of shards, with no
-//!   locks (see `shard.rs` for the determinism argument);
+//!   hash of the user id, each a hash map plus a list of dirty ids;
+//! * every write is one **signed batch** through one crate-private
+//!   `apply`: the public ingests and [`retract`](StreamingPipeline::retract),
+//!   the concurrent engine's writer batches and durable recovery's log
+//!   replay alike. A batch is routed once and each touched shard locked
+//!   once; bulk deltas ([`ingest_set`](StreamingPipeline::ingest_set),
+//!   [`ingest_posts`](StreamingPipeline::ingest_posts)) fan out
+//!   **concurrently**, one worker per run of whole shards (see `shard.rs`
+//!   for the determinism argument);
 //! * only dirty users are re-profiled, and their CDFs go straight through
 //!   the batch kernel of the long-lived [`PlacementEngine`];
 //! * each accumulator keeps a `Copy` analysis record (flat, or kept at
@@ -95,16 +99,26 @@ fn count_below(profiles: &[ActivityProfile], id: &str) -> usize {
     start + profiles[start..end.min(profiles.len())].partition_point(|p| p.user() < id)
 }
 
+/// A batch of single-post observations as one delta per post — the
+/// monitor-poll shape every batch ingest of single posts takes.
+pub(crate) fn singles<S: AsRef<str>>(posts: &[(S, Timestamp)]) -> Vec<(&str, &[Timestamp])> {
+    posts
+        .iter()
+        .map(|(user, ts)| (user.as_ref(), std::slice::from_ref(ts)))
+        .collect()
+}
+
 /// Observability handles, created once at construction so the per-post
 /// ingest path pays one atomic add, not a registry lookup.
 #[derive(Debug, Clone)]
 struct StreamObs {
     observer: Arc<crowdtz_obs::Observer>,
-    /// `streaming.posts_ingested`: posts across all deltas.
+    /// `streaming.posts_ingested`: posts across all ingested deltas.
     posts: crowdtz_obs::Counter,
-    /// `streaming.posts_retracted`: posts removed by signed deltas.
+    /// `streaming.posts_retracted`: posts actually removed by signed
+    /// deltas (a post whose slot holds no live count removes nothing).
     retracted: crowdtz_obs::Counter,
-    /// `streaming.deltas`: ingested non-empty deltas.
+    /// `streaming.deltas`: non-empty deltas applied, of either sign.
     deltas: crowdtz_obs::Counter,
     /// `streaming.dirty`: dirty-set size entering the last refresh.
     dirty: crowdtz_obs::Gauge,
@@ -322,24 +336,17 @@ impl StreamingPipeline {
     /// `O(k log k + s)` for `k` posts against `s` existing slots. Both
     /// are independent of crowd size.
     pub fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
-        self.count(&[(user, posts)], false);
-        self.shards.ingest(user, posts);
+        self.apply(&[(user, posts)], false, 1, None);
     }
 
     /// Ingests every trace of a set (e.g. a first full crawl before
-    /// incremental monitoring takes over) — one delta per non-empty
-    /// trace, routed to the shards once and applied concurrently on the
-    /// pipeline's worker threads.
+    /// incremental monitoring takes over) — one delta per trace, routed
+    /// to the shards once and applied concurrently on the pipeline's
+    /// worker threads.
     pub fn ingest_set(&mut self, traces: &TraceSet) {
-        let deltas: Vec<(&str, &[Timestamp])> = traces
-            .iter()
-            .map(|t| (t.id(), t.posts()))
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        self.ingest_deltas(&deltas);
+        let deltas: Vec<(&str, &[Timestamp])> =
+            traces.iter().map(|t| (t.id(), t.posts())).collect();
+        self.apply(&deltas, false, self.pipeline.effective_threads(), None);
     }
 
     /// Ingests a batch of single-post observations — the shape a forum
@@ -349,11 +356,12 @@ impl StreamingPipeline {
     /// observation in order, but the batch is routed to the shards once
     /// and applied concurrently.
     pub fn ingest_posts(&mut self, posts: &[(String, Timestamp)]) {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas);
+        self.apply(
+            &singles(posts),
+            false,
+            self.pipeline.effective_threads(),
+            None,
+        );
     }
 
     /// Retracts posts for one user — the signed inverse of
@@ -366,60 +374,44 @@ impl StreamingPipeline {
     /// a no-op, so retraction must be sequenced after the ingest that
     /// delivered the posts.
     pub fn retract(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
-        self.count(&[(user, posts)], true);
-        self.shards.retract(user, posts);
+        self.apply(&[(user, posts)], true, 1, None);
     }
 
-    /// Bulk ingest: count the batch once (totals are order-free), then
-    /// let the shard set apply it in parallel.
-    fn ingest_deltas(&mut self, deltas: &[(&str, &[Timestamp])]) {
-        if deltas.is_empty() {
-            return;
-        }
-        self.count(deltas, false);
-        self.shards
-            .apply_batch(deltas, false, self.pipeline.effective_threads());
-    }
-
-    /// A signed batch through a **shared** reference — the concurrent
-    /// engine's writer path (`concurrent.rs`), ingesting or (with
-    /// `retract`) releasing the posts.
+    /// The engine's one write path: a signed batch of deltas, ingested
+    /// or (with `retract`) released, through [`ShardSet::apply`]. Every
+    /// public ingest and retraction, every concurrent writer's batch
+    /// (`concurrent.rs`) and every replayed log record (`durable.rs`)
+    /// comes through here; `threads` fans a bulk batch out over runs of
+    /// whole shards, and 1 keeps it on the calling thread.
     ///
-    /// The batch locks one shard at a time
-    /// ([`ShardSet::apply_batch_shared`]) and every metric update is an
-    /// atomic add, so any number of writer threads may call this at once;
-    /// deltas commute (see `shard.rs`), so the final accumulator state —
-    /// and with it every later snapshot — is identical to a serial
-    /// application of the same batches in any order. Returns the posts
-    /// applied: all of an ingest, the released ones of a retraction.
-    pub(crate) fn apply_deltas_shared(
+    /// The batch locks one shard at a time and every metric update is
+    /// an atomic add, so any number of writer threads may call this at
+    /// once; deltas commute (see `shard.rs`), so the final accumulator
+    /// state — and with it every later snapshot — is identical to a
+    /// serial application of the same batches in any order. Counts the
+    /// batch once, after the shards report what they applied:
+    /// `streaming.deltas` gains the non-empty deltas, and
+    /// `streaming.posts_ingested` or `streaming.posts_retracted` the
+    /// posts applied. Returns the posts applied: all of an ingest, the
+    /// released ones of a retraction.
+    pub(crate) fn apply(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
+        threads: usize,
         ingest_obs: Option<&SharedIngestObs>,
     ) -> usize {
         if deltas.is_empty() {
             return 0;
         }
-        self.count(deltas, retract);
-        self.shards.apply_batch_shared(deltas, retract, ingest_obs)
-    }
-
-    /// Counts a signed batch into `streaming.posts_ingested` or
-    /// `streaming.posts_retracted`, plus `streaming.deltas`.
-    fn count(&self, deltas: &[(&str, &[Timestamp])], retract: bool) {
+        let applied = self.shards.apply(deltas, retract, threads, ingest_obs);
         if let Some(obs) = &self.obs {
-            let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
-            if retract {
-                obs.retracted.add(posts as u64);
-            } else {
-                obs.posts.add(posts as u64);
-            }
-            obs.deltas.add(deltas.len() as u64);
+            let nonempty = deltas.iter().filter(|(_, posts)| !posts.is_empty()).count();
+            obs.deltas.add(nonempty as u64);
+            let posts = if retract { &obs.retracted } else { &obs.posts };
+            posts.add(applied as u64);
         }
+        applied
     }
 
     /// Re-analyzes exactly the dirty users: drain every shard's dirty set

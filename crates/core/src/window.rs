@@ -252,8 +252,8 @@ impl WindowedPipeline {
         }
     }
 
-    /// The fronted engine (for registering writers, wait-free snapshot
-    /// reads, durable checkpoints).
+    /// The fronted engine (for registering writers, snapshot reads,
+    /// durable checkpoints).
     pub fn engine(&self) -> &ConcurrentStreamingPipeline {
         &self.engine
     }

@@ -8,18 +8,19 @@
 //! hand-off of sockets. Each worker owns the connections it accepted for
 //! their whole lifetime and runs the read → route → write loop inline.
 //! This is deliberately *not* an async reactor: the engine underneath is
-//! lock-per-shard with wait-free snapshot reads, so handler latency is
-//! dominated by actual analysis work, and a thread per in-flight
-//! connection (bounded by the pool) is the simplest model that cannot
-//! starve.
+//! lock-per-shard with snapshot reads off the batch gate, so handler
+//! latency is dominated by actual analysis work, and a thread per
+//! in-flight connection (bounded by the pool) is the simplest model that
+//! cannot starve.
 //!
 //! # Interaction with the engine's gate
 //!
-//! Ingest handlers hold the engine's read gate only inside
-//! `ingest_deltas`; snapshot handlers read the published cell without
-//! any lock. A slow `publish` (write gate) therefore stalls concurrent
-//! *ingest* batches briefly but never a plain `GET …/snapshot` — the
-//! service stays readable under its own re-analysis.
+//! Ingest and retract handlers hold the engine's read gate only inside
+//! the writer's one batch step; snapshot handlers read the published
+//! slot without the gate or a shard lock. A slow `publish` (write gate)
+//! therefore stalls concurrent *ingest* batches briefly but never a
+//! plain `GET …/snapshot` — the service stays readable under its own
+//! re-analysis.
 //!
 //! # Shutdown
 //!

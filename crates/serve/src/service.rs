@@ -228,10 +228,10 @@ impl AnalysisService {
             ("GET" | "HEAD", ["v1", "tenants"]) => (self.list_tenants(), "tenants"),
             ("POST", ["v1", "tenants", name]) => (self.create_tenant(name, request), "create"),
             ("POST", ["v1", "tenants", name, "ingest"]) => {
-                (self.ingest(name, request, conn), "ingest")
+                (self.write(name, request, conn, false), "ingest")
             }
             ("POST", ["v1", "tenants", name, "retract"]) => {
-                (self.retract(name, request, conn), "retract")
+                (self.write(name, request, conn, true), "retract")
             }
             ("GET" | "HEAD", ["v1", "tenants", name, "snapshot"]) => {
                 (self.snapshot(name, request), "snapshot")
@@ -367,7 +367,19 @@ impl AnalysisService {
         }
     }
 
-    fn ingest(&self, name: &str, request: &Request, conn: &mut ConnState) -> Response {
+    /// `POST …/ingest`, or with `retract` its signed inverse
+    /// `POST …/retract` (same body shape): one batch through the
+    /// connection's writer for the tenant. Answers with the posts
+    /// applied — every post of an ingest, the posts actually released by
+    /// a retraction: a post whose slot holds no live count (never
+    /// ingested, already retracted or expired) releases nothing.
+    fn write(
+        &self,
+        name: &str,
+        request: &Request,
+        conn: &mut ConnState,
+        retract: bool,
+    ) -> Response {
         let Some(tenant) = self.registry.get(name) else {
             return Response::error(404, &format!("unknown tenant {name:?}"));
         };
@@ -376,10 +388,10 @@ impl AnalysisService {
             Ok(decoded) => decoded,
             Err(message) => return Response::error(400, &message),
         };
-        // The deterministic crash point: batch n+1 aborts before the WAL
-        // or any shard sees it, so exactly n batches are recoverable and
-        // an unacknowledged batch is never half-durable.
-        if let Some(limit) = self.config.crash_after_batches {
+        // The deterministic crash point: ingest batch n+1 aborts before
+        // the WAL or any shard sees it, so exactly n batches are
+        // recoverable and an unacknowledged batch is never half-durable.
+        if let (false, Some(limit)) = (retract, self.config.crash_after_batches) {
             if self.ingest_batches.fetch_add(1, Ordering::SeqCst) >= limit {
                 eprintln!("crowdtz-serve: --crash-after {limit} reached, aborting");
                 std::process::abort();
@@ -389,47 +401,18 @@ impl AnalysisService {
             .writers
             .entry(name.to_string())
             .or_insert_with(|| tenant.engine().writer());
-        // Windowed tenants ingest the same way: their expiry reads the
-        // engine's accumulators at each publish.
-        if let Err(e) = writer.ingest_posts_ref(&flat) {
+        // Windowed tenants ingest like plain ones (expiry reads the
+        // engine's accumulators at each publish); their retractions go
+        // through the window, which counts them in `window.retractions`.
+        let posts = match (retract, tenant.window()) {
+            (false, _) => writer.ingest_posts_ref(&flat).map(|()| flat.len()),
+            (true, Some(window)) => window.retract_posts(writer, &flat),
+            (true, None) => writer.retract_posts_ref(&flat),
+        };
+        let posts = match posts {
+            Ok(posts) => posts,
             // Only the durable append can fail; the in-memory engine is
             // untouched, but this connection's journal is now suspect.
-            return Response::error(500, &format!("write-ahead append failed: {e}")).closing();
-        }
-        Response::json(
-            200,
-            &serde_json::json!({
-                "forum": name,
-                "watermark": writer.batches_applied(),
-                "users": users,
-                "posts": flat.len(),
-            }),
-        )
-    }
-
-    /// `POST …/retract`: the signed inverse of ingest, same body shape.
-    /// Answers with the posts actually released: a post whose slot holds
-    /// no live count (never ingested, already retracted or expired)
-    /// releases nothing.
-    fn retract(&self, name: &str, request: &Request, conn: &mut ConnState) -> Response {
-        let Some(tenant) = self.registry.get(name) else {
-            return Response::error(404, &format!("unknown tenant {name:?}"));
-        };
-        let mut spill = Vec::new();
-        let (flat, users) = match decode_deltas(&request.body, &mut spill) {
-            Ok(decoded) => decoded,
-            Err(message) => return Response::error(400, &message),
-        };
-        let writer = conn
-            .writers
-            .entry(name.to_string())
-            .or_insert_with(|| tenant.engine().writer());
-        let retracted = match tenant.window() {
-            Some(window) => window.retract_posts(writer, &flat),
-            None => writer.retract_posts_ref(&flat),
-        };
-        let retracted = match retracted {
-            Ok(n) => n,
             Err(e) => {
                 return Response::error(500, &format!("write-ahead append failed: {e}")).closing()
             }
@@ -440,15 +423,15 @@ impl AnalysisService {
                 "forum": name,
                 "watermark": writer.batches_applied(),
                 "users": users,
-                "posts": retracted,
+                "posts": posts,
             }),
         )
     }
 
-    /// Resolves the report to serve: the newest published cell read
-    /// (wait-free), or a fresh `publish` cut when `?publish=1`. On a
-    /// windowed tenant the cut goes through the window front, so expiry
-    /// and the drift trajectory advance with it.
+    /// Resolves the report to serve: the newest published report (read
+    /// off the batch gate), or a fresh `publish` cut when `?publish=1`.
+    /// On a windowed tenant the cut goes through the window front, so
+    /// expiry and the drift trajectory advance with it.
     fn published(
         &self,
         tenant: &Tenant,
@@ -975,7 +958,7 @@ mod tests {
             .headers
             .iter()
             .any(|(n, v)| n == "X-Crowdtz-Epoch" && v == "1"));
-        // The published cell now serves the same bytes wait-free.
+        // The published slot now serves the same bytes.
         let (cached, _) = service.handle(
             &request("GET", "/v1/tenants/alpha/snapshot", b""),
             &mut conn,

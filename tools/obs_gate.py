@@ -30,9 +30,11 @@ dropped more than ``THRESHOLD``x against the baseline.
 
 With the optional sharding pair (``--sharding base.json current.json``,
 the bench bin's ``BENCH_sharding.json``), additionally fails when the
-sequential ingest throughput at any shard count dropped more than
-``THRESHOLD``x. Records are the sorted ``{shards, posts_per_sec}`` array
-the bench emits.
+bulk ingest throughput at any shard count dropped more than
+``THRESHOLD``x. The row times ``StreamingPipeline::ingest_set`` — one
+``&mut`` batch through the engine's one write call, fanned out over the
+bench's worker threads. Records are the sorted ``{shards,
+posts_per_sec}`` array the bench emits.
 
 With the optional ingest pair (``--ingest base.json current.json``, the
 bench bin's ``BENCH_ingest.json``), additionally fails when concurrent
@@ -149,8 +151,8 @@ def check_placement(base, cur, failures):
 
 
 def check_sharding(base, cur, failures):
-    """Gate BENCH_sharding.json: sequential ingest posts/sec per shard
-    count must stay within THRESHOLD. Returns comparisons made."""
+    """Gate BENCH_sharding.json: bulk ingest posts/sec per shard count
+    must stay within THRESHOLD. Returns comparisons made."""
     checked = 0
     base_rows = {r["shards"]: r["posts_per_sec"] for r in base.get("ingest_posts_per_sec", [])}
     for row in cur.get("ingest_posts_per_sec", []):
