@@ -59,6 +59,20 @@ fn defect_by_skipping(trace: &UserTrace, rng: &mut StdRng) -> UserTrace {
     UserTrace::new(trace.id(), posts)
 }
 
+/// Partial compliance: every third user re-times every post to the decoy
+/// zone, the rest behave normally.
+pub(crate) fn partial_compliance(traces: &TraceSet) -> TraceSet {
+    let mut partial = TraceSet::new();
+    for (i, t) in traces.iter().enumerate() {
+        partial.insert(if i % 3 == 0 {
+            fully_retime(t)
+        } else {
+            t.clone()
+        });
+    }
+    partial
+}
+
 /// Runs the adversarial-coordination experiment.
 pub fn run(config: &Config) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("adversarial", "§VII: coordinated decoy crowds");
@@ -86,14 +100,7 @@ pub fn run(config: &Config) -> ExperimentOutput {
     );
 
     // --- Partial compliance (1/3 comply) ------------------------------------
-    let mut partial = TraceSet::new();
-    for (i, t) in traces.iter().enumerate() {
-        partial.insert(if i % 3 == 0 {
-            fully_retime(t)
-        } else {
-            t.clone()
-        });
-    }
+    let partial = partial_compliance(&traces);
     let report = pipeline.analyze(&partial).expect("analyzable");
     let comps: Vec<f64> = report
         .mixture()

@@ -19,6 +19,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod ablations;
+pub mod accuracy;
 pub mod adversarial;
 pub mod calibration;
 pub mod confidence;
@@ -130,6 +131,11 @@ pub fn all_experiments() -> Vec<Experiment> {
             "monitor-duration",
             "§VII — how long to monitor a timestamp-less forum (extension X6)",
             monitor_duration::run,
+        ),
+        (
+            "accuracy",
+            "Accuracy ledger against synthetic ground truth (extension X7)",
+            accuracy::run,
         ),
     ]
 }

@@ -61,6 +61,28 @@ posts/sec) dropped more than ``THRESHOLD``x, or when the
 bucket-expiring publish got slower by the same factor (skipped while
 both runs are under ``MIN_STORE_SECS``, where it is allocator noise).
 
+With the optional accuracy pair (``--accuracy base.json current.json``,
+``repro accuracy``'s ``BENCH_accuracy.json``), additionally fails when
+the accuracy ledger got worse than the baseline's. The ledger's
+``metrics`` are rows in the ``{name, value, unit, better}`` schema,
+named ``scenario/grid/seed/metric[/index]``, and ``check_rows`` compares
+them with the additive tolerance ``ACCURACY_TOLERANCES`` gives their
+``metric`` segment:
+
+* ``snapped_zone_min`` (``better: equal``): a true component's snapped
+  zone flips;
+* ``zone_error_min``: a row's mean zone error grows by more than 6 min;
+* ``weight_error``: a row's mean weight error grows by more than 0.01;
+* ``spurious_weight`` / ``k_mismatch``: a row's spurious weight, or its
+  share of fits with the wrong component count, grows at all;
+* ``zone_rule`` (``better: higher``): a perfbench-shaped publish that met
+  perfbench's zone rule fails it.
+
+A baseline row missing from the current ledger fails too: a scenario
+cannot leave the ledger quietly. The ledger is deterministic, so CI
+compares it against the committed file, not the cached previous run.
+With only pair flags given, the run-report positionals may be omitted.
+
 Usage: ``obs_gate.py baseline.json current.json``
        ``obs_gate.py baseline.json current.json base_durability.json current_durability.json``
        ``obs_gate.py ... --placement base_placement.json current_placement.json``
@@ -68,6 +90,7 @@ Usage: ``obs_gate.py baseline.json current.json``
        ``obs_gate.py ... --ingest base_ingest.json current_ingest.json``
        ``obs_gate.py ... --serve base_serve.json current_serve.json``
        ``obs_gate.py ... --window base_window.json current_window.json``
+       ``obs_gate.py [...] --accuracy base_accuracy.json current_accuracy.json``
 
 Wall times are noisy on shared CI runners, so stages where *both* runs
 spent less than ``MIN_STAGE_NS`` are ignored, and the exact-evals check
@@ -287,6 +310,63 @@ def check_window(base, cur, failures):
     return checked
 
 
+# Additive tolerance per ledger metric; a metric not listed here gets 0.
+ACCURACY_TOLERANCES = {
+    "zone_error_min": 6.0,
+    "weight_error": 0.01,
+    "spurious_weight": 0.0,
+    "k_mismatch": 0.0,
+    "snapped_zone_min": 0.0,
+    "zone_rule": 0.0,
+}
+
+
+def check_rows(label, base_rows, cur_rows, tolerance_of, failures):
+    """Compare two lists of ``{name, value, unit, better}`` rows by name:
+    a ``lower`` row fails when it grew by more than its tolerance, a
+    ``higher`` row when it fell by more, an ``equal`` row when it changed
+    at all. A baseline row missing from the current list fails. Returns
+    comparisons made."""
+    current = {r["name"]: r for r in cur_rows}
+    checked = 0
+    for row in base_rows:
+        name, prev = row["name"], row["value"]
+        now_row = current.get(name)
+        if now_row is None:
+            failures.append(f"{label} {name}: missing from the current run")
+            continue
+        now = now_row["value"]
+        better = now_row.get("better", row.get("better"))
+        tolerance = tolerance_of(name)
+        checked += 1
+        if better == "lower":
+            worse = now > prev + tolerance
+        elif better == "higher":
+            worse = now < prev - tolerance
+        else:
+            worse = now != prev
+        if worse:
+            failures.append(
+                f"{label} {name}: {prev} -> {now} {row.get('unit', '')} "
+                f"(better {better}, tolerance {tolerance})"
+            )
+    return checked
+
+
+def check_accuracy(base, cur, failures):
+    """Gate BENCH_accuracy.json: every baseline ledger row, compared by
+    ``check_rows`` under ``ACCURACY_TOLERANCES`` keyed by the name's
+    ``metric`` segment. Returns comparisons made."""
+
+    def tolerance_of(name):
+        parts = name.split("/")
+        return ACCURACY_TOLERANCES.get(parts[3] if len(parts) > 3 else "", 0.0)
+
+    return check_rows(
+        "accuracy", base.get("metrics", []), cur.get("metrics", []), tolerance_of, failures
+    )
+
+
 def pop_pair(argv, flag):
     """Extract ``flag base cur`` from argv; returns (pair or None, argv)."""
     if flag not in argv:
@@ -306,24 +386,30 @@ def main() -> int:
     ingest_pair, argv = pop_pair(argv, "--ingest")
     serve_pair, argv = pop_pair(argv, "--serve")
     window_pair, argv = pop_pair(argv, "--window")
-    if len(argv) not in (2, 4):
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    with open(argv[0]) as f:
-        base = json.load(f)
-    with open(argv[1]) as f:
-        cur = json.load(f)
-
-    failures = []
-    checked = 0
-
-    for pair, check in (
+    accuracy_pair, argv = pop_pair(argv, "--accuracy")
+    pairs = (
         (placement_pair, check_placement),
         (sharding_pair, check_sharding),
         (ingest_pair, check_ingest),
         (serve_pair, check_serve),
         (window_pair, check_window),
-    ):
+        (accuracy_pair, check_accuracy),
+    )
+    any_pair = any(pair is not None for pair, _ in pairs)
+    if len(argv) not in (2, 4) and not (any_pair and not argv):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    base, cur = {}, {}
+    if argv:
+        with open(argv[0]) as f:
+            base = json.load(f)
+        with open(argv[1]) as f:
+            cur = json.load(f)
+
+    failures = []
+    checked = 0
+
+    for pair, check in pairs:
         if pair is None:
             continue
         with open(pair[0]) as f:
@@ -366,11 +452,11 @@ def main() -> int:
             )
 
     if failures:
-        print(f"obs gate: {len(failures)} regression(s) > {THRESHOLD}x", file=sys.stderr)
+        print(f"obs gate: {len(failures)} regression(s)", file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
-    print(f"obs gate: ok ({checked} comparisons within {THRESHOLD}x)")
+    print(f"obs gate: ok ({checked} comparisons within their thresholds)")
     return 0
 
 
