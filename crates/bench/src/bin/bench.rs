@@ -46,9 +46,10 @@ use std::time::Instant;
 use crowdtz_bench::{synthetic_profiles, synthetic_traces};
 use crowdtz_core::{
     bootstrap_components_threads, clamped_threads, default_threads, place_user, BootstrapConfig,
-    ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, PlacementEngine,
-    StreamingPipeline, TenantConfig, TenantRegistry, ZoneGrid,
+    ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, MultiRegionFit,
+    PlacementEngine, PlacementHistogram, StreamingPipeline, TenantConfig, TenantRegistry, ZoneGrid,
 };
+use crowdtz_stats::simd_path;
 use crowdtz_time::Timestamp;
 
 /// Best-of-`runs` wall-clock seconds for `work`.
@@ -188,8 +189,10 @@ fn main() {
         "users": users,
         "posts_per_user": 40,
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "placement": placement,
         "bootstrap": bootstrap,
+        "fit": fit_bench(),
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out_path, format!("{json}\n")).expect("write telemetry");
@@ -229,6 +232,40 @@ fn main() {
         std::fs::write(path, format!("{json}\n")).expect("write observability report");
         eprintln!("wrote observability report to {path}");
     }
+}
+
+/// Zone counts (UTC−11 … UTC+12) of the last daily publish of perfbench's
+/// `dashboard` at seed 7: a Dream Market crowd of 1 812 users, 65 % at
+/// UTC+1 and 35 % at UTC−6.
+const DREAM_MARKET_ZONE_COUNTS: [usize; 24] = [
+    3, 9, 44, 58, 80, 116, 129, 95, 90, 89, 117, 166, 214, 221, 209, 115, 41, 12, 1, 2, 0, 0, 0, 1,
+];
+
+/// The p50 wall time and the EM iterations of one
+/// [`MultiRegionFit::fit`] (four components at most, the serving
+/// default) on [`DREAM_MARKET_ZONE_COUNTS`]: the fixed cost every publish
+/// and every bootstrap resample pays.
+fn fit_bench() -> serde_json::Value {
+    const RUNS: usize = 201;
+    let histogram = PlacementHistogram::from_zone_counts(&DREAM_MARKET_ZONE_COUNTS);
+    eprintln!("timing the mixture fit ({RUNS} runs)…");
+    let (_, em_iterations) =
+        MultiRegionFit::fit_counted(&histogram, 4).expect("the fixed histogram fits");
+    let mut ms: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(MultiRegionFit::fit(std::hint::black_box(&histogram), 4))
+                .expect("the fixed histogram fits");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    serde_json::json!({
+        "users": DREAM_MARKET_ZONE_COUNTS.iter().sum::<usize>(),
+        "max_components": 4,
+        "p50_ms": ms[RUNS / 2],
+        "em_iterations": em_iterations,
+    })
 }
 
 /// Full batch re-analysis vs incremental streaming snapshot with ~1%
@@ -277,6 +314,7 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
         "threads": threads,
         "threads_effective": clamped_threads(threads),
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "full_reanalyze_secs": full_s,
         "cached_snapshot_secs": cached_s,
         "incremental_snapshot_secs": incr_s,
@@ -416,6 +454,7 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
         "threads": threads,
         "threads_effective": clamped_threads(threads),
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "ingest_posts_per_sec": ingest_posts_per_sec,
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize sharding report");
@@ -511,6 +550,7 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
         "users": users,
         "posts_per_user": posts_per_user,
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "writer_grid": writer_grid,
         "ingest_posts_per_sec": records,
         "serving_posts": serving_posts,
@@ -714,6 +754,7 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
         "posts_per_user": posts_per_user,
         "workers": 4,
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "ingest_requests_per_sec": ingest_rows,
         "snapshot_requests_per_sec": snapshot_rows,
     });
@@ -846,6 +887,7 @@ fn window_bench(host_cpus: usize, out_path: &str) {
         "bucket_secs": bucket_secs,
         "window_buckets": window_buckets,
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "plain_ingest_posts_per_sec": total_posts / plain_s,
         "windowed_ingest_posts_per_sec": total_posts / windowed_s,
         "tracking_overhead_pct": (windowed_s / plain_s - 1.0) * 100.0,
@@ -986,6 +1028,7 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
         "threads": threads,
         "threads_effective": clamped_threads(threads),
         "host_cpus": host_cpus,
+        "simd": simd_path(),
         "short_suffix_records": short_records,
         "long_suffix_records": long_records,
         "warm_open_short_suffix_secs": warm_short_s,

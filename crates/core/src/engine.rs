@@ -53,6 +53,8 @@
 //! decision and metric — is identical for any thread count, including 1
 //! (see `DESIGN.md` §9 and §14).
 
+use std::sync::OnceLock;
+
 use crowdtz_stats::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch, prune_slack, quad_fold,
     Distribution24, SortNetwork, BINS, CDF_FIXED_SCALE, EMD_LANES,
@@ -227,9 +229,24 @@ fn row_min_unvisited(row: &[i32]) -> Option<(usize, i32)> {
     Some((i, m))
 }
 
+/// The machine's available parallelism (1 if that cannot be
+/// determined), read once per process:
+/// [`std::thread::available_parallelism`] re-reads the cgroup CPU quota
+/// each time, at microseconds a call, and every parallel map and shard
+/// fan-out asks for it.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
 /// Number of worker threads to use by default: the `CROWDTZ_THREADS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism (1 if that cannot be determined).
+/// environment variable when set to a positive integer (read on every
+/// call), otherwise the machine's available parallelism (1 if that
+/// cannot be determined).
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("CROWDTZ_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -238,9 +255,7 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    host_parallelism()
 }
 
 /// Clamps a requested worker count to the machine's available parallelism
@@ -254,10 +269,7 @@ pub fn default_threads() -> usize {
 /// so the clamp is purely a performance guard. Benches record both the
 /// requested and the effective (clamped) count.
 pub fn clamped_threads(requested: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.max(1).min(available)
+    requested.max(1).min(host_parallelism())
 }
 
 /// Maps `items` through `map` on up to `threads` scoped worker threads,

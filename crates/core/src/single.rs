@@ -5,7 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crowdtz_stats::{
-    em, fit_gaussian, select_components, EmConfig, FitQuality, GaussianCurve, GaussianMixture,
+    em, fit_gaussian, sweep_components, EmConfig, FitQuality, GaussianCurve, GaussianMixture,
     SelectionCriterion, StatsError,
 };
 use crowdtz_time::TzOffset;
@@ -158,6 +158,20 @@ impl MultiRegionFit {
         histogram: &PlacementHistogram,
         max_components: usize,
     ) -> Result<MultiRegionFit, StatsError> {
+        Self::fit_counted(histogram, max_components).map(|(fit, _)| fit)
+    }
+
+    /// [`MultiRegionFit::fit`], plus the EM iterations it spent over
+    /// every component count and start (the `streaming.em_iterations`
+    /// counter, and the bench's measure of the fit's work).
+    ///
+    /// # Errors
+    ///
+    /// As [`MultiRegionFit::fit`].
+    pub fn fit_counted(
+        histogram: &PlacementHistogram,
+        max_components: usize,
+    ) -> Result<(MultiRegionFit, usize), StatsError> {
         // Unroll the circle at the crowd's emptiest stretch (see
         // `SingleRegionFit::fit`), fit on the line, then map means back.
         let cut = histogram.wrap_cut();
@@ -165,23 +179,20 @@ impl MultiRegionFit {
         let users = histogram.users() as f64;
         let counts: Vec<f64> = rotated.iter().map(|f| f * users).collect();
         let xs_rot = rotated_axis(rotated.len());
-        let config = Self::em_config();
-        let mut mixture = select_components(
-            &xs_rot,
-            &counts,
-            max_components,
-            &config,
-            SelectionCriterion::Aic,
-        )?;
+        let sweep = sweep_components(&xs_rot, &counts, max_components, &Self::em_config())?;
         // Prune implausible components: a region's placement spread is
         // known, so near-duplicate means or sliver weights are fitting
-        // noise — refit with fewer components until clean.
-        while mixture.len() > 1 && Self::needs_prune(&mixture) {
-            mixture = em(&xs_rot, &counts, mixture.len() - 1, &config)?;
+        // noise — fall back to the fit with fewer components until clean.
+        let models = sweep.models();
+        let mut k = sweep.best(SelectionCriterion::Aic);
+        while k > 0 && Self::needs_prune(&models[k]) {
+            k -= 1;
         }
-        let mixture = mixture.map_means(|m| histogram.unrotate_axis_coord(m, cut));
+        let mixture = models[k]
+            .clone()
+            .map_means(|m| histogram.unrotate_axis_coord(m, cut));
         let quality = Self::quality_of(&mixture, histogram)?;
-        Ok(MultiRegionFit { mixture, quality })
+        Ok((MultiRegionFit { mixture, quality }, sweep.iterations()))
     }
 
     fn em_config() -> EmConfig {
@@ -362,6 +373,29 @@ mod tests {
         assert_eq!(zones[0].0.whole_hours(), 1, "largest at UTC+1");
         assert_eq!(zones[1].0.whole_hours(), -6, "second at UTC-6");
         assert!(zones[0].1 > zones[1].1);
+    }
+
+    #[test]
+    fn dream_market_fit_stays_within_its_em_budget() {
+        // Zone counts (UTC−11 … UTC+12) of a Dream Market publish: 1 812
+        // users, 65 % at UTC+1 and 35 % at UTC−6. Before the accelerated
+        // runs, the eight runs of k = 1 … 4 cost about 1 930 EM
+        // iterations here.
+        let counts = [
+            3, 9, 44, 58, 80, 116, 129, 95, 90, 89, 117, 166, 214, 221, 209, 115, 41, 12, 1, 2, 0,
+            0, 0, 1,
+        ];
+        let hist = PlacementHistogram::from_zone_counts(&counts);
+        let (fit, iterations) = MultiRegionFit::fit_counted(&hist, 4).unwrap();
+        assert!(iterations <= 300, "{iterations} EM iterations");
+        // perfbench's zone rule: the two heaviest components within ±2 h
+        // of UTC+1 and UTC−6.
+        let means: Vec<f64> = fit.mixture().components().iter().map(|c| c.mean).collect();
+        assert!(
+            (means[0] - 1.0).abs() <= 2.0 && (means[1] + 6.0).abs() <= 2.0,
+            "{}",
+            fit.mixture()
+        );
     }
 
     #[test]

@@ -124,6 +124,9 @@ struct StreamObs {
     dirty: crowdtz_obs::Gauge,
     /// `streaming.snapshots`: snapshots taken.
     snapshots: crowdtz_obs::Counter,
+    /// `streaming.em_iterations`: EM iterations the mixture fits spent,
+    /// over every component count and start (cache hits spend none).
+    em_iterations: crowdtz_obs::Counter,
 }
 
 impl StreamObs {
@@ -134,6 +137,7 @@ impl StreamObs {
             deltas: observer.counter("streaming.deltas"),
             dirty: observer.gauge("streaming.dirty"),
             snapshots: observer.counter("streaming.snapshots"),
+            em_iterations: observer.counter("streaming.em_iterations"),
             observer,
         }
     }
@@ -684,7 +688,10 @@ impl StreamingPipeline {
         }
         let max_components = self.pipeline.max_components_limit();
         let single = SingleRegionFit::fit(histogram)?;
-        let multi = MultiRegionFit::fit(histogram, max_components)?;
+        let (multi, em_iterations) = MultiRegionFit::fit_counted(histogram, max_components)?;
+        if let Some(obs) = &self.obs {
+            obs.em_iterations.add(em_iterations as u64);
+        }
         self.fit_cache = Some(FitCache {
             zone_counts: self.zone_counts.clone(),
             single: single.clone(),

@@ -42,8 +42,8 @@
 //! The ledger is a fixed benchmark: it ignores `--scale` and `--seed`, so
 //! every run of the same code writes the same `BENCH_accuracy.json`.
 
-use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -52,6 +52,7 @@ use crowdtz_core::{
     WindowConfig, ZoneGrid,
 };
 use crowdtz_forum::{ForumSpec, SimulatedForum};
+use crowdtz_obs::{LogLevel, Observer};
 use crowdtz_synth::{
     generate_bot, generate_shift_worker, BotSpec, PopulationSpec, ShiftWorkerSpec,
 };
@@ -273,6 +274,40 @@ pub struct ShapeRow {
     pub last_snapped_zone_min: Vec<i32>,
 }
 
+/// Appends the figures every row gates: its mean zone error, mean weight
+/// error, spurious weight and `k` mismatch (lower is better), and the
+/// snapped zone of each true component (must not change).
+fn gate_rows(
+    rows: &mut Vec<MetricRow>,
+    key: &str,
+    lower: [f64; 4],
+    truth: &[Component],
+    snapped: &[i32],
+) {
+    const LOWER: [(&str, &str); 4] = [
+        ("zone_error_min", "min"),
+        ("weight_error", "weight"),
+        ("spurious_weight", "weight"),
+        ("k_mismatch", "share"),
+    ];
+    for ((metric, unit), value) in LOWER.into_iter().zip(lower) {
+        rows.push(MetricRow {
+            name: format!("{key}/{metric}"),
+            value,
+            unit,
+            better: "lower",
+        });
+    }
+    for (t, z) in truth.iter().zip(snapped) {
+        rows.push(MetricRow {
+            name: format!("{key}/snapped_zone_min/{}", t.zone_min),
+            value: f64::from(*z),
+            unit: "min",
+            better: "equal",
+        });
+    }
+}
+
 /// The whole ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ledger {
@@ -280,6 +315,10 @@ pub struct Ledger {
     pub scenarios: Vec<ScenarioRow>,
     /// The perfbench shapes.
     pub shapes: Vec<ShapeRow>,
+    /// EM iterations per mixture fit over the perfbench-shape replays
+    /// (`streaming.em_iterations` over `streaming.fit` calls): the fit's
+    /// cost, recorded beside its accuracy and not gated here.
+    pub shape_em_iterations_per_fit: f64,
 }
 
 /// One gated figure in the `{name, value, unit, better}` row schema
@@ -301,90 +340,44 @@ impl Ledger {
     /// The gated figures of every row.
     pub fn metrics(&self) -> Vec<MetricRow> {
         let mut rows = Vec::new();
-        let mut push = |name: String, value: f64, unit, better| {
-            rows.push(MetricRow {
-                name,
-                value,
-                unit,
-                better,
-            });
-        };
         for r in &self.scenarios {
-            let key = format!("{}/{}/{}", r.scenario, r.grid, r.seed);
-            push(
-                format!("{key}/zone_error_min"),
+            let lower = [
                 round_to(mean(&r.zone_error_min), 1),
-                "min",
-                "lower",
-            );
-            push(
-                format!("{key}/weight_error"),
                 round_to(mean(&r.weight_error), 4),
-                "weight",
-                "lower",
-            );
-            push(
-                format!("{key}/spurious_weight"),
                 r.spurious_weight,
-                "weight",
-                "lower",
-            );
-            push(
-                format!("{key}/k_mismatch"),
                 f64::from(u8::from(r.k_recovered != r.k_true)),
-                "share",
-                "lower",
+            ];
+            let key = format!("{}/{}/{}", r.scenario, r.grid, r.seed);
+            gate_rows(
+                &mut rows,
+                &key,
+                lower,
+                &r.true_components,
+                &r.snapped_zone_min,
             );
-            for (t, z) in r.true_components.iter().zip(&r.snapped_zone_min) {
-                push(
-                    format!("{key}/snapped_zone_min/{}", t.zone_min),
-                    f64::from(*z),
-                    "min",
-                    "equal",
-                );
-            }
         }
         for r in &self.shapes {
-            let key = format!("{}/{}/{}", r.scenario, r.grid, r.seed);
-            push(
-                format!("{key}/zone_error_min"),
+            let lower = [
                 r.zone_error_min,
-                "min",
-                "lower",
-            );
-            push(
-                format!("{key}/weight_error"),
                 r.weight_error,
-                "weight",
-                "lower",
-            );
-            push(
-                format!("{key}/spurious_weight"),
                 r.spurious_weight,
-                "weight",
-                "lower",
-            );
-            push(
-                format!("{key}/k_mismatch"),
                 r.k_mismatch_share,
-                "share",
-                "lower",
+            ];
+            let key = format!("{}/{}/{}", r.scenario, r.grid, r.seed);
+            gate_rows(
+                &mut rows,
+                &key,
+                lower,
+                &r.true_components,
+                &r.last_snapped_zone_min,
             );
-            for (t, z) in r.true_components.iter().zip(&r.last_snapped_zone_min) {
-                push(
-                    format!("{key}/snapped_zone_min/{}", t.zone_min),
-                    f64::from(*z),
-                    "min",
-                    "equal",
-                );
-            }
             for (i, ok) in r.zone_rule.iter().enumerate() {
-                push(
-                    format!("{key}/zone_rule/{i}"),
-                    f64::from(u8::from(*ok)),
-                    "bool",
-                    "higher",
-                );
+                rows.push(MetricRow {
+                    name: format!("{key}/zone_rule/{i}"),
+                    value: f64::from(u8::from(*ok)),
+                    unit: "bool",
+                    better: "higher",
+                });
             }
         }
         rows
@@ -413,8 +406,10 @@ impl Ledger {
         }
         format!(
             "{{\n  \"experiment\": \"accuracy\",\n  \"shape_spurious_share\": {},\n  \
+             \"shape_em_iterations_per_fit\": {},\n  \
              \"scenarios\": [\n{}\n  ],\n  \"shapes\": [\n{}\n  ],\n  \"metrics\": [\n{}\n  ]\n}}\n",
             round_to(self.shape_spurious_share(), 4),
+            self.shape_em_iterations_per_fit,
             lines(&self.scenarios),
             lines(&self.shapes),
             lines(&self.metrics()),
@@ -475,8 +470,17 @@ fn merged(sets: impl IntoIterator<Item = TraceSet>) -> TraceSet {
 fn analyze(traces: &TraceSet, grid: ZoneGrid) -> GeolocationReport {
     GeolocationPipeline::default()
         .grid(grid)
+        .observer(own_observer())
         .analyze(traces)
         .expect("ledger crowds are analyzable")
+}
+
+/// A silent observer for the ledger's own engines. The ledger replays
+/// about a million posts whatever `--scale` says; recording that into the
+/// process-wide observer would swamp the stage totals and work counters
+/// that a `repro --obs-out` run report holds for the paper's experiments.
+fn own_observer() -> Arc<Observer> {
+    Observer::with_level(LogLevel::Off)
 }
 
 /// A crowd of `users` split over `(region, share)` parts.
@@ -604,7 +608,8 @@ fn forum_row(id: &str, spec: ForumSpec, seed: u64) -> ScenarioRow {
         .collect();
     let config = Config { scale: 1.0, seed };
     let forum_seed = spec.seed_value() ^ seed;
-    let analysis = crate::forums::analyze(spec.seed(forum_seed), &config);
+    let analysis =
+        crate::forums::analyze_observed(spec.seed(forum_seed), &config, Some(own_observer()));
     ScenarioRow::new(id, seed, &truth_of(&parts), &analysis.report)
 }
 
@@ -750,7 +755,7 @@ fn shape_row(scenario: &str, seed: u64, reports: &[GeolocationReport]) -> ShapeR
 
 /// perfbench's `dashboard`: Dream Market ×10 on a 26-week window of
 /// daily buckets; 182 days preloaded, then 35 daily publishes.
-fn dashboard_shape(seed: u64) -> ShapeRow {
+fn dashboard_shape(seed: u64, observer: &Arc<Observer>) -> ShapeRow {
     const WINDOW_DAYS: usize = 182;
     const LIVE_DAYS: usize = 35;
     let days = dream_market_periods(10.0, seed, DAY);
@@ -766,7 +771,7 @@ fn dashboard_shape(seed: u64) -> ShapeRow {
         ..TenantConfig::default()
     };
     let tenant = registry
-        .create("dashboard", config, None)
+        .create("dashboard", config, Some(Arc::clone(observer)))
         .expect("an in-memory tenant opens");
     let writer = tenant.engine().writer();
     for day in &days[..WINDOW_DAYS] {
@@ -785,7 +790,7 @@ fn dashboard_shape(seed: u64) -> ShapeRow {
 
 /// perfbench's `backfill`: Dream Market ×20 crawled for a year, published
 /// at the end of every week that has an analyzable crowd.
-fn backfill_shape(seed: u64) -> ShapeRow {
+fn backfill_shape(seed: u64, observer: &Arc<Observer>) -> ShapeRow {
     let weeks = dream_market_periods(20.0, seed, WEEK);
     let registry = TenantRegistry::new();
     let config = TenantConfig {
@@ -793,7 +798,7 @@ fn backfill_shape(seed: u64) -> ShapeRow {
         ..TenantConfig::default()
     };
     let tenant = registry
-        .create("backfill", config, None)
+        .create("backfill", config, Some(Arc::clone(observer)))
         .expect("an in-memory tenant opens");
     let writer = tenant.engine().writer();
     let mut reports = Vec::new();
@@ -810,16 +815,29 @@ fn backfill_shape(seed: u64) -> ShapeRow {
 
 /// Computes every row of the ledger.
 pub fn ledger() -> Ledger {
+    let observer = own_observer();
     let mut shapes = Vec::new();
     for seed in SHAPE_SEEDS {
-        shapes.push(dashboard_shape(seed));
+        shapes.push(dashboard_shape(seed, &observer));
     }
     for seed in SHAPE_SEEDS {
-        shapes.push(backfill_shape(seed));
+        shapes.push(backfill_shape(seed, &observer));
     }
+    let em_iterations = observer
+        .snapshot()
+        .counters
+        .get("streaming.em_iterations")
+        .copied()
+        .unwrap_or(0);
+    let fits = observer
+        .stage_timings()
+        .iter()
+        .find(|s| s.name == "streaming.fit")
+        .map_or(0, |s| s.calls);
     Ledger {
         scenarios: scenario_rows(),
         shapes,
+        shape_em_iterations_per_fit: round_to(em_iterations as f64 / fits.max(1) as f64, 1),
     }
 }
 
@@ -871,13 +889,12 @@ pub fn report(ledger: &Ledger) -> ExperimentOutput {
             r.publishes
         ));
     }
-    let mut summary = String::new();
-    let _ = write!(
-        summary,
-        "Dream Market publishes with a spurious component: {:.1} %",
-        100.0 * ledger.shape_spurious_share()
-    );
-    out.line(summary);
+    out.line(format!(
+        "Dream Market publishes with a spurious component: {:.1} %; \
+         EM iterations per fit: {:.1}",
+        100.0 * ledger.shape_spurious_share(),
+        ledger.shape_em_iterations_per_fit
+    ));
 
     let last_ok = ledger
         .shapes
@@ -976,6 +993,7 @@ mod tests {
         let ledger = Ledger {
             scenarios: vec![row],
             shapes: Vec::new(),
+            shape_em_iterations_per_fit: 0.0,
         };
         let metrics = ledger.metrics();
         let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();

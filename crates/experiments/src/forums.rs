@@ -1,8 +1,11 @@
 //! Figures 8–13 — the five Dark Web forums of §V: simulate, scrape over
 //! the Tor substrate, calibrate the server clock, geolocate the crowd.
 
+use std::sync::Arc;
+
 use crowdtz_core::{GenericProfile, GeolocationPipeline, GeolocationReport, PlacementHistogram};
 use crowdtz_forum::{ForumHost, ForumSpec, Scraper, SimulatedForum};
+use crowdtz_obs::Observer;
 use crowdtz_stats::{render_bars, render_overlay};
 use crowdtz_time::{CivilDateTime, Timestamp};
 use crowdtz_tor::TorNetwork;
@@ -36,6 +39,16 @@ pub struct ForumAnalysis {
 /// Panics if the simulation or analysis fails — experiment presets are
 /// sized so they cannot.
 pub fn analyze(spec: ForumSpec, config: &Config) -> ForumAnalysis {
+    analyze_observed(spec, config, None)
+}
+
+/// [`analyze`], with the scraper and the pipeline recording into
+/// `observer` instead of the process-global one when it is given.
+pub(crate) fn analyze_observed(
+    spec: ForumSpec,
+    config: &Config,
+    observer: Option<Arc<Observer>>,
+) -> ForumAnalysis {
     let spec = spec.scaled(forum_scale(config));
     let forum = SimulatedForum::generate(&spec);
     let host = ForumHost::new(forum.clone()).page_size(100);
@@ -47,13 +60,17 @@ pub fn analyze(spec: ForumSpec, config: &Config) -> ForumAnalysis {
         .connect(&address, config.seed ^ 0xC1)
         .expect("connect");
     let mut scraper = Scraper::new(channel);
+    let mut pipeline = GeolocationPipeline::with_generic(GenericProfile::reference());
+    if let Some(observer) = observer {
+        scraper = scraper.observer(Arc::clone(&observer));
+        pipeline = pipeline.observer(observer);
+    }
     let crawl_time =
         Timestamp::from_civil_utc(CivilDateTime::new(2017, 1, 15, 12, 0, 0).expect("valid"));
     let scrape = scraper
         .calibrated_dump(crawl_time)
         .expect("scrape succeeds");
     let offset_secs = scrape.offset_secs().expect("calibrated");
-    let pipeline = GeolocationPipeline::with_generic(GenericProfile::reference());
     let report = pipeline
         .analyze(&scrape.utc_traces())
         .expect("non-empty crowd");

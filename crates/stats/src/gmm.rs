@@ -3,10 +3,15 @@
 //! §IV.B of the paper: multi-country crowds produce placement histograms
 //! that follow a *mixture* of Gaussians, one per region. The number of
 //! regions is unknown a priori, so EM is run for increasing component
-//! counts and the best model is chosen by an information criterion
-//! ([`SelectionCriterion`]). EM is initialized with the σ observed
-//! empirically on single-region placements, exactly as the paper
-//! prescribes (and can hold it fixed via [`EmConfig::fixed_sigma`]).
+//! counts ([`sweep_components`]) and the best model is chosen by an
+//! information criterion ([`SelectionCriterion`]). EM is initialized with
+//! the σ observed empirically on single-region placements, exactly as the
+//! paper prescribes (and can hold it fixed via [`EmConfig::fixed_sigma`]).
+//!
+//! Every run is accelerated by SQUAREM (Varadhan & Roland 2008) with a
+//! monotone log-likelihood safeguard and stops on a tolerance scaled to
+//! the data mass; a second start is dropped once it reaches the first
+//! start's modes.
 
 use std::fmt;
 
@@ -120,19 +125,24 @@ impl GaussianMixture {
         self.log_likelihood
     }
 
-    /// Number of EM iterations performed.
+    /// Number of EM iterations the run that produced this mixture
+    /// performed (not counting any other start or component count).
     pub fn iterations(&self) -> usize {
         self.iterations
     }
 
     /// Bayesian information criterion: `−2·logL + p·ln(n)` with
-    /// `p = 3k − 1` free parameters.
+    /// `p = 3k − 1`, the parameter count of `k` components with free
+    /// weights, means and σ. The count is the same under
+    /// [`EmConfig::fixed_sigma`], where σ is not fitted and only `2k − 1`
+    /// parameters are free.
     pub fn bic(&self, n_points: f64) -> f64 {
         let p = (3 * self.len()) as f64 - 1.0;
         -2.0 * self.log_likelihood + p * n_points.max(1.0).ln()
     }
 
-    /// Akaike information criterion: `−2·logL + 2p`.
+    /// Akaike information criterion: `−2·logL + 2p`, with the same
+    /// `p = 3k − 1` as [`GaussianMixture::bic`] (also under a fixed σ).
     pub fn aic(&self) -> f64 {
         let p = (3 * self.len()) as f64 - 1.0;
         -2.0 * self.log_likelihood + 2.0 * p
@@ -155,9 +165,14 @@ impl fmt::Display for GaussianMixture {
 /// Configuration for the EM algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EmConfig {
-    /// Maximum EM iterations.
+    /// Maximum EM iterations one run may spend. An iteration is one
+    /// E-step and one M-step, whether a plain step or the step taken from
+    /// an extrapolated point.
     pub max_iterations: usize,
-    /// Convergence threshold on the log-likelihood improvement.
+    /// Convergence threshold, per unit of data mass: a run stops once an
+    /// iteration raises the log-likelihood by less than
+    /// `tolerance × Σ weights`, so the rule reads the same on a crowd of
+    /// fifty and of fifty thousand.
     pub tolerance: f64,
     /// Initial component σ; the paper uses the empirical 2.5.
     pub sigma_init: f64,
@@ -173,11 +188,13 @@ pub struct EmConfig {
 }
 
 impl Default for EmConfig {
-    /// The paper's setup: σ initialized to 2.5, tight convergence.
+    /// The paper's setup: σ initialized to 2.5; a run stops once an
+    /// iteration gains less than 1e-6 nats per unit of mass, or after 80
+    /// iterations.
     fn default() -> EmConfig {
         EmConfig {
-            max_iterations: 500,
-            tolerance: 1e-9,
+            max_iterations: 80,
+            tolerance: 1e-6,
             sigma_init: 2.5,
             sigma_floor: 0.6,
             weight_floor: 1e-4,
@@ -186,24 +203,17 @@ impl Default for EmConfig {
     }
 }
 
-/// Fits a `k`-component mixture to weighted 1-D data by EM.
-///
-/// `xs` are data coordinates (time-zone indices), `weights` their masses
-/// (e.g. how many users were placed in each zone). Initial means are spread
-/// over the weighted quantiles of the data, so the run is deterministic.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] when slices differ in length.
-/// * [`StatsError::NotEnoughData`] when `k` is 0 or exceeds the number of
-///   positive-mass points.
-/// * [`StatsError::InvalidDistribution`] when the total weight is zero.
-pub fn em(
-    xs: &[f64],
-    weights: &[f64],
-    k: usize,
-    config: &EmConfig,
-) -> Result<GaussianMixture, StatsError> {
+/// Growth factor of the SQUAREM step bound: a cycle whose step length
+/// reaches the bound multiplies it by this, a discarded extrapolation at
+/// the bound divides it (never below 1).
+const STEP_GROWTH: f64 = 8.0;
+
+/// Two runs have reached the same modes once every mean of one lies
+/// within this fraction of a component width of the other's.
+const SAME_MODE_WIDTHS: f64 = 0.05;
+
+/// Checks the data for a `k`-component fit; returns its total mass.
+fn validate(xs: &[f64], weights: &[f64], k: usize) -> Result<f64, StatsError> {
     if xs.len() != weights.len() {
         return Err(StatsError::LengthMismatch {
             left: xs.len(),
@@ -223,24 +233,34 @@ pub fn em(
             reason: "total weight is zero".to_owned(),
         });
     }
+    Ok(total_w)
+}
 
-    // Two deterministic restarts — quantile-seeded and peak-seeded — and
-    // keep the run with the higher final log-likelihood. The quantile init
-    // can split a dominant mode when one region far outweighs the others;
-    // the peak init covers exactly that case.
-    let quantile = em_from(
-        xs,
-        weights,
-        quantile_means(xs, weights, k, total_w),
-        config,
-        total_w,
-    );
-    let peak = em_from(xs, weights, peak_means(xs, weights, k), config, total_w);
-    Ok(if peak.log_likelihood > quantile.log_likelihood {
-        peak
-    } else {
-        quantile
-    })
+/// Fits a `k`-component mixture to weighted 1-D data by EM.
+///
+/// `xs` are data coordinates (time-zone indices), `weights` their masses
+/// (e.g. how many users were placed in each zone). One component has a
+/// single likelihood optimum, so `k = 1` runs from the weighted median
+/// alone. A larger `k` runs from the weighted quantiles of the data and
+/// from its `k` highest peaks, keeping the fit with the higher
+/// log-likelihood; the peak run is dropped as soon as it reaches the
+/// quantile run's modes. Both starts are deterministic, and so is the
+/// result.
+///
+/// # Errors
+///
+/// * [`StatsError::LengthMismatch`] when slices differ in length.
+/// * [`StatsError::NotEnoughData`] when `k` is 0 or exceeds the number of
+///   positive-mass points.
+/// * [`StatsError::InvalidDistribution`] when the total weight is zero.
+pub fn em(
+    xs: &[f64],
+    weights: &[f64],
+    k: usize,
+    config: &EmConfig,
+) -> Result<GaussianMixture, StatsError> {
+    let total_w = validate(xs, weights, k)?;
+    Ok(Run::new(xs, weights, total_w, config).fit(k))
 }
 
 /// Initial means at the weighted quantiles (2i+1)/2k.
@@ -296,111 +316,301 @@ fn peak_means(xs: &[f64], weights: &[f64], k: usize) -> Vec<f64> {
     means
 }
 
-/// One EM run from the given initial means.
-fn em_from(
-    xs: &[f64],
-    weights: &[f64],
-    initial_means: Vec<f64>,
-    config: &EmConfig,
+/// The EM runs over one data set: the coordinates, their masses, a
+/// responsibility buffer, and the iterations spent so far.
+struct Run<'a> {
+    xs: &'a [f64],
+    weights: &'a [f64],
+    /// The points with positive mass, `(coordinate, mass)`: a massless
+    /// point adds nothing to the likelihood or to an M-step sum, so the
+    /// steps skip it.
+    points: Vec<(f64, f64)>,
     total_w: f64,
-) -> GaussianMixture {
-    let k = initial_means.len();
-    let mut components: Vec<GaussianComponent> = initial_means
-        .into_iter()
-        .map(|mean| GaussianComponent {
-            weight: 1.0 / k as f64,
-            mean,
-            sigma: config.sigma_init,
-        })
-        .collect();
+    config: &'a EmConfig,
+    /// The smallest and largest coordinate: extrapolated means are kept
+    /// inside the data's range, where every M-step leaves them.
+    range: (f64, f64),
+    resp: Vec<f64>,
+    /// Per-component `(Σ r·w, Σ r·w·x)` of the M-step.
+    sums: Vec<(f64, f64)>,
+    iterations: usize,
+}
 
-    let n = xs.len();
-    let mut resp = vec![0.0_f64; n * k];
-    let mut log_likelihood = f64::NEG_INFINITY;
-    let mut iterations = 0;
+impl<'a> Run<'a> {
+    fn new(xs: &'a [f64], weights: &'a [f64], total_w: f64, config: &'a EmConfig) -> Run<'a> {
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let points = xs
+            .iter()
+            .zip(weights)
+            .filter(|(_, &w)| w > 0.0)
+            .map(|(&x, &w)| (x, w))
+            .collect();
+        Run {
+            xs,
+            weights,
+            points,
+            total_w,
+            config,
+            range: (lo, hi),
+            resp: Vec::new(),
+            sums: Vec::new(),
+            iterations: 0,
+        }
+    }
 
-    for iter in 0..config.max_iterations {
-        iterations = iter + 1;
+    /// The component width: the fixed σ, or the initial one.
+    fn width(&self) -> f64 {
+        self.config.fixed_sigma.unwrap_or(self.config.sigma_init)
+    }
+
+    /// Equal-weight components at `means`.
+    fn seed(&self, means: &[f64]) -> Vec<GaussianComponent> {
+        means
+            .iter()
+            .map(|&mean| GaussianComponent {
+                weight: 1.0 / means.len() as f64,
+                mean,
+                sigma: self.width(),
+            })
+            .collect()
+    }
+
+    /// The `k`-component fit of [`em`].
+    fn fit(&mut self, k: usize) -> GaussianMixture {
+        let (xs, weights) = (self.xs, self.weights);
+        let quantile = self.seed(&quantile_means(xs, weights, k, self.total_w));
+        let first = self
+            .run_from(quantile, None)
+            .expect("a run without a rival finishes");
+        if k == 1 {
+            return first;
+        }
+        // The quantile start can split a dominant mode when one region far
+        // outweighs the others; the peak start covers exactly that case.
+        let peak = self.seed(&peak_means(xs, weights, k));
+        match self.run_from(peak, Some(&first)) {
+            Some(second) if second.log_likelihood > first.log_likelihood => second,
+            _ => first,
+        }
+    }
+
+    /// One EM iteration: returns the log-likelihood at `from` and writes
+    /// its EM update into `to`.
+    fn step(&mut self, from: &[GaussianComponent], to: &mut Vec<GaussianComponent>) -> f64 {
+        self.iterations += 1;
+        let config = self.config;
+        let k = from.len();
+        self.resp.resize(self.points.len() * k, 0.0);
         // E-step.
-        let mut new_ll = 0.0;
-        for (i, (&x, &w)) in xs.iter().zip(weights.iter()).enumerate() {
+        let mut ll = 0.0;
+        for (row, &(x, w)) in self.resp.chunks_exact_mut(k).zip(&self.points) {
             let mut total = 0.0;
-            for (j, c) in components.iter().enumerate() {
-                let d = c.density(x);
-                resp[i * k + j] = d;
-                total += d;
+            for (r, c) in row.iter_mut().zip(from) {
+                *r = c.density(x);
+                total += *r;
             }
             if total > 0.0 {
-                for j in 0..k {
-                    resp[i * k + j] /= total;
+                for r in row.iter_mut() {
+                    *r /= total;
                 }
-                new_ll += w * total.ln();
+                ll += w * total.ln();
             } else {
                 // Point far from every component: spread responsibility.
-                for j in 0..k {
-                    resp[i * k + j] = 1.0 / k as f64;
-                }
-                new_ll += w * (-745.0); // ~ln(f64::MIN_POSITIVE)
+                row.fill(1.0 / k as f64);
+                ll += w * (-745.0); // ~ln(f64::MIN_POSITIVE)
             }
         }
         // M-step.
-        for j in 0..k {
-            let mut nk = 0.0;
-            let mut mu = 0.0;
-            for (i, (&x, &w)) in xs.iter().zip(weights.iter()).enumerate() {
-                let r = resp[i * k + j] * w;
-                nk += r;
-                mu += r * x;
+        self.sums.clear();
+        self.sums.resize(k, (0.0, 0.0));
+        for (row, &(x, w)) in self.resp.chunks_exact(k).zip(&self.points) {
+            for (sum, &resp) in self.sums.iter_mut().zip(row) {
+                let r = resp * w;
+                sum.0 += r;
+                sum.1 += r * x;
             }
-            if nk < config.weight_floor * total_w {
+        }
+        to.clear();
+        for (j, &(nk, mu)) in self.sums.iter().enumerate() {
+            if nk < config.weight_floor * self.total_w {
                 // Revive a dead component at the point with worst fit.
-                let worst = xs
+                let worst = self
+                    .points
                     .iter()
-                    .zip(weights.iter())
-                    .enumerate()
-                    .filter(|(_, (_, &w))| w > 0.0)
-                    .min_by(|(_, (&xa, _)), (_, (&xb, _))| {
-                        let fa: f64 = components.iter().map(|c| c.density(xa)).sum();
-                        let fb: f64 = components.iter().map(|c| c.density(xb)).sum();
+                    .map(|&(x, _)| x)
+                    .min_by(|&xa, &xb| {
+                        let fa: f64 = from.iter().map(|c| c.density(xa)).sum();
+                        let fb: f64 = from.iter().map(|c| c.density(xb)).sum();
                         fa.total_cmp(&fb)
                     })
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                components[j] = GaussianComponent {
-                    weight: config.weight_floor.max(1.0 / total_w),
-                    mean: xs[worst],
-                    sigma: config.sigma_init,
-                };
+                    .unwrap_or(self.xs[0]);
+                to.push(GaussianComponent {
+                    weight: config.weight_floor.max(1.0 / self.total_w),
+                    mean: worst,
+                    sigma: self.width(),
+                });
                 continue;
             }
-            mu /= nk;
-            let mut var = 0.0;
-            for (i, (&x, &w)) in xs.iter().zip(weights.iter()).enumerate() {
-                let r = resp[i * k + j] * w;
-                var += r * (x - mu) * (x - mu);
-            }
-            var /= nk;
-            components[j] = GaussianComponent {
-                weight: (nk / total_w).max(config.weight_floor),
+            let mu = mu / nk;
+            let sigma = config.fixed_sigma.unwrap_or_else(|| {
+                let mut var = 0.0;
+                for (row, &(x, w)) in self.resp.chunks_exact(k).zip(&self.points) {
+                    var += row[j] * w * (x - mu) * (x - mu);
+                }
+                (var / nk).sqrt().max(config.sigma_floor)
+            });
+            to.push(GaussianComponent {
+                weight: (nk / self.total_w).max(config.weight_floor),
                 mean: mu,
-                sigma: config
-                    .fixed_sigma
-                    .unwrap_or_else(|| var.sqrt().max(config.sigma_floor)),
-            };
+                sigma,
+            });
         }
-        // Renormalize weights.
-        let wsum: f64 = components.iter().map(|c| c.weight).sum();
-        for c in &mut components {
-            c.weight /= wsum;
-        }
-
-        if (new_ll - log_likelihood).abs() < config.tolerance {
-            log_likelihood = new_ll;
-            break;
-        }
-        log_likelihood = new_ll;
+        normalize_weights(to);
+        ll
     }
 
+    /// The SQUAREM extrapolation (Varadhan & Roland 2008) of two EM
+    /// steps `θ0 → θ1 → θ2`: `θ0 + 2s·r + s²·v` with `r = θ1 − θ0`,
+    /// `v = θ2 − 2θ1 + θ0` and step length `s = ‖r‖/‖v‖` clamped to
+    /// `[1, step_max]` (`s = 1` lands on `θ2`), projected back onto valid
+    /// parameters. Returns the point and the step length taken.
+    fn extrapolate(
+        &self,
+        t0: &[GaussianComponent],
+        t1: &[GaussianComponent],
+        t2: &[GaussianComponent],
+        step_max: f64,
+    ) -> (Vec<GaussianComponent>, f64) {
+        let params = |c: &GaussianComponent| [c.weight, c.mean, c.sigma];
+        let (mut rr, mut vv) = (0.0, 0.0);
+        for ((a, b), c) in t0.iter().zip(t1).zip(t2) {
+            for ((p0, p1), p2) in params(a).into_iter().zip(params(b)).zip(params(c)) {
+                let r = p1 - p0;
+                let v = p2 - 2.0 * p1 + p0;
+                rr += r * r;
+                vv += v * v;
+            }
+        }
+        let step = if vv > 0.0 {
+            (rr / vv).sqrt().clamp(1.0, step_max)
+        } else {
+            1.0
+        };
+        let (lo, hi) = self.range;
+        let mut out: Vec<GaussianComponent> = t0
+            .iter()
+            .zip(t1)
+            .zip(t2)
+            .map(|((a, b), c)| {
+                let at = |p0: f64, p1: f64, p2: f64| {
+                    p0 + 2.0 * step * (p1 - p0) + step * step * (p2 - 2.0 * p1 + p0)
+                };
+                GaussianComponent {
+                    weight: at(a.weight, b.weight, c.weight).max(self.config.weight_floor),
+                    mean: at(a.mean, b.mean, c.mean).clamp(lo, hi),
+                    sigma: at(a.sigma, b.sigma, c.sigma).max(self.config.sigma_floor),
+                }
+            })
+            .collect();
+        normalize_weights(&mut out);
+        (out, step)
+    }
+
+    /// One accelerated EM run from `start`: SQUAREM with a growing step
+    /// bound, as in Varadhan & Roland's reference implementation. Each
+    /// cycle takes two EM steps, extrapolates along them, and takes one
+    /// more EM step from the extrapolated point. The step bound starts at
+    /// 1 — plain EM, so the first cycles follow the path EM itself takes
+    /// and the run stays in EM's basin — and grows [`STEP_GROWTH`]-fold
+    /// whenever a step reaches it. An extrapolated point whose
+    /// log-likelihood is below `θ1`'s is discarded for `θ2`, so the
+    /// likelihood never falls. The run stops once an iteration gains less
+    /// than the tolerance scaled to the data mass, or at
+    /// `max_iterations`.
+    ///
+    /// With a `rival` (the first start's fit), the run is dropped —
+    /// `None` — as soon as it has reached the rival's modes
+    /// ([`SAME_MODE_WIDTHS`]): it can only end where the rival did.
+    fn run_from(
+        &mut self,
+        start: Vec<GaussianComponent>,
+        rival: Option<&GaussianMixture>,
+    ) -> Option<GaussianMixture> {
+        let budget = self.iterations + self.config.max_iterations.max(1);
+        let tolerance = self.config.tolerance * self.total_w;
+        let first = self.iterations;
+        let done = |run: &Run, gain: f64| gain < tolerance || run.iterations >= budget;
+        let mut step_max = 1.0;
+        let mut theta = start;
+        let (mut t1, mut t2, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last = f64::NEG_INFINITY;
+        loop {
+            if rival.is_some_and(|r| self.same_modes(&theta, r)) {
+                return None;
+            }
+            let ll0 = self.step(&theta, &mut t1);
+            if done(self, ll0 - last) {
+                return Some(finish(t1, ll0, self.iterations - first));
+            }
+            let ll1 = self.step(&t1, &mut t2);
+            if done(self, ll1 - ll0) {
+                return Some(finish(t2, ll1, self.iterations - first));
+            }
+            last = ll1;
+            let (jump, step) = self.extrapolate(&theta, &t1, &t2, step_max);
+            let at_jump = self.step(&jump, &mut next);
+            if at_jump >= ll1 {
+                if done(self, at_jump - ll1) {
+                    return Some(finish(next, at_jump, self.iterations - first));
+                }
+                last = at_jump;
+                std::mem::swap(&mut theta, &mut next);
+                if step >= step_max {
+                    step_max *= STEP_GROWTH;
+                }
+            } else {
+                std::mem::swap(&mut theta, &mut t2);
+                if step >= step_max {
+                    step_max = (step_max / STEP_GROWTH).max(1.0);
+                }
+            }
+        }
+    }
+
+    /// Whether every mean of `components` lies within
+    /// [`SAME_MODE_WIDTHS`] component widths of a distinct mean of `fit`,
+    /// pairing both in sorted order.
+    fn same_modes(&self, components: &[GaussianComponent], fit: &GaussianMixture) -> bool {
+        let sorted = |mut m: Vec<f64>| {
+            m.sort_by(f64::total_cmp);
+            m
+        };
+        let ours = sorted(components.iter().map(|c| c.mean).collect());
+        let theirs = sorted(fit.components.iter().map(|c| c.mean).collect());
+        let within = SAME_MODE_WIDTHS * self.width();
+        ours.len() == theirs.len()
+            && ours
+                .iter()
+                .zip(&theirs)
+                .all(|(a, b)| (a - b).abs() <= within)
+    }
+}
+
+/// Rescales mixing weights to sum to one.
+fn normalize_weights(components: &mut [GaussianComponent]) {
+    let total: f64 = components.iter().map(|c| c.weight).sum();
+    for c in components {
+        c.weight /= total;
+    }
+}
+
+/// A finished run, components sorted by descending weight.
+fn finish(
+    mut components: Vec<GaussianComponent>,
+    log_likelihood: f64,
+    iterations: usize,
+) -> GaussianMixture {
     components.sort_by(|a, b| b.weight.total_cmp(&a.weight));
     GaussianMixture {
         components,
@@ -421,16 +631,80 @@ pub enum SelectionCriterion {
     Aic,
 }
 
-/// Fits mixtures with 1 … `max_k` components and returns the one with the
-/// lowest value of the chosen criterion.
-///
-/// The effective sample size for the BIC is the total weight (the number of
-/// placed users), not the number of bins.
+/// Mixtures with 1 … `max_k` components fitted to one data set, and the
+/// EM iterations they cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ComponentSweep {
+    models: Vec<GaussianMixture>,
+    n_eff: f64,
+    iterations: usize,
+}
+
+impl ComponentSweep {
+    /// The fitted mixtures; entry `i` has `i + 1` components. Shorter
+    /// than `max_k` when the data has fewer positive-mass points.
+    pub fn models(&self) -> &[GaussianMixture] {
+        &self.models
+    }
+
+    /// EM iterations over every component count and start.
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// Index into [`ComponentSweep::models`] of the mixture with the
+    /// lowest value of `criterion` (the fewest components on a tie). The
+    /// effective sample size for the BIC is the total weight (the number
+    /// of placed users), not the number of bins.
+    pub fn best(&self, criterion: SelectionCriterion) -> usize {
+        let score = |m: &GaussianMixture| match criterion {
+            SelectionCriterion::Bic => m.bic(self.n_eff),
+            SelectionCriterion::Aic => m.aic(),
+        };
+        let mut best = 0;
+        for (i, model) in self.models.iter().enumerate() {
+            if score(model) < score(&self.models[best]) {
+                best = i;
+            }
+        }
+        best
+    }
+}
+
+/// Fits mixtures with 1 … `max_k` components, each as [`em`] does;
+/// component counts beyond the number of positive-mass points are not
+/// fitted.
 ///
 /// # Errors
 ///
-/// Propagates errors from [`em`]; `max_k` of zero yields
+/// As [`em`] with `k = 1`; `max_k` of zero yields
 /// [`StatsError::NotEnoughData`].
+pub fn sweep_components(
+    xs: &[f64],
+    weights: &[f64],
+    max_k: usize,
+    config: &EmConfig,
+) -> Result<ComponentSweep, StatsError> {
+    if max_k == 0 {
+        return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
+    }
+    let total_w = validate(xs, weights, 1)?;
+    let positive = weights.iter().filter(|&&w| w > 0.0).count();
+    let mut run = Run::new(xs, weights, total_w, config);
+    let models = (1..=max_k.min(positive)).map(|k| run.fit(k)).collect();
+    Ok(ComponentSweep {
+        models,
+        n_eff: total_w,
+        iterations: run.iterations,
+    })
+}
+
+/// Fits mixtures with 1 … `max_k` components ([`sweep_components`]) and
+/// returns the one with the lowest value of the chosen criterion.
+///
+/// # Errors
+///
+/// As [`sweep_components`].
 pub fn select_components(
     xs: &[f64],
     weights: &[f64],
@@ -438,30 +712,9 @@ pub fn select_components(
     config: &EmConfig,
     criterion: SelectionCriterion,
 ) -> Result<GaussianMixture, StatsError> {
-    if max_k == 0 {
-        return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
-    }
-    let n_eff: f64 = weights.iter().sum();
-    let mut best: Option<(f64, GaussianMixture)> = None;
-    let mut last_err = None;
-    for k in 1..=max_k {
-        match em(xs, weights, k, config) {
-            Ok(model) => {
-                let score = match criterion {
-                    SelectionCriterion::Bic => model.bic(n_eff),
-                    SelectionCriterion::Aic => model.aic(),
-                };
-                if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                    best = Some((score, model));
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    match best {
-        Some((_, model)) => Ok(model),
-        None => Err(last_err.unwrap_or(StatsError::NotEnoughData { got: 0, needed: 1 })),
-    }
+    let mut sweep = sweep_components(xs, weights, max_k, config)?;
+    let best = sweep.best(criterion);
+    Ok(sweep.models.swap_remove(best))
 }
 
 #[cfg(test)]

@@ -44,6 +44,24 @@
 //! the same loops all produce identical bits — the runtime CPU dispatch in
 //! [`SortNetwork::batch_emd`] is a pure speed switch.
 
+/// The instruction set the batch kernels dispatch to on this CPU:
+/// `"avx512f"`, `"avx2"` or `"scalar"` — the widest path
+/// [`batch_quad_bounds`], [`batch_min_argmin`] and
+/// [`SortNetwork::batch_emd`] take on full-width batches. Benchmarks
+/// record it beside their figures; results never depend on it.
+pub fn simd_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    "scalar"
+}
+
 /// Fixed-point scale for quantized CDF values: `2^22`.
 ///
 /// CDF values live in `[0, 1]`, so a quantized value fits easily in `i32`;

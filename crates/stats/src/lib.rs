@@ -51,11 +51,12 @@ pub use error::StatsError;
 pub use fitmetrics::FitQuality;
 pub use gaussian::{fit_gaussian, GaussianCurve};
 pub use gmm::{
-    em, select_components, EmConfig, GaussianComponent, GaussianMixture, SelectionCriterion,
+    em, select_components, sweep_components, ComponentSweep, EmConfig, GaussianComponent,
+    GaussianMixture, SelectionCriterion,
 };
 pub use kernel::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch,
-    circular_emd_quad_lower_bound_slice, prune_slack, quad_fold, quantize_cdf, SortNetwork,
-    CDF_FIXED_SCALE, EMD_LANES,
+    circular_emd_quad_lower_bound_slice, prune_slack, quad_fold, quantize_cdf, simd_path,
+    SortNetwork, CDF_FIXED_SCALE, EMD_LANES,
 };
 pub use pearson::{pearson, pearson_matrix};

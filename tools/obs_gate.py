@@ -7,10 +7,12 @@ when either
 
 * a pipeline stage's wall time regressed more than ``THRESHOLD``x, or
 * ``placement.exact_evals`` — the deterministic work counter behind the
-  pruned EMD scan — grew more than ``THRESHOLD``x,
+  pruned EMD scan — grew more than ``THRESHOLD``x, or
+* ``streaming.em_iterations`` — the EM iterations every mixture fit of
+  the run spent — grew more than ``THRESHOLD``x,
 
 which catches both "someone made a stage slow" and "someone quietly
-disabled the pruning".
+disabled the pruning" (or let the mixture fit creep back to its cap).
 
 With the optional durability pair (``BENCH_durability.json`` from the
 bench bin), additionally fails when the warm ``open_durable`` restart or
@@ -26,7 +28,9 @@ the crawl).
 With the optional placement pair (``--placement base.json current.json``,
 the bench bin's ``BENCH_placement.json``), additionally fails when the
 batch kernel's single-thread users/sec on any zone grid (24/48/96)
-dropped more than ``THRESHOLD``x against the baseline.
+dropped more than ``THRESHOLD``x against the baseline, or when the
+mixture fit on the fixed Dream Market histogram (the ``fit`` block) got
+``THRESHOLD``x slower or spent ``THRESHOLD``x more EM iterations.
 
 With the optional sharding pair (``--sharding base.json current.json``,
 the bench bin's ``BENCH_sharding.json``), additionally fails when the
@@ -93,8 +97,8 @@ Usage: ``obs_gate.py baseline.json current.json``
        ``obs_gate.py [...] --accuracy base_accuracy.json current_accuracy.json``
 
 Wall times are noisy on shared CI runners, so stages where *both* runs
-spent less than ``MIN_STAGE_NS`` are ignored, and the exact-evals check
-only applies once the counter is large enough to be meaningful. Stages
+spent less than ``MIN_STAGE_NS`` are ignored, and the work-counter
+checks only apply once a counter is large enough to be meaningful. Stages
 present in only one of the two reports are skipped: experiments come and
 go, and a brand-new stage has no baseline to regress from.
 """
@@ -107,6 +111,14 @@ THRESHOLD = 2.0
 MIN_STAGE_NS = 5_000_000
 # Exact-evals drift below this is a config change, not a regression.
 MIN_EVALS = 1_000
+# Deterministic work counters gated like placement.exact_evals: more than
+# THRESHOLDx growth fails once the current count reaches its floor.
+WORK_COUNTERS = {
+    "placement.exact_evals": MIN_EVALS,
+    # EM iterations over every mixture fit of the run; a few fits below
+    # this floor are a config change, not a regression.
+    "streaming.em_iterations": 10_000,
+}
 # Sub-10ms durable-store timings are filesystem noise, not signal.
 MIN_STORE_SECS = 0.010
 # Timed durability keys gated against the baseline.
@@ -155,8 +167,21 @@ def check_durability(base, cur, failures):
 
 def check_placement(base, cur, failures):
     """Gate BENCH_placement.json: per-grid batch-kernel throughput must
-    stay within THRESHOLD of the baseline. Returns comparisons made."""
+    stay within THRESHOLD of the baseline, and so must the mixture fit's
+    p50 time and EM iterations (the ``fit`` block; skipped when either
+    side lacks it). Returns comparisons made."""
     checked = 0
+    base_fit, cur_fit = base.get("fit", {}), cur.get("fit", {})
+    for key, unit in (("p50_ms", "ms"), ("em_iterations", "iterations")):
+        prev, now = base_fit.get(key), cur_fit.get(key)
+        if prev is None or now is None or prev <= 0:
+            continue
+        checked += 1
+        ratio = now / prev
+        if ratio > THRESHOLD:
+            failures.append(
+                f"mixture fit {key}: {prev:,.3f} {unit} -> {now:,.3f} {unit} ({ratio:.2f}x)"
+            )
     base_grids = base.get("placement", {}).get("kernel_users_per_sec_by_grid", {})
     cur_grids = cur.get("placement", {}).get("kernel_users_per_sec_by_grid", {})
     for grid, now in sorted(cur_grids.items()):
@@ -441,15 +466,15 @@ def main() -> int:
                 f"{now_ns / 1e6:.1f} ms ({ratio:.2f}x)"
             )
 
-    prev_evals = base.get("metrics", {}).get("counters", {}).get("placement.exact_evals")
-    now_evals = cur.get("metrics", {}).get("counters", {}).get("placement.exact_evals")
-    if prev_evals is not None and now_evals is not None and now_evals >= MIN_EVALS:
+    for counter, floor in WORK_COUNTERS.items():
+        prev = base.get("metrics", {}).get("counters", {}).get(counter)
+        now = cur.get("metrics", {}).get("counters", {}).get(counter)
+        if prev is None or now is None or now < floor:
+            continue
         checked += 1
-        ratio = now_evals / max(prev_evals, 1)
+        ratio = now / max(prev, 1)
         if ratio > THRESHOLD:
-            failures.append(
-                f"placement.exact_evals: {prev_evals} -> {now_evals} ({ratio:.2f}x)"
-            )
+            failures.append(f"{counter}: {prev} -> {now} ({ratio:.2f}x)")
 
     if failures:
         print(f"obs gate: {len(failures)} regression(s)", file=sys.stderr)
