@@ -9,9 +9,9 @@
 //! paper prescribes (and can hold it fixed via [`EmConfig::fixed_sigma`]).
 //!
 //! Every run is accelerated by SQUAREM (Varadhan & Roland 2008) with a
-//! monotone log-likelihood safeguard and stops on a tolerance scaled to
-//! the data mass; a second start is dropped once it reaches the first
-//! start's modes.
+//! monotone log-likelihood safeguard and stops once an EM step barely
+//! moves the parameters; a second start is dropped once it reaches the
+//! first start's modes.
 
 use std::fmt;
 
@@ -169,10 +169,11 @@ pub struct EmConfig {
     /// E-step and one M-step, whether a plain step or the step taken from
     /// an extrapolated point.
     pub max_iterations: usize,
-    /// Convergence threshold, per unit of data mass: a run stops once an
-    /// iteration raises the log-likelihood by less than
-    /// `tolerance × Σ weights`, so the rule reads the same on a crowd of
-    /// fifty and of fifty thousand.
+    /// Convergence threshold on parameter movement: a run stops once an
+    /// EM step moves no weight by `tolerance` or more, and no mean or σ
+    /// by `tolerance` component widths (the fixed σ, or `sigma_init`) or
+    /// more. The rule reads the same on a crowd of fifty and of fifty
+    /// thousand.
     pub tolerance: f64,
     /// Initial component σ; the paper uses the empirical 2.5.
     pub sigma_init: f64,
@@ -188,13 +189,13 @@ pub struct EmConfig {
 }
 
 impl Default for EmConfig {
-    /// The paper's setup: σ initialized to 2.5; a run stops once an
-    /// iteration gains less than 1e-6 nats per unit of mass, or after 80
-    /// iterations.
+    /// The paper's setup: σ initialized to 2.5; a run stops once an EM
+    /// step moves no weight by 9e-4 and no mean by 9e-4 component widths,
+    /// or after 70 iterations.
     fn default() -> EmConfig {
         EmConfig {
-            max_iterations: 80,
-            tolerance: 1e-6,
+            max_iterations: 70,
+            tolerance: 9e-4,
             sigma_init: 2.5,
             sigma_floor: 0.6,
             weight_floor: 1e-4,
@@ -210,7 +211,7 @@ const STEP_GROWTH: f64 = 8.0;
 
 /// Two runs have reached the same modes once every mean of one lies
 /// within this fraction of a component width of the other's.
-const SAME_MODE_WIDTHS: f64 = 0.05;
+const SAME_MODE_WIDTHS: f64 = 0.02;
 
 /// Checks the data for a `k`-component fit; returns its total mass.
 fn validate(xs: &[f64], weights: &[f64], k: usize) -> Result<f64, StatsError> {
@@ -327,8 +328,9 @@ struct Run<'a> {
     points: Vec<(f64, f64)>,
     total_w: f64,
     config: &'a EmConfig,
-    /// The smallest and largest coordinate: extrapolated means are kept
-    /// inside the data's range, where every M-step leaves them.
+    /// The smallest and largest coordinate with positive mass:
+    /// extrapolated means are kept inside it, where every M-step leaves
+    /// them.
     range: (f64, f64),
     resp: Vec<f64>,
     /// Per-component `(Σ r·w, Σ r·w·x)` of the M-step.
@@ -338,14 +340,14 @@ struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn new(xs: &'a [f64], weights: &'a [f64], total_w: f64, config: &'a EmConfig) -> Run<'a> {
-        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let points = xs
+        let points: Vec<(f64, f64)> = xs
             .iter()
             .zip(weights)
             .filter(|(_, &w)| w > 0.0)
             .map(|(&x, &w)| (x, w))
             .collect();
+        let lo = points.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+        let hi = points.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
         Run {
             xs,
             weights,
@@ -525,9 +527,9 @@ impl<'a> Run<'a> {
     /// and the run stays in EM's basin — and grows [`STEP_GROWTH`]-fold
     /// whenever a step reaches it. An extrapolated point whose
     /// log-likelihood is below `θ1`'s is discarded for `θ2`, so the
-    /// likelihood never falls. The run stops once an iteration gains less
-    /// than the tolerance scaled to the data mass, or at
-    /// `max_iterations`.
+    /// likelihood never falls. The run stops once an EM step leaves every
+    /// parameter within the tolerance ([`EmConfig::tolerance`]), or when
+    /// `max_iterations` are spent.
     ///
     /// With a `rival` (the first start's fit), the run is dropped —
     /// `None` — as soon as it has reached the rival's modes
@@ -538,38 +540,46 @@ impl<'a> Run<'a> {
         rival: Option<&GaussianMixture>,
     ) -> Option<GaussianMixture> {
         let budget = self.iterations + self.config.max_iterations.max(1);
-        let tolerance = self.config.tolerance * self.total_w;
         let first = self.iterations;
-        let done = |run: &Run, gain: f64| gain < tolerance || run.iterations >= budget;
+        let (tolerance, width) = (self.config.tolerance, self.width());
+        // Whether the EM step `from → to` ends the run.
+        let done = |run: &Run, from: &[GaussianComponent], to: &[GaussianComponent]| {
+            let settled = from.iter().zip(to).all(|(a, b)| {
+                (a.weight - b.weight).abs() < tolerance
+                    && (a.mean - b.mean).abs() / width < tolerance
+                    && (a.sigma - b.sigma).abs() / width < tolerance
+            });
+            settled || run.iterations >= budget
+        };
         let mut step_max = 1.0;
         let mut theta = start;
         let (mut t1, mut t2, mut next) = (Vec::new(), Vec::new(), Vec::new());
-        let mut last = f64::NEG_INFINITY;
         loop {
             if rival.is_some_and(|r| self.same_modes(&theta, r)) {
                 return None;
             }
             let ll0 = self.step(&theta, &mut t1);
-            if done(self, ll0 - last) {
+            if done(self, &theta, &t1) {
                 return Some(finish(t1, ll0, self.iterations - first));
             }
             let ll1 = self.step(&t1, &mut t2);
-            if done(self, ll1 - ll0) {
+            if done(self, &t1, &t2) {
                 return Some(finish(t2, ll1, self.iterations - first));
             }
-            last = ll1;
             let (jump, step) = self.extrapolate(&theta, &t1, &t2, step_max);
             let at_jump = self.step(&jump, &mut next);
             if at_jump >= ll1 {
-                if done(self, at_jump - ll1) {
+                if done(self, &jump, &next) {
                     return Some(finish(next, at_jump, self.iterations - first));
                 }
-                last = at_jump;
                 std::mem::swap(&mut theta, &mut next);
                 if step >= step_max {
                     step_max *= STEP_GROWTH;
                 }
             } else {
+                if self.iterations >= budget {
+                    return Some(finish(t2, ll1, self.iterations - first));
+                }
                 std::mem::swap(&mut theta, &mut t2);
                 if step >= step_max {
                     step_max = (step_max / STEP_GROWTH).max(1.0);
@@ -784,6 +794,36 @@ mod tests {
                 select_components(&xs, &ws, 4, &EmConfig::default(), SelectionCriterion::Bic)
                     .unwrap();
             assert_eq!(model.len(), true_k, "k={true_k}: {model}");
+        }
+    }
+
+    #[test]
+    fn runs_stop_within_their_iteration_budget() {
+        // A zero tolerance drives every run to its cap, so across the caps
+        // below the last allowed iteration falls on each kind of step: a
+        // plain one, or one from a kept or a discarded jump.
+        let truth =
+            [(0.6, 1.0), (0.25, -6.0), (0.15, -3.0)].map(|(weight, mean)| GaussianComponent {
+                weight,
+                mean,
+                sigma: 2.0,
+            });
+        let (xs, ws) = sample_weights(&truth, 2000.0);
+        for cap in 1..=40 {
+            let config = EmConfig {
+                max_iterations: cap,
+                tolerance: 0.0,
+                fixed_sigma: Some(2.0),
+                ..EmConfig::default()
+            };
+            for k in 1..=4 {
+                let model = em(&xs, &ws, k, &config).unwrap();
+                assert!(
+                    model.iterations() <= cap,
+                    "k={k}: {} > {cap}",
+                    model.iterations()
+                );
+            }
         }
     }
 

@@ -44,22 +44,44 @@
 //! the same loops all produce identical bits — the runtime CPU dispatch in
 //! [`SortNetwork::batch_emd`] is a pure speed switch.
 
+/// The widest instruction set the batch kernels may use on this CPU.
+/// `Avx512f` is only reported where AVX2 is present too, so a kernel may
+/// fall back from it to its AVX2 build on a batch too narrow for 16
+/// lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    Avx512f,
+    Avx2,
+    Scalar,
+}
+
+/// The one runtime feature check behind every kernel's dispatch (std
+/// caches the CPU query, so this is an atomic load per call).
+fn isa() -> Isa {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512f;
+            }
+            return Isa::Avx2;
+        }
+    }
+    Isa::Scalar
+}
+
 /// The instruction set the batch kernels dispatch to on this CPU:
 /// `"avx512f"`, `"avx2"` or `"scalar"` — the widest path
 /// [`batch_quad_bounds`], [`batch_min_argmin`] and
 /// [`SortNetwork::batch_emd`] take on full-width batches. Benchmarks
 /// record it beside their figures; results never depend on it.
 pub fn simd_path() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512f";
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
+    match isa() {
+        Isa::Avx512f => "avx512f",
+        Isa::Avx2 => "avx2",
+        Isa::Scalar => "scalar",
     }
-    "scalar"
 }
 
 /// Fixed-point scale for quantized CDF values: `2^22`.
@@ -256,23 +278,24 @@ pub fn batch_quad_bounds(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bo
     debug_assert_eq!(user_folds.len(), zone_fold.len() * lanes);
     debug_assert_eq!(zone_fold.len() % 3, 0);
     #[cfg(target_arch = "x86_64")]
-    {
-        if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f presence just checked.
+    match isa() {
+        Isa::Avx512f if lanes >= 16 => {
+            // SAFETY: `isa` checked avx512f.
             #[allow(unsafe_code)]
             unsafe {
                 batch_quad_bounds_avx512(user_folds, zone_fold, lanes, bounds)
             };
             return;
         }
-        if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 presence just checked.
+        Isa::Avx512f | Isa::Avx2 if lanes >= 8 => {
+            // SAFETY: `isa` checked avx2 for both variants.
             #[allow(unsafe_code)]
             unsafe {
                 batch_quad_bounds_avx2(user_folds, zone_fold, lanes, bounds)
             };
             return;
         }
+        _ => {}
     }
     batch_quad_bounds_impl(user_folds, zone_fold, lanes, bounds);
 }
@@ -340,23 +363,24 @@ pub fn batch_min_argmin(row: &[i32], zone: u32, min: &mut [i32], argmin: &mut [u
     debug_assert_eq!(row.len(), min.len());
     debug_assert_eq!(row.len(), argmin.len());
     #[cfg(target_arch = "x86_64")]
-    {
-        if row.len() >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f presence just checked.
+    match isa() {
+        Isa::Avx512f if row.len() >= 16 => {
+            // SAFETY: `isa` checked avx512f.
             #[allow(unsafe_code)]
             unsafe {
                 batch_min_argmin_avx512(row, zone, min, argmin)
             };
             return;
         }
-        if row.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 presence just checked.
+        Isa::Avx512f | Isa::Avx2 if row.len() >= 8 => {
+            // SAFETY: `isa` checked avx2 for both variants.
             #[allow(unsafe_code)]
             unsafe {
                 batch_min_argmin_avx2(row, zone, min, argmin)
             };
             return;
         }
+        _ => {}
     }
     batch_min_argmin_impl(row, zone, min, argmin);
 }
@@ -423,23 +447,24 @@ impl SortNetwork {
     pub fn batch_emd(&self, rows: &mut [f64], out: &mut [f64; EMD_LANES]) {
         assert_eq!(rows.len(), self.bins * EMD_LANES);
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: avx512f presence just checked.
+        match isa() {
+            Isa::Avx512f => {
+                // SAFETY: `isa` checked avx512f.
                 #[allow(unsafe_code)]
                 unsafe {
                     self.batch_emd_avx512(rows, out)
                 };
                 return;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2 presence just checked.
+            Isa::Avx2 => {
+                // SAFETY: `isa` checked avx2.
                 #[allow(unsafe_code)]
                 unsafe {
                     self.batch_emd_avx2(rows, out)
                 };
                 return;
             }
+            Isa::Scalar => {}
         }
         self.batch_emd_impl(rows, out);
     }

@@ -8,8 +8,9 @@ when either
 * a pipeline stage's wall time regressed more than ``THRESHOLD``x, or
 * ``placement.exact_evals`` — the deterministic work counter behind the
   pruned EMD scan — grew more than ``THRESHOLD``x, or
-* ``streaming.em_iterations`` — the EM iterations every mixture fit of
-  the run spent — grew more than ``THRESHOLD``x,
+* the EM iterations per mixture fit — the ``streaming.em_iterations``
+  counter over the ``streaming.fit`` stage's calls — grew more than
+  ``THRESHOLD``x,
 
 which catches both "someone made a stage slow" and "someone quietly
 disabled the pruning" (or let the mixture fit creep back to its cap).
@@ -98,7 +99,8 @@ Usage: ``obs_gate.py baseline.json current.json``
 
 Wall times are noisy on shared CI runners, so stages where *both* runs
 spent less than ``MIN_STAGE_NS`` are ignored, and the work-counter
-checks only apply once a counter is large enough to be meaningful. Stages
+checks only apply once a counter is large enough to be meaningful (the
+per-fit EM check once both runs made ``MIN_FITS`` fits). Stages
 present in only one of the two reports are skipped: experiments come and
 go, and a brand-new stage has no baseline to regress from.
 """
@@ -111,20 +113,34 @@ THRESHOLD = 2.0
 MIN_STAGE_NS = 5_000_000
 # Exact-evals drift below this is a config change, not a regression.
 MIN_EVALS = 1_000
-# Deterministic work counters gated like placement.exact_evals: more than
-# THRESHOLDx growth fails once the current count reaches its floor.
-WORK_COUNTERS = {
-    "placement.exact_evals": MIN_EVALS,
-    # EM iterations over every mixture fit of the run; a few fits below
-    # this floor are a config change, not a regression.
-    "streaming.em_iterations": 10_000,
-}
+# EM iterations are gated per mixture fit, not in total: a run report
+# holds a few dozen fits (31 in CI's `repro --scale 0.1`, about 83
+# iterations each), so a total floor would sit above any count a creep
+# back towards the cap produces. Fewer fits than this are too few to
+# compare.
+MIN_FITS = 10
 # Sub-10ms durable-store timings are filesystem noise, not signal.
 MIN_STORE_SECS = 0.010
 # Timed durability keys gated against the baseline.
 DURABILITY_KEYS = ("warm_open_long_suffix_secs", "snapshot_rotation_secs")
 # Deterministic durability byte counts: any growth over the baseline fails.
 DURABILITY_BYTE_KEYS = ("log_bytes_per_post", "generation_bytes_per_user")
+
+
+def em_iterations_per_fit(report):
+    """The ``streaming.em_iterations`` counter over the ``streaming.fit``
+    stage's calls, or None when the report has fewer than ``MIN_FITS``
+    fits or lacks the counter."""
+    fits = next(
+        (s["calls"] for s in report.get("stages", []) if s["name"] == "streaming.fit"),
+        0,
+    )
+    iterations = report.get("metrics", {}).get("counters", {}).get(
+        "streaming.em_iterations"
+    )
+    if iterations is None or fits < MIN_FITS:
+        return None
+    return iterations / fits
 
 
 def check_durability(base, cur, failures):
@@ -466,15 +482,24 @@ def main() -> int:
                 f"{now_ns / 1e6:.1f} ms ({ratio:.2f}x)"
             )
 
-    for counter, floor in WORK_COUNTERS.items():
-        prev = base.get("metrics", {}).get("counters", {}).get(counter)
-        now = cur.get("metrics", {}).get("counters", {}).get(counter)
-        if prev is None or now is None or now < floor:
-            continue
+    counter = "placement.exact_evals"
+    prev = base.get("metrics", {}).get("counters", {}).get(counter)
+    now = cur.get("metrics", {}).get("counters", {}).get(counter)
+    if prev is not None and now is not None and now >= MIN_EVALS:
         checked += 1
         ratio = now / max(prev, 1)
         if ratio > THRESHOLD:
             failures.append(f"{counter}: {prev} -> {now} ({ratio:.2f}x)")
+
+    prev, now = em_iterations_per_fit(base), em_iterations_per_fit(cur)
+    if prev is not None and now is not None:
+        checked += 1
+        ratio = now / max(prev, 1)
+        if ratio > THRESHOLD:
+            failures.append(
+                f"streaming.em_iterations per fit: {prev:.1f} -> {now:.1f} "
+                f"({ratio:.2f}x)"
+            )
 
     if failures:
         print(f"obs gate: {len(failures)} regression(s)", file=sys.stderr)
