@@ -1,9 +1,27 @@
-//! Benchmark telemetry: times the placement engine against the naive
-//! per-call path, the bootstrap across thread counts, the streaming
-//! pipeline against full re-analysis, and the sharded ingest across
-//! shard counts, then writes the numbers to `BENCH_placement.json`,
-//! `BENCH_streaming.json`, and `BENCH_sharding.json` for CI and the
-//! ROADMAP to track.
+//! Benchmark telemetry: times the engine's layers and writes one BENCH
+//! file per layer for CI and the ROADMAP to track:
+//!
+//! - `BENCH_placement.json`: users/sec of the placement engine against
+//!   the naive per-call path, the single-thread batch kernel on each zone
+//!   grid (24/48/96), bootstrap resamples/sec at 1/2/4 threads, and the
+//!   mixture fit on a fixed Dream Market histogram;
+//! - `BENCH_streaming.json`: a full batch re-analysis against an
+//!   incremental snapshot with ~1% dirty users, and the serving path's
+//!   publish and body encode with ~1% dirty users and the previous report
+//!   held, against a full encode of the same report;
+//! - `BENCH_sharding.json`: bulk ingest posts/sec at 1/4/16 shards;
+//! - `BENCH_durability.json`: the warm `open_durable` restart at two
+//!   write-ahead-log suffix lengths over the *same* crawl, the snapshot
+//!   rotation, the cold re-analysis a warm restart avoids, and the bytes
+//!   the store writes per suffix post and per user;
+//! - `BENCH_ingest.json`: concurrent multi-writer ingest (writers
+//!   1/2/4/8 at 1/4/16 shards) and one writer's serving shape (hourly
+//!   polls of a simulated crawl);
+//! - `BENCH_serve.json`: HTTP requests/sec through a loopback
+//!   `crowdtz-serve` instance, ingest POSTs and published-snapshot GETs
+//!   at 1/2/4 clients;
+//! - `BENCH_window.json`: windowed against plain ingest, retraction, and
+//!   the publish that expires everything outside a window.
 //!
 //! ```text
 //! cargo run --release -p crowdtz-bench --bin bench \
@@ -12,33 +30,18 @@
 //!     [serve_out.json] [window_out.json] [--obs-out obs.json]
 //! ```
 //!
-//! Defaults: 10 000 placement users to `BENCH_placement.json`, 100 000
-//! streaming users to `BENCH_streaming.json` and `BENCH_sharding.json`,
-//! durable-store numbers to `BENCH_durability.json`, concurrent
-//! multi-writer ingest throughput (writers 1/2/4/8 at 1/4/16 shards) and
-//! one writer's serving-shape throughput (hourly polls of a simulated
-//! crawl) to `BENCH_ingest.json`, and HTTP requests/sec through a loopback
-//! `crowdtz-serve` instance (ingest POSTs and published-snapshot GETs
-//! at 1/2/4 clients) to `BENCH_serve.json`, in the working directory. The durability JSON times the warm `open_durable` restart
-//! at two write-ahead-log suffix lengths over the *same* crawl (replay
-//! cost must scale with the log, not the crawl), the snapshot rotation
-//! itself, the from-scratch re-analysis a warm restart avoids, and the
-//! bytes the store writes: log bytes per post and generation bytes per
-//! user. The sharding JSON records ingest posts/sec
-//! at 1, 4, and 16 shards.
-//! The placement JSON carries users/sec for each placement path, the
-//! single-thread batch-kernel throughput on each zone grid (24/48/96),
-//! resamples/sec for each bootstrap thread count, and the headline
-//! engine-vs-naive ratio; both sections record the requested *and*
-//! effective worker counts, since [`clamped_threads`] caps workers at
-//! the host's parallelism, and the 4-thread-vs-1 bootstrap ratio is
-//! omitted entirely when the host clamps every request to one worker
-//! (it would measure scheduler noise, not speedup). The
-//! streaming JSON compares a full batch re-analysis against an
-//! incremental snapshot with ~1% dirty users, and times the serving
-//! path's publish and body encode with ~1% dirty users and the previous
-//! report held, against a full encode of the same report.
+//! Defaults: 10 000 placement users and 100 000 streaming users, each
+//! file written to the working directory under the name above.
+//!
+//! Every file has one layout ([`write_bench`]): the workload's parameters,
+//! the host and the worker counts as top-level fields, and each measured
+//! figure as a `{name, value, unit, better}` row of `metrics`, the schema
+//! `tools/obs_gate.py` compares. [`clamped_threads`] caps workers at the
+//! host's parallelism, so files record requested *and* effective counts,
+//! and ratios that would only measure scheduler noise on a host that
+//! clamps every request to one worker are omitted.
 
+use std::fmt::Debug;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,6 +64,70 @@ fn time_best<T>(runs: usize, mut work: impl FnMut() -> T) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// One measured figure: a `{name, value, unit, better}` row of a BENCH
+/// file's `metrics`. A name is the metric, then any `key=value` segments
+/// that tell its rows apart (`ingest_posts_per_sec/shards=4/writers=2`).
+struct Row {
+    name: String,
+    value: f64,
+    unit: &'static str,
+    better: &'static str,
+}
+
+/// A figure where lower is better.
+fn lower(name: impl Into<String>, value: f64, unit: &'static str) -> Row {
+    Row {
+        name: name.into(),
+        value,
+        unit,
+        better: "lower",
+    }
+}
+
+/// A figure where higher is better.
+fn higher(name: impl Into<String>, value: f64, unit: &'static str) -> Row {
+    Row {
+        better: "higher",
+        ..lower(name, value, unit)
+    }
+}
+
+/// CPUs this process may run on.
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Writes one BENCH file and echoes it to stdout: `context`, then
+/// `host_cpus` and `simd`, as top-level fields, then `rows` as the
+/// `metrics` list, one row per line. Context values are integers,
+/// integer lists or plain ASCII labels, whose `Debug` text is their JSON.
+fn write_bench(path: &str, context: &[(&str, &dyn Debug)], rows: &[Row]) {
+    let mut out = String::from("{\n");
+    for (key, value) in context {
+        out.push_str(&format!("  \"{key}\": {value:?},\n"));
+    }
+    out.push_str(&format!(
+        "  \"host_cpus\": {},\n  \"simd\": {:?},\n  \"metrics\": [\n",
+        host_cpus(),
+        simd_path()
+    ));
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            assert!(r.value.is_finite(), "{} is {}", r.name, r.value);
+            format!(
+                "    {{\"name\":\"{}\",\"value\":{},\"unit\":\"{}\",\"better\":\"{}\"}}",
+                r.name, r.value, r.unit, r.better
+            )
+        })
+        .collect();
+    out.push_str(&lines.join(",\n"));
+    out.push_str("\n  ]\n}\n");
+    std::fs::write(path, &out).expect("write telemetry");
+    print!("{out}");
+    eprintln!("wrote {path}");
 }
 
 fn main() {
@@ -119,15 +186,29 @@ fn main() {
     let engine_s = time_best(runs, || engine.place_all(&profiles, 1));
     let parallel_s = time_best(runs, || engine.place_all(&profiles, threads));
     let placements = engine.place_all(&profiles, threads);
+    let mut rows = vec![
+        higher("naive_users_per_sec", users as f64 / naive_s, "users/s"),
+        higher("engine_users_per_sec", users as f64 / engine_s, "users/s"),
+        higher(
+            "parallel_users_per_sec",
+            users as f64 / parallel_s,
+            "users/s",
+        ),
+        higher("engine_speedup_vs_naive", naive_s / engine_s, "x"),
+        higher("parallel_speedup_vs_naive", naive_s / parallel_s, "x"),
+    ];
 
     // Single-thread batch-kernel throughput on each zone grid, so CI can
     // gate per-grid regressions (the 48/96 grids do 2x/4x the lane work).
     eprintln!("timing the batch kernel per grid (best of {runs})…");
-    let mut kernel_users_per_sec_by_grid = std::collections::BTreeMap::new();
     for grid in [ZoneGrid::Hourly, ZoneGrid::HalfHour, ZoneGrid::QuarterHour] {
         let grid_engine = PlacementEngine::with_grid(&generic, grid);
         let s = time_best(runs, || grid_engine.place_all(&profiles, 1));
-        kernel_users_per_sec_by_grid.insert(grid.label().to_string(), users as f64 / s);
+        rows.push(higher(
+            format!("kernel_users_per_sec/grid={}", grid.label()),
+            users as f64 / s,
+            "users/s",
+        ));
     }
 
     let iterations = 200;
@@ -135,79 +216,59 @@ fn main() {
         iterations,
         ..BootstrapConfig::default()
     };
+    let boot_threads = [1usize, 2, 4];
     eprintln!("timing bootstrap ({iterations} resamples, best of {runs})…");
-    let boot_s: Vec<(usize, f64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let s = time_best(runs, || {
-                bootstrap_components_threads(&placements, &config, t).expect("bootstrap fits")
-            });
-            (t, s)
+    let boot_s = boot_threads.map(|t| {
+        time_best(runs, || {
+            bootstrap_components_threads(&placements, &config, t).expect("bootstrap fits")
         })
-        .collect();
-    let boot_1 = boot_s[0].1;
-    let boot_4 = boot_s[2].1;
-
-    let placement = serde_json::json!({
-        "naive_users_per_sec": users as f64 / naive_s,
-        "engine_users_per_sec": users as f64 / engine_s,
-        "parallel_users_per_sec": users as f64 / parallel_s,
-        "parallel_threads": threads,
-        "parallel_threads_effective": clamped_threads(threads),
-        "engine_speedup_vs_naive": naive_s / engine_s,
-        "parallel_speedup_vs_naive": naive_s / parallel_s,
-        "kernel_users_per_sec_by_grid": kernel_users_per_sec_by_grid,
     });
-    let resamples_per_sec: std::collections::BTreeMap<String, f64> = boot_s
-        .iter()
-        .map(|&(t, s)| (t.to_string(), iterations as f64 / s))
-        .collect();
-    let requested_threads: Vec<usize> = boot_s.iter().map(|&(t, _)| t).collect();
-    let effective_threads: std::collections::BTreeMap<String, usize> = boot_s
-        .iter()
-        .map(|&(t, _)| (t.to_string(), clamped_threads(t)))
-        .collect();
-    let mut bootstrap = serde_json::json!({
-        "iterations": iterations,
-        "resamples_per_sec": resamples_per_sec,
-        "requested_threads": requested_threads,
-        "effective_threads": effective_threads,
-    });
+    for (t, s) in boot_threads.iter().zip(boot_s) {
+        rows.push(higher(
+            format!("bootstrap_resamples_per_sec/threads={t}"),
+            iterations as f64 / s,
+            "resamples/s",
+        ));
+    }
+    let boot_speedup = boot_s[0] / boot_s[2];
     // When the host clamps every request to one worker the 4-vs-1 ratio
     // measures scheduler noise, not parallel speedup — omit it rather
     // than publish a misleading ~1.0x.
     if clamped_threads(4) > 1 {
-        if let serde_json::Value::Object(fields) = &mut bootstrap {
-            fields.push((
-                "speedup_4_threads_vs_1".to_string(),
-                serde_json::json!(boot_1 / boot_4),
-            ));
-        }
+        rows.push(higher(
+            "bootstrap_speedup_4_threads_vs_1",
+            boot_speedup,
+            "x",
+        ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let report = serde_json::json!({
-        "users": users,
-        "posts_per_user": 40,
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "placement": placement,
-        "bootstrap": bootstrap,
-        "fit": fit_bench(),
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, format!("{json}\n")).expect("write telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    rows.extend(fit_bench());
+    write_bench(
+        &out_path,
+        &[
+            ("users", &users),
+            ("posts_per_user", &40),
+            ("parallel_threads", &threads),
+            ("parallel_threads_effective", &clamped_threads(threads)),
+            ("bootstrap_iterations", &iterations),
+            ("bootstrap_threads", &boot_threads),
+            (
+                "bootstrap_threads_effective",
+                &boot_threads.map(clamped_threads),
+            ),
+            ("fit_users", &DREAM_MARKET_ZONE_COUNTS.iter().sum::<usize>()),
+            ("fit_max_components", &FIT_MAX_COMPONENTS),
+        ],
+        &rows,
+    );
 
-    // The ISSUE's acceptance bars, surfaced loudly (non-fatal: CI boxes
+    // The speedup bars, surfaced loudly (non-fatal: CI boxes
     // can be noisy; the JSON is the record).
     let engine_speedup = naive_s / engine_s;
     if engine_speedup < 5.0 {
         eprintln!("WARNING: engine speedup {engine_speedup:.2}x is below the 5x bar");
     }
-    let boot_speedup = boot_1 / boot_4;
     if boot_speedup < 1.5 {
-        if host_cpus < 2 {
+        if host_cpus() < 2 {
             eprintln!(
                 "note: bootstrap 4-thread speedup {boot_speedup:.2}x — host has 1 CPU, \
                  parallel speedup is not measurable here"
@@ -219,12 +280,12 @@ fn main() {
         }
     }
 
-    streaming_bench(streaming_users, threads, host_cpus, &streaming_out);
-    sharding_bench(streaming_users, threads, host_cpus, &sharding_out);
-    durability_bench(streaming_users, threads, host_cpus, &durability_out);
-    ingest_bench(streaming_users, host_cpus, &ingest_out);
-    serve_bench(host_cpus, &serve_out);
-    window_bench(host_cpus, &window_out);
+    streaming_bench(streaming_users, threads, &streaming_out);
+    sharding_bench(streaming_users, threads, &sharding_out);
+    durability_bench(streaming_users, threads, &durability_out);
+    ingest_bench(streaming_users, &ingest_out);
+    serve_bench(&serve_out);
+    window_bench(&window_out);
 
     if let (Some(obs), Some(path)) = (&observer, &obs_out) {
         let report = obs.run_report("bench");
@@ -241,37 +302,41 @@ const DREAM_MARKET_ZONE_COUNTS: [usize; 24] = [
     3, 9, 44, 58, 80, 116, 129, 95, 90, 89, 117, 166, 214, 221, 209, 115, 41, 12, 1, 2, 0, 0, 0, 1,
 ];
 
+/// Most mixture components the fitted crowd may have: the serving
+/// default.
+const FIT_MAX_COMPONENTS: usize = 4;
+
 /// The p50 wall time and the EM iterations of one
-/// [`MultiRegionFit::fit`] (four components at most, the serving
-/// default) on [`DREAM_MARKET_ZONE_COUNTS`]: the fixed cost every publish
-/// and every bootstrap resample pays.
-fn fit_bench() -> serde_json::Value {
+/// [`MultiRegionFit::fit`] on [`DREAM_MARKET_ZONE_COUNTS`]: the fixed
+/// cost every publish and every bootstrap resample pays.
+fn fit_bench() -> [Row; 2] {
     const RUNS: usize = 201;
     let histogram = PlacementHistogram::from_zone_counts(&DREAM_MARKET_ZONE_COUNTS);
     eprintln!("timing the mixture fit ({RUNS} runs)…");
-    let (_, em_iterations) =
-        MultiRegionFit::fit_counted(&histogram, 4).expect("the fixed histogram fits");
+    let (_, em_iterations) = MultiRegionFit::fit_counted(&histogram, FIT_MAX_COMPONENTS)
+        .expect("the fixed histogram fits");
     let mut ms: Vec<f64> = (0..RUNS)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(MultiRegionFit::fit(std::hint::black_box(&histogram), 4))
-                .expect("the fixed histogram fits");
+            std::hint::black_box(MultiRegionFit::fit(
+                std::hint::black_box(&histogram),
+                FIT_MAX_COMPONENTS,
+            ))
+            .expect("the fixed histogram fits");
             start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
     ms.sort_by(f64::total_cmp);
-    serde_json::json!({
-        "users": DREAM_MARKET_ZONE_COUNTS.iter().sum::<usize>(),
-        "max_components": 4,
-        "p50_ms": ms[RUNS / 2],
-        "em_iterations": em_iterations,
-    })
+    [
+        lower("fit_p50_ms", ms[RUNS / 2], "ms"),
+        lower("fit_em_iterations", em_iterations as f64, "iterations"),
+    ]
 }
 
 /// Full batch re-analysis vs incremental streaming snapshot with ~1%
 /// dirty users, plus the held-report round of [`held_report_round`],
 /// written to `BENCH_streaming.json`.
-fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
+fn streaming_bench(users: usize, threads: usize, out_path: &str) {
     let posts_per_user = 40;
     eprintln!("synthesizing {users} streaming traces…");
     let traces = synthetic_traces(users, posts_per_user, 11);
@@ -307,29 +372,32 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
     let held = held_report_round(&traces, dirty, threads, runs);
 
     let speedup = full_s / incr_s;
-    let report = serde_json::json!({
-        "users": users,
-        "posts_per_user": posts_per_user,
-        "dirty_users_per_round": dirty,
-        "threads": threads,
-        "threads_effective": clamped_threads(threads),
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "full_reanalyze_secs": full_s,
-        "cached_snapshot_secs": cached_s,
-        "incremental_snapshot_secs": incr_s,
-        "full_users_per_sec": users as f64 / full_s,
-        "incremental_users_per_sec": users as f64 / incr_s,
-        "incremental_speedup_vs_full": speedup,
-        "held_publish_secs": held.publish_s,
-        "held_encode_secs": held.encode_s,
-        "held_full_encode_secs": held.full_encode_s,
-        "held_encode_copied_share": held.copied_share,
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize streaming report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write streaming telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    write_bench(
+        out_path,
+        &[
+            ("users", &users),
+            ("posts_per_user", &posts_per_user),
+            ("dirty_users_per_round", &dirty),
+            ("threads", &threads),
+            ("threads_effective", &clamped_threads(threads)),
+        ],
+        &[
+            lower("full_reanalyze_secs", full_s, "s"),
+            lower("cached_snapshot_secs", cached_s, "s"),
+            lower("incremental_snapshot_secs", incr_s, "s"),
+            higher("full_users_per_sec", users as f64 / full_s, "users/s"),
+            higher(
+                "incremental_users_per_sec",
+                users as f64 / incr_s,
+                "users/s",
+            ),
+            higher("incremental_speedup_vs_full", speedup, "x"),
+            lower("held_publish_secs", held.publish_s, "s"),
+            lower("held_encode_secs", held.encode_s, "s"),
+            lower("held_full_encode_secs", held.full_encode_s, "s"),
+            higher("held_encode_copied_share", held.copied_share, "share"),
+        ],
+    );
     if speedup < 10.0 {
         eprintln!("WARNING: incremental speedup {speedup:.2}x is below the 10x bar");
     }
@@ -420,17 +488,14 @@ fn held_report_round(
 
 /// Ingest throughput across shard counts, written to
 /// `BENCH_sharding.json`.
-fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
+fn sharding_bench(users: usize, threads: usize, out_path: &str) {
     let posts_per_user = 40;
     eprintln!("synthesizing {users} sharding traces…");
     let traces = synthetic_traces(users, posts_per_user, 17);
     let total_posts = (users * posts_per_user) as f64;
 
     let runs = 3;
-    // A sorted array of records, not a string-keyed map: consumers get
-    // shard counts as integers in ascending order instead of lexically
-    // ordered keys ("16" < "4").
-    let mut ingest_posts_per_sec = Vec::new();
+    let mut rows = Vec::new();
     for shards in [1usize, 4, 16] {
         eprintln!("timing ingest at {shards} shards (best of {runs})…");
         let s = time_best(runs, || {
@@ -442,25 +507,22 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
             streaming.ingest_set(&traces);
             streaming
         });
-        ingest_posts_per_sec.push(serde_json::json!({
-            "shards": shards,
-            "posts_per_sec": total_posts / s,
-        }));
+        rows.push(higher(
+            format!("ingest_posts_per_sec/shards={shards}"),
+            total_posts / s,
+            "posts/s",
+        ));
     }
-
-    let report = serde_json::json!({
-        "users": users,
-        "posts_per_user": posts_per_user,
-        "threads": threads,
-        "threads_effective": clamped_threads(threads),
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "ingest_posts_per_sec": ingest_posts_per_sec,
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize sharding report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write sharding telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    write_bench(
+        out_path,
+        &[
+            ("users", &users),
+            ("posts_per_user", &posts_per_user),
+            ("threads", &threads),
+            ("threads_effective", &clamped_threads(threads)),
+        ],
+        &rows,
+    );
 }
 
 /// Concurrent multi-writer ingest throughput (posts/sec) across writer
@@ -468,11 +530,11 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
 /// ([`serving_ingest_posts_per_sec`]), written to `BENCH_ingest.json`.
 /// The grid feeds one 40-post delta per user into empty accumulators.
 ///
-/// Clamp-aware: every record carries the requested *and* effective
-/// writer count, and the per-shard scaling ratios (4 writers vs 1) are
-/// omitted entirely on a one-CPU host, where they would measure
-/// scheduler noise rather than lock-per-shard parallelism.
-fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
+/// Clamp-aware: the file records the requested *and* effective writer
+/// counts, and the per-shard scaling ratios (4 writers vs 1) are omitted
+/// entirely on a one-CPU host, where they would measure scheduler noise
+/// rather than lock-per-shard parallelism.
+fn ingest_bench(users: usize, out_path: &str) {
     // Ingest cost is per-batch lock traffic, not crowd scale; a modest
     // crowd keeps the 12-combination sweep quick.
     let users = users.min(20_000);
@@ -487,10 +549,10 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
 
     let runs = 3;
     let writer_grid = [1usize, 2, 4, 8];
-    let mut records = Vec::new();
-    let mut scaling = Vec::new();
+    let measurable = host_cpus() > 1;
+    let mut rows = Vec::new();
     for shards in [1usize, 4, 16] {
-        let mut by_writers: Vec<(usize, f64)> = Vec::new();
+        let mut by_writers = Vec::new();
         for writers in writer_grid {
             eprintln!(
                 "timing concurrent ingest at {shards} shards / {writers} writers \
@@ -526,48 +588,39 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
                 });
                 engine
             });
-            let posts_per_sec = total_posts / secs;
-            by_writers.push((writers, posts_per_sec));
-            records.push(serde_json::json!({
-                "shards": shards,
-                "writers": writers,
-                "writers_effective": clamped_threads(writers),
-                "posts_per_sec": posts_per_sec,
-            }));
+            by_writers.push(total_posts / secs);
+            rows.push(higher(
+                format!("ingest_posts_per_sec/shards={shards}/writers={writers}"),
+                total_posts / secs,
+                "posts/s",
+            ));
         }
-        if host_cpus > 1 {
-            let one = by_writers[0].1;
-            let four = by_writers[2].1;
-            scaling.push(serde_json::json!({
-                "shards": shards,
-                "speedup_4_writers_vs_1": four / one,
-            }));
+        if measurable {
+            rows.push(higher(
+                format!("speedup_4_writers_vs_1/shards={shards}"),
+                by_writers[2] / by_writers[0],
+                "x",
+            ));
         }
+    }
+    if !measurable {
+        eprintln!("note: host has 1 CPU — writer-scaling ratios omitted (not measurable)");
     }
 
     let (serving_posts, serving_polls, serving) = serving_ingest_posts_per_sec(runs);
-    let mut report = serde_json::json!({
-        "users": users,
-        "posts_per_user": posts_per_user,
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "writer_grid": writer_grid,
-        "ingest_posts_per_sec": records,
-        "serving_posts": serving_posts,
-        "serving_polls": serving_polls,
-        "serving_ingest_posts_per_sec": serving,
-    });
-    if host_cpus > 1 {
-        if let serde_json::Value::Object(fields) = &mut report {
-            fields.push(("scaling".to_string(), serde_json::Value::Array(scaling)));
-        }
-    } else {
-        eprintln!("note: host has 1 CPU — writer-scaling ratios omitted (not measurable)");
-    }
-    let json = serde_json::to_string_pretty(&report).expect("serialize ingest report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write ingest telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    rows.push(higher("serving_ingest_posts_per_sec", serving, "posts/s"));
+    write_bench(
+        out_path,
+        &[
+            ("users", &users),
+            ("posts_per_user", &posts_per_user),
+            ("writer_grid", &writer_grid),
+            ("writers_effective", &writer_grid.map(clamped_threads)),
+            ("serving_posts", &serving_posts),
+            ("serving_polls", &serving_polls),
+        ],
+        &rows,
+    );
 }
 
 /// The serving shape: one writer replays a year of Dream Market scaled
@@ -605,15 +658,26 @@ fn serving_ingest_posts_per_sec(runs: usize) -> (usize, usize, f64) {
     (posts.len(), polls.len(), posts.len() as f64 / secs)
 }
 
+/// The compact ingest body `{"deltas":[{"user":…,"posts":[…]},…]}`.
+fn ingest_body(deltas: impl Iterator<Item = (String, Vec<i64>)>) -> Vec<u8> {
+    let entries: Vec<String> = deltas
+        .map(|(user, posts)| {
+            let posts: Vec<String> = posts.iter().map(i64::to_string).collect();
+            format!(r#"{{"user":"{user}","posts":[{}]}}"#, posts.join(","))
+        })
+        .collect();
+    format!(r#"{{"deltas":[{}]}}"#, entries.join(",")).into_bytes()
+}
+
 /// HTTP throughput through a loopback `crowdtz-serve` instance: ingest
 /// POSTs (distinct users per request, pre-serialized bodies) and
 /// published-snapshot GETs at 1/2/4 concurrent clients, written to
 /// `BENCH_serve.json`.
 ///
-/// Clamp-aware: every record carries the requested *and* effective
-/// client count (client threads clamp like worker threads), so the
-/// regression gate can skip comparisons the host cannot express.
-fn serve_bench(host_cpus: usize, out_path: &str) {
+/// Clamp-aware: the file records the requested *and* effective client
+/// counts (client threads clamp like worker threads), so the regression
+/// gate can skip comparisons the host cannot express.
+fn serve_bench(out_path: &str) {
     use crowdtz_serve::{serve, HttpClient, ServeConfig};
 
     let runs = 3;
@@ -621,21 +685,19 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
     let requests_per_client = 200;
     let users_per_batch = 8;
     let posts_per_user = 10i64;
+    let create_body = br#"{"min_posts":1}"#;
 
     // One pre-serialized ingest body per (client, request): distinct
     // users everywhere, so the engine sees an ingest-heavy crawl and
     // serialization cost stays outside the timed region.
     let body_for = |request_idx: usize| -> Vec<u8> {
-        let entries: Vec<serde_json::Value> = (0..users_per_batch)
-            .map(|u| {
-                let id = request_idx * users_per_batch + u;
-                let posts: Vec<i64> = (0..posts_per_user)
-                    .map(|p| p * 86_400 + ((id as i64 * 7 + p) % 24) * 3_600)
-                    .collect();
-                serde_json::json!({"user": format!("u{id:07}"), "posts": posts})
-            })
-            .collect();
-        serde_json::to_vec(&serde_json::json!({ "deltas": entries })).expect("ingest body")
+        ingest_body((0..users_per_batch).map(|u| {
+            let id = request_idx * users_per_batch + u;
+            let posts = (0..posts_per_user)
+                .map(|p| p * 86_400 + ((id as i64 * 7 + p) % 24) * 3_600)
+                .collect();
+            (format!("u{id:07}"), posts)
+        }))
     };
 
     let handle = serve(
@@ -652,22 +714,17 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
     {
         let mut admin = HttpClient::connect(addr).expect("connect");
         let created = admin
-            .post_json("/v1/tenants/reader", &serde_json::json!({"min_posts": 1}))
+            .request("POST", "/v1/tenants/reader", Some(create_body))
             .expect("create reader tenant");
         assert_eq!(created.status, 201, "create reader tenant");
-        let entries: Vec<serde_json::Value> = (0..50)
-            .map(|u| {
-                let posts: Vec<i64> = (0..posts_per_user)
-                    .map(|p| p * 86_400 + ((u * 5 + p) % 24) * 3_600)
-                    .collect();
-                serde_json::json!({"user": format!("r{u:03}"), "posts": posts})
-            })
-            .collect();
+        let body = ingest_body((0..50).map(|u| {
+            let posts = (0..posts_per_user)
+                .map(|p| p * 86_400 + ((u * 5 + p) % 24) * 3_600)
+                .collect();
+            (format!("r{u:03}"), posts)
+        }));
         let ingested = admin
-            .post_json(
-                "/v1/tenants/reader/ingest",
-                &serde_json::json!({ "deltas": entries }),
-            )
+            .request("POST", "/v1/tenants/reader/ingest", Some(&body))
             .expect("reader ingest");
         assert_eq!(ingested.status, 200);
         let published = admin
@@ -676,8 +733,7 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
         assert_eq!(published.status, 200, "publish reader tenant");
     }
 
-    let mut ingest_rows = Vec::new();
-    let mut snapshot_rows = Vec::new();
+    let mut rows = Vec::new();
     let mut tenant_seq = 0usize;
     for clients in client_grid {
         let bodies: Vec<Vec<Vec<u8>>> = (0..clients)
@@ -696,10 +752,7 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
             tenant_seq += 1;
             let mut admin = HttpClient::connect(addr).expect("connect");
             let created = admin
-                .post_json(
-                    &format!("/v1/tenants/{tenant}"),
-                    &serde_json::json!({"min_posts": 1}),
-                )
+                .request("POST", &format!("/v1/tenants/{tenant}"), Some(create_body))
                 .expect("create bench tenant");
             assert_eq!(created.status, 201, "create bench tenant");
             let path = format!("/v1/tenants/{tenant}/ingest");
@@ -718,11 +771,11 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
                 }
             });
         });
-        ingest_rows.push(serde_json::json!({
-            "clients": clients,
-            "clients_effective": clamped_threads(clients),
-            "requests_per_sec": total_requests / ingest_s,
-        }));
+        rows.push(higher(
+            format!("ingest_requests_per_sec/clients={clients}"),
+            total_requests / ingest_s,
+            "requests/s",
+        ));
 
         eprintln!("timing snapshot reads at {clients} clients (best of {runs})…");
         let read_s = time_best(runs, || {
@@ -740,28 +793,26 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
                 }
             });
         });
-        snapshot_rows.push(serde_json::json!({
-            "clients": clients,
-            "clients_effective": clamped_threads(clients),
-            "requests_per_sec": total_requests / read_s,
-        }));
+        rows.push(higher(
+            format!("snapshot_requests_per_sec/clients={clients}"),
+            total_requests / read_s,
+            "requests/s",
+        ));
     }
     handle.shutdown().expect("serve shutdown");
 
-    let report = serde_json::json!({
-        "requests_per_client": requests_per_client,
-        "users_per_batch": users_per_batch,
-        "posts_per_user": posts_per_user,
-        "workers": 4,
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "ingest_requests_per_sec": ingest_rows,
-        "snapshot_requests_per_sec": snapshot_rows,
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize serve report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write serve telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    write_bench(
+        out_path,
+        &[
+            ("requests_per_client", &requests_per_client),
+            ("users_per_batch", &users_per_batch),
+            ("posts_per_user", &posts_per_user),
+            ("workers", &4),
+            ("client_grid", &client_grid),
+            ("clients_effective", &client_grid.map(clamped_threads)),
+        ],
+        &rows,
+    );
 }
 
 /// Signed-delta window costs, written to `BENCH_window.json`: windowed
@@ -771,7 +822,7 @@ fn serve_bench(host_cpus: usize, out_path: &str) {
 /// noise around 0), retraction throughput (posts/sec released through
 /// the signed path), and the publish that releases every slot older
 /// than the window vs a steady-state publish with nothing to expire.
-fn window_bench(host_cpus: usize, out_path: &str) {
+fn window_bench(out_path: &str) {
     use crowdtz_core::{WindowConfig, WindowedPipeline};
 
     let users = 10_000usize;
@@ -880,26 +931,41 @@ fn window_bench(host_cpus: usize, out_path: &str) {
         steady_s = steady_s.min(start.elapsed().as_secs_f64());
     }
 
-    let expired_posts = (users * (rounds - window_buckets)) as f64;
-    let report = serde_json::json!({
-        "users": users,
-        "rounds": rounds,
-        "bucket_secs": bucket_secs,
-        "window_buckets": window_buckets,
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "plain_ingest_posts_per_sec": total_posts / plain_s,
-        "windowed_ingest_posts_per_sec": total_posts / windowed_s,
-        "tracking_overhead_pct": (windowed_s / plain_s - 1.0) * 100.0,
-        "retract_posts_per_sec": users as f64 / retract_s.max(1e-9),
-        "publish_expiry_secs": expiry_s,
-        "publish_steady_secs": steady_s,
-        "expired_posts_at_the_cut": expired_posts,
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize window report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write window telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    let expired_posts = users * (rounds - window_buckets);
+    write_bench(
+        out_path,
+        &[
+            ("users", &users),
+            ("rounds", &rounds),
+            ("bucket_secs", &bucket_secs),
+            ("window_buckets", &window_buckets),
+            ("expired_posts_at_the_cut", &expired_posts),
+        ],
+        &[
+            higher(
+                "plain_ingest_posts_per_sec",
+                total_posts / plain_s,
+                "posts/s",
+            ),
+            higher(
+                "windowed_ingest_posts_per_sec",
+                total_posts / windowed_s,
+                "posts/s",
+            ),
+            lower(
+                "tracking_overhead_pct",
+                (windowed_s / plain_s - 1.0) * 100.0,
+                "%",
+            ),
+            higher(
+                "retract_posts_per_sec",
+                users as f64 / retract_s.max(1e-9),
+                "posts/s",
+            ),
+            lower("publish_expiry_secs", expiry_s, "s"),
+            lower("publish_steady_secs", steady_s, "s"),
+        ],
+    );
     let overhead = windowed_s / plain_s;
     if overhead > 2.0 {
         eprintln!(
@@ -914,7 +980,7 @@ fn window_bench(host_cpus: usize, out_path: &str) {
 /// re-analysis a warm restart avoids, written to
 /// `BENCH_durability.json` with two deterministic size rows: write-ahead
 /// log bytes per suffix post and snapshot-generation bytes per user.
-fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
+fn durability_bench(users: usize, threads: usize, out_path: &str) {
     // The durable engine's cost profile is about record counts, not
     // crowd scale — a modest crowd keeps the bench quick.
     let users = users.min(10_000);
@@ -988,6 +1054,11 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
     let log_bytes_per_post = store.log_len() as f64 / suffix_posts as f64;
     let long_records = rec.stats.records_replayed;
     drop(store);
+    assert!(
+        long_records > short_records,
+        "the long suffix replays {long_records} records against the short one's \
+         {short_records}: replay no longer scales with the log suffix"
+    );
     let warm_long_s = warm_open("long suffix");
 
     // Snapshot rotation: fold the long suffix into a new generation and
@@ -1022,30 +1093,31 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
         pipeline().analyze(&cumulative).expect("cold analyze")
     });
 
-    let report = serde_json::json!({
-        "users": users,
-        "posts_per_user": posts_per_user,
-        "threads": threads,
-        "threads_effective": clamped_threads(threads),
-        "host_cpus": host_cpus,
-        "simd": simd_path(),
-        "short_suffix_records": short_records,
-        "long_suffix_records": long_records,
-        "warm_open_short_suffix_secs": warm_short_s,
-        "warm_open_long_suffix_secs": warm_long_s,
-        "warm_open_post_rotation_secs": warm_compacted_s,
-        "replay_secs_per_record":
-            (warm_long_s - warm_short_s) / (long_records - short_records).max(1) as f64,
-        "snapshot_rotation_secs": rotation_s,
-        "log_bytes_per_post": log_bytes_per_post,
-        "generation_bytes_per_user": generation_bytes as f64 / users as f64,
-        "cold_reanalyze_secs": cold_s,
-        "warm_open_speedup_vs_cold": cold_s / warm_long_s,
-    });
-    let json = serde_json::to_string_pretty(&report).expect("serialize durability report");
-    std::fs::write(out_path, format!("{json}\n")).expect("write durability telemetry");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    write_bench(
+        out_path,
+        &[
+            ("users", &users),
+            ("posts_per_user", &posts_per_user),
+            ("threads", &threads),
+            ("threads_effective", &clamped_threads(threads)),
+        ],
+        &[
+            lower("short_suffix_records", short_records as f64, "records"),
+            lower("long_suffix_records", long_records as f64, "records"),
+            lower("warm_open_short_suffix_secs", warm_short_s, "s"),
+            lower("warm_open_long_suffix_secs", warm_long_s, "s"),
+            lower("warm_open_post_rotation_secs", warm_compacted_s, "s"),
+            lower("snapshot_rotation_secs", rotation_s, "s"),
+            lower("log_bytes_per_post", log_bytes_per_post, "B"),
+            lower(
+                "generation_bytes_per_user",
+                generation_bytes as f64 / users as f64,
+                "B",
+            ),
+            lower("cold_reanalyze_secs", cold_s, "s"),
+            higher("warm_open_speedup_vs_cold", cold_s / warm_long_s, "x"),
+        ],
+    );
     let _ = std::fs::remove_dir_all(&dir);
     // Replay cost must track the log suffix, not the crawl: the long
     // suffix replays 8x the records; opening after rotation replays ~0.

@@ -1,47 +1,16 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Synthetic crowds for the bench bin.
 //!
-//! Each benchmark regenerates a paper artifact (a table or figure) or
-//! measures a core kernel; the fixtures here build the inputs once per
-//! bench so the timed region is the algorithm, not the data generation.
+//! The bench bin times the engine's layers at up to 100 000 users; the
+//! crowds here are built once, before any clock starts, so each timed
+//! region is the algorithm, not the data generation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use crowdtz_core::{
-    place_user, ActivityProfile, GenericProfile, PlacementHistogram, ProfileBuilder,
-};
-use crowdtz_forum::{CrowdComponent, ForumHost, ForumSpec, Scraper, SimulatedForum};
-use crowdtz_synth::PopulationSpec;
-use crowdtz_time::{RegionDb, Timestamp, TraceSet, TzOffset, UserTrace};
-use crowdtz_tor::{FaultPlan, FaultRates, TorNetwork};
+use crowdtz_core::{ActivityProfile, GenericProfile};
+use crowdtz_time::{Timestamp, TraceSet, TzOffset, UserTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Builds a single-region crowd of `users` synthetic users.
-pub fn crowd(region: &str, users: usize, seed: u64) -> TraceSet {
-    let db = RegionDb::extended();
-    PopulationSpec::new(
-        db.get(&region.into())
-            .unwrap_or_else(|| panic!("unknown region {region}"))
-            .clone(),
-    )
-    .users(users)
-    .seed(seed)
-    .posts_per_day(0.5)
-    .generate()
-}
-
-/// Builds UTC activity profiles for a crowd (30-post threshold).
-pub fn profiles(traces: &TraceSet) -> Vec<ActivityProfile> {
-    ProfileBuilder::new().min_posts(30).build(traces)
-}
-
-/// Places profiles against the reference generic profile.
-pub fn placement_histogram(profiles: &[ActivityProfile]) -> PlacementHistogram {
-    let generic = GenericProfile::reference();
-    let placements: Vec<_> = profiles.iter().map(|p| place_user(p, &generic)).collect();
-    PlacementHistogram::from_placements(&placements)
-}
 
 /// One integer cumulative table per zone for O(24) inverse sampling of
 /// post hours from the reference generic profile.
@@ -97,8 +66,8 @@ pub fn synthetic_profiles(users: usize, posts_per_user: usize, seed: u64) -> Vec
 }
 
 /// The trace-level counterpart of [`synthetic_profiles`]: the same
-/// round-robin zone crowd, but returned as a [`TraceSet`] so benchmarks
-/// can exercise the full trace → profile → placement path — batch
+/// round-robin zone crowd, but returned as a [`TraceSet`] so the bench
+/// bin can exercise the full trace → profile → placement path — batch
 /// (`GeolocationPipeline::analyze`) or streaming
 /// (`StreamingPipeline::ingest_set`).
 pub fn synthetic_traces(users: usize, posts_per_user: usize, seed: u64) -> TraceSet {
@@ -113,53 +82,19 @@ pub fn synthetic_traces(users: usize, posts_per_user: usize, seed: u64) -> Trace
     out
 }
 
-/// Publishes a simulated Italian forum behind a (possibly chaotic) Tor
-/// network and returns a retrying scraper connected to it.
-///
-/// `fault_rate` is the total per-request fault probability, spread across
-/// all fault kinds with [`FaultRates::mixed`]; `0.0` leaves the network
-/// fault-free. The scraper keeps its default [`RetryPolicy`], so the
-/// timed region includes retries, backoff accounting, and circuit
-/// rebuilds — the overhead the chaos benchmarks measure.
-///
-/// [`RetryPolicy`]: crowdtz_forum::RetryPolicy
-pub fn chaotic_scraper(users: usize, fault_rate: f64, seed: u64) -> Scraper {
-    let spec = ForumSpec::new(
-        "Bench Forum",
-        vec![CrowdComponent::new("italy", 1.0)],
-        users,
-    )
-    .seed(seed);
-    let forum = SimulatedForum::generate(&spec);
-    let mut network = TorNetwork::with_relays(40, seed);
-    if fault_rate > 0.0 {
-        network.set_fault_plan(FaultPlan::new(seed, FaultRates::mixed(fault_rate)));
-    }
-    let address = network
-        .publish(ForumHost::new(forum).into_hidden_service(seed))
-        .expect("publish bench forum");
-    Scraper::new(network.connect(&address, seed).expect("connect"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chaotic_scraper_completes_a_dump() {
-        let mut scraper = chaotic_scraper(5, 0.15, 7);
-        let report = scraper.dump().expect("dump survives chaos");
-        assert_eq!(report.coverage(), 1.0);
-        assert!(report.stats().faults_absorbed > 0);
-    }
+    use crowdtz_core::{place_user, PlacementHistogram, ProfileBuilder};
 
     #[test]
     fn synthetic_profiles_are_cheap_and_placeable() {
         let profs = synthetic_profiles(48, 40, 1);
         assert_eq!(profs.len(), 48);
         assert!(profs.iter().all(|p| p.post_count() == 40));
-        let hist = placement_histogram(&profs);
-        assert_eq!(hist.users(), 48);
+        let generic = GenericProfile::reference();
+        let placements: Vec<_> = profs.iter().map(|p| place_user(p, &generic)).collect();
+        assert_eq!(PlacementHistogram::from_placements(&placements).users(), 48);
     }
 
     #[test]
@@ -170,20 +105,11 @@ mod tests {
         assert_eq!(traces.total_posts(), 24 * 40);
         // Same RNG stream and zone tables: building profiles from the
         // traces recovers the profile fixture exactly.
-        let rebuilt = profiles(&traces);
+        let rebuilt = ProfileBuilder::new().min_posts(30).build(&traces);
         assert_eq!(rebuilt.len(), profs.len());
         for (a, b) in rebuilt.iter().zip(&profs) {
             assert_eq!(a.user(), b.user());
             assert_eq!(a.distribution().as_slice(), b.distribution().as_slice());
         }
-    }
-
-    #[test]
-    fn fixtures_build() {
-        let traces = crowd("japan", 10, 1);
-        let profiles = profiles(&traces);
-        assert!(!profiles.is_empty());
-        let hist = placement_histogram(&profiles);
-        assert_eq!(hist.users(), profiles.len());
     }
 }

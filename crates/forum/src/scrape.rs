@@ -675,43 +675,9 @@ impl Monitor {
             .map_err(|interrupted| interrupted.error)
     }
 
-    /// Runs the monitor over the same window, but streams every
-    /// observation into `sink` as `(author, observed time)` the moment it
-    /// is made instead of accumulating a [`TraceSet`].
-    ///
-    /// This is the feed for incremental analysis: point the sink at
-    /// `crowdtz_core::StreamingPipeline::ingest` and snapshot between
-    /// monitoring rounds, rather than re-analyzing the accumulated traces
-    /// from scratch. Because the monitor itself is incremental
-    /// (`last_seen` only advances), consecutive calls over adjacent
-    /// windows observe each post exactly once.
-    ///
-    /// No checkpointing: a fault surfaces as the error, and observations
-    /// already sunk stay sunk.
-    pub fn run_each(
-        &mut self,
-        from: Timestamp,
-        to: Timestamp,
-        interval_secs: i64,
-        mut sink: impl FnMut(&str, Timestamp),
-    ) -> Result<(), ForumError> {
-        let interval = interval_secs.max(1);
-        // Skip everything that predates the monitoring window.
-        self.poll_each(from, |_, _| {})?;
-        let mut t = from + interval;
-        while t <= to {
-            self.poll_each(t, &mut sink)?;
-            t = t + interval;
-        }
-        // Final partial interval, as in `resume_run`.
-        if t - interval < to {
-            self.poll_each(to, &mut sink)?;
-        }
-        Ok(())
-    }
-
-    /// Like [`run_each`](Monitor::run_each), but delivers each poll's
-    /// observations as one batch instead of one callback per post.
+    /// Runs the monitor over the same window, but delivers each poll's
+    /// observations to `sink` as one batch of `(author, observed time)`
+    /// instead of accumulating a [`TraceSet`].
     ///
     /// This is the natural feed for the sharded streaming engine: hand
     /// every batch to `crowdtz_core::StreamingPipeline::ingest_posts`,
@@ -1194,32 +1160,6 @@ mod tests {
                 assert!(matching, "no true post within interval of {obs}");
             }
         }
-    }
-
-    #[test]
-    fn run_each_streams_the_same_observations_as_run() {
-        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
-        let mid = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 4, 0, 0, 0).unwrap());
-        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
-        let interval = 3_600;
-
-        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
-        let reference = scraper.into_monitor().run(from, to, interval).unwrap();
-
-        // Stream the same window in two adjacent rounds over one monitor:
-        // every post must arrive exactly once, same as the batch run.
-        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
-        let mut monitor = scraper.into_monitor();
-        let mut streamed = TraceSet::default();
-        monitor
-            .run_each(from, mid, interval, |author, ts| {
-                streamed.record(author, ts)
-            })
-            .unwrap();
-        monitor
-            .run_each(mid, to, interval, |author, ts| streamed.record(author, ts))
-            .unwrap();
-        assert_eq!(streamed, reference);
     }
 
     #[test]

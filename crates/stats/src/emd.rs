@@ -49,19 +49,6 @@ pub fn circular_emd(p: &Distribution24, q: &Distribution24) -> f64 {
     circular_emd_cdf(&p.cdf(), &q.cdf())
 }
 
-/// [`linear_emd`] evaluated on precomputed CDFs (see
-/// [`Distribution24::cdf`]): `Σ_h |CDF_p(h) − CDF_q(h)|`.
-///
-/// The allocation-free form of the kernel: callers that compare one
-/// distribution against many can compute each CDF once and reuse it.
-pub fn linear_emd_cdf(p_cdf: &[f64; BINS], q_cdf: &[f64; BINS]) -> f64 {
-    let mut acc = 0.0_f64;
-    for h in 0..BINS {
-        acc += (p_cdf[h] - q_cdf[h]).abs();
-    }
-    acc
-}
-
 /// [`circular_emd`] evaluated on precomputed CDFs (see
 /// [`Distribution24::cdf`]).
 ///
@@ -140,31 +127,6 @@ pub fn min_shift_emd(p: &Distribution24, q: &Distribution24) -> (i32, f64) {
     (s, d)
 }
 
-/// Finds the circular shift of `p` that best aligns it with `q`
-/// (minimizing circular EMD), returning `(shift, residual_emd)`.
-///
-/// Used when comparing October–March with March–October profiles in the
-/// hemisphere test (§V.F): a residual minimized at `shift = +1` indicates a
-/// northern-hemisphere DST pattern, at `shift = −1` a southern one.
-pub fn shift_alignment(p: &Distribution24, q: &Distribution24) -> (i32, f64) {
-    // Same in-place rotation as [`min_shift_emd`], with the circular
-    // (median-subtracted) objective.
-    let p_cdf = p.cdf();
-    let q_cdf = q.cdf();
-    let mut diffs = [0.0_f64; BINS];
-    let mut best = (0, f64::INFINITY);
-    for shift in 0..BINS as i32 {
-        shifted_cdf_diff(&p_cdf, &q_cdf, shift, &mut diffs);
-        let d = circular_emd_of_cdf_diff(&diffs);
-        if d < best.1 {
-            best = (shift, d);
-        }
-    }
-    let (s, d) = best;
-    let s = if s > 12 { s - 24 } else { s };
-    (s, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_alignment_detects_dst_style_shift() {
-        let winter = delta(8).mix(&delta(20), 0.5);
-        let summer = winter.shifted(-1); // clocks forward = activity 1h earlier in standard time
-        let (shift, resid) = shift_alignment(&summer, &winter);
-        assert_eq!(shift, 1);
-        assert!(resid < 1e-12);
-    }
-
-    #[test]
     fn uniform_is_equidistant_from_all_deltas_circularly() {
         let u = Distribution24::uniform();
         let d0 = circular_emd(&u, &delta(0));
@@ -249,9 +202,6 @@ mod tests {
         let (ac, bc) = (a.cdf(), b.cdf());
         // Bit-identical: circular_emd is defined in terms of the CDF kernel.
         assert_eq!(circular_emd(&a, &b), circular_emd_cdf(&ac, &bc));
-        // linear_emd accumulates the running difference directly, so the
-        // two paths agree only up to rounding.
-        assert!((linear_emd(&a, &b) - linear_emd_cdf(&ac, &bc)).abs() < 1e-12);
     }
 
     #[test]

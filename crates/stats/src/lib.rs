@@ -44,8 +44,7 @@ pub use ascii::{render_bars, render_overlay, AsciiChart};
 pub use descriptive::{mean, median, population_std, variance, weighted_mean, Summary};
 pub use dist::{Distribution24, Histogram24, BINS};
 pub use emd::{
-    circular_emd, circular_emd_cdf, circular_emd_of_cdf_diff, linear_emd, linear_emd_cdf,
-    min_shift_emd, shift_alignment,
+    circular_emd, circular_emd_cdf, circular_emd_of_cdf_diff, linear_emd, min_shift_emd,
 };
 pub use error::StatsError;
 pub use fitmetrics::FitQuality;
