@@ -845,9 +845,6 @@ fn window_bench(out_path: &str) {
             .collect()
     };
     let all_rounds: Vec<Vec<(String, Timestamp)>> = (0..rounds).map(round_posts).collect();
-    fn refs(round: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-        round.iter().map(|(u, t)| (u.as_str(), *t)).collect()
-    }
     let pipeline = || GeolocationPipeline::default().min_posts(1).threads(1);
     let config = WindowConfig {
         bucket_secs,
@@ -861,7 +858,7 @@ fn window_bench(out_path: &str) {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let writer = engine.writer();
         for round in &all_rounds {
-            writer.ingest_posts_ref(&refs(round)).expect("plain ingest");
+            writer.ingest_posts_ref(round).expect("plain ingest");
         }
         engine
     });
@@ -876,7 +873,7 @@ fn window_bench(out_path: &str) {
         let writer = window.engine().writer();
         for round in &all_rounds {
             window
-                .ingest_posts(&writer, &refs(round))
+                .ingest_posts(&writer, round)
                 .expect("windowed ingest");
         }
         window
@@ -893,12 +890,12 @@ fn window_bench(out_path: &str) {
         let writer = window.engine().writer();
         for round in &all_rounds {
             window
-                .ingest_posts(&writer, &refs(round))
+                .ingest_posts(&writer, round)
                 .expect("windowed ingest");
         }
         let start = Instant::now();
         let released = window
-            .retract_posts(&writer, &refs(&all_rounds[rounds - 1]))
+            .retract_posts(&writer, &all_rounds[rounds - 1])
             .expect("retract round");
         retract_s = retract_s.min(start.elapsed().as_secs_f64());
         assert_eq!(released, users, "every retraction target was live");
@@ -920,7 +917,7 @@ fn window_bench(out_path: &str) {
         let writer = window.engine().writer();
         for round in &all_rounds {
             window
-                .ingest_posts(&writer, &refs(round))
+                .ingest_posts(&writer, round)
                 .expect("windowed ingest");
         }
         let start = Instant::now();
@@ -1008,12 +1005,7 @@ fn durability_bench(users: usize, threads: usize, out_path: &str) {
     let ingest_deltas = |engine: &ConcurrentStreamingPipeline, batches: RangeInclusive<u64>| {
         let writer = engine.writer();
         for b in batches {
-            let posts = delta(b);
-            let posts: Vec<(&str, Timestamp)> = posts
-                .iter()
-                .map(|(user, ts)| (user.as_str(), *ts))
-                .collect();
-            writer.ingest_batch(1 + b, &posts, None).expect("delta");
+            writer.ingest_batch(1 + b, &delta(b), None).expect("delta");
         }
     };
     let open = || ConcurrentStreamingPipeline::open_durable(pipeline(), &dir);

@@ -623,7 +623,10 @@ impl IngestWriter {
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
-    pub fn ingest_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
+    pub fn ingest_posts_ref<S: AsRef<str>>(
+        &self,
+        posts: &[(S, Timestamp)],
+    ) -> Result<(), CoreError> {
         self.apply_batch(&singles(posts), false, None).map(drop)
     }
 
@@ -641,10 +644,10 @@ impl IngestWriter {
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
-    pub fn ingest_batch(
+    pub fn ingest_batch<S: AsRef<str>>(
         &self,
         source_seq: u64,
-        posts: &[(&str, Timestamp)],
+        posts: &[(S, Timestamp)],
         checkpoint: Option<&str>,
     ) -> Result<bool, CoreError> {
         self.apply_batch(&singles(posts), false, Some((source_seq, checkpoint)))
@@ -672,7 +675,10 @@ impl IngestWriter {
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest).
-    pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<usize, CoreError> {
+    pub fn retract_posts_ref<S: AsRef<str>>(
+        &self,
+        posts: &[(S, Timestamp)],
+    ) -> Result<usize, CoreError> {
         self.apply_batch(&singles(posts), true, None)
             .map(|applied| applied.unwrap_or(0))
     }
@@ -856,7 +862,7 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let writer = engine.writer();
         writer.ingest("ghost", &[]).unwrap();
-        writer.ingest_posts_ref(&[]).unwrap();
+        writer.ingest_posts_ref::<&str>(&[]).unwrap();
         writer.ingest_deltas(&[("ghost", &[])]).unwrap();
         assert_eq!(writer.batches_applied(), 0);
         assert_eq!(engine.users_tracked(), 0);

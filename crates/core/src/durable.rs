@@ -1104,10 +1104,6 @@ mod tests {
             .collect()
     }
 
-    fn refs(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-        posts.iter().map(|(u, t)| (u.as_str(), *t)).collect()
-    }
-
     fn durable_pipeline() -> GeolocationPipeline {
         GeolocationPipeline::default()
             .min_posts(1)
@@ -1135,7 +1131,7 @@ mod tests {
             let fresh = ConcurrentStreamingPipeline::new(durable_pipeline());
             fresh
                 .writer()
-                .ingest_posts_ref(&refs(&days((d - 2).max(0), d)))
+                .ingest_posts_ref(&days((d - 2).max(0), d))
                 .unwrap();
             report_of(&fresh)
         };
@@ -1150,7 +1146,7 @@ mod tests {
             let window = WindowedPipeline::new(engine, config, None);
             let writer = window.engine().writer();
             for d in 0..9 {
-                window.ingest_posts(&writer, &refs(&days(d, d))).unwrap();
+                window.ingest_posts(&writer, &days(d, d)).unwrap();
                 let published = window.publish().unwrap();
                 assert_eq!(
                     serde_json::to_string(published.report()).unwrap(),
@@ -1190,7 +1186,7 @@ mod tests {
         let publish_both = |durable: &WindowedPipeline, posts: &[(String, Timestamp)]| {
             for window in [durable, &uninterrupted] {
                 let writer = window.engine().writer();
-                window.ingest_posts(&writer, &refs(posts)).unwrap();
+                window.ingest_posts(&writer, posts).unwrap();
             }
             let got = durable.publish().unwrap();
             let want = uninterrupted.publish().unwrap();
@@ -1273,8 +1269,8 @@ mod tests {
 
         let live = ConcurrentStreamingPipeline::new(durable_pipeline());
         let writer = live.writer();
-        writer.ingest_posts_ref(&refs(&posts)).unwrap();
-        writer.retract_posts_ref(&refs(&retracted)).unwrap();
+        writer.ingest_posts_ref(&posts).unwrap();
+        writer.retract_posts_ref(&retracted).unwrap();
         let want = report_of(&live);
         for (tag, payload) in [
             ("mixed-binary", binary),
@@ -1343,16 +1339,16 @@ mod tests {
             let engine =
                 ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
             let writer = engine.writer();
-            writer.ingest_posts_ref(&refs(&gone)).unwrap();
+            writer.ingest_posts_ref(&gone).unwrap();
             writer
                 .ingest("stays", &[Timestamp::from_secs(20 * 3_600)])
                 .unwrap();
             engine.publish().unwrap();
             // Every post of u0..u5 retracted, then a generation written
             // before any refresh: those users are dirty and empty.
-            writer.retract_posts_ref(&refs(&gone)).unwrap();
+            writer.retract_posts_ref(&gone).unwrap();
             assert!(engine.checkpoint_now().unwrap().is_some());
-            writer.ingest_posts_ref(&refs(&kept)).unwrap();
+            writer.ingest_posts_ref(&kept).unwrap();
         }
         let engine = ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
         let fresh = ConcurrentStreamingPipeline::new(durable_pipeline());
@@ -1360,7 +1356,7 @@ mod tests {
         writer
             .ingest("stays", &[Timestamp::from_secs(20 * 3_600)])
             .unwrap();
-        writer.ingest_posts_ref(&refs(&kept)).unwrap();
+        writer.ingest_posts_ref(&kept).unwrap();
         assert_eq!(report_of(&engine), report_of(&fresh));
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -6,11 +6,9 @@ use std::sync::Arc;
 use crowdtz_stats::{pearson, FitQuality, GaussianMixture, StatsError};
 use crowdtz_time::TraceSet;
 
-use crowdtz_stats::BINS;
-
 use crate::confidence::{bootstrap_components_threads, BootstrapConfig, ComponentConfidence};
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, default_threads, PlacementEngine};
+use crate::engine::default_threads;
 use crate::error::CoreError;
 use crate::generic::GenericProfile;
 use crate::placement::{PlacementHistogram, UserPlacement, ZoneGrid};
@@ -135,9 +133,7 @@ impl GeolocationPipeline {
 
     /// Attaches an observer: every analysis records stage spans
     /// (`pipeline.ingest` plus the streaming engine's
-    /// `streaming.refresh` / `streaming.snapshot` / `streaming.fit`;
-    /// `pipeline.placement` / `pipeline.polish` / `pipeline.fit` for
-    /// [`analyze_profiles`](GeolocationPipeline::analyze_profiles)),
+    /// `streaming.refresh` / `streaming.snapshot` / `streaming.fit`),
     /// placed-user counters, and the placement engine's pruning
     /// statistics into it.
     ///
@@ -238,94 +234,6 @@ impl GeolocationPipeline {
             obs.counter("pipeline.analyses").inc();
         }
         Ok(report)
-    }
-
-    /// Runs polish → place → fit over prebuilt activity profiles —
-    /// exposed for callers that synthesize or cache profiles directly
-    /// (e.g. the 100k-user scale demo) and therefore bypass trace
-    /// ingestion.
-    ///
-    /// Per-user CDFs resolve through the same batch placement kernel the
-    /// streaming engine uses, on
-    /// [`effective_threads`](GeolocationPipeline::effective_threads)
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidCoverage`] when `coverage` is outside `(0, 1]`.
-    /// * [`CoreError::EmptyCrowd`] when no profile survives polishing.
-    /// * [`CoreError::Stats`] when a numeric fit fails.
-    pub fn analyze_profiles(
-        &self,
-        profiles: Vec<ActivityProfile>,
-        coverage: f64,
-    ) -> Result<GeolocationReport, CoreError> {
-        if !coverage.is_finite() || coverage <= 0.0 || coverage > 1.0 {
-            return Err(CoreError::InvalidCoverage { coverage });
-        }
-        let threads = self.effective_threads();
-        let obs = self.obs();
-        let engine = PlacementEngine::with_grid(&self.generic, self.effective_grid());
-        let resolved = {
-            let _s = crowdtz_obs::span!(obs, "pipeline.placement");
-            let cdfs: Vec<[f64; BINS]> =
-                chunked_map(&profiles, threads, |p| p.distribution().cdf());
-            engine.resolve_cdfs(&cdfs, threads, obs.as_deref())
-        };
-        let (profiles, placements, flat_removed) = {
-            let _s = crowdtz_obs::span!(obs, "pipeline.polish");
-            let mut kept = Vec::with_capacity(profiles.len());
-            let mut placements = Vec::with_capacity(profiles.len());
-            let mut flat_removed = 0usize;
-            for (profile, r) in profiles.into_iter().zip(resolved) {
-                if self.polish && r.flat {
-                    flat_removed += 1;
-                } else {
-                    placements.push(UserPlacement::from_offset_minutes(
-                        profile.user(),
-                        r.zone_minutes,
-                        r.emd,
-                    ));
-                    kept.push(profile);
-                }
-            }
-            (kept, placements, flat_removed)
-        };
-        if profiles.is_empty() {
-            return Err(CoreError::EmptyCrowd);
-        }
-        let crowd = CrowdProfile::aggregate(&profiles)?;
-        // Sized to the engine's grid (not the placements' covering grid)
-        // so this path stays byte-identical to a streaming snapshot on the
-        // same grid.
-        let histogram =
-            PlacementHistogram::from_placements_on_grid(placements.iter(), self.effective_grid());
-        let (single, multi) = {
-            let _s = crowdtz_obs::span!(obs, "pipeline.fit");
-            (
-                SingleRegionFit::fit(&histogram)?,
-                MultiRegionFit::fit(&histogram, self.max_components)?,
-            )
-        };
-        if let Some(obs) = &obs {
-            obs.counter("placement.users").add(placements.len() as u64);
-            obs.counter("pipeline.users_placed")
-                .add(placements.len() as u64);
-            obs.counter("pipeline.flat_removed")
-                .add(flat_removed as u64);
-            obs.counter("pipeline.analyses").inc();
-        }
-        Ok(GeolocationReport {
-            profiles: Arc::new(profiles),
-            flat_removed,
-            crowd,
-            placements: Arc::new(placements),
-            histogram,
-            single,
-            multi,
-            coverage,
-            threads,
-        })
     }
 
     /// Pearson correlation between a crowd's UTC profile and the generic

@@ -359,7 +359,7 @@ impl StreamingPipeline {
     /// [`ingest`](StreamingPipeline::ingest) had been called per
     /// observation in order, but the batch is routed to the shards once
     /// and applied concurrently.
-    pub fn ingest_posts(&mut self, posts: &[(String, Timestamp)]) {
+    pub fn ingest_posts<S: AsRef<str>>(&mut self, posts: &[(S, Timestamp)]) {
         self.apply(
             &singles(posts),
             false,

@@ -277,10 +277,10 @@ impl WindowedPipeline {
     ///
     /// [`CoreError::Store`] in durable mode when the write-ahead append
     /// fails.
-    pub fn ingest_posts(
+    pub fn ingest_posts<S: AsRef<str>>(
         &self,
         writer: &IngestWriter,
-        posts: &[(&str, Timestamp)],
+        posts: &[(S, Timestamp)],
     ) -> Result<(), CoreError> {
         writer.ingest_posts_ref(posts)
     }
@@ -295,10 +295,10 @@ impl WindowedPipeline {
     ///
     /// [`CoreError::Store`] in durable mode when the write-ahead append
     /// fails.
-    pub fn retract_posts(
+    pub fn retract_posts<S: AsRef<str>>(
         &self,
         writer: &IngestWriter,
-        posts: &[(&str, Timestamp)],
+        posts: &[(S, Timestamp)],
     ) -> Result<usize, CoreError> {
         let released = writer.retract_posts_ref(posts)?;
         if let Some(obs) = &self.obs {
@@ -407,14 +407,11 @@ mod tests {
             .map(|t| ("bob".to_owned(), t))
             .collect();
         for batch in [&old, &new] {
-            let refs: Vec<(&str, Timestamp)> =
-                batch.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-            window.ingest_posts(&writer, &refs).unwrap();
+            window.ingest_posts(&writer, batch).unwrap();
         }
         let published = window.publish().unwrap();
         let fresh = ConcurrentStreamingPipeline::new(pipeline());
-        let refs: Vec<(&str, Timestamp)> = new.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-        fresh.writer().ingest_posts_ref(&refs).unwrap();
+        fresh.writer().ingest_posts_ref(&new).unwrap();
         let expected = fresh.publish().unwrap();
         assert_eq!(
             serde_json::to_string(published.report()).unwrap(),
@@ -437,9 +434,7 @@ mod tests {
                 .collect()
         };
         let ingest = |posts: &[(String, Timestamp)]| {
-            let refs: Vec<(&str, Timestamp)> =
-                posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-            window.ingest_posts(&writer, &refs).unwrap();
+            window.ingest_posts(&writer, posts).unwrap();
         };
         ingest(&[day("alice", 0, 20), day("bob", 0, 9)].concat());
         assert_eq!(window.publish().unwrap().report().profiles().len(), 2);
@@ -447,8 +442,7 @@ mod tests {
         ingest(&late);
         let published = window.publish().unwrap();
         let fresh = ConcurrentStreamingPipeline::new(pipeline());
-        let refs: Vec<(&str, Timestamp)> = late.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-        fresh.writer().ingest_posts_ref(&refs).unwrap();
+        fresh.writer().ingest_posts_ref(&late).unwrap();
         assert_eq!(
             serde_json::to_string(published.report()).unwrap(),
             serde_json::to_string(fresh.publish().unwrap().report()).unwrap()
@@ -589,9 +583,7 @@ mod tests {
                 .into_iter()
                 .map(|t| (format!("u{day}"), t))
                 .collect();
-            let refs: Vec<(&str, Timestamp)> =
-                posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-            window.ingest_posts(&writer, &refs).unwrap();
+            window.ingest_posts(&writer, &posts).unwrap();
         }
         window.publish().unwrap();
         assert_eq!(window.pending_posts(), 5, "nothing expired");

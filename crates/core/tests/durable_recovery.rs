@@ -34,14 +34,6 @@ fn batch(seed: u64, b: u64) -> Vec<(String, Timestamp)> {
     posts
 }
 
-/// A batch in the borrowed shape the engine's writers take.
-fn refs(batch: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-    batch
-        .iter()
-        .map(|(user, ts)| (user.as_str(), *ts))
-        .collect()
-}
-
 fn pipeline() -> GeolocationPipeline {
     GeolocationPipeline::default().min_posts(1)
 }
@@ -91,7 +83,7 @@ fn warm_restart_resumes_byte_identical() {
         for b in 1..=5u64 {
             let ckpt = format!("ckpt-{b}");
             assert!(writer
-                .ingest_batch(b, &refs(&batch(seed, b)), Some(&ckpt))
+                .ingest_batch(b, &batch(seed, b), Some(&ckpt))
                 .unwrap());
             if b == 3 {
                 durable.checkpoint_now().unwrap();
@@ -115,13 +107,13 @@ fn warm_restart_resumes_byte_identical() {
     // A re-delivered boundary batch (the monitor restart gap) is
     // dropped by sequence number, not double-counted.
     assert!(!writer
-        .ingest_batch(5, &refs(&batch(seed, 5)), Some("ckpt-5"))
+        .ingest_batch(5, &batch(seed, 5), Some("ckpt-5"))
         .unwrap());
     assert_eq!(durable.posts_ingested(), 5 * 8);
 
     // Resuming matches an engine that never restarted.
     assert!(writer
-        .ingest_batch(6, &refs(&batch(seed, 6)), Some("ckpt-6"))
+        .ingest_batch(6, &batch(seed, 6), Some("ckpt-6"))
         .unwrap());
     let resumed = publish_json(&durable);
     assert_eq!(resumed, reference_json(seed, 6), "resumed state diverged");
@@ -136,20 +128,14 @@ fn warm_restart_replays_only_the_log_suffix() {
         let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
         let writer = durable.writer();
         for b in 1..=20u64 {
-            writer
-                .ingest_batch(b, &refs(&batch(seed, b)), None)
-                .unwrap();
+            writer.ingest_batch(b, &batch(seed, b), None).unwrap();
         }
         // Explicit rotation: everything so far is covered by the
         // snapshot and compacted out of the log...
         durable.checkpoint_now().unwrap();
         // ...and only these two records should ever replay again.
-        writer
-            .ingest_batch(21, &refs(&batch(seed, 21)), None)
-            .unwrap();
-        writer
-            .ingest_batch(22, &refs(&batch(seed, 22)), None)
-            .unwrap();
+        writer.ingest_batch(21, &batch(seed, 21), None).unwrap();
+        writer.ingest_batch(22, &batch(seed, 22), None).unwrap();
     }
     let vfs = FaultStore::new(FaultPlan::new(0));
     let durable =
@@ -173,9 +159,7 @@ fn recovery_tolerates_a_torn_log_tail() {
         let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
         let writer = durable.writer();
         for b in 1..=3u64 {
-            writer
-                .ingest_batch(b, &refs(&batch(seed, b)), None)
-                .unwrap();
+            writer.ingest_batch(b, &batch(seed, b), None).unwrap();
         }
     }
     // Crash signature: a half-written record at the log tail.
@@ -249,9 +233,7 @@ fn quarter_grid_placements_survive_restart_exactly() {
         let durable = ConcurrentStreamingPipeline::open_durable(quarter(), &dir).unwrap();
         let writer = durable.writer();
         for (b, posts) in shifted.iter().enumerate() {
-            writer
-                .ingest_batch(b as u64 + 1, &refs(posts), None)
-                .unwrap();
+            writer.ingest_batch(b as u64 + 1, posts, None).unwrap();
         }
         // Force a snapshot generation so recovery rebuilds placements
         // from the persisted accumulator, not by replaying the log.
@@ -387,7 +369,6 @@ fn run_sweep(vfs: FaultStore, dir: &Path) -> (u64, Option<CoreError>) {
     let mut acked = 0;
     for step in SWEEP {
         let posts = step_posts(step).unwrap_or_default();
-        let posts = refs(&posts);
         let result = match step {
             Step::Monitor(seq) => writer
                 .ingest_batch(seq, &posts, Some(&format!("ckpt-{seq}")))
@@ -515,7 +496,7 @@ proptest! {
                 let writer = durable.writer();
                 for b in 1..=6u64 {
                     let ckpt = format!("ckpt-{b}");
-                    match writer.ingest_batch(b, &refs(&batch(seed, b)), Some(&ckpt)) {
+                    match writer.ingest_batch(b, &batch(seed, b), Some(&ckpt)) {
                         Ok(applied) => {
                             prop_assert!(applied);
                             acked = b;

@@ -203,14 +203,6 @@ fn generation_pipeline() -> GeolocationPipeline {
 /// One monitor batch of `(user, post)` pairs.
 type Posts = Vec<(String, Timestamp)>;
 
-/// A batch in the borrowed shape the engine's writers take.
-fn refs(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-    posts
-        .iter()
-        .map(|(user, ts)| (user.as_str(), *ts))
-        .collect()
-}
-
 /// The generation fixture's crowd, as three monitor batches: the first
 /// two precede a publish, the third follows it. `gen-half` is an India
 /// (UTC+5:30) user, kept at a half-hour offset; `gen-flat` posts at every
@@ -263,14 +255,10 @@ fn write_generation(dir: &Path) {
     let engine = ConcurrentStreamingPipeline::open_durable(generation_pipeline(), dir).unwrap();
     let writer = engine.writer();
     let [first, second, third] = generation_batches();
-    writer
-        .ingest_batch(1, &refs(&first), Some("gen-1"))
-        .unwrap();
-    writer.ingest_batch(2, &refs(&second), None).unwrap();
+    writer.ingest_batch(1, &first, Some("gen-1")).unwrap();
+    writer.ingest_batch(2, &second, None).unwrap();
     engine.publish().unwrap();
-    writer
-        .ingest_batch(3, &refs(&third), Some("gen-3"))
-        .unwrap();
+    writer.ingest_batch(3, &third, Some("gen-3")).unwrap();
     assert_eq!(engine.dirty_users(), 1, "gen-home is left dirty");
     engine.checkpoint_now().unwrap();
 }
@@ -447,7 +435,7 @@ fn json_store_upgrades_to_binary_in_place() {
     let ingest = |reference: &mut StreamingPipeline, seq: u64, posts: &[(&str, i64)]| {
         let batch = monitor_batch(posts);
         assert!(writer
-            .ingest_batch(seq, &refs(&batch), Some(&format!("bin-{seq}")))
+            .ingest_batch(seq, &batch, Some(&format!("bin-{seq}")))
             .unwrap());
         for (user, ts) in &batch {
             reference.ingest(user, std::slice::from_ref(ts));

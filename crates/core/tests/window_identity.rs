@@ -124,19 +124,12 @@ fn run_windowed(engine: ConcurrentStreamingPipeline, seed: u64, writers: usize) 
                 // Retractions target the previous round — already
                 // ingested, disjoint from every concurrent ingest — so
                 // they can interleave freely with the other writers.
-                let retract: Vec<(&str, Timestamp)> = if w == 0 {
-                    retractions
-                        .iter()
-                        .map(|(user, ts)| (user.as_str(), *ts))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let retract: &[(String, Timestamp)] = if w == 0 { &retractions } else { &[] };
                 let window = &window;
                 scope.spawn(move || {
                     let writer = window.engine().writer();
                     window.ingest_posts(&writer, &chunk).unwrap();
-                    let retracted = window.retract_posts(&writer, &retract).unwrap();
+                    let retracted = window.retract_posts(&writer, retract).unwrap();
                     assert_eq!(retracted, retract.len(), "all targets were live");
                 });
             }
@@ -153,9 +146,7 @@ fn run_windowed(engine: ConcurrentStreamingPipeline, seed: u64, writers: usize) 
 /// The reference: a fresh engine fed only the surviving posts.
 fn reference_json(grid: ZoneGrid, shards: usize, seed: u64) -> String {
     let fresh = ConcurrentStreamingPipeline::new(pipeline(grid, shards));
-    let survivors = survivors(seed);
-    let refs: Vec<(&str, Timestamp)> = survivors.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-    fresh.writer().ingest_posts_ref(&refs).unwrap();
+    fresh.writer().ingest_posts_ref(&survivors(seed)).unwrap();
     report_json(fresh.publish())
 }
 
@@ -258,9 +249,9 @@ fn migration_changepoint_lands_within_one_bucket_of_ground_truth() {
     );
     let writer = window.engine().writer();
     for round in 0..spec.round_count() {
-        let posts = spec.round_posts(round);
-        let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-        window.ingest_posts(&writer, &refs).unwrap();
+        window
+            .ingest_posts(&writer, &spec.round_posts(round))
+            .unwrap();
         window.publish().unwrap();
     }
     let trajectory = window.trajectory();
@@ -302,8 +293,7 @@ fn window_reference(grid: ZoneGrid, shards: usize, seed: u64, newest: usize) -> 
     let live: Vec<(String, Timestamp)> = (newest.saturating_sub(SPAN - 1)..=newest)
         .flat_map(|r| round_posts(seed, r))
         .collect();
-    let refs: Vec<(&str, Timestamp)> = live.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-    fresh.writer().ingest_posts_ref(&refs).unwrap();
+    fresh.writer().ingest_posts_ref(&live).unwrap();
     report_json(fresh.publish())
 }
 
@@ -316,10 +306,8 @@ fn durable_window_keeps_expiring_after_a_restart_without_checkpoint() {
     let (grid, shards, seed) = (ZoneGrid::Hourly, 4, 13);
     let dir = tmp_dir("restart");
     let round = |window: &WindowedPipeline, r: usize| -> String {
-        let posts = round_posts(seed, r);
-        let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
         window
-            .ingest_posts(&window.engine().writer(), &refs)
+            .ingest_posts(&window.engine().writer(), &round_posts(seed, r))
             .unwrap();
         report_json(window.publish())
     };

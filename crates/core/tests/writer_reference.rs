@@ -50,13 +50,6 @@ fn crowd_posts() -> Vec<(String, Timestamp)> {
     posts
 }
 
-fn borrowed(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-    posts
-        .iter()
-        .map(|(user, ts)| (user.as_str(), *ts))
-        .collect()
-}
-
 fn config(grid: ZoneGrid) -> TenantConfig {
     TenantConfig {
         grid,
@@ -87,11 +80,7 @@ fn reports_on_every_grid_stream_like_the_tree() {
     for grid in [ZoneGrid::Hourly, ZoneGrid::HalfHour, ZoneGrid::QuarterHour] {
         let registry = TenantRegistry::new();
         let tenant = registry.create("forum", config(grid), None).unwrap();
-        tenant
-            .engine()
-            .writer()
-            .ingest_posts_ref(&borrowed(&posts))
-            .unwrap();
+        tenant.engine().writer().ingest_posts_ref(&posts).unwrap();
         let text = assert_streams(&tenant, &tenant.engine().publish().unwrap());
         assert_eq!(
             text.contains("zone_minutes"),
@@ -129,7 +118,7 @@ fn windowed_reports_stream_like_the_tree() {
     let mut published = 0;
     // Time-ordered chunks, so older weeks expire as the crawl advances.
     for chunk in posts.chunks(posts.len() / 16 + 1) {
-        window.ingest_posts(&writer, &borrowed(chunk)).unwrap();
+        window.ingest_posts(&writer, chunk).unwrap();
         if let Ok(cut) = window.publish() {
             assert_streams(&tenant, &cut);
             published += 1;
@@ -151,10 +140,10 @@ fn recovered_reports_stream_like_the_tree() {
         let tenant = registry.create("durable", durable(), None).unwrap();
         let writer = tenant.engine().writer();
         let (head, tail) = posts.split_at(posts.len() / 2);
-        writer.ingest_posts_ref(&borrowed(head)).unwrap();
+        writer.ingest_posts_ref(head).unwrap();
         registry.checkpoint_all().unwrap();
         // The second half stays in the log, replayed on recovery.
-        writer.ingest_posts_ref(&borrowed(tail)).unwrap();
+        writer.ingest_posts_ref(tail).unwrap();
         assert_streams(&tenant, &tenant.engine().publish().unwrap())
     };
     let registry = TenantRegistry::new();

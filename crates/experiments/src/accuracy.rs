@@ -697,10 +697,9 @@ fn dream_market_periods(scale: f64, seed: u64, period: i64) -> Vec<Vec<(String, 
 }
 
 fn ingest(tenant: &Tenant, writer: &crowdtz_core::IngestWriter, posts: &[(String, Timestamp)]) {
-    let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
     match tenant.window() {
-        Some(window) => window.ingest_posts(writer, &refs),
-        None => writer.ingest_posts_ref(&refs),
+        Some(window) => window.ingest_posts(writer, posts),
+        None => writer.ingest_posts_ref(posts),
     }
     .expect("in-memory ingest cannot fail");
 }

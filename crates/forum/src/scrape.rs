@@ -487,14 +487,15 @@ impl fmt::Debug for Scraper {
 /// Where an interrupted monitoring session stopped.
 ///
 /// Serializable for the same reason as [`CrawlCheckpoint`]: persist,
-/// restart, hand to [`Monitor::resume_run`].
+/// restart, hand to [`Monitor::resume_run_batched`]. It holds no
+/// observations — the consumer owns every delivered batch — so its
+/// serialized size stays O(1) however long the session runs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MonitorCheckpoint {
     last_seen: PostId,
     /// `None` until the initial fast-forward past the window start is
     /// done; afterwards the next scheduled poll instant.
     next_poll: Option<Timestamp>,
-    traces: TraceSet,
     /// Sequence number of the last batch [`Monitor::resume_run_batched`]
     /// delivered (0 before any batch). Persisted alongside each batch by
     /// the consumer, it is what lets a restarted session prove a
@@ -513,15 +514,16 @@ impl MonitorCheckpoint {
         self.last_seen
     }
 
-    /// Traces gathered before the interruption (observer UTC).
-    pub fn traces(&self) -> &TraceSet {
-        &self.traces
-    }
-
     /// Sequence number of the last batch delivered by
     /// [`Monitor::resume_run_batched`] (0 before any batch).
     pub fn batch_seq(&self) -> u64 {
         self.batch_seq
+    }
+
+    /// True once the session has seen a post or passed its fast-forward:
+    /// resuming from it continues a session rather than starting one.
+    fn has_progress(&self) -> bool {
+        self.last_seen > PostId(0) || self.next_poll.is_some()
     }
 }
 
@@ -531,7 +533,7 @@ impl MonitorCheckpoint {
 pub struct MonitorInterrupted {
     /// The unrecovered fault.
     pub error: ForumError,
-    /// Resume point covering every poll completed before the fault.
+    /// Resume point after the last batch delivered before the fault.
     pub checkpoint: MonitorCheckpoint,
 }
 
@@ -539,9 +541,8 @@ impl fmt::Display for MonitorInterrupted {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "monitor interrupted ({} posts observed): {}",
-            self.checkpoint.traces.total_posts(),
-            self.error
+            "monitor interrupted after {} batches: {}",
+            self.checkpoint.batch_seq, self.error
         )
     }
 }
@@ -663,16 +664,30 @@ impl Monitor {
     /// Runs the monitor from `from` to `to` polling every `interval_secs`,
     /// accumulating self-timestamped traces (already in observer UTC).
     ///
-    /// Equivalent to [`resume_run`](Monitor::resume_run) from
-    /// [`MonitorCheckpoint::start`], discarding the checkpoint on failure.
+    /// Equivalent to [`resume_run_batched`](Monitor::resume_run_batched)
+    /// from [`MonitorCheckpoint::start`], recording every batch and
+    /// discarding the checkpoint on failure.
     pub fn run(
         &mut self,
         from: Timestamp,
         to: Timestamp,
         interval_secs: i64,
     ) -> Result<TraceSet, ForumError> {
-        self.resume_run(from, to, interval_secs, MonitorCheckpoint::start())
-            .map_err(|interrupted| interrupted.error)
+        let mut traces = TraceSet::default();
+        self.resume_run_batched(
+            from,
+            to,
+            interval_secs,
+            MonitorCheckpoint::start(),
+            |_, batch, _| {
+                for (author, ts) in batch {
+                    traces.record(author, *ts);
+                }
+                true
+            },
+        )
+        .map_err(|interrupted| interrupted.error)?;
+        Ok(traces)
     }
 
     /// Runs the monitor over the same window, but delivers each poll's
@@ -683,7 +698,9 @@ impl Monitor {
     /// every batch to `crowdtz_core::StreamingPipeline::ingest_posts`,
     /// which routes the whole poll across accumulator shards in one
     /// concurrent pass, then snapshot between rounds. Empty polls are
-    /// not delivered.
+    /// not delivered. The same session as
+    /// [`resume_run_batched`](Monitor::resume_run_batched) from
+    /// [`MonitorCheckpoint::start`], without its span.
     pub fn run_batched(
         &mut self,
         from: Timestamp,
@@ -691,96 +708,17 @@ impl Monitor {
         interval_secs: i64,
         mut sink: impl FnMut(&[(String, Timestamp)]),
     ) -> Result<(), ForumError> {
-        let interval = interval_secs.max(1);
-        // Skip everything that predates the monitoring window.
-        self.poll_each(from, |_, _| {})?;
-        let mut batch: Vec<(String, Timestamp)> = Vec::new();
-        let mut t = from + interval;
-        while t <= to {
-            self.poll_each(t, |author, ts| batch.push((author.to_owned(), ts)))?;
-            if !batch.is_empty() {
-                sink(&batch);
-                batch.clear();
-            }
-            t = t + interval;
-        }
-        // Final partial interval, as in `resume_run`.
-        if t - interval < to {
-            self.poll_each(to, |author, ts| batch.push((author.to_owned(), ts)))?;
-            if !batch.is_empty() {
-                sink(&batch);
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs (or resumes) a monitoring session over the same window.
-    ///
-    /// On an unrecoverable fault, returns a [`MonitorInterrupted`]
-    /// carrying every observation already made; calling `resume_run`
-    /// again with the same window continues from the interrupted poll.
-    /// An interrupted session resumed to completion observes the same
-    /// traces as an uninterrupted one.
-    // As with `Scraper::resume_dump`: the Err variant carries the full
-    // checkpoint by value on purpose.
-    #[allow(clippy::result_large_err)]
-    pub fn resume_run(
-        &mut self,
-        from: Timestamp,
-        to: Timestamp,
-        interval_secs: i64,
-        checkpoint: MonitorCheckpoint,
-    ) -> Result<TraceSet, MonitorInterrupted> {
-        let interval = interval_secs.max(1);
-        let observer = self.link.observer();
-        let _s = crowdtz_obs::span!(observer, "monitor.run");
-        if let Some(obs) = &observer {
-            if checkpoint.last_seen > PostId(0) || checkpoint.next_poll.is_some() {
-                obs.counter("monitor.resumes").inc();
-            }
-        }
-        let mut cp = checkpoint;
-        // Adopt the checkpoint's progress; never regress our own.
-        self.last_seen = self.last_seen.max(cp.last_seen);
-        let interrupted = |error, mut cp: MonitorCheckpoint, last_seen| {
-            cp.last_seen = last_seen;
-            Err(MonitorInterrupted {
-                error,
-                checkpoint: cp,
-            })
-        };
-        if cp.next_poll.is_none() {
-            // Skip everything that predates the monitoring window. Safe to
-            // redo on resume: discarded ids stay discarded.
-            if let Err(error) = self.poll_each(from, |_, _| {}) {
-                return interrupted(error, cp, self.last_seen);
-            }
-            cp.next_poll = Some(from + interval);
-        }
-        let mut t = cp.next_poll.unwrap_or(from + interval);
-        while t <= to {
-            let mut traces = std::mem::take(&mut cp.traces);
-            let poll = self.poll_each(t, |author, ts| traces.record(author, ts));
-            cp.traces = traces;
-            cp.next_poll = Some(t);
-            if let Err(error) = poll {
-                return interrupted(error, cp, self.last_seen);
-            }
-            t = t + interval;
-            cp.next_poll = Some(t);
-        }
-        // Final partial interval: poll once more at the window end so no
-        // post inside (last poll, to] is missed. `t - interval` is the
-        // last instant actually polled (or the window start).
-        if t - interval < to {
-            let mut traces = std::mem::take(&mut cp.traces);
-            let poll = self.poll_each(to, |author, ts| traces.record(author, ts));
-            cp.traces = traces;
-            if let Err(error) = poll {
-                return interrupted(error, cp, self.last_seen);
-            }
-        }
-        Ok(cp.traces)
+        self.session(
+            from,
+            to,
+            interval_secs,
+            MonitorCheckpoint::start(),
+            |_, batch, _| {
+                sink(batch);
+                true
+            },
+        )
+        .map_err(|interrupted| interrupted.error)
     }
 
     /// Runs (or resumes) a monitoring session delivering each non-empty
@@ -798,18 +736,18 @@ impl Monitor {
     /// sequence number, so the consumer drops it by comparison instead
     /// of double-counting it.
     ///
-    /// Unlike [`resume_run`](Monitor::resume_run), the checkpoint does
-    /// **not** accumulate traces (the consumer owns the observations),
-    /// so its serialized size stays O(1) however long the session runs.
-    /// On a fault, the returned checkpoint — and the monitor's own
-    /// cursor — rewind to the last *delivered* batch, so observations
-    /// buffered in a partially polled batch are re-polled on resume
-    /// rather than lost. The sink returns `true` to continue; `false`
-    /// ends the session cleanly after the current batch (for consumers
-    /// whose own persistence failed — resume later from the checkpoint
-    /// they last managed to store).
-    // As with `resume_run`: the Err variant carries the checkpoint by
-    // value on purpose.
+    /// A checkpoint with no progress ([`MonitorCheckpoint::start`])
+    /// keeps this monitor's own cursor, so a reused monitor does not
+    /// re-deliver what an earlier session saw; any other checkpoint sets
+    /// the cursor. On a fault, the returned checkpoint — and the
+    /// monitor's own cursor — rewind to the last *delivered* batch, so
+    /// observations buffered in a partially polled batch are re-polled
+    /// on resume rather than lost. The sink returns `true` to continue;
+    /// `false` ends the session cleanly after the current batch (for
+    /// consumers whose own persistence failed — resume later from the
+    /// checkpoint they last managed to store).
+    // As with `Scraper::resume_dump`: the Err variant carries the
+    // checkpoint by value on purpose.
     #[allow(clippy::result_large_err)]
     pub fn resume_run_batched(
         &mut self,
@@ -817,77 +755,72 @@ impl Monitor {
         to: Timestamp,
         interval_secs: i64,
         checkpoint: MonitorCheckpoint,
-        mut sink: impl FnMut(u64, &[(String, Timestamp)], &MonitorCheckpoint) -> bool,
+        sink: impl FnMut(u64, &[(String, Timestamp)], &MonitorCheckpoint) -> bool,
     ) -> Result<(), MonitorInterrupted> {
-        let interval = interval_secs.max(1);
         let observer = self.link.observer();
         let _s = crowdtz_obs::span!(observer, "monitor.run");
         if let Some(obs) = &observer {
-            if checkpoint.last_seen > PostId(0) || checkpoint.next_poll.is_some() {
+            if checkpoint.has_progress() {
                 obs.counter("monitor.resumes").inc();
             }
         }
-        let mut cp = checkpoint;
-        cp.traces = TraceSet::default();
-        // Rewind — never fast-forward — to the checkpoint: anything this
-        // monitor instance saw beyond it was never delivered as a batch.
-        self.last_seen = cp.last_seen;
-        if cp.next_poll.is_none() {
-            // Skip everything that predates the monitoring window. Safe
-            // to redo on resume: discarded ids stay discarded.
-            if let Err(error) = self.poll_each(from, |_, _| {}) {
-                self.last_seen = cp.last_seen;
-                return Err(MonitorInterrupted {
-                    error,
-                    checkpoint: cp,
-                });
-            }
+        self.session(from, to, interval_secs, checkpoint, sink)
+    }
+
+    /// The one poll loop behind every session: a fast-forward past
+    /// everything that predates `from`, then one poll per interval, the
+    /// last clamped to `to` so no post inside (previous poll, `to`] is
+    /// missed.
+    fn session(
+        &mut self,
+        from: Timestamp,
+        to: Timestamp,
+        interval_secs: i64,
+        mut cp: MonitorCheckpoint,
+        mut sink: impl FnMut(u64, &[(String, Timestamp)], &MonitorCheckpoint) -> bool,
+    ) -> Result<(), MonitorInterrupted> {
+        let interval = interval_secs.max(1);
+        if !cp.has_progress() {
             cp.last_seen = self.last_seen;
-            cp.next_poll = Some(from + interval);
         }
-        let mut batch: Vec<(String, Timestamp)> = Vec::new();
-        let mut t = cp.next_poll.unwrap_or(from + interval);
-        while t <= to {
-            batch.clear();
-            let poll = self.poll_each(t, |author, ts| batch.push((author.to_owned(), ts)));
-            if let Err(error) = poll {
-                self.last_seen = cp.last_seen;
-                return Err(MonitorInterrupted {
-                    error,
-                    checkpoint: cp,
-                });
-            }
-            if !batch.is_empty() {
-                cp.last_seen = self.last_seen;
-                cp.next_poll = Some(t + interval);
-                cp.batch_seq += 1;
-                if !sink(cp.batch_seq, &batch, &cp) {
-                    return Ok(());
+        self.last_seen = cp.last_seen;
+        let mut t = match cp.next_poll {
+            Some(t) => t,
+            None => {
+                // Safe to redo on resume: discarded ids stay discarded.
+                if let Err(error) = self.poll_each(from, |_, _| {}) {
+                    return Err(self.rewind(error, cp));
                 }
+                cp.last_seen = self.last_seen;
+                cp.next_poll = Some(from + interval);
+                from + interval
+            }
+        };
+        let mut batch: Vec<(String, Timestamp)> = Vec::new();
+        while t - interval < to {
+            batch.clear();
+            let poll = self.poll_each(t.min(to), |author, ts| batch.push((author.to_owned(), ts)));
+            if let Err(error) = poll {
+                return Err(self.rewind(error, cp));
             }
             t = t + interval;
-        }
-        // Final partial interval: one more poll at the window end so no
-        // post inside (last poll, to] is missed. Re-running it on resume
-        // is a no-op: `last_seen` already covers anything delivered.
-        if t - interval < to {
-            batch.clear();
-            let poll = self.poll_each(to, |author, ts| batch.push((author.to_owned(), ts)));
-            if let Err(error) = poll {
-                self.last_seen = cp.last_seen;
-                return Err(MonitorInterrupted {
-                    error,
-                    checkpoint: cp,
-                });
-            }
             if !batch.is_empty() {
                 cp.last_seen = self.last_seen;
                 cp.next_poll = Some(t);
                 cp.batch_seq += 1;
-                sink(cp.batch_seq, &batch, &cp);
+                if !sink(cp.batch_seq, &batch, &cp) {
+                    break;
+                }
             }
         }
         Ok(())
+    }
+
+    /// Rewinds the cursor to `checkpoint`, the last delivered batch, so a
+    /// partly finished poll is polled again on resume.
+    fn rewind(&mut self, error: ForumError, checkpoint: MonitorCheckpoint) -> MonitorInterrupted {
+        self.last_seen = checkpoint.last_seen;
+        MonitorInterrupted { error, checkpoint }
     }
 }
 
@@ -1210,11 +1143,6 @@ mod tests {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     assert_eq!(cp.batch_seq(), seq);
-                    assert_eq!(
-                        cp.traces().total_posts(),
-                        0,
-                        "batched checkpoints stay O(1)"
-                    );
                     reference.push((seq, b.to_vec()));
                     true
                 },
@@ -1251,12 +1179,22 @@ mod tests {
                 Err(interrupted) => {
                     interruptions += 1;
                     assert!(interruptions <= 10, "batched resume makes no progress");
+                    assert!(interrupted.to_string().contains("monitor interrupted"));
                     stored = interrupted.checkpoint;
                 }
             }
         }
         assert!(interruptions >= 2, "both forced faults should interrupt");
         assert_eq!(applied, reference);
+
+        // Resumed to completion, the session observed what `run` does.
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let traces = scraper.into_monitor().run(from, to, interval).unwrap();
+        let mut resumed = TraceSet::default();
+        for (author, ts) in applied.iter().flat_map(|(_, b)| b) {
+            resumed.record(author, *ts);
+        }
+        assert_eq!(resumed, traces);
     }
 
     #[test]
@@ -1347,40 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_monitor_resumes_to_identical_traces() {
-        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
-        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
-        let interval = 3_600;
-
-        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
-        let mut reference_monitor = scraper.into_monitor();
-        let reference = reference_monitor.run(from, to, interval).unwrap();
-
-        let (scraper, _, net) =
-            connect_faulty(&forum_spec(0, TimestampPolicy::Hidden), FaultRates::none());
-        let mut monitor = scraper.into_monitor().retry_policy(RetryPolicy::none());
-        net.force_fault(Fault::Timeout);
-        net.force_fault(Fault::Timeout);
-        let mut cp = MonitorCheckpoint::start();
-        let mut interruptions = 0u32;
-        let resumed = loop {
-            match monitor.resume_run(from, to, interval, cp) {
-                Ok(traces) => break traces,
-                Err(interrupted) => {
-                    interruptions += 1;
-                    assert!(interruptions <= 10, "monitor resume makes no progress");
-                    assert!(interrupted.to_string().contains("monitor interrupted"));
-                    // Round-trip the checkpoint as a restarted crawler would.
-                    let blob = serde_json::to_string(&interrupted.checkpoint).unwrap();
-                    cp = serde_json::from_str(&blob).unwrap();
-                }
-            }
-        };
-        assert!(interruptions >= 2, "both forced faults should interrupt");
-        assert_eq!(resumed, reference);
-    }
-
-    #[test]
     fn monitor_retries_absorb_faults() {
         let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
         let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
@@ -1396,6 +1300,151 @@ mod tests {
         let observed = monitor.run(from, to, 3_600).unwrap();
         assert_eq!(observed, reference);
         assert!(monitor.crawl_stats().faults_absorbed > 0);
+    }
+
+    #[test]
+    fn every_entry_point_sends_the_same_requests() {
+        // The fault plan is seeded, so equal stats mean equal requests:
+        // what keeps a seeded chaos run replaying whichever entry it uses.
+        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
+        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
+        let observer = crowdtz_obs::Observer::from_env();
+        let faulty = || {
+            let spec = forum_spec(0, TimestampPolicy::Hidden);
+            let (scraper, _, net) = connect_faulty(&spec, FaultRates::mixed(0.10));
+            (scraper.observer(observer.clone()).into_monitor(), net)
+        };
+        let spans = || {
+            let stages = observer.stage_timings();
+            stages
+                .iter()
+                .find(|s| s.name == "monitor.run")
+                .map_or(0, |s| s.calls)
+        };
+
+        let (mut monitor, _net) = faulty();
+        let traces = monitor.run(from, to, 3_600).unwrap();
+        let stats = monitor.crawl_stats();
+        assert!(stats.faults_absorbed > 0);
+        assert_eq!(spans(), 1);
+
+        let (mut monitor, _net) = faulty();
+        let mut batched = TraceSet::default();
+        monitor
+            .run_batched(from, to, 3_600, |batch| {
+                for (author, ts) in batch {
+                    batched.record(author, *ts);
+                }
+            })
+            .unwrap();
+        assert_eq!((&batched, monitor.crawl_stats()), (&traces, stats));
+        assert_eq!(spans(), 1, "run_batched records no span");
+
+        let (mut monitor, _net) = faulty();
+        let mut resumed = TraceSet::default();
+        monitor
+            .resume_run_batched(from, to, 3_600, MonitorCheckpoint::start(), |_, b, _| {
+                for (author, ts) in b {
+                    resumed.record(author, *ts);
+                }
+                true
+            })
+            .unwrap();
+        assert_eq!((&resumed, monitor.crawl_stats()), (&traces, stats));
+        assert_eq!(spans(), 2);
+    }
+
+    #[test]
+    fn reused_monitor_delivers_each_post_once_across_windows() {
+        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
+        let mid = from + 3 * 86_400;
+        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let mut whole = scraper.into_monitor();
+        let reference = whole.run(from, to, 3_600).unwrap();
+
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let mut monitor = scraper.into_monitor();
+        let mut observed = TraceSet::default();
+        for (start, end) in [(from, mid), (mid, to)] {
+            monitor
+                .run_batched(start, end, 3_600, |batch| {
+                    for (author, ts) in batch {
+                        observed.record(author, *ts);
+                    }
+                })
+                .unwrap();
+        }
+        assert_eq!(observed, reference);
+        // The second window starts from the monitor's own cursor, so its
+        // fast-forward is one empty poll, not a re-read of the forum.
+        assert_eq!(
+            monitor.crawl_stats().requests,
+            whole.crawl_stats().requests + 1
+        );
+    }
+
+    #[test]
+    fn a_fault_rewinds_the_cursor_to_the_last_delivered_batch() {
+        // Fail-fast at 10 % timeouts: some faults land inside a poll
+        // that consumed posts it never delivered.
+        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
+        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
+        let rates = FaultRates {
+            timeout: 0.1,
+            ..FaultRates::none()
+        };
+        let (scraper, _, _net) = connect_faulty(&forum_spec(0, TimestampPolicy::Hidden), rates);
+        let mut monitor = scraper.into_monitor().retry_policy(RetryPolicy::none());
+        let mut cp = MonitorCheckpoint::start();
+        let mut interruptions = 0u32;
+        while let Err(interrupted) = monitor.resume_run_batched(from, to, 3_600, cp, |_, _, _| true)
+        {
+            interruptions += 1;
+            assert!(interruptions <= 1_000, "monitor resume makes no progress");
+            assert_eq!(monitor.last_seen(), interrupted.checkpoint.last_seen());
+            cp = interrupted.checkpoint;
+        }
+        assert!(interruptions > 0);
+    }
+
+    #[test]
+    fn checkpoint_with_a_traces_field_still_resumes() {
+        // The checkpoint after batch 8 of this session as an earlier
+        // release serialized it, with an always-empty `traces` field;
+        // durable stores hold such blobs in their log records.
+        let blob =
+            r#"{"last_seen":124,"next_poll":1457035200,"traces":{"traces":{}},"batch_seq":8}"#;
+        let stored: MonitorCheckpoint = serde_json::from_str(blob).unwrap();
+        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
+        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
+
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let mut monitor = scraper.into_monitor();
+        let mut delivered: Vec<DeliveredBatch> = Vec::new();
+        monitor
+            .resume_run_batched(from, to, 3_600, MonitorCheckpoint::start(), |seq, b, cp| {
+                delivered.push((seq, b.to_vec(), cp.clone()));
+                true
+            })
+            .unwrap();
+        assert_eq!(delivered[7].2, stored);
+        assert!(!serde_json::to_string(&stored).unwrap().contains("traces"));
+
+        // The same monitor, its cursor at the window end: a checkpoint
+        // with progress sets the cursor, so everything after it returns.
+        let mut resumed: Vec<(u64, Vec<(String, Timestamp)>)> = Vec::new();
+        monitor
+            .resume_run_batched(from, to, 3_600, stored, |seq, b, _| {
+                resumed.push((seq, b.to_vec()));
+                true
+            })
+            .unwrap();
+        let tail: Vec<(u64, Vec<(String, Timestamp)>)> = delivered[8..]
+            .iter()
+            .map(|(s, b, _)| (*s, b.clone()))
+            .collect();
+        assert_eq!(resumed, tail);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crowdtz::core::{
     ConcurrentStreamingPipeline, GeolocationPipeline, WindowConfig, WindowedPipeline, ZoneGrid,
 };
 use crowdtz::synth::MigrationSpec;
-use crowdtz::time::{zone_label, RegionDb, Timestamp, TzOffset};
+use crowdtz::time::{zone_label, RegionDb, TzOffset};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -73,9 +73,9 @@ fn main() {
 
     let writer = window.engine().writer();
     for round in 0..spec.round_count() {
-        let posts = spec.round_posts(round);
-        let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, t)| (u.as_str(), *t)).collect();
-        window.ingest_posts(&writer, &refs).expect("ingest round");
+        window
+            .ingest_posts(&writer, &spec.round_posts(round))
+            .expect("ingest round");
         window.publish().expect("publish round");
     }
 

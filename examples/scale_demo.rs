@@ -6,24 +6,22 @@
 //! ```
 //!
 //! Synthesizes a two-region crowd (60% Tokyo UTC+9, 40% São Paulo UTC−3)
-//! directly as activity profiles — the crawl and trace-building stages are
-//! not what this demo measures — then runs the full polish → place → fit
-//! pipeline twice: once on 1 thread, once on every available core
+//! directly as per-user traces — the crawl is not what this demo
+//! measures — then runs the full profile → polish → place → fit pipeline
+//! twice: once on 1 thread, once on every available core
 //! (`CROWDTZ_THREADS` overrides). The two reports are byte-identical; only
 //! the wall-clock differs.
 
 use std::time::Instant;
 
-use crowdtz::core::{
-    default_threads, ActivityProfile, GenericProfile, GeolocationPipeline, GeolocationReport,
-};
-use crowdtz::time::{Timestamp, TzOffset, UserTrace};
+use crowdtz::core::{default_threads, GenericProfile, GeolocationPipeline, GeolocationReport};
+use crowdtz::time::{Timestamp, TraceSet, UserTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Samples `users` profiles from the reference generic profile shifted to
+/// Samples `users` traces from the reference generic profile shifted to
 /// each user's home zone: 60% at UTC+9, 40% at UTC−3, 40 posts each.
-fn synthesize(users: usize, seed: u64) -> Vec<ActivityProfile> {
+fn synthesize(users: usize, seed: u64) -> TraceSet {
     let generic = GenericProfile::reference();
     let regions = [(9i32, 6usize), (-3, 4)]; // (zone, weight in tenths)
     let tables: Vec<(i32, [u64; 24])> = regions
@@ -51,21 +49,15 @@ fn synthesize(users: usize, seed: u64) -> Vec<ActivityProfile> {
                     Timestamp::from_secs(day * 86_400 + hour as i64 * 3_600)
                 })
                 .collect();
-            ActivityProfile::from_trace_offset(
-                &UserTrace::new(format!("u{i:06}"), posts),
-                TzOffset::UTC,
-            )
-            .expect("non-empty trace")
+            UserTrace::new(format!("u{i:06}"), posts)
         })
         .collect()
 }
 
-fn run(profiles: Vec<ActivityProfile>, threads: usize) -> (GeolocationReport, f64) {
+fn run(traces: &TraceSet, threads: usize) -> (GeolocationReport, f64) {
     let pipeline = GeolocationPipeline::default().threads(threads);
     let start = Instant::now();
-    let report = pipeline
-        .analyze_profiles(profiles, 1.0)
-        .expect("pipeline runs");
+    let report = pipeline.analyze(traces).expect("pipeline runs");
     (report, start.elapsed().as_secs_f64())
 }
 
@@ -75,11 +67,11 @@ fn main() {
         .map(|a| a.parse().expect("users must be an integer"))
         .unwrap_or(100_000);
     println!("synthesizing {users} users (60% UTC+9, 40% UTC-3)…");
-    let profiles = synthesize(users, 42);
+    let traces = synthesize(users, 42);
 
-    let (sequential, seq_s) = run(profiles.clone(), 1);
+    let (sequential, seq_s) = run(&traces, 1);
     let threads = default_threads();
-    let (parallel, par_s) = run(profiles, threads);
+    let (parallel, par_s) = run(&traces, threads);
 
     println!("sequential (1 thread):     {seq_s:.2} s");
     println!(

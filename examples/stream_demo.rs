@@ -115,10 +115,6 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
                 (user, ts)
             })
             .collect();
-        let batch: Vec<(&str, Timestamp)> = batch
-            .iter()
-            .map(|(user, ts)| (user.as_str(), *ts))
-            .collect();
         let ckpt = format!("round-{round}");
         let applied = writer
             .ingest_batch(1 + round, &batch, Some(&ckpt))

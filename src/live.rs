@@ -116,14 +116,7 @@ pub fn run_concurrent(
                     let mut ingest_err: Option<CoreError> = None;
                     monitor.run_batched(from, to, interval_secs, |batch| {
                         if ingest_err.is_none() {
-                            // The borrowed variant hands the engine
-                            // `&str` views of the poll buffer instead of
-                            // cloning every author name per batch.
-                            let refs: Vec<(&str, Timestamp)> = batch
-                                .iter()
-                                .map(|(user, ts)| (user.as_str(), *ts))
-                                .collect();
-                            if let Err(e) = writer.ingest_posts_ref(&refs) {
+                            if let Err(e) = writer.ingest_posts_ref(batch) {
                                 ingest_err = Some(e);
                             }
                         }

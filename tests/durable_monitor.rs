@@ -63,14 +63,6 @@ fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
     serde_json::to_string(engine.publish().expect("publish").report()).unwrap()
 }
 
-/// A monitor batch in the borrowed shape the engine's writers take.
-fn refs(batch: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
-    batch
-        .iter()
-        .map(|(user, ts)| (user.as_str(), *ts))
-        .collect()
-}
-
 #[test]
 fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     let (from, to, interval) = window();
@@ -106,7 +98,7 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
+                    assert!(writer.ingest_batch(seq, b, Some(&blob)).unwrap());
                     // Rotate every 8 batches, so the restart recovers a
                     // snapshot generation plus a log suffix.
                     if seq % 8 == 0 {
@@ -134,7 +126,7 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     fresh_monitor()
         .resume_run_batched(from, to, interval, cp, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
+            assert!(writer.ingest_batch(seq, b, Some(&blob)).unwrap());
             true
         })
         .unwrap();
@@ -182,7 +174,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap());
+                    assert!(writer.ingest_batch(seq, b, Some(&blob)).unwrap());
                     seq < boundary
                 },
             )
@@ -201,7 +193,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
     fresh_monitor()
         .resume_run_batched(from, to, interval, stale, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            if !writer.ingest_batch(seq, &refs(b), Some(&blob)).unwrap() {
+            if !writer.ingest_batch(seq, b, Some(&blob)).unwrap() {
                 deduped += 1;
                 assert_eq!(seq, boundary, "only the boundary batch may dedupe");
             }

@@ -43,13 +43,38 @@ class RatioRules(unittest.TestCase):
         self.assertEqual(gate(base, bench(row("fit_p50_ms", 1.9, "lower", "ms"))), (1, []))
 
     def test_both_sides_under_the_floor_are_skipped(self):
-        base = bench(row("snapshot_rotation_secs", 0.001, "lower", "s"))
-        cur = bench(row("snapshot_rotation_secs", 0.009, "lower", "s"))
+        base = bench(row("publish_expiry_secs", 0.001, "lower", "s"))
+        cur = bench(row("publish_expiry_secs", 0.009, "lower", "s"))
         self.assertEqual(gate(base, cur), (0, []))
-        cur = bench(row("snapshot_rotation_secs", 0.011, "lower", "s"))
+        cur = bench(row("publish_expiry_secs", 0.011, "lower", "s"))
         self.assertEqual(len(gate(base, cur)[1]), 1)
         # One side over the floor is enough to compare.
         self.assertEqual(gate(cur, base), (1, []))
+
+    def test_ci_scale_rotation_and_warm_open_are_compared(self):
+        for name in ("snapshot_rotation_secs", "warm_open_long_suffix_secs"):
+            with self.subTest(name=name):
+                base = bench(row(name, 0.0057, "lower", "s"))
+                self.assertEqual(gate(base, bench(row(name, 0.0096, "lower", "s"))), (1, []))
+                self.assertEqual(len(gate(base, bench(row(name, 0.0120, "lower", "s")))[1]), 1)
+                tiny = bench(row(name, 0.0005, "lower", "s"))
+                self.assertEqual(gate(tiny, bench(row(name, 0.0015, "lower", "s"))), (0, []))
+
+    def test_incremental_snapshot_slowdown_past_the_ratio_fails(self):
+        self.streaming_row_is_gated("incremental_snapshot_secs", 0.00063)
+
+    def test_held_publish_slowdown_past_the_ratio_fails(self):
+        self.streaming_row_is_gated("held_publish_secs", 0.0014)
+
+    def test_held_encode_slowdown_past_the_ratio_fails(self):
+        self.streaming_row_is_gated("held_encode_secs", 0.00088)
+
+    def streaming_row_is_gated(self, name, secs):
+        """A sub-millisecond CI-scale figure is compared: within 2x passes,
+        past it fails."""
+        base = bench(row(name, secs, "lower", "s"))
+        self.assertEqual(gate(base, bench(row(name, secs * 1.9, "lower", "s"))), (1, []))
+        self.assertEqual(len(gate(base, bench(row(name, secs * 2.1, "lower", "s")))[1]), 1)
 
     def test_a_figure_on_one_side_only_is_skipped(self):
         base = bench(row("kernel_users_per_sec/grid=96", 4e5))
