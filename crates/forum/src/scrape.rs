@@ -519,12 +519,6 @@ impl MonitorCheckpoint {
     pub fn batch_seq(&self) -> u64 {
         self.batch_seq
     }
-
-    /// True once the session has seen a post or passed its fast-forward:
-    /// resuming from it continues a session rather than starting one.
-    fn has_progress(&self) -> bool {
-        self.last_seen > PostId(0) || self.next_poll.is_some()
-    }
 }
 
 /// A monitoring session died mid-flight: the fault that exhausted the
@@ -533,7 +527,8 @@ impl MonitorCheckpoint {
 pub struct MonitorInterrupted {
     /// The unrecovered fault.
     pub error: ForumError,
-    /// Resume point after the last batch delivered before the fault.
+    /// Resume point: the cursor of the last batch delivered before the
+    /// fault, and the poll that failed.
     pub checkpoint: MonitorCheckpoint,
 }
 
@@ -664,28 +659,26 @@ impl Monitor {
     /// Runs the monitor from `from` to `to` polling every `interval_secs`,
     /// accumulating self-timestamped traces (already in observer UTC).
     ///
-    /// Equivalent to [`resume_run_batched`](Monitor::resume_run_batched)
-    /// from [`MonitorCheckpoint::start`], recording every batch and
-    /// discarding the checkpoint on failure.
+    /// The same session as
+    /// [`resume_run_batched`](Monitor::resume_run_batched), started at
+    /// this monitor's own cursor, recording every batch and discarding
+    /// the checkpoint on failure.
     pub fn run(
         &mut self,
         from: Timestamp,
         to: Timestamp,
         interval_secs: i64,
     ) -> Result<TraceSet, ForumError> {
+        let observer = self.link.observer();
+        let _s = crowdtz_obs::span!(observer, "monitor.run");
         let mut traces = TraceSet::default();
-        self.resume_run_batched(
-            from,
-            to,
-            interval_secs,
-            MonitorCheckpoint::start(),
-            |_, batch, _| {
-                for (author, ts) in batch {
-                    traces.record(author, *ts);
-                }
-                true
-            },
-        )
+        let cp = self.fresh_checkpoint();
+        self.session(from, to, interval_secs, cp, |_, batch, _| {
+            for (author, ts) in batch {
+                traces.record(author, *ts);
+            }
+            true
+        })
         .map_err(|interrupted| interrupted.error)?;
         Ok(traces)
     }
@@ -698,9 +691,8 @@ impl Monitor {
     /// every batch to `crowdtz_core::StreamingPipeline::ingest_posts`,
     /// which routes the whole poll across accumulator shards in one
     /// concurrent pass, then snapshot between rounds. Empty polls are
-    /// not delivered. The same session as
-    /// [`resume_run_batched`](Monitor::resume_run_batched) from
-    /// [`MonitorCheckpoint::start`], without its span.
+    /// not delivered. The same session as [`run`](Monitor::run), without
+    /// its span.
     pub fn run_batched(
         &mut self,
         from: Timestamp,
@@ -708,16 +700,11 @@ impl Monitor {
         interval_secs: i64,
         mut sink: impl FnMut(&[(String, Timestamp)]),
     ) -> Result<(), ForumError> {
-        self.session(
-            from,
-            to,
-            interval_secs,
-            MonitorCheckpoint::start(),
-            |_, batch, _| {
-                sink(batch);
-                true
-            },
-        )
+        let cp = self.fresh_checkpoint();
+        self.session(from, to, interval_secs, cp, |_, batch, _| {
+            sink(batch);
+            true
+        })
         .map_err(|interrupted| interrupted.error)
     }
 
@@ -736,16 +723,16 @@ impl Monitor {
     /// sequence number, so the consumer drops it by comparison instead
     /// of double-counting it.
     ///
-    /// A checkpoint with no progress ([`MonitorCheckpoint::start`])
-    /// keeps this monitor's own cursor, so a reused monitor does not
-    /// re-deliver what an earlier session saw; any other checkpoint sets
-    /// the cursor. On a fault, the returned checkpoint — and the
-    /// monitor's own cursor — rewind to the last *delivered* batch, so
-    /// observations buffered in a partially polled batch are re-polled
-    /// on resume rather than lost. The sink returns `true` to continue;
-    /// `false` ends the session cleanly after the current batch (for
-    /// consumers whose own persistence failed — resume later from the
-    /// checkpoint they last managed to store).
+    /// The checkpoint sets this monitor's cursor, rewinding it past
+    /// anything never delivered as a batch. On a fault, the returned
+    /// checkpoint — and the monitor's own cursor — rewind to the last
+    /// *delivered* batch, so observations buffered in a partially polled
+    /// batch are re-polled on resume rather than lost; its schedule keeps
+    /// every empty poll made since, so each resume makes progress. The
+    /// sink returns `true` to continue; `false` ends the session cleanly
+    /// after the current batch (for consumers whose own persistence
+    /// failed — resume later from the checkpoint they last managed to
+    /// store).
     // As with `Scraper::resume_dump`: the Err variant carries the
     // checkpoint by value on purpose.
     #[allow(clippy::result_large_err)]
@@ -760,11 +747,21 @@ impl Monitor {
         let observer = self.link.observer();
         let _s = crowdtz_obs::span!(observer, "monitor.run");
         if let Some(obs) = &observer {
-            if checkpoint.has_progress() {
+            if checkpoint.last_seen > PostId(0) || checkpoint.next_poll.is_some() {
                 obs.counter("monitor.resumes").inc();
             }
         }
         self.session(from, to, interval_secs, checkpoint, sink)
+    }
+
+    /// A checkpoint that starts a session at this monitor's own cursor,
+    /// so a monitor reused for the next window does not re-deliver what
+    /// an earlier session saw.
+    fn fresh_checkpoint(&self) -> MonitorCheckpoint {
+        MonitorCheckpoint {
+            last_seen: self.last_seen,
+            ..MonitorCheckpoint::start()
+        }
     }
 
     /// The one poll loop behind every session: a fast-forward past
@@ -780,9 +777,8 @@ impl Monitor {
         mut sink: impl FnMut(u64, &[(String, Timestamp)], &MonitorCheckpoint) -> bool,
     ) -> Result<(), MonitorInterrupted> {
         let interval = interval_secs.max(1);
-        if !cp.has_progress() {
-            cp.last_seen = self.last_seen;
-        }
+        // Rewind — never fast-forward — to the checkpoint: anything this
+        // monitor saw beyond it was never delivered as a batch.
         self.last_seen = cp.last_seen;
         let mut t = match cp.next_poll {
             Some(t) => t,
@@ -804,9 +800,11 @@ impl Monitor {
                 return Err(self.rewind(error, cp));
             }
             t = t + interval;
+            // An empty poll leaves the cursor where the last batch put it,
+            // so the checkpoint stays exact with only its schedule moved.
+            cp.next_poll = Some(t);
             if !batch.is_empty() {
                 cp.last_seen = self.last_seen;
-                cp.next_poll = Some(t);
                 cp.batch_seq += 1;
                 if !sink(cp.batch_seq, &batch, &cp) {
                     break;
@@ -1273,6 +1271,29 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_stopped_before_any_checkpoint_was_stored_comes_back() {
+        // The consumer failed to persist batch 1, so the checkpoint it
+        // last stored is `start()`: the same monitor resumed from it
+        // delivers seq 1 again with the same posts.
+        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
+        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let mut monitor = scraper.into_monitor();
+        let mut legs = [Vec::new(), Vec::new()];
+        for leg in &mut legs {
+            let cp = MonitorCheckpoint::start();
+            monitor
+                .resume_run_batched(from, to, 3_600, cp, |seq, b, _| {
+                    leg.push((seq, b.to_vec()));
+                    false
+                })
+                .unwrap();
+        }
+        assert_eq!(legs[0].len(), 1);
+        assert_eq!(legs[1], legs[0]);
+    }
+
+    #[test]
     fn monitor_is_incremental() {
         let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
         let mut monitor = scraper.into_monitor();
@@ -1292,66 +1313,48 @@ mod tests {
         let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
         let reference = scraper.into_monitor().run(from, to, 3_600).unwrap();
 
-        let (scraper, _, _net) = connect_faulty(
-            &forum_spec(0, TimestampPolicy::Hidden),
-            FaultRates::mixed(0.10),
-        );
-        let mut monitor = scraper.into_monitor();
-        let observed = monitor.run(from, to, 3_600).unwrap();
-        assert_eq!(observed, reference);
-        assert!(monitor.crawl_stats().faults_absorbed > 0);
-    }
-
-    #[test]
-    fn every_entry_point_sends_the_same_requests() {
-        // The fault plan is seeded, so equal stats mean equal requests:
-        // what keeps a seeded chaos run replaying whichever entry it uses.
-        let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
-        let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
-        let observer = crowdtz_obs::Observer::from_env();
-        let faulty = || {
-            let spec = forum_spec(0, TimestampPolicy::Hidden);
-            let (scraper, _, net) = connect_faulty(&spec, FaultRates::mixed(0.10));
-            (scraper.observer(observer.clone()).into_monitor(), net)
-        };
-        let spans = || {
-            let stages = observer.stage_timings();
-            stages
-                .iter()
-                .find(|s| s.name == "monitor.run")
-                .map_or(0, |s| s.calls)
-        };
-
-        let (mut monitor, _net) = faulty();
-        let traces = monitor.run(from, to, 3_600).unwrap();
-        let stats = monitor.crawl_stats();
-        assert!(stats.faults_absorbed > 0);
-        assert_eq!(spans(), 1);
-
-        let (mut monitor, _net) = faulty();
-        let mut batched = TraceSet::default();
-        monitor
-            .run_batched(from, to, 3_600, |batch| {
+        // Every entry point on the same seeded channel. Equal stats mean
+        // equal requests, which keeps a seeded chaos run replaying; only
+        // `run_batched` records no `monitor.run` span.
+        let mut stats = Vec::new();
+        for (entry, spans) in [("run", 1), ("run_batched", 0), ("resume_run_batched", 1)] {
+            let observer = crowdtz_obs::Observer::from_env();
+            let (scraper, _, _net) = connect_faulty(
+                &forum_spec(0, TimestampPolicy::Hidden),
+                FaultRates::mixed(0.10),
+            );
+            let mut monitor = scraper.observer(observer.clone()).into_monitor();
+            let mut batched = TraceSet::default();
+            let mut record = |batch: &[(String, Timestamp)]| {
                 for (author, ts) in batch {
                     batched.record(author, *ts);
                 }
-            })
-            .unwrap();
-        assert_eq!((&batched, monitor.crawl_stats()), (&traces, stats));
-        assert_eq!(spans(), 1, "run_batched records no span");
-
-        let (mut monitor, _net) = faulty();
-        let mut resumed = TraceSet::default();
-        monitor
-            .resume_run_batched(from, to, 3_600, MonitorCheckpoint::start(), |_, b, _| {
-                for (author, ts) in b {
-                    resumed.record(author, *ts);
+            };
+            let observed = match entry {
+                "run" => monitor.run(from, to, 3_600).unwrap(),
+                "run_batched" => {
+                    monitor.run_batched(from, to, 3_600, &mut record).unwrap();
+                    batched
                 }
-                true
-            })
-            .unwrap();
-        assert_eq!((&resumed, monitor.crawl_stats()), (&traces, stats));
-        assert_eq!(spans(), 2);
+                _ => {
+                    let cp = MonitorCheckpoint::start();
+                    monitor
+                        .resume_run_batched(from, to, 3_600, cp, |_, b, _| {
+                            record(b);
+                            true
+                        })
+                        .unwrap();
+                    batched
+                }
+            };
+            assert_eq!(observed, reference, "{entry}");
+            let stages = observer.stage_timings();
+            let calls = stages.iter().find(|s| s.name == "monitor.run");
+            assert_eq!(calls.map_or(0, |s| s.calls), spans, "{entry}");
+            stats.push(monitor.crawl_stats());
+        }
+        assert!(stats[0].faults_absorbed > 0);
+        assert_eq!(stats[1..], [stats[0], stats[0]]);
     }
 
     #[test]
@@ -1386,26 +1389,43 @@ mod tests {
 
     #[test]
     fn a_fault_rewinds_the_cursor_to_the_last_delivered_batch() {
-        // Fail-fast at 10 % timeouts: some faults land inside a poll
-        // that consumed posts it never delivered.
+        // Fail-fast timeouts: some faults land inside a poll that
+        // consumed posts it never delivered. Each resume starts from the
+        // checkpoint the fault returned and still delivers what `run`
+        // observes, once.
         let from = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 1, 0, 0, 0).unwrap());
         let to = Timestamp::from_civil_utc(CivilDateTime::new(2016, 3, 8, 0, 0, 0).unwrap());
-        let rates = FaultRates {
-            timeout: 0.1,
-            ..FaultRates::none()
-        };
-        let (scraper, _, _net) = connect_faulty(&forum_spec(0, TimestampPolicy::Hidden), rates);
-        let mut monitor = scraper.into_monitor().retry_policy(RetryPolicy::none());
-        let mut cp = MonitorCheckpoint::start();
-        let mut interruptions = 0u32;
-        while let Err(interrupted) = monitor.resume_run_batched(from, to, 3_600, cp, |_, _, _| true)
-        {
-            interruptions += 1;
-            assert!(interruptions <= 1_000, "monitor resume makes no progress");
-            assert_eq!(monitor.last_seen(), interrupted.checkpoint.last_seen());
-            cp = interrupted.checkpoint;
+        let (scraper, _) = connect(&forum_spec(0, TimestampPolicy::Hidden));
+        let reference = scraper.into_monitor().run(from, to, 3_600).unwrap();
+        for timeout in [0.1, 0.3] {
+            let rates = FaultRates {
+                timeout,
+                ..FaultRates::none()
+            };
+            let (scraper, _, _net) = connect_faulty(&forum_spec(0, TimestampPolicy::Hidden), rates);
+            let mut monitor = scraper.into_monitor().retry_policy(RetryPolicy::none());
+            let mut cp = MonitorCheckpoint::start();
+            let mut observed = TraceSet::default();
+            let mut last_seq = 0u64;
+            let mut interruptions = 0u32;
+            while let Err(interrupted) =
+                monitor.resume_run_batched(from, to, 3_600, cp, |seq, b, _| {
+                    assert_eq!(seq, last_seq + 1, "a batch was lost or re-delivered");
+                    last_seq = seq;
+                    for (author, ts) in b {
+                        observed.record(author, *ts);
+                    }
+                    true
+                })
+            {
+                interruptions += 1;
+                assert!(interruptions <= 1_000, "monitor resume makes no progress");
+                assert_eq!(monitor.last_seen(), interrupted.checkpoint.last_seen());
+                cp = interrupted.checkpoint;
+            }
+            assert!(interruptions > 0);
+            assert_eq!(observed, reference, "{timeout}");
         }
-        assert!(interruptions > 0);
     }
 
     #[test]
