@@ -6,9 +6,10 @@
 //!   grid (24/48/96), bootstrap resamples/sec at 1/2/4 threads, and the
 //!   mixture fit on a fixed Dream Market histogram;
 //! - `BENCH_streaming.json`: a full batch re-analysis against an
-//!   incremental snapshot with ~1% dirty users, and the serving path's
+//!   incremental snapshot with ~1% dirty users, the serving path's
 //!   publish and body encode with ~1% dirty users and the previous report
-//!   held, against a full encode of the same report;
+//!   held, against a full encode of the same report, and the engine's
+//!   resident bytes per user;
 //! - `BENCH_sharding.json`: bulk ingest posts/sec at 1/4/16 shards;
 //! - `BENCH_durability.json`: the warm `open_durable` restart at two
 //!   write-ahead-log suffix lengths over the *same* crawl, the snapshot
@@ -94,6 +95,15 @@ fn higher(name: impl Into<String>, value: f64, unit: &'static str) -> Row {
     }
 }
 
+/// This process's resident set size (`VmRSS`), in bytes; `None` where
+/// `/proc/self/status` does not exist.
+fn vm_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
+
 /// CPUs this process may run on.
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -170,6 +180,10 @@ fn main() {
     let window_out = args.next().unwrap_or_else(|| "BENCH_window.json".into());
     let runs = 5;
     let threads = default_threads();
+
+    // First, so the resident set its engine grows by is not memory that
+    // earlier sections freed and the allocator kept.
+    streaming_bench(streaming_users, threads, &streaming_out);
 
     eprintln!("synthesizing {users} profiles…");
     let profiles = synthetic_profiles(users, 40, 7);
@@ -280,7 +294,6 @@ fn main() {
         }
     }
 
-    streaming_bench(streaming_users, threads, &streaming_out);
     sharding_bench(streaming_users, threads, &sharding_out);
     durability_bench(streaming_users, threads, &durability_out);
     ingest_bench(streaming_users, &ingest_out);
@@ -334,23 +347,30 @@ fn fit_bench() -> [Row; 2] {
 }
 
 /// Full batch re-analysis vs incremental streaming snapshot with ~1%
-/// dirty users, plus the held-report round of [`held_report_round`],
-/// written to `BENCH_streaming.json`.
+/// dirty users, plus the held-report round of [`held_report_round`] and
+/// the engine's resident bytes per user, written to
+/// `BENCH_streaming.json`.
 fn streaming_bench(users: usize, threads: usize, out_path: &str) {
     let posts_per_user = 40;
     eprintln!("synthesizing {users} streaming traces…");
     let traces = synthetic_traces(users, posts_per_user, 11);
     let pipeline = || GeolocationPipeline::default().threads(threads);
 
-    let runs = 3;
-    eprintln!("timing full re-analysis (best of {runs})…");
-    let full_s = time_best(runs, || pipeline().analyze(&traces).expect("batch analyze"));
-
     // Prime the streaming engine with the whole crowd, then time only the
-    // between-rounds work: ingest a ~1% dirty set and snapshot.
+    // between-rounds work: ingest a ~1% dirty set and snapshot. The
+    // engine is primed before the full re-analyses run, so the resident
+    // set it grows by is not memory they freed and the allocator kept.
+    let rss_before = vm_rss_bytes();
     let mut streaming = StreamingPipeline::new(pipeline());
     streaming.ingest_set(&traces);
     streaming.snapshot().expect("priming snapshot");
+    let state_bytes_per_user = rss_before
+        .zip(vm_rss_bytes())
+        .map(|(before, after)| after.saturating_sub(before) as f64 / users as f64);
+
+    let runs = 3;
+    eprintln!("timing full re-analysis (best of {runs})…");
+    let full_s = time_best(runs, || pipeline().analyze(&traces).expect("batch analyze"));
     // Zero dirty users: the floor of any snapshot (collect + aggregate +
     // fit-cache hit).
     let cached_s = time_best(runs, || streaming.snapshot().expect("cached snapshot"));
@@ -372,6 +392,24 @@ fn streaming_bench(users: usize, threads: usize, out_path: &str) {
     let held = held_report_round(&traces, dirty, threads, runs);
 
     let speedup = full_s / incr_s;
+    let mut rows = vec![
+        lower("full_reanalyze_secs", full_s, "s"),
+        lower("cached_snapshot_secs", cached_s, "s"),
+        lower("incremental_snapshot_secs", incr_s, "s"),
+        higher("full_users_per_sec", users as f64 / full_s, "users/s"),
+        higher(
+            "incremental_users_per_sec",
+            users as f64 / incr_s,
+            "users/s",
+        ),
+        higher("incremental_speedup_vs_full", speedup, "x"),
+        lower("held_publish_secs", held.publish_s, "s"),
+        lower("held_encode_secs", held.encode_s, "s"),
+        lower("held_full_encode_secs", held.full_encode_s, "s"),
+        higher("held_encode_copied_share", held.copied_share, "share"),
+    ];
+    // VmRSS growth across ingesting the crowd and one snapshot, per user.
+    rows.extend(state_bytes_per_user.map(|b| lower("state_bytes_per_user", b, "B")));
     write_bench(
         out_path,
         &[
@@ -381,22 +419,7 @@ fn streaming_bench(users: usize, threads: usize, out_path: &str) {
             ("threads", &threads),
             ("threads_effective", &clamped_threads(threads)),
         ],
-        &[
-            lower("full_reanalyze_secs", full_s, "s"),
-            lower("cached_snapshot_secs", cached_s, "s"),
-            lower("incremental_snapshot_secs", incr_s, "s"),
-            higher("full_users_per_sec", users as f64 / full_s, "users/s"),
-            higher(
-                "incremental_users_per_sec",
-                users as f64 / incr_s,
-                "users/s",
-            ),
-            higher("incremental_speedup_vs_full", speedup, "x"),
-            lower("held_publish_secs", held.publish_s, "s"),
-            lower("held_encode_secs", held.encode_s, "s"),
-            lower("held_full_encode_secs", held.full_encode_s, "s"),
-            higher("held_encode_copied_share", held.copied_share, "share"),
-        ],
+        &rows,
     );
     if speedup < 10.0 {
         eprintln!("WARNING: incremental speedup {speedup:.2}x is below the 10x bar");

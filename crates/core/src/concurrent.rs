@@ -106,7 +106,7 @@ use crowdtz_time::Timestamp;
 use crate::durable::{build_snapshot_parts, encode_batch, encode_expiry, recover};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
-use crate::shard::SharedIngestObs;
+use crate::shard::{post_key, SharedIngestObs};
 use crate::streaming::{singles, StreamingPipeline};
 
 /// Bucket bounds for the `ingest.lock_wait_ns` histogram: nanoseconds a
@@ -610,8 +610,12 @@ impl IngestWriter {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Store`] in durable mode when the write-ahead append
-    /// fails; the in-memory engine is unchanged in that case.
+    /// * [`CoreError::PostOutOfRange`] when a post lies outside the slot
+    ///   range; the batch is refused whole, before the write-ahead log.
+    /// * [`CoreError::Store`] in durable mode when the write-ahead append
+    ///   fails.
+    ///
+    /// The engine is unchanged in either case.
     pub fn ingest(&self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
         self.apply_batch(&[(user, posts)], false, None).map(drop)
     }
@@ -698,7 +702,8 @@ impl IngestWriter {
     /// batch (with `retract`, a retraction), optionally a monitor batch
     /// whose `source` is its sequence number and checkpoint. A batch
     /// with no post and no `source` is ignored (no gate hold, no WAL
-    /// record, no watermark step).
+    /// record, no watermark step), and one holding a post outside the
+    /// slot range is refused before any of them.
     ///
     /// Lock order: gate (read) → WAL append + fsync (durable mode) →
     /// shards, one at a time → watermark bump → gate release. The
@@ -715,6 +720,14 @@ impl IngestWriter {
     ) -> Result<Option<usize>, CoreError> {
         if source.is_none() && deltas.iter().all(|(_, posts)| posts.is_empty()) {
             return Ok(Some(0));
+        }
+        for &(user, posts) in deltas {
+            if let Some(ts) = posts.iter().find(|&&ts| post_key(ts).is_none()) {
+                return Err(CoreError::PostOutOfRange {
+                    user: user.to_owned(),
+                    secs: ts.as_secs(),
+                });
+            }
         }
         let guard = self.shared.enter_batch();
         if let Some(wal) = &guard.wal {
@@ -1046,7 +1059,7 @@ mod tests {
         assert!(!meta.is_empty());
         let mut dirty_seen = 0;
         for part in shards {
-            let users = crate::durable::decode_shard(part).unwrap();
+            let (users, _) = crate::durable::decode_shard(part).unwrap();
             let ids: Vec<&str> = users.iter().map(|(id, _, _)| id.as_str()).collect();
             let dirty: Vec<&str> = users
                 .iter()

@@ -54,7 +54,6 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use crowdtz_stats::BINS;
 use crowdtz_store::{DurableStore, StoreError, Vfs};
 use crowdtz_time::Timestamp;
 use serde::Deserialize;
@@ -277,9 +276,8 @@ fn put_deltas(out: &mut Vec<u8>, prev: &mut i64, deltas: &[(&str, &[Timestamp])]
     }
 }
 
-/// Encodes one shard snapshot part: the user count, then per user its
-/// id, flag byte, post count, slot keys, slot counts and, when kept,
-/// its offset and EMD bits.
+/// Encodes one shard snapshot part: the user count, then each user
+/// ([`put_user`]).
 fn encode_shard(users: &[(&str, &UserAccumulator)]) -> Vec<u8> {
     let bytes: usize = users
         .iter()
@@ -289,37 +287,51 @@ fn encode_shard(users: &[(&str, &UserAccumulator)]) -> Vec<u8> {
     out.push(KIND_SHARD);
     put_varint(&mut out, users.len() as u64);
     for &(id, acc) in users {
-        put_str(&mut out, id);
         // A user emptied since the last refresh (every post retracted or
         // expired) is dirty with a stale analysis. Persisting none is
         // what that refresh concludes, and an analysis needs activity.
         let analysis = acc.analysis.filter(|_| !acc.slots.is_empty());
-        let tag = match analysis {
-            None => TAG_NONE,
-            Some(UserAnalysis::Flat) => TAG_FLAT,
-            Some(UserAnalysis::Kept { .. }) => TAG_KEPT,
-        };
-        out.push(if acc.dirty { tag | DIRTY_BIT } else { tag });
-        put_varint(&mut out, acc.posts as u64);
-        put_varint(&mut out, acc.slots.len() as u64);
-        let mut prev = 0i64;
-        for &key in &acc.slots {
-            put_varint(&mut out, zigzag(key.wrapping_sub(prev)));
-            prev = key;
-        }
-        for &count in &acc.slot_counts {
-            put_varint(&mut out, u64::from(count));
-        }
-        if let Some(UserAnalysis::Kept {
-            offset_minutes,
-            emd,
-        }) = analysis
-        {
-            put_varint(&mut out, zigzag(i64::from(offset_minutes)));
-            out.extend_from_slice(&emd.to_bits().to_le_bytes());
-        }
+        put_user(&mut out, id, analysis, acc.dirty, acc.live_slots());
     }
     out
+}
+
+/// One persisted user: its id, flag byte, post count, slot count, slot
+/// keys (signed hours since 1970, as zigzag deltas), slot counts and,
+/// when kept, its offset and EMD bits. `slots` yields ascending `(hours,
+/// live count)` pairs; the post count is their sum.
+fn put_user(
+    out: &mut Vec<u8>,
+    id: &str,
+    analysis: Option<UserAnalysis>,
+    dirty: bool,
+    slots: impl ExactSizeIterator<Item = (i64, u32)> + Clone,
+) {
+    put_str(out, id);
+    let tag = match analysis {
+        None => TAG_NONE,
+        Some(UserAnalysis::Flat) => TAG_FLAT,
+        Some(UserAnalysis::Kept { .. }) => TAG_KEPT,
+    };
+    out.push(if dirty { tag | DIRTY_BIT } else { tag });
+    put_varint(out, slots.clone().map(|(_, c)| u64::from(c)).sum());
+    put_varint(out, slots.len() as u64);
+    let mut prev = 0i64;
+    for (key, _) in slots.clone() {
+        put_varint(out, zigzag(key.wrapping_sub(prev)));
+        prev = key;
+    }
+    for (_, count) in slots {
+        put_varint(out, u64::from(count));
+    }
+    if let Some(UserAnalysis::Kept {
+        offset_minutes,
+        emd,
+    }) = analysis
+    {
+        put_varint(out, zigzag(i64::from(offset_minutes)));
+        out.extend_from_slice(&emd.to_bits().to_le_bytes());
+    }
 }
 
 fn encode_meta(source_seq: u64, checkpoint: Option<&str>) -> Vec<u8> {
@@ -440,8 +452,12 @@ impl<'a> Reader<'a> {
         Ok(deltas)
     }
 
-    /// One persisted user of a shard part.
-    fn user(&mut self) -> Result<RestoredUser, CoreError> {
+    /// One persisted user of a shard part, and the posts of its slots
+    /// outside the key range, which are dropped (`shard.rs`): the user
+    /// then comes back dirty, since its analysis saw them. `slots` is
+    /// scratch for the `(key, count)` pairs: every key precedes every
+    /// count.
+    fn user(&mut self, slots: &mut Vec<(i64, u32)>) -> Result<(RestoredUser, usize), CoreError> {
         let id = self.str()?.to_owned();
         let flags = self.byte()?;
         if flags & !(TAG_MASK | DIRTY_BIT) != 0 {
@@ -449,19 +465,18 @@ impl<'a> Reader<'a> {
         }
         let posts = self.varint()?;
         let n = self.count(2)?;
-        let mut slots = Vec::with_capacity(n);
+        slots.clear();
         let mut prev = 0i64;
         for i in 0..n {
             let key = prev.wrapping_add(self.zigzag()?);
             if i > 0 && key <= prev {
                 return Err(self.err("slot keys not ascending"));
             }
-            slots.push(key);
+            slots.push((key, 0));
             prev = key;
         }
-        let mut slot_counts = Vec::with_capacity(n);
         let mut total = 0u64;
-        for _ in 0..n {
+        for (_, slot_count) in slots.iter_mut() {
             let count = match u32::try_from(self.varint()?) {
                 Ok(count) if count > 0 => count,
                 _ => return Err(self.err("slot count outside 1..=u32::MAX")),
@@ -469,11 +484,13 @@ impl<'a> Reader<'a> {
             total = total
                 .checked_add(u64::from(count))
                 .ok_or_else(|| self.err("slot counts overflow"))?;
-            slot_counts.push(count);
+            *slot_count = count;
         }
         if total != posts {
             return Err(self.err("slot counts do not sum to the post count"));
         }
+        // The accumulator counts posts in a `usize`.
+        usize::try_from(posts).map_err(|e| codec_err(self.what, e))?;
         let analysis = match flags & TAG_MASK {
             TAG_NONE => None,
             TAG_FLAT => Some(UserAnalysis::Flat),
@@ -492,19 +509,13 @@ impl<'a> Reader<'a> {
             _ => return Err(self.err("unknown analysis tag")),
         };
         // An analysis needs a profile, and a profile needs activity.
-        if analysis.is_some() && slots.is_empty() {
+        if analysis.is_some() && n == 0 {
             return Err(self.err("analysis with empty activity"));
         }
-        let posts = usize::try_from(posts).map_err(|e| codec_err(self.what, e))?;
-        let acc = UserAccumulator {
-            hour_counts: hour_counts(&slots),
-            slots,
-            slot_counts,
-            posts,
-            analysis,
-            dirty: false,
-        };
-        Ok((id, acc, flags & DIRTY_BIT != 0))
+        let (mut acc, dropped) = UserAccumulator::from_slots(slots.iter().copied());
+        acc.analysis = analysis;
+        let dirty = flags & DIRTY_BIT != 0 || dropped > 0;
+        Ok(((id, acc, dirty), dropped))
     }
 
     /// Ends the record: trailing bytes are an error.
@@ -550,34 +561,41 @@ fn decode_expiry(payload: &[u8]) -> Result<i64, CoreError> {
     Ok(cutoff)
 }
 
-/// Decodes one binary shard part into its users, in stored (id) order.
-pub(crate) fn decode_shard(part: &[u8]) -> Result<Vec<RestoredUser>, CoreError> {
+/// Decodes one binary shard part into its users, in stored (id) order,
+/// and the posts dropped with slots outside the key range.
+pub(crate) fn decode_shard(part: &[u8]) -> Result<(Vec<RestoredUser>, usize), CoreError> {
     let mut r = Reader::open("shard snapshot", part, KIND_SHARD)?;
     let n = r.count(4)?;
     let mut users = Vec::with_capacity(n);
+    let (mut slots, mut dropped) = (Vec::new(), 0usize);
     for _ in 0..n {
-        users.push(r.user()?);
+        let (user, out_of_range) = r.user(&mut slots)?;
+        users.push(user);
+        dropped += out_of_range;
     }
     r.finish()?;
-    Ok(users)
+    Ok((users, dropped))
 }
 
-/// Decodes one shard part, binary or legacy JSON.
-fn read_shard(part: &[u8]) -> Result<Vec<RestoredUser>, CoreError> {
+/// Decodes one shard part, binary or legacy JSON, as [`decode_shard`].
+fn read_shard(part: &[u8]) -> Result<(Vec<RestoredUser>, usize), CoreError> {
     if !is_legacy_json(part) {
         return decode_shard(part);
     }
     let shard: ShardSnap = decode_json("shard snapshot", part)?;
     let dirty: BTreeSet<String> = shard.dirty.into_iter().collect();
-    shard
+    let mut dropped = 0usize;
+    let users = shard
         .users
         .into_iter()
         .map(|user| {
-            let acc = rebuild_accumulator(&user)?;
-            let was_dirty = dirty.contains(&user.id);
+            let (acc, out_of_range) = rebuild_accumulator(&user)?;
+            dropped += out_of_range;
+            let was_dirty = dirty.contains(&user.id) || out_of_range > 0;
             Ok((user.id, acc, was_dirty))
         })
-        .collect()
+        .collect::<Result<_, CoreError>>()?;
+    Ok((users, dropped))
 }
 
 /// Decodes the meta part, binary or legacy JSON.
@@ -628,7 +646,9 @@ pub(crate) fn recover(
             // A user with no live post analyzes to nothing, and a refresh
             // would forget it; generations written before refreshes
             // forgot emptied users still list them.
-            for (id, acc, dirty) in read_shard(part)? {
+            let (users, dropped) = read_shard(part)?;
+            stream.count_out_of_range(dropped);
+            for (id, acc, dirty) in users {
                 if !acc.slots.is_empty() {
                     stream.shards_mut_ref().restore_user(id, acc, dirty);
                 }
@@ -677,21 +697,13 @@ pub(crate) fn build_snapshot_parts(
     parts
 }
 
-/// Active slots per hour of day, from the slot keys.
-fn hour_counts(slots: &[i64]) -> [u32; BINS] {
-    let mut hour_counts = [0u32; BINS];
-    for &k in slots {
-        hour_counts[k.rem_euclid(24) as usize] += 1;
-    }
-    hour_counts
-}
-
 /// Rebuilds a [`UserAccumulator`] (hour counts, analysis record) from
-/// a legacy JSON user; the engine then rebuilds profiles from the hour
-/// counts with the function the live refresh uses
+/// a legacy JSON user, and the posts dropped with slots outside the key
+/// range; the engine then rebuilds profiles from the hour counts with
+/// the function the live refresh uses
 /// (`StreamingPipeline::rebuild_derived_state`), so the result is
 /// bit-identical.
-fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
+fn rebuild_accumulator(user: &UserSnap) -> Result<(UserAccumulator, usize), CoreError> {
     let analysis = match &user.analysis {
         None => None,
         // An analysis needs a profile, and a profile needs activity.
@@ -717,14 +729,10 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
         }
         counts
     };
-    Ok(UserAccumulator {
-        slots: user.slots.clone(),
-        slot_counts,
-        hour_counts: hour_counts(&user.slots),
-        posts: user.posts as usize,
-        analysis,
-        dirty: false,
-    })
+    let (mut acc, dropped) =
+        UserAccumulator::from_slots(user.slots.iter().copied().zip(slot_counts));
+    acc.analysis = analysis;
+    Ok((acc, dropped))
 }
 
 #[cfg(test)]
@@ -807,13 +815,24 @@ mod tests {
         encode_batch(*source_seq, checkpoint.as_deref(), &deltas, *retract)
     }
 
-    /// A shard's worth of accumulators: every analysis variant, sub-hour
-    /// offsets, NaN and other odd EMD bits, `u32::MAX` slot counts, and
-    /// slot keys out to the `i64` extremes.
+    /// One persisted user as the codec sees it: `(hours since 1970,
+    /// live count)` slots, which may lie outside the key range.
+    #[derive(Debug, Clone)]
+    struct RawUser {
+        id: String,
+        slots: Vec<(i64, u32)>,
+        analysis: Option<UserAnalysis>,
+        dirty: bool,
+    }
+
+    /// A shard's worth of users: every analysis variant, sub-hour
+    /// offsets, NaN and other odd EMD bits, slot counts past the count
+    /// escape up to `u32::MAX`, and slot keys out to the `i64` extremes,
+    /// most of them outside the key range.
     struct Shards;
 
     impl proptest::Strategy for Shards {
-        type Value = Vec<(String, UserAccumulator)>;
+        type Value = Vec<RawUser>;
 
         fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<Self::Value> {
             let users = (0..pick(rng, 6))
@@ -825,7 +844,13 @@ mod tests {
                     };
                     let mut slots = Vec::new();
                     for _ in 0..pick(rng, 12) {
-                        slots.push(key);
+                        let count = match pick(rng, 6) {
+                            0 => u32::MAX,
+                            1 => 1 + pick(rng, u64::from(u32::MAX)) as u32,
+                            2 => 250 + pick(rng, 12) as u32,
+                            _ => 1 + pick(rng, 3) as u32,
+                        };
+                        slots.push((key, count));
                         let span = if pick(rng, 3) == 0 { 1 << 40 } else { 30 };
                         let gap = 1 + pick(rng, span);
                         match key.checked_add(gap as i64) {
@@ -833,14 +858,6 @@ mod tests {
                             None => break,
                         }
                     }
-                    let slot_counts: Vec<u32> = slots
-                        .iter()
-                        .map(|_| match pick(rng, 5) {
-                            0 => u32::MAX,
-                            1 => 1 + pick(rng, u64::from(u32::MAX)) as u32,
-                            _ => 1 + pick(rng, 3) as u32,
-                        })
-                        .collect();
                     let analysis = match (slots.is_empty(), pick(rng, 3)) {
                         (true, _) | (_, 0) => None,
                         (_, 1) => Some(UserAnalysis::Flat),
@@ -854,15 +871,12 @@ mod tests {
                             },
                         }),
                     };
-                    let acc = UserAccumulator {
-                        hour_counts: hour_counts(&slots),
-                        posts: slot_counts.iter().map(|&c| c as usize).sum(),
+                    RawUser {
+                        id: text(rng),
                         slots,
-                        slot_counts,
                         analysis,
                         dirty: pick(rng, 2) == 0,
-                    };
-                    (text(rng), acc)
+                    }
                 })
                 .collect();
             Some(users)
@@ -889,6 +903,35 @@ mod tests {
         let refs: Vec<(&str, &UserAccumulator)> =
             users.iter().map(|(id, acc)| (id.as_str(), acc)).collect();
         encode_shard(&refs)
+    }
+
+    /// A shard part of raw users, written by the codec's user writer.
+    fn encode_raw(users: &[RawUser]) -> Vec<u8> {
+        let mut out = vec![KIND_SHARD];
+        put_varint(&mut out, users.len() as u64);
+        for user in users {
+            let slots = user.slots.iter().copied();
+            put_user(&mut out, &user.id, user.analysis, user.dirty, slots);
+        }
+        out
+    }
+
+    /// What the engine keeps of a raw user: its slots inside the key
+    /// range, dirty when it lost one, and an analysis while a slot is
+    /// left — the user as the engine would persist it.
+    fn in_range(user: &RawUser) -> RawUser {
+        let slots: Vec<(i64, u32)> = user
+            .slots
+            .iter()
+            .copied()
+            .filter(|&(k, _)| crate::shard::key_of(k).is_some())
+            .collect();
+        RawUser {
+            id: user.id.clone(),
+            dirty: user.dirty || slots.len() < user.slots.len(),
+            analysis: user.analysis.filter(|_| !slots.is_empty()),
+            slots,
+        }
     }
 
     /// `Copy` view of an analysis that compares the EMD by its bits.
@@ -936,18 +979,33 @@ mod tests {
 
         #[test]
         fn accumulators_round_trip(users in Shards) {
-            let decoded = decode_shard(&encode_users(&users)).map_err(|e| e.to_string())?;
+            let (decoded, dropped) = decode_shard(&encode_raw(&users)).map_err(|e| e.to_string())?;
             proptest::prop_assert_eq!(decoded.len(), users.len());
-            for ((id, acc, dirty), (want_id, want)) in decoded.iter().zip(&users) {
-                proptest::prop_assert_eq!(id, want_id);
-                proptest::prop_assert_eq!(&acc.slots, &want.slots);
-                proptest::prop_assert_eq!(&acc.slot_counts, &want.slot_counts);
-                proptest::prop_assert_eq!(acc.hour_counts, want.hour_counts);
-                proptest::prop_assert_eq!(acc.posts, want.posts);
-                proptest::prop_assert_eq!(analysis_bits(acc.analysis), analysis_bits(want.analysis));
-                proptest::prop_assert_eq!(*dirty, want.dirty);
+            let mut want_dropped = 0usize;
+            let mut restored = Vec::new();
+            for ((id, mut acc, dirty), raw) in decoded.into_iter().zip(&users) {
+                let want = in_range(raw);
+                let sum = |slots: &[(i64, u32)]| slots.iter().map(|&(_, c)| c as usize).sum::<usize>();
+                want_dropped += sum(&raw.slots) - sum(&want.slots);
+                let mut hours = [0u32; crowdtz_stats::BINS];
+                for &(k, _) in &want.slots {
+                    hours[k.rem_euclid(24) as usize] += 1;
+                }
+                proptest::prop_assert_eq!(&id, &want.id);
+                proptest::prop_assert_eq!(acc.live_slots().collect::<Vec<_>>(), want.slots.clone());
+                proptest::prop_assert_eq!(acc.hour_counts, hours);
+                proptest::prop_assert_eq!(acc.posts, sum(&want.slots));
+                proptest::prop_assert_eq!(analysis_bits(acc.analysis), analysis_bits(raw.analysis));
+                proptest::prop_assert_eq!(dirty, want.dirty);
                 proptest::prop_assert!(!acc.dirty, "restored accumulators arrive clean");
+                acc.dirty = dirty;
+                restored.push((id, acc));
             }
+            proptest::prop_assert_eq!(dropped, want_dropped);
+            // The compact accumulators persist exactly the bytes of their
+            // in-range slots.
+            let kept: Vec<RawUser> = users.iter().map(in_range).collect();
+            proptest::prop_assert_eq!(encode_users(&restored), encode_raw(&kept));
         }
 
         #[test]
@@ -965,7 +1023,7 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let meta = encode_meta(batch.0, batch.1.as_deref());
-            let payloads = [encode(&batch), encode_users(&users), meta, encode_expiry(cutoff)];
+            let payloads = [encode(&batch), encode_raw(&users), meta, encode_expiry(cutoff)];
             let decoders: [fn(&[u8]) -> bool; 4] = [
                 |p| ok_or_codec_err(decode_batch(p)),
                 |p| ok_or_codec_err(read_shard(p)),
@@ -1215,7 +1273,13 @@ mod tests {
         let (_, shards) = parts.split_last().unwrap();
         let mut ids: Vec<String> = Vec::new();
         for part in shards {
-            ids.extend(decode_shard(part).unwrap().into_iter().map(|(id, _, _)| id));
+            ids.extend(
+                decode_shard(part)
+                    .unwrap()
+                    .0
+                    .into_iter()
+                    .map(|(id, _, _)| id),
+            );
         }
         ids.sort();
         assert_eq!(ids, ["u0", "u1", "u2", "u3", "u4", "u5"]);

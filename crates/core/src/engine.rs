@@ -95,9 +95,10 @@ pub(crate) fn exact_eval_bounds(grid: ZoneGrid) -> &'static [u64] {
 pub(crate) const BATCH_USERS: usize = 1024;
 
 /// Everything placement derives from one CDF: the EMD-closest zone, its
-/// distance, and the §IV.C flatness verdict. A pure function of the CDF
-/// (given the engine's generic profile and grid).
-#[derive(Debug, Clone, Copy)]
+/// distance, and the §IV.C flatness verdict — a pure function of the CDF
+/// (given the engine's generic profile and grid) — plus the kernel's
+/// pruning accounting.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ResolvedCdf {
     /// UTC offset (minutes east) of the EMD-closest zone.
     pub(crate) zone_minutes: i32,
@@ -105,16 +106,32 @@ pub(crate) struct ResolvedCdf {
     pub(crate) emd: f64,
     /// Whether the profile is closer to uniform than to every zone.
     pub(crate) flat: bool,
+    /// Zones that reached the exact EMD evaluation; the batch bound
+    /// pruned the rest of the grid.
+    exact_evals: u32,
 }
 
-/// One lane's outcome from the batch kernel, with pruning accounting.
-#[derive(Debug, Clone, Copy)]
-struct BatchOutcome {
-    resolved: ResolvedCdf,
-    /// Zones that reached the exact EMD evaluation.
-    exact_evals: u32,
-    /// Zones skipped by the fixed-point batch bound.
-    batch_prunes: u32,
+/// The batch kernel's metric handles, resolved once per engine so a
+/// refresh pays atomic adds, not registry lookups.
+#[derive(Debug, Clone)]
+pub(crate) struct KernelObs {
+    /// `placement.exact_evals`: zones that reached the exact evaluation.
+    exact_evals: crowdtz_obs::Counter,
+    /// `placement.batch_prunes`: zones the batch bound skipped.
+    batch_prunes: crowdtz_obs::Counter,
+    /// `placement.exact_evals_per_user`: one observation per CDF,
+    /// bucketed per grid.
+    per_user: crowdtz_obs::Histogram,
+}
+
+impl KernelObs {
+    pub(crate) fn new(observer: &crowdtz_obs::Observer, grid: ZoneGrid) -> KernelObs {
+        KernelObs {
+            exact_evals: observer.counter("placement.exact_evals"),
+            batch_prunes: observer.counter("placement.batch_prunes"),
+            per_user: observer.histogram("placement.exact_evals_per_user", exact_eval_bounds(grid)),
+        }
+    }
 }
 
 /// Lanes per L1-resident sub-block of the bound phase. Assembly, bound
@@ -275,10 +292,11 @@ pub fn clamped_threads(requested: usize) -> usize {
 /// Maps `items` through `map` on up to `threads` scoped worker threads,
 /// preserving input order.
 ///
-/// Items are split into contiguous chunks, one per thread; chunk results
-/// are concatenated in chunk order, so for a pure `map` the output is
-/// identical for every thread count. Used by placement, profile building,
-/// polishing, and the bootstrap.
+/// Items are split into contiguous chunks, one per thread, and each
+/// worker writes its chunk's results into the output the calling thread
+/// allocated ([`fill_rows`]), so for a pure `map` the output is identical
+/// for every thread count. Used by placement, polishing, and the
+/// streaming refresh.
 ///
 /// Each call with more than one worker spawns and joins its threads,
 /// which costs on the order of 100 µs of CPU — more than a cheap `map`
@@ -289,27 +307,70 @@ pub fn clamped_threads(requested: usize) -> usize {
 pub(crate) fn chunked_map<T, U, F>(items: &[T], threads: usize, map: F) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Clone + Default + Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = clamped_threads(threads).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(map).collect();
+    let mut out = vec![U::default(); items.len()];
+    fill_rows(
+        items,
+        &mut out,
+        1,
+        threads,
+        || (),
+        |_, items, rows| {
+            for (item, row) in items.iter().zip(rows) {
+                *row = map(item);
+            }
+        },
+    );
+    out
+}
+
+/// Fills `out`, one row per item of `items`, on up to `threads` scoped
+/// workers: items and rows split into contiguous runs of whole
+/// `granule`s, and each run is filled by `fill` with its own scratch.
+///
+/// Workers write only into memory the caller owns: `out`, and the
+/// scratches `init` builds on the calling thread before any worker
+/// starts. So a worker allocates nothing that outlives it — the
+/// allocator keeps what a thread allocated in that thread's arena,
+/// resident after the thread exits. A single run stays on the calling
+/// thread. For a pure `fill` the rows are identical for every thread
+/// count.
+pub(crate) fn fill_rows<T, U, S, I, F>(
+    items: &[T],
+    out: &mut [U],
+    granule: usize,
+    threads: usize,
+    init: I,
+    fill: F,
+) where
+    T: Sync,
+    U: Send,
+    S: Send,
+    I: Fn() -> S,
+    F: Fn(&mut S, &[T], &mut [U]) + Sync,
+{
+    debug_assert_eq!(items.len(), out.len());
+    if items.is_empty() {
+        return;
     }
-    let chunk_len = items.len().div_ceil(threads);
-    let map = &map;
+    let granules = items.len().div_ceil(granule);
+    let threads = clamped_threads(threads).min(granules);
+    if threads == 1 {
+        fill(&mut init(), items, out);
+        return;
+    }
+    let run = granules.div_ceil(threads) * granule;
+    let mut scratch: Vec<S> = (0..threads).map(|_| init()).collect();
+    let fill = &fill;
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move |_| chunk.iter().map(map).collect::<Vec<U>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            out.extend(handle.join().expect("worker thread panicked"));
+        for ((items, out), scratch) in items.chunks(run).zip(out.chunks_mut(run)).zip(&mut scratch)
+        {
+            scope.spawn(move |_| fill(scratch, items, out));
         }
-        out
     })
-    .expect("thread scope failed")
+    .expect("thread scope failed");
 }
 
 /// Like [`chunked_map`], but each worker thread carries a reusable scratch
@@ -654,7 +715,7 @@ impl PlacementEngine {
         cdfs: &[[f64; BINS]],
         with_flat: bool,
         s: &mut BatchScratch,
-        out: &mut Vec<BatchOutcome>,
+        out: &mut [ResolvedCdf],
     ) {
         let bins = self.grid.zones();
         let fw = 3 * bins / 4;
@@ -853,22 +914,20 @@ impl PlacementEngine {
             flat[..lanes].fill(false);
         }
 
-        for u in 0..lanes {
-            out.push(BatchOutcome {
-                resolved: ResolvedCdf {
-                    zone_minutes: self.grid.minutes_of(best_idx[u] as usize),
-                    emd: best_emd[u] * step_hours,
-                    flat: flat[u],
-                },
+        for (u, row) in out.iter_mut().enumerate() {
+            *row = ResolvedCdf {
+                zone_minutes: self.grid.minutes_of(best_idx[u] as usize),
+                emd: best_emd[u] * step_hours,
+                flat: flat[u],
                 exact_evals: evals[u],
-                batch_prunes: bins as u32 - evals[u],
-            });
+            };
         }
     }
 
     /// Resolves any number of CDFs through the batch kernel, fanning
     /// fixed-size batches across `threads` workers with one reusable
-    /// [`BatchScratch`] per worker. Batches are carved before threading,
+    /// [`BatchScratch`] per worker ([`fill_rows`]: the rows and the
+    /// scratches are the caller's). Batches are carved before threading,
     /// so outcomes (including pruning counts) are byte-identical for
     /// every thread count.
     fn resolve_batches(
@@ -876,14 +935,21 @@ impl PlacementEngine {
         cdfs: &[[f64; BINS]],
         threads: usize,
         with_flat: bool,
-    ) -> Vec<BatchOutcome> {
-        let batches: Vec<&[[f64; BINS]]> = cdfs.chunks(BATCH_USERS).collect();
-        chunked_map_with(
-            &batches,
+    ) -> Vec<ResolvedCdf> {
+        let mut out = vec![ResolvedCdf::default(); cdfs.len()];
+        fill_rows(
+            cdfs,
+            &mut out,
+            BATCH_USERS,
             threads,
             || BatchScratch::new(self.grid.zones()),
-            |scratch, batch, out| self.resolve_batch(batch, with_flat, scratch, out),
-        )
+            |scratch, cdfs, out| {
+                for (batch, rows) in cdfs.chunks(BATCH_USERS).zip(out.chunks_mut(BATCH_USERS)) {
+                    self.resolve_batch(batch, with_flat, scratch, rows);
+                }
+            },
+        );
+        out
     }
 
     /// Places every profile through the SoA batch kernel, fanning the
@@ -897,13 +963,7 @@ impl PlacementEngine {
         profiles
             .iter()
             .zip(outcomes)
-            .map(|(p, o)| {
-                UserPlacement::from_offset_minutes(
-                    p.user(),
-                    o.resolved.zone_minutes,
-                    o.resolved.emd,
-                )
-            })
+            .map(|(p, o)| UserPlacement::from_offset_minutes(p.user(), o.zone_minutes, o.emd))
             .collect()
     }
 
@@ -913,30 +973,25 @@ impl PlacementEngine {
     /// byte-identical for every thread count.
     ///
     /// Observability (when `obs` is attached): the kernel's pruning
-    /// accounting — counters `placement.exact_evals` and
-    /// `placement.batch_prunes`, and one `placement.exact_evals_per_user`
-    /// observation per CDF (bucketed per grid).
+    /// accounting ([`KernelObs`]).
     pub(crate) fn resolve_cdfs(
         &self,
         cdfs: &[[f64; BINS]],
         threads: usize,
-        obs: Option<&crowdtz_obs::Observer>,
+        obs: Option<&KernelObs>,
     ) -> Vec<ResolvedCdf> {
-        let outcomes = self.resolve_batches(cdfs, threads, true);
+        let resolved = self.resolve_batches(cdfs, threads, true);
         if let Some(obs) = obs {
-            let exact = obs.counter("placement.exact_evals");
-            let prunes = obs.counter("placement.batch_prunes");
-            let per_user = obs.histogram(
-                "placement.exact_evals_per_user",
-                exact_eval_bounds(self.grid),
-            );
-            for o in &outcomes {
-                exact.add(u64::from(o.exact_evals));
-                prunes.add(u64::from(o.batch_prunes));
-                per_user.observe(u64::from(o.exact_evals));
+            let mut evals = 0u64;
+            for r in &resolved {
+                evals += u64::from(r.exact_evals);
+                obs.per_user.observe(u64::from(r.exact_evals));
             }
+            let zones = (self.grid.zones() * resolved.len()) as u64;
+            obs.exact_evals.add(evals);
+            obs.batch_prunes.add(zones - evals);
         }
-        outcomes.into_iter().map(|o| o.resolved).collect()
+        resolved
     }
 
     /// The §IV.C flatness test: whether `distribution` is circular-EMD

@@ -32,6 +32,17 @@ pub enum CoreError {
     /// The durable store failed — an I/O error, unroutable corruption,
     /// or an injected crash point (see `crowdtz-store`).
     Store(crowdtz_store::StoreError),
+    /// A post lies outside the engine's slot range: 1970 ± about
+    /// 245 000 years (DESIGN.md §10). An
+    /// [`IngestWriter`](crate::IngestWriter) refuses the whole batch
+    /// holding it before the write-ahead log: nothing is logged or
+    /// applied.
+    PostOutOfRange {
+        /// The post's author.
+        user: String,
+        /// The post's timestamp, in seconds since 1970.
+        secs: i64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -50,6 +61,11 @@ impl fmt::Display for CoreError {
                 write!(f, "coverage fraction {coverage} outside (0, 1]")
             }
             CoreError::Store(e) => write!(f, "durable store failure: {e}"),
+            CoreError::PostOutOfRange { user, secs } => write!(
+                f,
+                "post of user {user:?} at {secs} s lies outside the slot range \
+                 (1970 ± about 245 000 years)"
+            ),
         }
     }
 }
@@ -95,5 +111,10 @@ mod tests {
         assert!(e.to_string().contains("u1"));
         let e = CoreError::InvalidCoverage { coverage: 1.5 };
         assert!(e.to_string().contains("1.5"));
+        let e = CoreError::PostOutOfRange {
+            user: "u1".into(),
+            secs: i64::MIN,
+        };
+        assert!(e.to_string().contains(&i64::MIN.to_string()));
     }
 }

@@ -38,6 +38,31 @@
 //!   merge. Slot vectors grow by a quarter when full, not by doubling,
 //!   since they stay resident for the user's lifetime.
 //!
+//! # Compact slots and the range rule
+//!
+//! A live slot costs 5 bytes: a `u32` key and a `u8` count.
+//!
+//! * A key counts hours from a fixed epoch [`EPOCH_HOURS`] (2³¹ − 8)
+//!   hours before 1970-01-01 00:00 UTC. The epoch is a UTC midnight, so a
+//!   key's hour of day is `key % 24`.
+//! * A count holds its slot's live posts up to 255. A slot with more
+//!   posts stores 255, and its exact count sits in a per-user side table
+//!   sorted by key, empty for almost every user.
+//!
+//! The keys span 1970 ± about 245 000 years, while a [`Timestamp`] holds
+//! any `i64` second. A post outside that range ([`post_key`] is `None`)
+//! never reaches an accumulator, and nothing panics on one:
+//!
+//! * `IngestWriter` refuses a batch holding one with
+//!   [`CoreError::PostOutOfRange`](crate::CoreError::PostOutOfRange)
+//!   before the write-ahead log sees it, so `POST …/ingest` answers 400;
+//! * the infallible in-process ingests, log replay and a persisted slot
+//!   from an older store drop it and count it in
+//!   `streaming.posts_out_of_range`.
+//!
+//! Posts inside the range analyze exactly as they would with `i64` keys,
+//! and the durable codecs write each key as its signed hours since 1970.
+//!
 //! # Determinism
 //!
 //! Sharding never changes a byte of analysis output, for any shard count
@@ -78,7 +103,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crowdtz_stats::BINS;
-use crowdtz_time::{Timestamp, TzOffset};
+use crowdtz_time::Timestamp;
 
 use crate::engine::clamped_threads;
 
@@ -172,15 +197,19 @@ pub(crate) struct SharedIngestObs {
 
 /// Per-user integer accumulator: everything needed to rebuild the user's
 /// [`ActivityProfile`](crate::ActivityProfile) without touching raw
-/// history again.
+/// history again. Five bytes per live slot (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UserAccumulator {
-    /// Sorted, deduplicated `day·24 + hour` keys of active slots (UTC).
-    pub(crate) slots: Vec<i64>,
+    /// Sorted, deduplicated keys of active slots ([`post_key`]).
+    pub(crate) slots: Vec<u32>,
     /// Live post count per slot, parallel to `slots` — the refcount the
-    /// signed-delta path decrements. A slot stays active while its count
-    /// is positive; `sum(slot_counts) == posts` always.
-    pub(crate) slot_counts: Vec<u32>,
+    /// signed-delta path decrements — saturated at 255: a fuller slot's
+    /// exact count sits in `heavy`. A slot stays active while its count
+    /// is positive; the exact counts sum to `posts`.
+    counts: Vec<u8>,
+    /// `(key, exact count)` of every slot holding more than 255 posts,
+    /// sorted by key.
+    heavy: Vec<(u32, u32)>,
     /// Number of active slots per hour of day — the integer pre-image of
     /// the profile's distribution.
     pub(crate) hour_counts: [u32; BINS],
@@ -195,18 +224,45 @@ pub(crate) struct UserAccumulator {
     pub(crate) dirty: bool,
 }
 
-/// A post's `day·24 + hour` slot key (UTC).
-fn slot_key(ts: Timestamp) -> i64 {
-    ts.day_in_offset(TzOffset::UTC) * 24 + i64::from(ts.hour_in_offset(TzOffset::UTC))
+/// Hours from the slot epoch to 1970-01-01 00:00 UTC: the multiple of 24
+/// nearest the middle of `u32`, so the epoch is a UTC midnight.
+const EPOCH_HOURS: i64 = (1 << 31) - 8;
+
+/// The key of the slot `hours` after 1970-01-01 00:00 UTC, `None`
+/// outside the range a `u32` key spans.
+pub(crate) fn key_of(hours: i64) -> Option<u32> {
+    u32::try_from(hours.checked_add(EPOCH_HOURS)?).ok()
 }
 
-/// The sorted `(slot key, post count)` runs of a delta — the common
-/// routing for both signs: the merge path of absorb adds the counts,
-/// release subtracts them.
-fn keyed_counts(posts: &[Timestamp]) -> Vec<(i64, u32)> {
-    let mut keys: Vec<i64> = posts.iter().map(|&ts| slot_key(ts)).collect();
+/// The signed hours since 1970 of a key — the inverse of [`key_of`].
+fn hours_of(key: u32) -> i64 {
+    i64::from(key) - EPOCH_HOURS
+}
+
+/// A post's slot key, `None` for a post outside the range — the one
+/// test of the range rule (module docs). Its `day·24 + hour` slot in
+/// UTC is its hour since 1970.
+pub(crate) fn post_key(ts: Timestamp) -> Option<u32> {
+    key_of(ts.as_secs().div_euclid(3_600))
+}
+
+/// A key's hour of day: the epoch is a UTC midnight.
+fn hour_of(key: u32) -> usize {
+    (key % 24) as usize
+}
+
+/// A live count's byte: the count itself up to 255, else 255.
+fn saturate(count: u32) -> u8 {
+    u8::try_from(count).unwrap_or(u8::MAX)
+}
+
+/// The sorted `(slot key, post count)` runs of a delta's in-range posts
+/// — the common routing for both signs: the merge path of absorb adds
+/// the counts, release subtracts them.
+fn keyed_counts(posts: &[Timestamp]) -> Vec<(u32, u32)> {
+    let mut keys: Vec<u32> = posts.iter().filter_map(|&ts| post_key(ts)).collect();
     keys.sort_unstable();
-    let mut runs: Vec<(i64, u32)> = Vec::new();
+    let mut runs: Vec<(u32, u32)> = Vec::new();
     for k in keys {
         match runs.last_mut() {
             Some((last, c)) if *last == k => *c += 1,
@@ -226,52 +282,138 @@ fn reserve_one<T>(v: &mut Vec<T>) {
 }
 
 impl UserAccumulator {
-    /// Absorbs one delta of posts — a pure integer update. Duplicates and
-    /// out-of-order arrivals are fine; a timestamp whose (day, hour) slot
-    /// is already active only bumps the slot's refcount.
+    /// An accumulator holding `slots`: ascending `(hours since 1970, live
+    /// count)` pairs with positive counts, the form the durable codecs
+    /// persist. A slot outside the key range is dropped with its posts
+    /// (module docs). Returns the accumulator, clean and unanalyzed, and
+    /// the posts dropped.
+    pub(crate) fn from_slots(
+        slots: impl IntoIterator<Item = (i64, u32)>,
+    ) -> (UserAccumulator, usize) {
+        let slots = slots.into_iter();
+        let mut acc = UserAccumulator::default();
+        acc.slots.reserve_exact(slots.size_hint().0);
+        acc.counts.reserve_exact(slots.size_hint().0);
+        let mut dropped = 0usize;
+        for (hours, count) in slots {
+            let Some(key) = key_of(hours) else {
+                dropped += count as usize;
+                continue;
+            };
+            acc.slots.push(key);
+            acc.counts.push(saturate(count));
+            if count > 255 {
+                acc.heavy.push((key, count));
+            }
+            acc.hour_counts[hour_of(key)] += 1;
+            acc.posts += count as usize;
+        }
+        (acc, dropped)
+    }
+
+    /// `(hours since 1970, exact live count)` of every active slot, in
+    /// ascending order — the form the durable codecs persist.
+    pub(crate) fn live_slots(&self) -> impl ExactSizeIterator<Item = (i64, u32)> + Clone + '_ {
+        (0..self.slots.len()).map(|i| (hours_of(self.slots[i]), self.count(i)))
+    }
+
+    /// Where slot `key` sits in `heavy`, or where it would go.
+    fn heavy_slot(&self, key: u32) -> Result<usize, usize> {
+        self.heavy.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// Keeps slot `key`'s exact live count in `heavy` while it is over
+    /// 255, and out of it otherwise.
+    fn set_heavy(&mut self, key: u32, count: u32) {
+        match self.heavy_slot(key) {
+            Ok(j) if count > 255 => self.heavy[j].1 = count,
+            Ok(j) => {
+                self.heavy.remove(j);
+            }
+            Err(j) if count > 255 => self.heavy.insert(j, (key, count)),
+            Err(_) => {}
+        }
+    }
+
+    /// Slot `i`'s exact live count.
+    fn count(&self, i: usize) -> u32 {
+        match self.counts[i] {
+            u8::MAX => self
+                .heavy_slot(self.slots[i])
+                .map_or(255, |j| self.heavy[j].1),
+            c => u32::from(c),
+        }
+    }
+
+    /// Sets slot `i`'s live count.
+    fn set_count(&mut self, i: usize, count: u32) {
+        self.counts[i] = saturate(count);
+        self.set_heavy(self.slots[i], count);
+    }
+
+    /// Adds `posts` to slot `i`'s live count: one byte add while the
+    /// count stays within a byte.
+    fn add_posts(&mut self, i: usize, posts: u32) {
+        match u8::try_from(u32::from(self.counts[i]) + posts) {
+            Ok(byte) if self.counts[i] < u8::MAX => self.counts[i] = byte,
+            _ => self.set_count(i, self.count(i) + posts),
+        }
+    }
+
+    /// Absorbs one delta of posts — a pure integer update — and returns
+    /// the posts absorbed: all of them but any outside the key range,
+    /// which are dropped (module docs). Duplicates and out-of-order
+    /// arrivals are fine; a timestamp whose (day, hour) slot is already
+    /// active only bumps the slot's refcount.
     ///
     /// Posts at or after the last active slot — a crawl replayed in time
     /// order — bump or append that slot in place, amortised O(1) each.
     /// The first earlier post hands itself and the rest of the delta to
     /// the sorted merge; both paths leave identical state.
-    pub(crate) fn absorb(&mut self, posts: &[Timestamp]) {
-        self.posts += posts.len();
+    pub(crate) fn absorb(&mut self, posts: &[Timestamp]) -> usize {
+        let mut absorbed = 0usize;
         for (i, &ts) in posts.iter().enumerate() {
-            let k = slot_key(ts);
+            let Some(k) = post_key(ts) else {
+                continue;
+            };
             match self.slots.last() {
                 Some(&last) if k < last => {
-                    self.merge(&posts[i..]);
-                    return;
+                    absorbed += self.merge(&posts[i..]);
+                    break;
                 }
-                Some(&last) if k == last => {
-                    *self.slot_counts.last_mut().expect("counts parallel slots") += 1;
-                }
+                Some(&last) if k == last => self.add_posts(self.slots.len() - 1, 1),
                 _ => {
                     reserve_one(&mut self.slots);
-                    reserve_one(&mut self.slot_counts);
+                    reserve_one(&mut self.counts);
                     self.slots.push(k);
-                    self.slot_counts.push(1);
-                    self.hour_counts[k.rem_euclid(24) as usize] += 1;
+                    self.counts.push(1);
+                    self.hour_counts[hour_of(k)] += 1;
                 }
             }
+            absorbed += 1;
         }
+        self.posts += absorbed;
+        absorbed
     }
 
-    /// Merges posts in any order into the sorted slots (the post count
-    /// is already added by [`absorb`](Self::absorb)).
-    fn merge(&mut self, posts: &[Timestamp]) {
-        let mut fresh: Vec<(i64, u32)> = Vec::new();
+    /// Merges posts in any order into the sorted slots and returns the
+    /// posts merged (the caller adds them to the post count).
+    fn merge(&mut self, posts: &[Timestamp]) -> usize {
+        let mut merged = 0usize;
+        let mut fresh: Vec<(u32, u32)> = Vec::new();
         for (k, c) in keyed_counts(posts) {
+            merged += c as usize;
             match self.slots.binary_search(&k) {
-                Ok(i) => self.slot_counts[i] += c,
+                Ok(i) => self.add_posts(i, c),
                 Err(_) => fresh.push((k, c)),
             }
         }
         if fresh.is_empty() {
-            return;
+            return merged;
         }
-        for &(k, _) in &fresh {
-            self.hour_counts[k.rem_euclid(24) as usize] += 1;
+        for &(k, c) in &fresh {
+            self.hour_counts[hour_of(k)] += 1;
+            self.set_heavy(k, c);
         }
         // Merge the two sorted runs in one pass.
         let mut slots = Vec::with_capacity(self.slots.len() + fresh.len());
@@ -280,22 +422,23 @@ impl UserAccumulator {
         while i < self.slots.len() && j < fresh.len() {
             if self.slots[i] < fresh[j].0 {
                 slots.push(self.slots[i]);
-                counts.push(self.slot_counts[i]);
+                counts.push(self.counts[i]);
                 i += 1;
             } else {
                 slots.push(fresh[j].0);
-                counts.push(fresh[j].1);
+                counts.push(saturate(fresh[j].1));
                 j += 1;
             }
         }
         slots.extend_from_slice(&self.slots[i..]);
-        counts.extend_from_slice(&self.slot_counts[i..]);
+        counts.extend_from_slice(&self.counts[i..]);
         for &(k, c) in &fresh[j..] {
             slots.push(k);
-            counts.push(c);
+            counts.push(saturate(c));
         }
         self.slots = slots;
-        self.slot_counts = counts;
+        self.counts = counts;
+        merged
     }
 
     /// Exact inverse of [`absorb`](Self::absorb): decrements the slot
@@ -310,11 +453,12 @@ impl UserAccumulator {
         let mut vacated = false;
         for (k, c) in keyed_counts(posts) {
             if let Ok(i) = self.slots.binary_search(&k) {
-                let take = c.min(self.slot_counts[i]);
-                self.slot_counts[i] -= take;
+                let live = self.count(i);
+                let take = c.min(live);
+                self.set_count(i, live - take);
                 removed += take as usize;
-                if self.slot_counts[i] == 0 {
-                    self.hour_counts[k.rem_euclid(24) as usize] -= 1;
+                if take == live {
+                    self.hour_counts[hour_of(k)] -= 1;
                     vacated = true;
                 }
             }
@@ -322,33 +466,36 @@ impl UserAccumulator {
         if vacated {
             let mut keep = 0usize;
             for i in 0..self.slots.len() {
-                if self.slot_counts[i] > 0 {
+                if self.counts[i] > 0 {
                     self.slots[keep] = self.slots[i];
-                    self.slot_counts[keep] = self.slot_counts[i];
+                    self.counts[keep] = self.counts[i];
                     keep += 1;
                 }
             }
             self.slots.truncate(keep);
-            self.slot_counts.truncate(keep);
+            self.counts.truncate(keep);
         }
         self.posts -= removed;
         removed
     }
 
-    /// Drops every slot below `cutoff` whole, whatever its refcount,
-    /// with its posts and its hour-count contribution; `on_slot` sees
-    /// each dropped key. Slots are sorted, so the dropped ones are a
-    /// prefix. Returns how many posts were released.
+    /// Drops every slot below `cutoff` (hours since 1970) whole, whatever
+    /// its refcount, with its posts and its hour-count contribution;
+    /// `on_slot` sees each dropped slot's hours. Slots are sorted, so the
+    /// dropped ones are a prefix. Returns how many posts were released.
     pub(crate) fn release_below(&mut self, cutoff: i64, on_slot: &mut impl FnMut(i64)) -> usize {
-        let n = self.slots.partition_point(|&k| k < cutoff);
+        let n = self.slots.partition_point(|&k| hours_of(k) < cutoff);
         let mut released = 0usize;
-        for (&k, &c) in self.slots[..n].iter().zip(&self.slot_counts[..n]) {
-            self.hour_counts[k.rem_euclid(24) as usize] -= 1;
-            released += c as usize;
-            on_slot(k);
+        for i in 0..n {
+            let k = self.slots[i];
+            self.hour_counts[hour_of(k)] -= 1;
+            released += self.count(i) as usize;
+            on_slot(hours_of(k));
         }
+        let heavy = self.heavy.partition_point(|&(k, _)| hours_of(k) < cutoff);
+        self.heavy.drain(..heavy);
         self.slots.drain(..n);
-        self.slot_counts.drain(..n);
+        self.counts.drain(..n);
         self.posts -= released;
         released
     }
@@ -389,21 +536,22 @@ fn mark_dirty(acc: &mut UserAccumulator, dirty: &mut Vec<String>, user: &str) {
 impl Shard {
     /// Applies one signed delta to this shard's slice of the crowd — the
     /// inner loop of [`ShardSet::apply`], so ingest and retraction route
-    /// identically — and returns the posts applied: all of an ingest,
-    /// those actually released by a retraction. A known user costs one
-    /// map probe.
+    /// identically — and returns the posts applied: the in-range ones of
+    /// an ingest, those actually released by a retraction. A known user
+    /// costs one map probe.
     ///
-    /// Any non-empty ingest changes the profile (at minimum its post
-    /// count), so the user must be re-analyzed; an empty delta changes
-    /// nothing. A retraction skips unknown users and never-ingested posts
-    /// (retracting a post the engine never saw is a no-op), and one that
-    /// releases nothing leaves the dirty set untouched — the state
-    /// remains exactly what an engine that never saw the retracted posts
-    /// would hold. A user's (possibly now-empty) accumulator stays in the
-    /// map until the next refresh forgets it: an empty accumulator
-    /// analyzes to nothing, so reports are unaffected, and keeping it
-    /// preserves the refresh invariant that every dirty id resolves to an
-    /// accumulator.
+    /// An ingest that absorbs a post changes the profile (at minimum its
+    /// post count), so the user must be re-analyzed; one that absorbs
+    /// nothing (empty, or every post outside the key range) changes
+    /// nothing and adds no user. A retraction skips unknown users and
+    /// never-ingested posts (retracting a post the engine never saw is a
+    /// no-op), and one that releases nothing leaves the dirty set
+    /// untouched — the state remains exactly what an engine that never
+    /// saw the retracted posts would hold. A user's (possibly now-empty)
+    /// accumulator stays in the map until the next refresh forgets it:
+    /// an empty accumulator analyzes to nothing, so reports are
+    /// unaffected, and keeping it preserves the refresh invariant that
+    /// every dirty id resolves to an accumulator.
     fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) -> usize {
         let Shard { users, dirty } = self;
         match users.get_mut(user) {
@@ -411,21 +559,22 @@ impl Shard {
                 let applied = if retract {
                     acc.release(posts)
                 } else {
-                    acc.absorb(posts);
-                    posts.len()
+                    acc.absorb(posts)
                 };
                 if applied > 0 {
                     mark_dirty(acc, dirty, user);
                 }
                 applied
             }
-            None if retract || posts.is_empty() => 0,
+            None if retract => 0,
             None => {
                 let mut acc = UserAccumulator::default();
-                acc.absorb(posts);
-                mark_dirty(&mut acc, dirty, user);
-                users.insert(user.to_owned(), acc);
-                posts.len()
+                let applied = acc.absorb(posts);
+                if applied > 0 {
+                    mark_dirty(&mut acc, dirty, user);
+                    users.insert(user.to_owned(), acc);
+                }
+                applied
             }
         }
     }
@@ -436,7 +585,7 @@ impl Shard {
         let Shard { users, dirty } = self;
         let mut released = 0usize;
         for (user, acc) in users.iter_mut() {
-            if acc.slots.first().is_some_and(|&k| k < cutoff) {
+            if acc.slots.first().is_some_and(|&k| hours_of(k) < cutoff) {
                 released += acc.release_below(cutoff, on_slot);
                 mark_dirty(acc, dirty, user);
             }
@@ -521,20 +670,21 @@ impl ShardSet {
         debug_assert!(removed.is_some_and(|acc| !acc.dirty && acc.posts == 0));
     }
 
-    /// The oldest and newest live slot keys across the crowd, `None`
-    /// while no user holds a slot (single-owner access).
+    /// The oldest and newest live slots across the crowd, in hours since
+    /// 1970, `None` while no user holds a slot (single-owner access).
     pub(crate) fn live_slot_range(&mut self) -> Option<(i64, i64)> {
         self.shards
             .iter_mut()
             .flat_map(|s| remut(s).users.values())
             .filter_map(|acc| Some((*acc.slots.first()?, *acc.slots.last()?)))
             .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
+            .map(|(lo, hi)| (hours_of(lo), hours_of(hi)))
     }
 
-    /// Releases every slot below `cutoff` from every user in one pass
-    /// over the shards, marking each user that lost one dirty; `on_slot`
-    /// sees each released slot key. Returns the posts released
-    /// (single-owner access).
+    /// Releases every slot below `cutoff` (hours since 1970) from every
+    /// user in one pass over the shards, marking each user that lost one
+    /// dirty; `on_slot` sees each released slot's hours. Returns the
+    /// posts released (single-owner access).
     pub(crate) fn release_below(&mut self, cutoff: i64, mut on_slot: impl FnMut(i64)) -> usize {
         self.shards
             .iter_mut()
@@ -562,8 +712,8 @@ impl ShardSet {
     ///
     /// Contended acquisitions are counted and their wait timed into the
     /// `ingest.*` metrics when `obs` is attached; the uncontended fast
-    /// path costs one `try_lock`. Returns the posts applied: all of an
-    /// ingest, the released ones of a retraction.
+    /// path costs one `try_lock`. Returns the posts applied: the in-range
+    /// ones of an ingest, the released ones of a retraction.
     pub(crate) fn apply(
         &self,
         deltas: &[(&str, &[Timestamp])],
@@ -726,6 +876,11 @@ mod tests {
         Timestamp::from_secs(slot * 3_600)
     }
 
+    /// Hours since 1970 and exact live counts of `acc`'s slots.
+    fn slots(acc: &UserAccumulator) -> (Vec<i64>, Vec<u32>) {
+        acc.live_slots().unzip()
+    }
+
     /// One delta through the write path, on the calling thread.
     fn ingest(set: &ShardSet, user: &str, posts: &[Timestamp]) {
         set.apply(&[(user, posts)], false, 1, None);
@@ -881,7 +1036,7 @@ mod tests {
         let mut acc = UserAccumulator::default();
         acc.absorb(&[ts(5), ts(5), ts(2)]);
         acc.absorb(&[ts(5)]);
-        assert_eq!(acc.slots, vec![2, 5]);
+        assert_eq!(slots(&acc), (vec![2, 5], vec![1, 3]));
         assert_eq!(acc.posts, 4);
         assert_eq!(acc.hour_counts[2], 1);
         assert_eq!(acc.hour_counts[5], 1);
@@ -922,8 +1077,7 @@ mod tests {
         assert_eq!(acc.release(&b), b.len());
         let mut fresh = UserAccumulator::default();
         fresh.absorb(&a);
-        assert_eq!(acc.slots, fresh.slots);
-        assert_eq!(acc.slot_counts, fresh.slot_counts);
+        assert_eq!(slots(&acc), slots(&fresh));
         assert_eq!(acc.hour_counts, fresh.hour_counts);
         assert_eq!(acc.posts, fresh.posts);
     }
@@ -941,8 +1095,7 @@ mod tests {
         assert_eq!(acc.hour_counts, [0; BINS]);
         // The earlier no-op left everything intact.
         assert_eq!(before.posts, 2);
-        assert_eq!(before.slots, vec![3]);
-        assert_eq!(before.slot_counts, vec![2]);
+        assert_eq!(slots(&before), (vec![3], vec![2]));
     }
 
     #[test]
@@ -952,8 +1105,7 @@ mod tests {
         let mut acc = UserAccumulator::default();
         acc.absorb(&[ts(7), ts(7)]);
         assert_eq!(acc.release(&[ts(7)]), 1);
-        assert_eq!(acc.slots, vec![7]);
-        assert_eq!(acc.slot_counts, vec![1]);
+        assert_eq!(slots(&acc), (vec![7], vec![1]));
         assert_eq!(acc.hour_counts[7], 1);
         assert_eq!(acc.release(&[ts(7)]), 1);
         assert!(acc.slots.is_empty());
@@ -985,8 +1137,7 @@ mod tests {
             for (u, _) in &keep {
                 let got = set.acc(u).expect("user kept").clone();
                 let want = fresh.acc(u).expect("user kept");
-                assert_eq!(got.slots, want.slots, "{u} shards={shards}");
-                assert_eq!(got.slot_counts, want.slot_counts, "{u}");
+                assert_eq!(slots(&got), slots(want), "{u} shards={shards}");
                 assert_eq!(got.hour_counts, want.hour_counts, "{u}");
                 assert_eq!(got.posts, want.posts, "{u}");
             }
@@ -1028,18 +1179,20 @@ mod tests {
 
     #[test]
     fn release_below_drops_whole_slots_like_a_fresh_ingest_of_the_rest() {
-        // Slots 3 (two posts), 7, 9 (three posts) and 30: a cutoff of 9
-        // drops slots 3 and 7 whole, whatever their refcounts.
-        let posts = [ts(3), ts(3), ts(7), ts(9), ts(9), ts(9), ts(30)];
+        // Slots 3 (two posts), 5 (300, past the count escape), 7, 9 (three
+        // posts) and 30: a cutoff of 9 drops slots 3, 5 and 7 whole,
+        // whatever their refcounts.
+        let below = [&[ts(3), ts(3)][..], &[ts(5); 300], &[ts(7)]].concat();
+        let rest = [ts(9), ts(9), ts(9), ts(30)];
         let mut acc = UserAccumulator::default();
-        acc.absorb(&posts);
+        acc.absorb(&[&below[..], &rest].concat());
         let mut seen = Vec::new();
-        assert_eq!(acc.release_below(9, &mut |k| seen.push(k)), 3);
-        assert_eq!(seen, [3, 7]);
+        assert_eq!(acc.release_below(9, &mut |k| seen.push(k)), below.len());
+        assert_eq!(seen, [3, 5, 7]);
+        assert!(acc.heavy.is_empty());
         let mut fresh = UserAccumulator::default();
-        fresh.absorb(&posts[3..]);
-        assert_eq!(acc.slots, fresh.slots);
-        assert_eq!(acc.slot_counts, fresh.slot_counts);
+        fresh.absorb(&rest);
+        assert_eq!(slots(&acc), slots(&fresh));
         assert_eq!(acc.hour_counts, fresh.hour_counts);
         assert_eq!(acc.posts, fresh.posts);
         assert_eq!(
@@ -1093,9 +1246,33 @@ mod tests {
 
     const MODEL_USERS: &[&str] = &["carol", "alice", "bob"];
 
+    /// The first and last second inside the key range (module docs).
+    const RANGE_SECS: (i64, i64) = (
+        -EPOCH_HOURS * 3_600,
+        (u32::MAX as i64 - EPOCH_HOURS) * 3_600 + 3_599,
+    );
+
+    /// Posts at, just inside and just outside both edges of the key
+    /// range, and the `i64` extremes.
+    fn edge_posts() -> [Timestamp; 8] {
+        let (lo, hi) = RANGE_SECS;
+        [
+            lo - 1,
+            lo,
+            lo + 3_600,
+            hi - 3_600,
+            hi,
+            hi + 1,
+            i64::MIN,
+            i64::MAX,
+        ]
+        .map(Timestamp::from_secs)
+    }
+
     /// Sequences mixing time-ordered, late, same-slot and duplicate
     /// posts in multi-post deltas with retractions of seen and unseen
-    /// posts, and drains in between.
+    /// posts, posts at both edges of the key range, slots filled and
+    /// drained past 255 posts (the count escape), and drains in between.
     struct Steps;
 
     impl proptest::Strategy for Steps {
@@ -1115,8 +1292,8 @@ mod tests {
                 let deltas = (0..1 + pick(3))
                     .map(|_| {
                         let user = pick(MODEL_USERS.len() as u64) as usize;
-                        let posts = (0..pick(5))
-                            .map(|_| match (retract, pick(4)) {
+                        let mut posts = (0..pick(5))
+                            .map(|_| match (retract, pick(6)) {
                                 // A duplicate ingest, or a seen retraction.
                                 (_, 2 | 3) if !seen.is_empty() && (retract || pick(2) == 0) => {
                                     seen[pick(seen.len() as u64) as usize]
@@ -1126,6 +1303,7 @@ mod tests {
                                 (false, 1) => {
                                     Timestamp::from_secs(clock / 3_600 * 3_600 + pick(3_600))
                                 }
+                                (_, 5) => edge_posts()[pick(8) as usize],
                                 // Mostly unseen.
                                 (true, _) => Timestamp::from_secs(pick(2_000_000) * 1_800),
                                 _ => {
@@ -1134,6 +1312,11 @@ mod tests {
                                 }
                             })
                             .collect::<Vec<_>>();
+                        // Now and then a burst into one slot: two bursts
+                        // take it past a byte, a retraction burst back.
+                        if let (0, Some(&post)) = (pick(6), posts.first()) {
+                            posts.resize(posts.len() + 120 + pick(200) as usize, post);
+                        }
                         seen.extend(&posts);
                         (user, posts)
                     })
@@ -1144,8 +1327,9 @@ mod tests {
         }
     }
 
-    /// The reference: per-user live post count per slot, plus the users
-    /// changed since the last drain.
+    /// The reference: per-user live post count per `i64` slot, plus the
+    /// users changed since the last drain. A post outside the key range
+    /// is dropped.
     #[derive(Default)]
     struct Model {
         slots: Vec<Option<BTreeMap<i64, u32>>>,
@@ -1153,24 +1337,31 @@ mod tests {
     }
 
     impl Model {
-        fn apply(&mut self, retract: bool, deltas: &[(usize, Vec<Timestamp>)]) {
+        /// Applies one signed batch and returns the posts applied.
+        fn apply(&mut self, retract: bool, deltas: &[(usize, Vec<Timestamp>)]) -> usize {
             self.slots.resize(MODEL_USERS.len(), None);
+            let mut applied = 0usize;
             for (user, posts) in deltas {
-                if posts.is_empty() {
+                let (lo, hi) = RANGE_SECS;
+                let posts: Vec<i64> = posts
+                    .iter()
+                    .map(|ts| ts.as_secs())
+                    .filter(|secs| (lo..=hi).contains(secs))
+                    .collect();
+                let slots = &mut self.slots[*user];
+                if posts.is_empty() || (slots.is_none() && retract) {
                     continue;
                 }
                 let mut changed = !retract;
-                let slots = &mut self.slots[*user];
-                if slots.is_none() && retract {
-                    continue;
-                }
                 let slots = slots.get_or_insert_with(BTreeMap::new);
-                for &post in posts {
-                    let count = slots.entry(slot_key(post)).or_insert(0);
+                for secs in posts {
+                    let count = slots.entry(secs.div_euclid(3_600)).or_insert(0);
                     if !retract {
                         *count += 1;
+                        applied += 1;
                     } else if *count > 0 {
                         *count -= 1;
+                        applied += 1;
                         changed = true;
                     }
                 }
@@ -1179,6 +1370,7 @@ mod tests {
                     self.changed.insert(MODEL_USERS[*user]);
                 }
             }
+            applied
         }
 
         fn check(&self, set: &mut ShardSet) -> Result<(), String> {
@@ -1191,11 +1383,9 @@ mod tests {
                 for &k in model.keys() {
                     hours[k.rem_euclid(24) as usize] += 1;
                 }
-                proptest::prop_assert_eq!(&acc.slots, &model.keys().copied().collect::<Vec<_>>());
-                proptest::prop_assert_eq!(
-                    &acc.slot_counts,
-                    &model.values().copied().collect::<Vec<_>>()
-                );
+                let (keys, counts) = slots(acc);
+                proptest::prop_assert_eq!(&keys, &model.keys().copied().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(&counts, &model.values().copied().collect::<Vec<_>>());
                 proptest::prop_assert_eq!(acc.hour_counts, hours);
                 proptest::prop_assert_eq!(acc.posts, model.values().sum::<u32>() as usize);
             }
@@ -1214,13 +1404,13 @@ mod tests {
             for step in &steps {
                 match step {
                     Step::Apply { retract, deltas } => {
-                        model.apply(*retract, deltas);
+                        let want = model.apply(*retract, deltas);
                         let refs: Vec<(&str, &[Timestamp])> = deltas
                             .iter()
                             .map(|(u, p)| (MODEL_USERS[*u], p.as_slice()))
                             .collect();
-                        one.apply(&refs, *retract, 1, None);
-                        two.apply(&refs, *retract, 2, None);
+                        proptest::prop_assert_eq!(one.apply(&refs, *retract, 1, None), want);
+                        proptest::prop_assert_eq!(two.apply(&refs, *retract, 2, None), want);
                     }
                     Step::Drain => {
                         let want: Vec<&str> = std::mem::take(&mut model.changed).into_iter().collect();

@@ -8,7 +8,8 @@
 //! **integer accumulators** partitioned across hash shards:
 //!
 //! * each user's active slots are a sorted vector of `day·24 + hour` keys
-//!   plus a 24-bin count of active slots per hour, so
+//!   (a `u32` key and a `u8` count, five bytes a slot: `shard.rs`) plus a
+//!   24-bin count of active slots per hour, so
 //!   [`ingest`](StreamingPipeline::ingest) is a pure delta update that
 //!   never re-scans history (a post in time order is appended in place),
 //!   and [`retract`](StreamingPipeline::retract) is its exact inverse;
@@ -23,7 +24,8 @@
 //!   **concurrently**, one worker per run of whole shards (see `shard.rs`
 //!   for the determinism argument);
 //! * only dirty users are re-profiled, and their CDFs go straight through
-//!   the batch kernel of the long-lived [`PlacementEngine`];
+//!   the batch kernel of the long-lived [`PlacementEngine`]; the CDF rows
+//!   are the only per-user copy a refresh makes;
 //! * each accumulator keeps a `Copy` analysis record (flat, or kept at
 //!   an offset and EMD); the kept profiles and placements live only in
 //!   the id-sorted kept vectors, which a refresh patches in one ascending
@@ -70,10 +72,10 @@ use crowdtz_stats::{Distribution24, Histogram24, BINS};
 use crowdtz_time::{Timestamp, TraceSet};
 
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, PlacementEngine, BATCH_USERS};
+use crate::engine::{chunked_map, KernelObs, PlacementEngine, BATCH_USERS};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
-use crate::placement::{PlacementHistogram, UserPlacement};
+use crate::placement::{PlacementHistogram, UserPlacement, ZoneGrid};
 use crate::profile::ActivityProfile;
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
@@ -109,12 +111,16 @@ pub(crate) fn singles<S: AsRef<str>>(posts: &[(S, Timestamp)]) -> Vec<(&str, &[T
 }
 
 /// Observability handles, created once at construction so the per-post
-/// ingest path pays one atomic add, not a registry lookup.
+/// ingest path and every refresh pay atomic adds, not registry lookups.
 #[derive(Debug, Clone)]
 struct StreamObs {
     observer: Arc<crowdtz_obs::Observer>,
-    /// `streaming.posts_ingested`: posts across all ingested deltas.
+    /// `streaming.posts_ingested`: posts absorbed across all ingested
+    /// deltas.
     posts: crowdtz_obs::Counter,
+    /// `streaming.posts_out_of_range`: posts dropped because they lie
+    /// outside the slot-key range (`shard.rs`).
+    out_of_range: crowdtz_obs::Counter,
     /// `streaming.posts_retracted`: posts actually removed by signed
     /// deltas (a post whose slot holds no live count removes nothing).
     retracted: crowdtz_obs::Counter,
@@ -127,17 +133,29 @@ struct StreamObs {
     /// `streaming.em_iterations`: EM iterations the mixture fits spent,
     /// over every component count and start (cache hits spend none).
     em_iterations: crowdtz_obs::Counter,
+    /// `placement.users`: users each refresh kept.
+    placement_users: crowdtz_obs::Counter,
+    /// `shard.NN.users`: users per shard as of the last refresh.
+    shard_users: Vec<crowdtz_obs::Gauge>,
+    /// The placement kernel's pruning accounting.
+    kernel: KernelObs,
 }
 
 impl StreamObs {
-    fn new(observer: Arc<crowdtz_obs::Observer>) -> StreamObs {
+    fn new(observer: Arc<crowdtz_obs::Observer>, shards: usize, grid: ZoneGrid) -> StreamObs {
         StreamObs {
             posts: observer.counter("streaming.posts_ingested"),
+            out_of_range: observer.counter("streaming.posts_out_of_range"),
             retracted: observer.counter("streaming.posts_retracted"),
             deltas: observer.counter("streaming.deltas"),
             dirty: observer.gauge("streaming.dirty"),
             snapshots: observer.counter("streaming.snapshots"),
             em_iterations: observer.counter("streaming.em_iterations"),
+            placement_users: observer.counter("placement.users"),
+            shard_users: (0..shards)
+                .map(|i| observer.gauge(&format!("shard.{i:02}.users")))
+                .collect(),
+            kernel: KernelObs::new(&observer, grid),
             observer,
         }
     }
@@ -216,8 +234,10 @@ impl StreamingPipeline {
     pub fn new(pipeline: GeolocationPipeline) -> StreamingPipeline {
         let grid = pipeline.effective_grid();
         let engine = PlacementEngine::with_grid(pipeline.generic(), grid);
-        let obs = pipeline.obs().map(StreamObs::new);
         let shards = ShardSet::new(pipeline.effective_shards());
+        let obs = pipeline
+            .obs()
+            .map(|o| StreamObs::new(o, shards.shard_count(), grid));
         StreamingPipeline {
             pipeline,
             engine,
@@ -305,8 +325,7 @@ impl StreamingPipeline {
                 continue;
             };
             zone_counts[grid.index_of_minutes(offset_minutes)] += 1;
-            let (distribution, _) =
-                Self::prepare_user(acc, 0).expect("restored analyses have activity");
+            let distribution = Self::distribution_of(acc);
             placements.push(UserPlacement::from_offset_minutes(
                 id.as_str(),
                 offset_minutes,
@@ -333,7 +352,9 @@ impl StreamingPipeline {
     /// batch pipeline uses); duplicates and out-of-order arrivals are
     /// fine, and re-ingesting a timestamp whose (day, hour) slot is
     /// already active only bumps the post count — exactly what the batch
-    /// rebuild would conclude. Empty deltas are ignored.
+    /// rebuild would conclude. Empty deltas are ignored, and a post
+    /// outside the slot range (1970 ± about 245 000 years, DESIGN.md
+    /// §10) is dropped and counted in `streaming.posts_out_of_range`.
     ///
     /// Cost: amortised O(1) per post at or after the user's last active
     /// slot (the time-ordered crawl); a delta with earlier posts pays
@@ -396,8 +417,9 @@ impl StreamingPipeline {
     /// batch once, after the shards report what they applied:
     /// `streaming.deltas` gains the non-empty deltas, and
     /// `streaming.posts_ingested` or `streaming.posts_retracted` the
-    /// posts applied. Returns the posts applied: all of an ingest, the
-    /// released ones of a retraction.
+    /// posts applied; an ingest's posts outside the slot range go to
+    /// `streaming.posts_out_of_range`. Returns the posts applied: the
+    /// in-range ones of an ingest, the released ones of a retraction.
     pub(crate) fn apply(
         &self,
         deltas: &[(&str, &[Timestamp])],
@@ -410,26 +432,49 @@ impl StreamingPipeline {
         }
         let applied = self.shards.apply(deltas, retract, threads, ingest_obs);
         if let Some(obs) = &self.obs {
-            let nonempty = deltas.iter().filter(|(_, posts)| !posts.is_empty()).count();
-            obs.deltas.add(nonempty as u64);
-            let posts = if retract { &obs.retracted } else { &obs.posts };
-            posts.add(applied as u64);
+            let (nonempty, posts) = deltas
+                .iter()
+                .fold((0u64, 0usize), |(n, total), (_, posts)| {
+                    (n + u64::from(!posts.is_empty()), total + posts.len())
+                });
+            obs.deltas.add(nonempty);
+            if retract {
+                obs.retracted.add(applied as u64);
+            } else {
+                obs.posts.add(applied as u64);
+                if posts > applied {
+                    obs.out_of_range.add((posts - applied) as u64);
+                }
+            }
         }
         applied
     }
 
+    /// Counts `posts` dropped outside the slot range where the write
+    /// path did not see them: slots of a recovered snapshot.
+    pub(crate) fn count_out_of_range(&self, posts: usize) {
+        if let Some(obs) = &self.obs {
+            obs.out_of_range.add(posts as u64);
+        }
+    }
+
     /// Re-analyzes exactly the dirty users: drain every shard's dirty set
-    /// in globally sorted id order, rebuild the changed profiles (in
-    /// parallel, one worker per kernel batch at most), place every
-    /// eligible CDF through the batch kernel, then swap each user's
-    /// analysis record, patch the zone counts, and merge the dirty users
-    /// into the kept vectors in one ascending pass, stamping each entry
-    /// it writes with the new refresh generation. A dirty user left with
-    /// no live post is forgotten: its accumulator leaves its shard.
-    /// Chunking is order-stable and the kernel's batches are carved
-    /// before threading, so the per-user results — and therefore every
+    /// in globally sorted id order, build the eligible users' CDF rows
+    /// (in parallel, one worker per kernel batch at most), place every
+    /// row through the batch kernel, then swap each user's analysis
+    /// record, patch the zone counts, and merge the dirty users into the
+    /// kept vectors in one ascending pass, stamping each entry it writes
+    /// with the new refresh generation. A dirty user left with no live
+    /// post is forgotten: its accumulator leaves its shard. Chunking is
+    /// order-stable and the kernel's batches are carved before
+    /// threading, so the per-user results — and therefore every
     /// snapshot — are invariant to both the thread count and the shard
     /// count.
+    ///
+    /// No per-user copy outlives its phase: phase 1 writes only the CDF
+    /// rows the kernel reads, into rows this thread owns, and the merge
+    /// rebuilds a kept user's distribution from its accumulator with the
+    /// function the rows came from, bit for bit.
     fn refresh(&mut self) {
         if let Some(obs) = &self.obs {
             obs.dirty.set(self.shards.dirty_len() as f64);
@@ -446,34 +491,31 @@ impl StreamingPipeline {
         let min_posts = self.pipeline.min_posts_threshold();
         let polish = self.pipeline.polish_enabled();
         let threads = self.pipeline.effective_threads();
-        // Phase 1 (parallel, pure): rebuild each dirty user's distribution
-        // and CDF from its integer accumulator — on at most one worker per
-        // kernel batch, so a refresh of up to `BATCH_USERS` users runs on
-        // this thread, like its kernel pass: spawning and joining workers
+        // Phase 1 (parallel, pure): each eligible dirty user's CDF row,
+        // from its integer accumulator — on at most one worker per kernel
+        // batch, so a refresh of up to `BATCH_USERS` users runs on this
+        // thread, like its kernel pass: spawning and joining workers
         // would cost more than the work.
         let prepare_threads = threads.min(dirty.len().div_ceil(BATCH_USERS));
-        let (prepared, kept_before) = {
-            let work: Vec<&UserAccumulator> = self.shards.accs_for(&dirty);
+        let (cdfs, kept_before) = {
+            let mut work: Vec<&UserAccumulator> = self.shards.accs_for(&dirty);
             let kept_before = work
                 .iter()
                 .filter(|acc| matches!(acc.analysis, Some(UserAnalysis::Kept { .. })))
                 .count();
-            let prepared: Vec<Option<(Distribution24, [f64; BINS])>> =
-                chunked_map(&work, prepare_threads, |&acc| {
-                    Self::prepare_user(acc, min_posts)
-                });
-            (prepared, kept_before)
+            work.retain(|acc| Self::eligible(acc, min_posts));
+            let cdfs: Vec<[f64; BINS]> = chunked_map(&work, prepare_threads, |acc| {
+                Self::distribution_of(acc).cdf()
+            });
+            (cdfs, kept_before)
         };
         // Phase 2: place every eligible CDF (parallel batch kernel).
-        let cdfs: Vec<[f64; BINS]> = prepared
-            .iter()
-            .filter_map(|p| p.as_ref().map(|&(_, cdf)| cdf))
-            .collect();
         let resolved = {
             let _p = crowdtz_obs::span!(observer, "streaming.place");
-            self.engine
-                .resolve_cdfs(&cdfs, threads, observer.as_deref())
+            let kernel = self.obs.as_ref().map(|o| &o.kernel);
+            self.engine.resolve_cdfs(&cdfs, threads, kernel)
         };
+        drop(cdfs);
         let kept_after = resolved.iter().filter(|r| !(polish && r.flat)).count();
         // Phase 3 (sequential): swap each dirty user's analysis record,
         // patch the zone counts, and merge the user into the kept
@@ -492,9 +534,9 @@ impl StreamingPipeline {
         let mut old_placements = take_shared(&mut self.kept_placements);
         let mut old_stamps = take_shared(&mut self.kept_stamps);
         let mut resolutions = resolved.into_iter();
-        for (id, prep) in dirty.into_iter().zip(prepared) {
+        for id in dirty {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
-            let analysis = prep.as_ref().map(|_| {
+            let analysis = Self::eligible(acc, min_posts).then(|| {
                 let r = resolutions
                     .next()
                     .expect("one resolution per eligible user");
@@ -509,6 +551,8 @@ impl StreamingPipeline {
             });
             let previous = std::mem::replace(&mut acc.analysis, analysis);
             let (active_slots, posts) = (acc.slots.len(), acc.posts);
+            let distribution = matches!(analysis, Some(UserAnalysis::Kept { .. }))
+                .then(|| Self::distribution_of(acc));
             if active_slots == 0 {
                 // Every post retracted or expired: nothing is left to
                 // analyze, and a later post starts a fresh accumulator.
@@ -534,8 +578,8 @@ impl StreamingPipeline {
                     offset_minutes,
                     emd,
                 }),
-                Some((distribution, _)),
-            ) = (analysis, prep)
+                Some(distribution),
+            ) = (analysis, distribution)
             else {
                 continue;
             };
@@ -571,14 +615,10 @@ impl StreamingPipeline {
         self.kept_placements = Arc::new(placements);
         self.kept_stamps = Arc::new(stamps);
         if let Some(obs) = &self.obs {
-            obs.observer
-                .counter("placement.users")
-                .add(kept_after as u64);
+            obs.placement_users.add(kept_after as u64);
             // Shard occupancy, as of this refresh.
-            for (i, n) in self.shards.occupancy().into_iter().enumerate() {
-                obs.observer
-                    .gauge(&format!("shard.{i:02}.users"))
-                    .set(n as f64);
+            for (gauge, n) in obs.shard_users.iter().zip(self.shards.occupancy()) {
+                gauge.set(n as f64);
             }
         }
     }
@@ -591,24 +631,20 @@ impl StreamingPipeline {
         (Arc::clone(&self.kept_stamps), self.generation)
     }
 
-    /// One user's distribution + CDF from the integer accumulator —
-    /// `None` below the activity threshold. Pure, so it fans out across
-    /// worker threads; the flatness/placement decision happens in the
-    /// resolve step.
-    fn prepare_user(
-        acc: &UserAccumulator,
-        min_posts: usize,
-    ) -> Option<(Distribution24, [f64; BINS])> {
-        if acc.posts < min_posts || acc.slots.is_empty() {
-            return None;
-        }
-        let mut bins = [0.0_f64; BINS];
-        for (dst, &c) in bins.iter_mut().zip(acc.hour_counts.iter()) {
-            *dst = f64::from(c);
-        }
-        let distribution = Histogram24::from_bins(bins).normalized().ok()?;
-        let cdf = distribution.cdf();
-        Some((distribution, cdf))
+    /// Whether a user is analyzed: at or above the activity threshold,
+    /// with an active slot.
+    fn eligible(acc: &UserAccumulator, min_posts: usize) -> bool {
+        acc.posts >= min_posts && !acc.slots.is_empty()
+    }
+
+    /// An active user's hourly distribution, from its integer hour
+    /// counts: the one function behind both the CDF the kernel places
+    /// and the distribution a kept profile holds, so the two agree bit
+    /// for bit.
+    fn distribution_of(acc: &UserAccumulator) -> Distribution24 {
+        Histogram24::from_bins(acc.hour_counts.map(f64::from))
+            .normalized()
+            .expect("an active slot gives the hour counts mass")
     }
 
     /// Produces the current [`GeolocationReport`], doing work proportional

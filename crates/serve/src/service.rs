@@ -372,7 +372,9 @@ impl AnalysisService {
     /// connection's writer for the tenant. Answers with the posts
     /// applied — every post of an ingest, the posts actually released by
     /// a retraction: a post whose slot holds no live count (never
-    /// ingested, already retracted or expired) releases nothing.
+    /// ingested, already retracted or expired) releases nothing. A body
+    /// holding a post outside the engine's slot range is refused whole
+    /// with a 400, before the write-ahead log.
     fn write(
         &self,
         name: &str,
@@ -411,8 +413,13 @@ impl AnalysisService {
         };
         let posts = match posts {
             Ok(posts) => posts,
-            // Only the durable append can fail; the in-memory engine is
-            // untouched, but this connection's journal is now suspect.
+            // Refused before the write-ahead log: nothing was logged or
+            // applied, so the connection stays usable.
+            Err(e @ CoreError::PostOutOfRange { .. }) => {
+                return Response::error(400, &e.to_string())
+            }
+            // Otherwise the durable append failed; the in-memory engine
+            // is untouched, but this connection's journal is now suspect.
             Err(e) => {
                 return Response::error(500, &format!("write-ahead append failed: {e}")).closing()
             }

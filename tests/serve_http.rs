@@ -814,3 +814,140 @@ fn coverage_cuts_are_served_as_their_own_epochs_over_the_wire() {
     drop((client, reader));
     handle.shutdown().expect("shutdown");
 }
+
+/// Total bytes of the files under `dir`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let meta = entry.metadata().expect("metadata");
+            if meta.is_dir() {
+                dir_bytes(&entry.path())
+            } else {
+                meta.len()
+            }
+        })
+        .sum()
+}
+
+/// Posts at `i64::MIN` and `i64::MAX` seconds lie outside the engine's
+/// slot range (1970 ± about 245 000 years). Every public entry point
+/// survives them: the in-process ingests drop them, a writer refuses
+/// the batch whole before its log, and `POST …/ingest` answers 400 on a
+/// connection that stays open, with nothing journaled.
+#[test]
+fn posts_outside_the_slot_range_are_refused_or_dropped_at_every_entry_point() {
+    use crowdtz::core::{CoreError, StreamingPipeline};
+    use crowdtz::time::TraceSet;
+
+    let extremes = [
+        Timestamp::from_secs(i64::MIN),
+        Timestamp::from_secs(i64::MAX),
+    ];
+    let crowd: Vec<(String, Vec<Timestamp>)> = (0..6i64)
+        .map(|u| {
+            let posts = (0..10i64)
+                .map(|d| Timestamp::from_secs(d * 86_400 + (18 + u % 4) * 3_600))
+                .collect();
+            (format!("u{u}"), posts)
+        })
+        .collect();
+    let pipeline = || GeolocationPipeline::default().min_posts(1).threads(1);
+    let want = {
+        let mut reference = StreamingPipeline::new(pipeline());
+        for (user, posts) in &crowd {
+            reference.ingest(user, posts);
+        }
+        serde_json::to_vec(&reference.snapshot().expect("reference snapshot")).unwrap()
+    };
+
+    // The in-process ingests drop the extremes, and a retraction of
+    // them releases nothing.
+    let mut stream = StreamingPipeline::new(pipeline());
+    for (user, posts) in &crowd {
+        stream.ingest(user, &[&extremes[..1], posts, &extremes[1..]].concat());
+    }
+    stream.ingest("only-extremes", &extremes);
+    let mut set = TraceSet::new();
+    for &ts in &extremes {
+        set.record("traced", ts);
+    }
+    stream.ingest_set(&set);
+    stream.ingest_posts(&[("polled", extremes[0]), ("polled", extremes[1])]);
+    stream.retract("u0", &extremes);
+    assert_eq!(stream.users_tracked(), crowd.len());
+    assert_eq!(stream.posts_ingested(), 60);
+    assert_eq!(
+        serde_json::to_vec(&stream.snapshot().unwrap()).unwrap(),
+        want
+    );
+
+    // A durable writer refuses every batch holding one, whatever its
+    // method, before the write-ahead log.
+    let dir = tmp_dir("out-of-range-engine");
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).expect("open");
+    let writer = engine.writer();
+    for (user, posts) in &crowd {
+        writer.ingest(user, posts).expect("in-range ingest");
+    }
+    let logged = dir_bytes(&dir);
+    let refused = [
+        writer.ingest("u0", &[crowd[0].1[0], extremes[0]]),
+        writer.ingest_posts_ref(&[("u1", extremes[1])]),
+        writer.ingest_deltas(&[("u2", &extremes[..])]),
+        writer
+            .ingest_batch(1, &[("u3", extremes[0])], Some("checkpoint"))
+            .map(drop),
+        writer.retract("u4", &extremes[1..]),
+        writer.retract_posts_ref(&[("u5", extremes[0])]).map(drop),
+    ];
+    for result in refused {
+        assert!(
+            matches!(result, Err(CoreError::PostOutOfRange { .. })),
+            "{result:?}"
+        );
+    }
+    assert_eq!(dir_bytes(&dir), logged, "a refused batch is never logged");
+    assert_eq!(writer.batches_applied(), crowd.len() as u64);
+    assert_eq!(
+        (engine.last_source_seq(), engine.source_checkpoint()),
+        (0, None)
+    );
+    let published = engine.publish().expect("publish");
+    assert_eq!(serde_json::to_vec(published.report()).unwrap(), want);
+    drop((writer, engine));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Over the wire: a 400 on a connection that stays open.
+    let root = tmp_dir("out-of-range-serve");
+    let handle = start_server(Some(root.clone()));
+    let mut client = HttpClient::connect(handle.addr()).expect("connect");
+    let created = client
+        .post_json(
+            "/v1/tenants/edge",
+            &json!({"min_posts": 1, "threads": 1, "durable": true}),
+        )
+        .expect("create");
+    assert_eq!(created.status, 201);
+    ingest_batch(&mut client, "edge", &crowd);
+    let logged = dir_bytes(&root);
+    for ts in extremes {
+        let body = batch_body(&[("u0".to_owned(), vec![crowd[0].1[0], ts])]);
+        for route in ["ingest", "retract"] {
+            let response = client
+                .post_json(&format!("/v1/tenants/edge/{route}"), &body)
+                .expect("the connection stays open");
+            assert_eq!(response.status, 400, "{route} {}", ts.as_secs());
+        }
+    }
+    assert_eq!(dir_bytes(&root), logged, "a refused body is never logged");
+    let published = client
+        .get("/v1/tenants/edge/snapshot?publish=1")
+        .expect("the same connection still serves");
+    assert_eq!(published.status, 200);
+    assert_eq!(published.body, want);
+    drop(client);
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(root);
+}

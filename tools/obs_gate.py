@@ -49,6 +49,10 @@ ROTATION_FLOOR_SECS = 0.002
 # A run report's EM iterations per fit are compared once it made this
 # many fits: CI's `repro --scale 0.1` makes a few dozen.
 MIN_FITS = 10
+# Resident bytes per user read 1 143-1 150 B over three CI-scale runs
+# (10 000 users) on one 2-CPU host: growth by a quarter is a regression,
+# not noise.
+STATE_RATIO = 1.25
 
 RULES = {
     # Run report: sub-5 ms stages are scheduler noise, and an
@@ -77,6 +81,9 @@ RULES = {
     "incremental_snapshot_secs": {"ratio": RATIO},
     "held_publish_secs": {"ratio": RATIO},
     "held_encode_secs": {"ratio": RATIO},
+    # ... and the engine's VmRSS growth per user, which repeats only over
+    # the same crowd.
+    "state_bytes_per_user": {"ratio": STATE_RATIO, "same": ("users",)},
     # BENCH_durability.json
     "warm_open_long_suffix_secs": {"ratio": RATIO, "floor": ROTATION_FLOOR_SECS},
     "snapshot_rotation_secs": {"ratio": RATIO, "floor": ROTATION_FLOOR_SECS},

@@ -76,6 +76,16 @@ class RatioRules(unittest.TestCase):
         self.assertEqual(gate(base, bench(row(name, secs * 1.9, "lower", "s"))), (1, []))
         self.assertEqual(len(gate(base, bench(row(name, secs * 2.1, "lower", "s")))[1]), 1)
 
+    def test_state_bytes_per_user_growth_past_a_quarter_fails(self):
+        name = "state_bytes_per_user"
+        base = bench(row(name, 1_143.0, "lower", "B"), users=10_000)
+        grown = bench(row(name, 1_143.0 * 1.2, "lower", "B"), users=10_000)
+        self.assertEqual(gate(base, grown), (1, []))
+        bloated = bench(row(name, 1_143.0 * 1.3, "lower", "B"), users=10_000)
+        self.assertEqual(len(gate(base, bloated)[1]), 1)
+        # Per-user bytes of another crowd size are not compared.
+        self.assertEqual(gate(base, {**bloated, "users": 100_000}), (0, []))
+
     def test_a_figure_on_one_side_only_is_skipped(self):
         base = bench(row("kernel_users_per_sec/grid=96", 4e5))
         self.assertEqual(gate(base, bench()), (0, []))
