@@ -620,15 +620,16 @@ fn read_meta(part: &[u8]) -> Result<MetaSnap, CoreError> {
 /// through the slot release of a windowed cut and each batch through
 /// the engine's one write path — its ingest list as one batch, then its
 /// retraction list as one signed batch, the order the live writer
-/// logged them in. Returns the engine, the open store, and the highest
-/// monitor batch sequence with its checkpoint.
+/// logged them in. The replay is the `durable.replay` span. Returns the
+/// engine, the open store, and the highest monitor batch sequence with
+/// its checkpoint.
 pub(crate) fn recover(
     pipeline: GeolocationPipeline,
     vfs: Box<dyn Vfs>,
     dir: PathBuf,
 ) -> Result<(StreamingPipeline, DurableStore, u64, Option<String>), CoreError> {
     let obs = pipeline.obs();
-    let (store, recovered) = DurableStore::open_with(vfs, dir, obs)?;
+    let (store, recovered) = DurableStore::open_with(vfs, dir, obs.clone())?;
     let mut stream = StreamingPipeline::new(pipeline);
     let mut source_seq = 0u64;
     let mut checkpoint = None;
@@ -656,6 +657,7 @@ pub(crate) fn recover(
         }
         stream.rebuild_derived_state();
     }
+    let _replay = crowdtz_obs::span!(obs, "durable.replay");
     for (_, payload) in &recovered.deltas {
         if payload.first() == Some(&KIND_EXPIRY) {
             let cutoff = decode_expiry(payload)?;
@@ -1389,6 +1391,33 @@ mod tests {
         assert_eq!(released, 0);
         assert_eq!(counters(&live), [2, 1, 0]);
         assert_eq!(counters(&replayed), counters(&live));
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_times_the_suffix_replay_once() {
+        use crate::ConcurrentStreamingPipeline;
+        use crowdtz_obs::Observer;
+        let dir = scratch_dir("replay-span");
+        {
+            let engine =
+                ConcurrentStreamingPipeline::open_durable(durable_pipeline(), &dir).unwrap();
+            let writer = engine.writer();
+            writer.ingest_posts_ref(&days(0, 2)).unwrap();
+            writer.ingest_posts_ref(&days(3, 4)).unwrap();
+        }
+        let observer = Observer::from_env();
+        let pipeline = durable_pipeline().observer(std::sync::Arc::clone(&observer));
+        let engine = ConcurrentStreamingPipeline::open_durable(pipeline, &dir).unwrap();
+        assert_eq!(observer.snapshot().counters["store.records_replayed"], 2);
+        let replays: Vec<_> = observer
+            .stage_timings()
+            .into_iter()
+            .filter(|stage| stage.name == "durable.replay")
+            .map(|stage| stage.calls)
+            .collect();
+        assert_eq!(replays, [1]);
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -80,13 +80,54 @@ use crate::profile::ActivityProfile;
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
 
-/// The entries of the vector behind `shared`, leaving an empty one:
-/// moved out when the engine is its only owner, cloned once when a
-/// published report still holds it — a held report is never mutated.
-fn take_shared<T: Clone>(shared: &mut Arc<Vec<T>>) -> std::vec::IntoIter<T> {
-    Arc::try_unwrap(std::mem::take(shared))
-        .unwrap_or_else(|held| held.as_ref().clone())
-        .into_iter()
+/// The entries of a kept vector, in order, for the refresh merge to
+/// carry over: moved out when the engine was the vector's only owner,
+/// cloned one at a time from the vector itself while a published report
+/// still holds it — a held report is never mutated, and no second full
+/// copy of the vector is made.
+enum Entries<T> {
+    /// The engine's own vector, consumed.
+    Moved(std::vec::IntoIter<T>),
+    /// A vector a report shares, read in place from `next` on.
+    Held { shared: Arc<Vec<T>>, next: usize },
+}
+
+impl<T: Clone> Entries<T> {
+    /// The entries of the vector behind `shared`, leaving an empty one.
+    fn take(shared: &mut Arc<Vec<T>>) -> Entries<T> {
+        match Arc::try_unwrap(std::mem::take(shared)) {
+            Ok(vec) => Entries::Moved(vec.into_iter()),
+            Err(shared) => Entries::Held { shared, next: 0 },
+        }
+    }
+
+    /// The entries not yet taken.
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Entries::Moved(entries) => entries.as_slice(),
+            Entries::Held { shared, next } => &shared[*next..],
+        }
+    }
+}
+
+impl<T: Clone> Iterator for Entries<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Entries::Moved(entries) => entries.next(),
+            Entries::Held { shared, next } => {
+                let entry = shared.get(*next)?.clone();
+                *next += 1;
+                Some(entry)
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.as_slice().len();
+        (left, Some(left))
+    }
 }
 
 /// How many of the id-sorted `profiles` sort below `id` — an exponential
@@ -204,7 +245,8 @@ pub struct StreamingPipeline {
     /// batch pipeline would build, and the only owner of each kept
     /// user's profile. Shared with every snapshot through its [`Arc`]:
     /// a refresh moves the entries out while no snapshot is alive, and
-    /// clones them once when one is.
+    /// clones each entry it carries over out of the shared vector when
+    /// one is.
     kept_profiles: Arc<Vec<ActivityProfile>>,
     /// Kept users' placements, parallel to `kept_profiles`.
     kept_placements: Arc<Vec<UserPlacement>>,
@@ -530,9 +572,9 @@ impl StreamingPipeline {
         let mut profiles = Vec::with_capacity(len);
         let mut placements = Vec::with_capacity(len);
         let mut stamps = Vec::with_capacity(len);
-        let mut old_profiles = take_shared(&mut self.kept_profiles);
-        let mut old_placements = take_shared(&mut self.kept_placements);
-        let mut old_stamps = take_shared(&mut self.kept_stamps);
+        let mut old_profiles = Entries::take(&mut self.kept_profiles);
+        let mut old_placements = Entries::take(&mut self.kept_placements);
+        let mut old_stamps = Entries::take(&mut self.kept_stamps);
         let mut resolutions = resolved.into_iter();
         for id in dirty {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
@@ -651,7 +693,8 @@ impl StreamingPipeline {
     /// to the dirty set (plus one cheap O(24·n) reduction). The report
     /// shares the kept profile/placement vectors with the engine via
     /// `Arc` — assembling it copies nothing per user, and holding an old
-    /// report costs at most one copy-on-write clone at the next refresh.
+    /// report makes the next refresh clone the entries it carries over
+    /// rather than move them.
     ///
     /// The report is byte-identical to [`GeolocationPipeline::analyze`]
     /// over the cumulative traces.
@@ -989,5 +1032,64 @@ mod tests {
             report_json(&stream.snapshot().unwrap()),
             report_json(&fresh.snapshot().unwrap())
         );
+    }
+
+    #[test]
+    fn a_refresh_moves_unheld_entries_and_never_touches_a_held_report() {
+        let post = |day: i64, hour: i64| Timestamp::from_secs(day * 86_400 + hour * 3_600);
+        let pipeline = GeolocationPipeline::default().min_posts(1).threads(1);
+        let mut stream = StreamingPipeline::new(pipeline);
+        for user in 0..8i64 {
+            let posts: Vec<Timestamp> = (0..10)
+                .map(|day| post(day, (user * 3 + day % 2) % 24))
+                .collect();
+            stream.ingest(&format!("u{user}"), &posts);
+        }
+        // Each kept user's id, and where its profile's and its
+        // placement's copies of the id live.
+        let ids = |report: &GeolocationReport| -> Vec<(String, *const u8, *const u8)> {
+            report
+                .profiles()
+                .iter()
+                .zip(report.placements())
+                .map(|(p, q)| (p.user().to_owned(), p.user().as_ptr(), q.user().as_ptr()))
+                .collect()
+        };
+
+        // No report held: the clean users and the re-placed `u3` are
+        // carried over, so every kept id keeps its allocation.
+        let before = ids(&stream.snapshot().unwrap());
+        stream.ingest("u3", &[post(11, 5)]);
+        stream.ingest("u9", &[post(11, 6)]);
+        let after = ids(&stream.snapshot().unwrap());
+        assert_eq!(after.len(), before.len() + 1);
+        for entry in &before {
+            assert!(after.contains(entry), "{} was copied", entry.0);
+        }
+
+        // A report held across a refresh keeps its vectors and bytes; the
+        // next report's entries are copies of its own.
+        let held = stream.snapshot().unwrap();
+        let held_json = report_json(&held);
+        let held_ids = ids(&held);
+        let held_vectors = (held.profiles().as_ptr(), held.placements().as_ptr());
+        stream.ingest("u5", &[post(12, 7)]);
+        stream.ingest("u8", &[post(12, 8)]);
+        let next = stream.snapshot().unwrap();
+        assert_eq!(report_json(&held), held_json);
+        assert_eq!(ids(&held), held_ids);
+        assert_eq!(
+            (held.profiles().as_ptr(), held.placements().as_ptr()),
+            held_vectors
+        );
+        assert_eq!(next.profiles().len(), held_ids.len() + 1);
+        for (user, profile, placement) in ids(&next) {
+            assert!(
+                held_ids
+                    .iter()
+                    .all(|&(_, p, q)| p != profile && q != placement),
+                "{user} shares an id with the held report"
+            );
+        }
     }
 }

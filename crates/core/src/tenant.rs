@@ -120,7 +120,7 @@ pub struct Tenant {
 struct Kept {
     newest: Option<KeptBody>,
     /// The allocation of the body the newest replaced, when no reader
-    /// still held it: the next body is written into it.
+    /// or response still held it: the next body is written into it.
     spare: Vec<u8>,
 }
 
@@ -193,7 +193,11 @@ impl Tenant {
     /// the top-level fields, are encoded. The first body of a tenant
     /// (after a durable reopen too) is a full encode. A new body is
     /// written into the allocation of the body the kept one replaced,
-    /// when no reader still holds it, and is shrunk to its exact size.
+    /// when nothing still holds it, and is shrunk to its exact size. The
+    /// returned `Arc` is the kept body itself, so a caller that serves it
+    /// by reference (`crowdtz-serve`'s snapshot responses) holds it until
+    /// the bytes are written, and a body replaced meanwhile is not
+    /// recycled.
     ///
     /// # Errors
     ///
@@ -517,6 +521,55 @@ mod tests {
         }
         assert_eq!(a.engine().users_tracked(), 1);
         assert_eq!(b.engine().users_tracked(), 0, "tenants share nothing");
+    }
+
+    #[test]
+    fn a_replaced_body_becomes_the_spare_unless_a_reader_still_holds_it() {
+        let registry = TenantRegistry::new();
+        let config = TenantConfig {
+            min_posts: 1,
+            threads: 1,
+            ..TenantConfig::default()
+        };
+        let tenant = registry.create("alpha", config, None).unwrap();
+        let writer = tenant.engine().writer();
+        let mut round = 0i64;
+        // A new user's ten posts, then the body of a fresh cut.
+        let mut publish = || {
+            round += 1;
+            for day in round..round + 10 {
+                let at = day * 86_400 + (day % 5 + 16) * 3_600;
+                writer
+                    .ingest(&format!("u{round}"), &[Timestamp::from_secs(at)])
+                    .unwrap();
+            }
+            let published = tenant.engine().publish().unwrap();
+            let body = tenant.report_body(&published).unwrap();
+            assert_eq!(*body, serde_json::to_vec(published.report()).unwrap());
+            body
+        };
+        let spare = |tenant: &Tenant| {
+            let kept = tenant.kept_body();
+            (kept.spare.as_ptr(), kept.spare.capacity())
+        };
+        // A reader still holds the first body when the second replaces
+        // it, as a snapshot response does until it is written: it is not
+        // recycled, and its bytes stay as they were.
+        let first = publish();
+        let first_bytes = first.to_vec();
+        let second = publish();
+        assert_eq!(spare(&tenant).1, 0);
+        assert_eq!(*first, first_bytes);
+        // Nothing holds the second body when the third replaces it: its
+        // allocation becomes the spare, which the fourth body takes.
+        let second_ptr = second.as_ptr();
+        drop((first, second));
+        let third = publish();
+        assert_eq!(spare(&tenant).0, second_ptr);
+        assert_ne!(spare(&tenant).1, 0);
+        let _fourth = publish();
+        assert_eq!(spare(&tenant).1, 0, "the held third body is not the spare");
+        drop(third);
     }
 
     #[test]

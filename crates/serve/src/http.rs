@@ -20,6 +20,8 @@
 //! request-smuggling bugs happen.
 
 use std::io::{self, BufRead, IoSlice, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Longest accepted request line or single header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -312,6 +314,43 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
     })
 }
 
+/// A response body: bytes built for this response, or a body kept
+/// elsewhere and shared by reference — a tenant's encoded epoch, which
+/// every snapshot response of that epoch hands to the socket without a
+/// copy. Either way it dereferences to the bytes.
+///
+/// It is deliberately not `Clone`. A cloned `Shared` body would hold the
+/// kept allocation past the response's write, and the tenant recycles a
+/// replaced body only once nothing holds it. And without a `Clone` impl
+/// of its own, `body.clone()` resolves through [`Deref`] to
+/// `Vec<u8>::clone`, so code written when the field was a `Vec<u8>`
+/// (`let copy: Vec<u8> = response.body.clone()`) still compiles and
+/// copies the bytes out.
+#[derive(Debug)]
+pub enum Body {
+    /// Bytes this response owns.
+    Owned(Vec<u8>),
+    /// A kept body, held until the response is written.
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Deref for Body {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq<Vec<u8>> for Body {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == *other
+    }
+}
+
 /// One response ready to serialize. Content-Length framing always; the
 /// `close` flag additionally emits `Connection: close` and tells the
 /// connection loop to stop.
@@ -324,7 +363,7 @@ pub struct Response {
     /// `Content-Type` value.
     pub content_type: &'static str,
     /// Response body.
-    pub body: Vec<u8>,
+    pub body: Body,
     /// Close the connection after writing.
     pub close: bool,
 }
@@ -356,7 +395,7 @@ impl Response {
             status,
             headers: Vec::new(),
             content_type: "application/json",
-            body: text.into_bytes(),
+            body: Body::Owned(text.into_bytes()),
             close: false,
         }
     }
@@ -375,7 +414,7 @@ impl Response {
             status,
             headers: Vec::new(),
             content_type: "text/plain; charset=utf-8",
-            body: body.as_bytes().to_vec(),
+            body: Body::Owned(body.as_bytes().to_vec()),
             close: false,
         }
     }
@@ -419,7 +458,7 @@ impl Response {
         }
         head.push_str("\r\n");
         let head = head.as_bytes();
-        let body: &[u8] = if head_only { &[] } else { &self.body };
+        let body: &[u8] = if head_only { &[] } else { self.body.as_slice() };
         let sent = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,

@@ -35,6 +35,6 @@ pub mod server;
 pub mod service;
 
 pub use client::{ClientResponse, HttpClient};
-pub use http::{Request, Response, DEFAULT_MAX_BODY_BYTES};
+pub use http::{Body, Request, Response, DEFAULT_MAX_BODY_BYTES};
 pub use server::{resolve_addr, serve, serve_with, ServeConfig, ServerHandle};
 pub use service::{AnalysisService, ConnState, ServeMetrics, ServiceConfig};

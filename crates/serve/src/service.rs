@@ -28,7 +28,9 @@
 //! in-process replay with `assert_eq!` on raw bodies, the same way every
 //! prior layer of this workspace was pinned. Each epoch is encoded once
 //! and kept on its tenant ([`Tenant::report_body`]); every read of that
-//! epoch copies the kept bytes.
+//! epoch answers with the kept allocation itself ([`Body::Shared`]),
+//! held by the response until the connection loop has written it, so
+//! at most one response per worker holds a body at a time.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -42,7 +44,7 @@ use crowdtz_core::{
 use crowdtz_obs::{labeled, Counter, Gauge, Histogram, Observer};
 use crowdtz_time::Timestamp;
 
-use crate::http::{Request, Response};
+use crate::http::{Body, Request, Response};
 
 /// Route labels, also the `route` label values on `serve.*` metrics.
 pub const ROUTES: &[&str] = &[
@@ -261,7 +263,7 @@ impl AnalysisService {
             status: 200,
             headers: Vec::new(),
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: text.into_bytes(),
+            body: Body::Owned(text.into_bytes()),
             close: false,
         }
     }
@@ -483,9 +485,9 @@ impl AnalysisService {
             Ok(published) => published,
             Err(response) => return response,
         };
-        // One encode per published epoch; each response copies it.
+        // One encode per published epoch; each response shares it.
         let body = match tenant.report_body(&published) {
-            Ok(body) => body.to_vec(),
+            Ok(body) => Body::Shared(body),
             Err(e) => return Response::error(500, &format!("serialize failed: {e}")),
         };
         let watermarks = published
@@ -971,7 +973,7 @@ mod tests {
             &mut conn,
         );
         assert_eq!(cached.status, 200);
-        assert_eq!(cached.body, hit.body);
+        assert_eq!(cached.body, *hit.body);
 
         let (drift, _) = service.handle(
             &request("GET", "/v1/tenants/alpha/drift?nonzero=1", b""),
@@ -1248,17 +1250,24 @@ mod tests {
         assert_eq!(cut.status, 200);
         let tenant = service.registry().get("alpha").unwrap();
         let published = tenant.engine().snapshot().unwrap();
-        // The publishing request encoded the epoch and kept the body.
+        // The publishing request encoded the epoch and kept the body,
+        // and its response carries the kept allocation itself.
         let kept = tenant.report_body(&published).unwrap();
         assert_eq!(cut.body, *kept);
+        assert!(matches!(&cut.body, Body::Shared(body) if Arc::ptr_eq(body, &kept)));
+        assert_eq!(cut.body.as_ptr(), kept.as_ptr());
         for _ in 0..3 {
             let (read, _) = service.handle(
                 &request("GET", "/v1/tenants/alpha/snapshot", b""),
                 &mut conn,
             );
             assert_eq!(read.body, *kept);
+            assert_eq!(read.body.as_ptr(), kept.as_ptr());
             assert!(Arc::ptr_eq(&kept, &tenant.report_body(&published).unwrap()));
         }
+        // Every response but a snapshot owns its bytes.
+        let (health, _) = service.handle(&request("GET", "/healthz", b""), &mut conn);
+        assert!(matches!(health.body, Body::Owned(_)));
         assert_eq!(*kept, serde_json::to_vec(published.report()).unwrap());
     }
 
@@ -1327,7 +1336,7 @@ mod tests {
                     // The only publisher: the newest cut is the one it made.
                     let report = tenant.engine().snapshot().unwrap();
                     assert_eq!(header(&cut, "X-Crowdtz-Epoch"), report.epoch().to_string());
-                    served.push((report.epoch().to_string(), cut.body));
+                    served.push((report.epoch().to_string(), cut.body.to_vec()));
                     reports.push(report);
                 }
                 served
@@ -1344,7 +1353,10 @@ mod tests {
                                     &mut conn,
                                 );
                                 assert_eq!(read.status, 200);
-                                (header(&read, "X-Crowdtz-Epoch").to_string(), read.body)
+                                (
+                                    header(&read, "X-Crowdtz-Epoch").to_string(),
+                                    read.body.to_vec(),
+                                )
                             })
                             .collect::<Vec<_>>()
                     })
@@ -1601,7 +1613,7 @@ mod tests {
         service.metrics().record("healthz", 200, 1_000);
         let (response, route) = service.handle(&request("GET", "/metrics", b""), &mut conn);
         assert_eq!((response.status, route), (200, "metrics"));
-        let text = String::from_utf8(response.body).unwrap();
+        let text = String::from_utf8(response.body.to_vec()).unwrap();
         assert!(text.contains("crowdtz_serve_requests_total 1"));
         assert!(text.contains("crowdtz_serve_responses_total{class=\"2xx\"} 1"));
         assert!(text.contains("crowdtz_serve_latency_ns_count{route=\"healthz\"} 1"));

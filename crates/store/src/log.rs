@@ -75,28 +75,21 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a concatenation of records, stopping at the first torn or
-/// corrupt byte.
-pub fn decode_log(data: &[u8]) -> DecodedLog {
-    let mut records = Vec::new();
+/// Walk the records of `data` in file order, handing each valid one's
+/// byte offset, `seq` and payload to `visit`, until the first torn or
+/// corrupt byte: the one loop that validates a record (header, length
+/// bound, CRC). Returns the end of the valid prefix and what came after
+/// it.
+pub(crate) fn scan_log(data: &[u8], mut visit: impl FnMut(usize, u64, &[u8])) -> (u64, TailState) {
     let mut off = 0usize;
     loop {
         let remaining = data.len() - off;
+        let rest = remaining as u64;
         if remaining == 0 {
-            return DecodedLog {
-                records,
-                valid_len: off as u64,
-                tail: TailState::Clean,
-            };
+            return (off as u64, TailState::Clean);
         }
         if remaining < HEADER_LEN {
-            return DecodedLog {
-                records,
-                valid_len: off as u64,
-                tail: TailState::Torn {
-                    bytes: remaining as u64,
-                },
-            };
+            return (off as u64, TailState::Torn { bytes: rest });
         }
         let seq_le: [u8; 8] = data[off..off + 8].try_into().unwrap();
         let len_le: [u8; 4] = data[off + 8..off + 12].try_into().unwrap();
@@ -106,27 +99,29 @@ pub fn decode_log(data: &[u8]) -> DecodedLog {
         // indistinguishable from a torn append of a record we never
         // finished writing the payload of.
         if len > MAX_PAYLOAD || (len as usize) > remaining - HEADER_LEN {
-            return DecodedLog {
-                records,
-                valid_len: off as u64,
-                tail: TailState::Torn {
-                    bytes: remaining as u64,
-                },
-            };
+            return (off as u64, TailState::Torn { bytes: rest });
         }
         let payload = &data[off + HEADER_LEN..off + HEADER_LEN + len as usize];
         let crc = crc32_concat(&[&seq_le, &len_le, payload]);
         if crc != u32::from_le_bytes(crc_le) {
-            return DecodedLog {
-                records,
-                valid_len: off as u64,
-                tail: TailState::Corrupt {
-                    bytes: remaining as u64,
-                },
-            };
+            return (off as u64, TailState::Corrupt { bytes: rest });
         }
-        records.push((u64::from_le_bytes(seq_le), payload.to_vec()));
+        visit(off, u64::from_le_bytes(seq_le), payload);
         off += HEADER_LEN + len as usize;
+    }
+}
+
+/// Decode a concatenation of records, stopping at the first torn or
+/// corrupt byte.
+pub fn decode_log(data: &[u8]) -> DecodedLog {
+    let mut records = Vec::new();
+    let (valid_len, tail) = scan_log(data, |_, seq, payload| {
+        records.push((seq, payload.to_vec()));
+    });
+    DecodedLog {
+        records,
+        valid_len,
+        tail,
     }
 }
 

@@ -29,11 +29,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crowdtz_obs::Observer;
+use crowdtz_obs::{Counter, Observer};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::log::{decode_blob, decode_log, encode_record, TailState};
+use crate::log::{decode_blob, decode_log, encode_record, scan_log, TailState};
 use crate::vfs::{file_in, RealVfs, Vfs};
 
 /// Name of the delta log inside a store directory.
@@ -101,7 +101,15 @@ pub struct DurableStore {
     retained: Vec<(u64, u64)>,
     /// Current byte length of the (valid portion of the) delta log.
     log_len: u64,
-    obs: Option<Arc<Observer>>,
+    metrics: Option<StoreMetrics>,
+}
+
+/// The counters a live store bumps (`store.*`), resolved once at open.
+#[derive(Debug)]
+struct StoreMetrics {
+    deltas_appended: Counter,
+    snapshots_written: Counter,
+    log_compactions: Counter,
 }
 
 fn manifest_name(gen: u64) -> String {
@@ -262,14 +270,19 @@ impl DurableStore {
         }
         stats.records_replayed = deltas.len() as u64;
 
-        if let Some(o) = obs.as_ref() {
+        let metrics = obs.as_ref().map(|o| {
             o.counter("store.records_replayed")
                 .add(stats.records_replayed);
             o.counter("store.corrupt_records_skipped")
                 .add(stats.corrupt_records_skipped);
             o.counter("store.generations_quarantined")
                 .add(stats.generations_quarantined);
-        }
+            StoreMetrics {
+                deltas_appended: o.counter("store.deltas_appended"),
+                snapshots_written: o.counter("store.snapshots_written"),
+                log_compactions: o.counter("store.log_compactions"),
+            }
+        });
 
         let retained = snapshot
             .as_ref()
@@ -282,7 +295,7 @@ impl DurableStore {
             next_gen: max_gen_seen + 1,
             retained,
             log_len,
-            obs,
+            metrics,
         };
         Ok((
             store,
@@ -382,8 +395,8 @@ impl DurableStore {
         self.vfs.sync(&log_path)?;
         self.next_seq += 1;
         self.log_len += rec.len() as u64;
-        if let Some(o) = self.obs.as_ref() {
-            o.counter("store.deltas_appended").inc();
+        if let Some(metrics) = &self.metrics {
+            metrics.deltas_appended.inc();
         }
         Ok(seq)
     }
@@ -428,8 +441,8 @@ impl DurableStore {
             let (old_gen, _) = self.retained.remove(0);
             self.remove_generation_files(old_gen)?;
         }
-        if let Some(o) = self.obs.as_ref() {
-            o.counter("store.snapshots_written").inc();
+        if let Some(metrics) = &self.metrics {
+            metrics.snapshots_written.inc();
         }
         self.compact()?;
         Ok(gen)
@@ -451,34 +464,40 @@ impl DurableStore {
     }
 
     /// Rewrite the log keeping only records newer than the oldest
-    /// retained snapshot. No-op when nothing can be dropped.
+    /// retained snapshot, and none of a torn or corrupt tail. No-op when
+    /// nothing can be dropped.
+    ///
+    /// Records ascend by seq, so the kept records are one contiguous
+    /// suffix of the log's valid prefix: it is written exactly as it was
+    /// read, with no decode or re-encode.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let Some(&(_, floor)) = self.retained.first() else {
             return Ok(());
         };
         let log_path = file_in(&self.dir, LOG_FILE);
         let data = self.vfs.read(&log_path)?;
-        let decoded = decode_log(&data);
-        let kept: Vec<&(u64, Vec<u8>)> = decoded
-            .records
-            .iter()
-            .filter(|&&(seq, _)| seq > floor)
-            .collect();
-        if kept.len() == decoded.records.len() && decoded.valid_len == data.len() as u64 {
+        let mut kept_from = None;
+        let mut last_seq = 0;
+        let (valid_len, _) = scan_log(&data, |offset, seq, _| {
+            debug_assert!(seq > last_seq, "log records ascend by seq");
+            last_seq = seq;
+            if seq > floor && kept_from.is_none() {
+                kept_from = Some(offset);
+            }
+        });
+        let valid_len = valid_len as usize;
+        let kept = &data[kept_from.unwrap_or(valid_len)..valid_len];
+        if kept.len() == data.len() {
             return Ok(());
         }
-        let mut out = Vec::new();
-        for (seq, payload) in kept {
-            out.extend_from_slice(&encode_record(*seq, payload));
-        }
         let tmp = file_in(&self.dir, &format!("{LOG_FILE}.tmp"));
-        self.vfs.write(&tmp, &out)?;
+        self.vfs.write(&tmp, kept)?;
         self.vfs.sync(&tmp)?;
         self.vfs.rename(&tmp, &log_path)?;
         self.vfs.sync_dir(&self.dir)?;
-        self.log_len = out.len() as u64;
-        if let Some(o) = self.obs.as_ref() {
-            o.counter("store.log_compactions").inc();
+        self.log_len = kept.len() as u64;
+        if let Some(metrics) = &self.metrics {
+            metrics.log_compactions.inc();
         }
         Ok(())
     }

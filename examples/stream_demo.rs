@@ -209,7 +209,8 @@ fn main() {
         incremental_total += start.elapsed().as_secs_f64();
 
         // Snapshots share their per-user vectors with the engine; a report
-        // held across the next refresh costs one copy-on-write clone. Drop
+        // held across the next refresh makes it clone the entries it carries
+        // over instead of moving them. Drop
         // each round's reports (keeping only the last) so the steady-state
         // monitoring cost is what gets measured.
         if round == rounds as i64 {
