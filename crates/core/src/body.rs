@@ -8,7 +8,8 @@
 //! [`encode`] builds the next body by copying those ranges for every
 //! user whose refresh stamp is not newer than the kept body's
 //! generation (see `streaming.rs`), encoding only the rest through
-//! `write_json`. The top-level fields (`flat_removed`, crowd,
+//! `write_json`, which divides a profile's distribution out of its hour
+//! counts as it writes it. The top-level fields (`flat_removed`, crowd,
 //! histogram, fits, `coverage`, `threads`) are always encoded fresh.
 //!
 //! Copied ranges and fresh text go straight into the new body, which is

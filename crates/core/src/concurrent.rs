@@ -1060,11 +1060,11 @@ mod tests {
         let mut dirty_seen = 0;
         for part in shards {
             let (users, _) = crate::durable::decode_shard(part).unwrap();
-            let ids: Vec<&str> = users.iter().map(|(id, _, _)| id.as_str()).collect();
+            let ids: Vec<&str> = users.iter().map(|(id, _, _)| &**id).collect();
             let dirty: Vec<&str> = users
                 .iter()
                 .filter(|&&(_, _, dirty)| dirty)
-                .map(|(id, _, _)| id.as_str())
+                .map(|(id, _, _)| &**id)
                 .collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
             assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{dirty:?}");

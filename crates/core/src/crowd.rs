@@ -27,11 +27,11 @@ impl CrowdProfile {
         if profiles.is_empty() {
             return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
         }
+        // Each member's distribution is added as its counts divide out,
+        // in slice order, without building a `Distribution24` per member.
         let mut sum = [0.0_f64; BINS];
         for p in profiles {
-            for (dst, &v) in sum.iter_mut().zip(p.distribution().as_slice()) {
-                *dst += v;
-            }
+            p.add_distribution_to(&mut sum);
         }
         Ok(CrowdProfile {
             distribution: Distribution24::from_weights(&sum)?,

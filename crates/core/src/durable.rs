@@ -53,6 +53,7 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use crowdtz_store::{DurableStore, StoreError, Vfs};
 use crowdtz_time::Timestamp;
@@ -190,7 +191,7 @@ struct MetaSnap {
 
 /// One persisted user as recovery restores it: id, accumulator, and
 /// whether it was awaiting a refresh.
-pub(crate) type RestoredUser = (String, UserAccumulator, bool);
+pub(crate) type RestoredUser = (Arc<str>, UserAccumulator, bool);
 
 fn codec_err(what: &str, e: impl std::fmt::Display) -> CoreError {
     CoreError::Store(StoreError::Codec {
@@ -458,7 +459,7 @@ impl<'a> Reader<'a> {
     /// scratch for the `(key, count)` pairs: every key precedes every
     /// count.
     fn user(&mut self, slots: &mut Vec<(i64, u32)>) -> Result<(RestoredUser, usize), CoreError> {
-        let id = self.str()?.to_owned();
+        let id = Arc::from(self.str()?);
         let flags = self.byte()?;
         if flags & !(TAG_MASK | DIRTY_BIT) != 0 {
             return Err(self.err("unknown user flag bits"));
@@ -592,7 +593,7 @@ fn read_shard(part: &[u8]) -> Result<(Vec<RestoredUser>, usize), CoreError> {
             let (acc, out_of_range) = rebuild_accumulator(&user)?;
             dropped += out_of_range;
             let was_dirty = dirty.contains(&user.id) || out_of_range > 0;
-            Ok((user.id, acc, was_dirty))
+            Ok((user.id.into(), acc, was_dirty))
         })
         .collect::<Result<_, CoreError>>()?;
     Ok((users, dropped))
@@ -699,12 +700,11 @@ pub(crate) fn build_snapshot_parts(
     parts
 }
 
-/// Rebuilds a [`UserAccumulator`] (hour counts, analysis record) from
-/// a legacy JSON user, and the posts dropped with slots outside the key
-/// range; the engine then rebuilds profiles from the hour counts with
-/// the function the live refresh uses
-/// (`StreamingPipeline::rebuild_derived_state`), so the result is
-/// bit-identical.
+/// Rebuilds a [`UserAccumulator`] (slots, analysis record) from a
+/// legacy JSON user, and the posts dropped with slots outside the key
+/// range; the engine then rebuilds profiles from the hour counts the
+/// live refresh derives (`StreamingPipeline::rebuild_derived_state`),
+/// so the result is bit-identical.
 fn rebuild_accumulator(user: &UserSnap) -> Result<(UserAccumulator, usize), CoreError> {
     let analysis = match &user.analysis {
         None => None,
@@ -901,9 +901,9 @@ mod tests {
         }
     }
 
-    fn encode_users(users: &[(String, UserAccumulator)]) -> Vec<u8> {
+    fn encode_users(users: &[(Arc<str>, UserAccumulator)]) -> Vec<u8> {
         let refs: Vec<(&str, &UserAccumulator)> =
-            users.iter().map(|(id, acc)| (id.as_str(), acc)).collect();
+            users.iter().map(|(id, acc)| (&**id, acc)).collect();
         encode_shard(&refs)
     }
 
@@ -993,9 +993,9 @@ mod tests {
                 for &(k, _) in &want.slots {
                     hours[k.rem_euclid(24) as usize] += 1;
                 }
-                proptest::prop_assert_eq!(&id, &want.id);
+                proptest::prop_assert_eq!(&*id, want.id.as_str());
                 proptest::prop_assert_eq!(acc.live_slots().collect::<Vec<_>>(), want.slots.clone());
-                proptest::prop_assert_eq!(acc.hour_counts, hours);
+                proptest::prop_assert_eq!(acc.hour_counts(), hours);
                 proptest::prop_assert_eq!(acc.posts, sum(&want.slots));
                 proptest::prop_assert_eq!(analysis_bits(acc.analysis), analysis_bits(raw.analysis));
                 proptest::prop_assert_eq!(dirty, want.dirty);
@@ -1280,7 +1280,7 @@ mod tests {
                     .unwrap()
                     .0
                     .into_iter()
-                    .map(|(id, _, _)| id),
+                    .map(|(id, _, _)| id.to_string()),
             );
         }
         ids.sort();

@@ -53,7 +53,7 @@
 //! decision and metric — is identical for any thread count, including 1
 //! (see `DESIGN.md` §9 and §14).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crowdtz_stats::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch, prune_slack, quad_fold,
@@ -671,7 +671,7 @@ impl PlacementEngine {
     /// fractional offset (see [`UserPlacement::offset_minutes`]).
     pub fn place(&self, profile: &ActivityProfile) -> UserPlacement {
         let (minutes, emd) = self.place_cdf_minutes(&profile.distribution().cdf());
-        UserPlacement::from_offset_minutes(profile.user(), minutes, emd)
+        UserPlacement::from_offset_minutes(Arc::clone(profile.id()), minutes, emd)
     }
 
     /// The SoA batch kernel: resolves up to [`BATCH_USERS`] 24-bin CDFs
@@ -963,7 +963,9 @@ impl PlacementEngine {
         profiles
             .iter()
             .zip(outcomes)
-            .map(|(p, o)| UserPlacement::from_offset_minutes(p.user(), o.zone_minutes, o.emd))
+            .map(|(p, o)| {
+                UserPlacement::from_offset_minutes(Arc::clone(p.id()), o.zone_minutes, o.emd)
+            })
             .collect()
     }
 
@@ -1175,7 +1177,7 @@ mod tests {
                 let (minutes, e) = engine.place_cdf_minutes(&cdf);
                 assert_eq!(r.zone_minutes, minutes);
                 assert_eq!(r.emd.to_bits(), e.to_bits());
-                assert_eq!(r.flat, engine.is_flat(profiles[i].distribution()));
+                assert_eq!(r.flat, engine.is_flat(&profiles[i].distribution()));
             }
         }
     }

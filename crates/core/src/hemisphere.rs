@@ -121,8 +121,8 @@ pub fn classify_user(trace: &UserTrace, config: &HemisphereConfig) -> Option<Hem
     {
         return None;
     }
-    let w = wp.distribution();
-    let s = sp.distribution();
+    let w = &wp.distribution();
+    let s = &sp.distribution();
     let d_forward = circular_emd(w, &s.shifted(1));
     let d_backward = circular_emd(w, &s.shifted(-1));
     let d_unshifted = circular_emd(w, s);

@@ -1,6 +1,7 @@
 //! EMD-based placement of users into time zones — §IV.A.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -124,7 +125,8 @@ impl fmt::Display for ZoneGrid {
 /// The placement of one user: the time zone whose profile is EMD-closest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserPlacement {
-    user: String,
+    /// Shared with the user's profile wherever the engine keeps both.
+    user: Arc<str>,
     zone_hours: i32,
     emd: f64,
     /// Sub-hour part of the offset (same sign as the offset, 0 on the
@@ -140,7 +142,7 @@ pub struct UserPlacement {
 impl Serialize for UserPlacement {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
-            ("user".to_string(), self.user.to_value()),
+            ("user".to_string(), self.user().to_value()),
             ("zone_hours".to_string(), self.zone_hours.to_value()),
             ("emd".to_string(), self.emd.to_value()),
         ];
@@ -152,7 +154,7 @@ impl Serialize for UserPlacement {
 
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"user\":");
-        self.user.write_json(out);
+        self.user().write_json(out);
         out.push_str(",\"zone_hours\":");
         self.zone_hours.write_json(out);
         out.push_str(",\"emd\":");
@@ -168,7 +170,7 @@ impl Serialize for UserPlacement {
 impl Deserialize for UserPlacement {
     fn from_value(value: &serde::Value) -> Result<UserPlacement, serde::DeError> {
         Ok(UserPlacement {
-            user: String::from_value(value.field("user")?)?,
+            user: String::from_value(value.field("user")?)?.into(),
             zone_hours: i32::from_value(value.field("zone_hours")?)?,
             emd: f64::from_value(value.field("emd")?)?,
             zone_minutes: match value.field("zone_minutes") {
@@ -183,7 +185,7 @@ impl UserPlacement {
     /// Creates a whole-hour placement record directly (used when
     /// placements come from synthetic constructions rather than
     /// [`place_user`], e.g. the replicated-crowd experiment of Fig. 6a).
-    pub fn new(user: impl Into<String>, zone_hours: i32, emd: f64) -> UserPlacement {
+    pub fn new(user: impl Into<Arc<str>>, zone_hours: i32, emd: f64) -> UserPlacement {
         UserPlacement {
             user: user.into(),
             zone_hours,
@@ -195,7 +197,7 @@ impl UserPlacement {
     /// Creates a placement at an offset given in minutes east of UTC
     /// (e.g. `345` for Nepal's +5:45).
     pub fn from_offset_minutes(
-        user: impl Into<String>,
+        user: impl Into<Arc<str>>,
         offset_minutes: i32,
         emd: f64,
     ) -> UserPlacement {
@@ -211,12 +213,17 @@ impl UserPlacement {
     /// user id — the streaming refresh re-places a user who stays kept in
     /// place, with no allocation.
     pub(crate) fn set_offset_minutes(&mut self, offset_minutes: i32, emd: f64) {
-        *self =
-            UserPlacement::from_offset_minutes(std::mem::take(&mut self.user), offset_minutes, emd);
+        *self = UserPlacement::from_offset_minutes(Arc::clone(&self.user), offset_minutes, emd);
     }
 
     /// The user's pseudonym.
     pub fn user(&self) -> &str {
+        &self.user
+    }
+
+    /// The pseudonym's allocation, shared with the user's profile.
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> &Arc<str> {
         &self.user
     }
 
@@ -292,21 +299,8 @@ impl fmt::Display for UserPlacement {
 /// # Ok::<(), crowdtz_time::TimeError>(())
 /// ```
 pub fn place_user(profile: &ActivityProfile, generic: &GenericProfile) -> UserPlacement {
-    let mut best_zone = 0i32;
-    let mut best_emd = f64::INFINITY;
-    for k in -11..=12 {
-        let d = circular_emd(profile.distribution(), &generic.zone_profile(k));
-        if d < best_emd {
-            best_emd = d;
-            best_zone = k;
-        }
-    }
-    UserPlacement {
-        user: profile.user().to_owned(),
-        zone_hours: best_zone,
-        emd: best_emd,
-        zone_minutes: 0,
-    }
+    let (zone_hours, emd) = place_distribution(&profile.distribution(), generic);
+    UserPlacement::new(Arc::clone(profile.id()), zone_hours, emd)
 }
 
 /// Places a bare hourly distribution (UTC hours) into its EMD-closest
@@ -744,7 +738,7 @@ mod tests {
         // A user exactly at UTC+2: EMD to +2 < EMD to +3 < EMD to +6.
         let generic = GenericProfile::reference();
         let profile = user_at_zone("u", 2, &generic);
-        let d = |k: i32| circular_emd(profile.distribution(), &generic.zone_profile(k));
+        let d = |k: i32| circular_emd(&profile.distribution(), &generic.zone_profile(k));
         assert!(d(2) < d(3));
         assert!(d(3) < d(6));
     }

@@ -41,7 +41,7 @@ pub fn split_flat_profiles_with(
     engine: &PlacementEngine,
     threads: usize,
 ) -> PolishOutcome {
-    let flags: Vec<bool> = chunked_map(&profiles, threads, |p| engine.is_flat(p.distribution()));
+    let flags: Vec<bool> = chunked_map(&profiles, threads, |p| engine.is_flat(&p.distribution()));
     let mut kept = Vec::new();
     let mut flat = Vec::new();
     for (p, is_flat) in profiles.into_iter().zip(flags) {

@@ -1,10 +1,11 @@
 //! User activity profiles — Eq. 1 of the paper.
 
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-use crowdtz_stats::{Distribution24, Histogram24};
+use crowdtz_stats::{Distribution24, Histogram24, BINS};
 use crowdtz_time::{HolidayCalendar, Timestamp, TraceSet, TzOffset, UserTrace, Zone};
 
 /// A user's activity profile: the probability of being active at each hour
@@ -14,12 +15,30 @@ use crowdtz_time::{HolidayCalendar, Timestamp, TraceSet, TzOffset, UserTrace, Zo
 /// `h` of day `d` — so multiple posts within the same hour of the same day
 /// count once. The profile is the normalized count of active (day, hour)
 /// slots per hour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A profile keeps the integer counts, not the distribution — 128 bytes
+/// with the id, which the engine shares between a user's profile and
+/// placement — and [`distribution`](ActivityProfile::distribution)
+/// divides them out on demand. The serialized form carries the
+/// distribution.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityProfile {
-    user: String,
-    distribution: Distribution24,
+    user: Arc<str>,
+    /// Active (day, hour) slots per hour of day; they sum to
+    /// `active_slots`, which is positive.
+    counts: [u32; BINS],
     active_slots: usize,
     post_count: usize,
+}
+
+/// The distribution of per-hour slot counts with positive mass: each count
+/// over their sum, exactly as [`Histogram24::normalized`] divides them. The
+/// one function behind a profile's distribution and the CDF row the
+/// placement kernel reads, so the two agree bit for bit.
+pub(crate) fn distribution_of(counts: &[u32; BINS]) -> Distribution24 {
+    Histogram24::from_bins(counts.map(f64::from))
+        .normalized()
+        .expect("an active slot gives the counts mass")
 }
 
 impl ActivityProfile {
@@ -84,10 +103,13 @@ impl ActivityProfile {
         if scratch.is_empty() {
             return None;
         }
-        let hist: Histogram24 = scratch.iter().map(|&(_, h)| h).collect();
+        let mut counts = [0u32; BINS];
+        for &(_, hour) in scratch.iter() {
+            counts[usize::from(hour)] += 1;
+        }
         Some(ActivityProfile {
-            user: trace.id().to_owned(),
-            distribution: hist.normalized().ok()?,
+            user: trace.id().into(),
+            counts,
             active_slots: scratch.len(),
             post_count: posts,
         })
@@ -95,16 +117,21 @@ impl ActivityProfile {
 
     /// Assembles a profile from already-computed parts — the streaming
     /// accumulators maintain slot counts incrementally and must produce
-    /// profiles bit-identical to the batch constructors.
+    /// profiles bit-identical to the batch constructors. `counts` sum to
+    /// `active_slots`, which is positive.
     pub(crate) fn from_parts(
-        user: String,
-        distribution: Distribution24,
+        user: Arc<str>,
+        counts: [u32; BINS],
         active_slots: usize,
         post_count: usize,
     ) -> ActivityProfile {
+        debug_assert_eq!(
+            counts.iter().map(|&c| c as usize).sum::<usize>(),
+            active_slots
+        );
         ActivityProfile {
             user,
-            distribution,
+            counts,
             active_slots,
             post_count,
         }
@@ -114,11 +141,11 @@ impl ActivityProfile {
     /// re-profiles a user who stays kept in place, with no allocation.
     pub(crate) fn set_activity(
         &mut self,
-        distribution: Distribution24,
+        counts: [u32; BINS],
         active_slots: usize,
         post_count: usize,
     ) {
-        self.distribution = distribution;
+        self.counts = counts;
         self.active_slots = active_slots;
         self.post_count = post_count;
     }
@@ -128,9 +155,27 @@ impl ActivityProfile {
         &self.user
     }
 
-    /// The hourly activity distribution `P_u`.
-    pub fn distribution(&self) -> &Distribution24 {
-        &self.distribution
+    /// The pseudonym's shared allocation: every profile and placement of
+    /// the user that the engine keeps holds this one.
+    pub(crate) fn id(&self) -> &Arc<str> {
+        &self.user
+    }
+
+    /// The hourly activity distribution `P_u`: each hour's count of
+    /// active slots over [`active_slots`](ActivityProfile::active_slots).
+    pub fn distribution(&self) -> Distribution24 {
+        distribution_of(&self.counts)
+    }
+
+    /// Adds the distribution into `sum`, hour by hour, without building
+    /// it: each count over `active_slots`, the division
+    /// [`distribution`](ActivityProfile::distribution) makes, so the sum
+    /// is bit-identical to adding the distributions.
+    pub(crate) fn add_distribution_to(&self, sum: &mut [f64; BINS]) {
+        let slots = self.active_slots as f64;
+        for (dst, &c) in sum.iter_mut().zip(&self.counts) {
+            *dst += f64::from(c) / slots;
+        }
     }
 
     /// Number of distinct active (day, hour) slots.
@@ -151,12 +196,73 @@ impl ActivityProfile {
     /// common frame.
     #[must_use]
     pub fn shifted(&self, hours: i32) -> ActivityProfile {
-        ActivityProfile {
-            user: self.user.clone(),
-            distribution: self.distribution.shifted(hours),
-            active_slots: self.active_slots,
-            post_count: self.post_count,
+        let mut counts = [0u32; BINS];
+        for (h, &c) in self.counts.iter().enumerate() {
+            counts[(h as i32 + hours).rem_euclid(BINS as i32) as usize] = c;
         }
+        ActivityProfile {
+            counts,
+            ..self.clone()
+        }
+    }
+}
+
+// Hand-written: the serialized form carries the distribution the counts
+// divide out to, in the field order of the derive this replaced.
+impl Serialize for ActivityProfile {
+    fn to_value(&self) -> Value {
+        Value::object(vec![
+            ("user".to_string(), self.user().to_value()),
+            ("distribution".to_string(), self.distribution().to_value()),
+            ("active_slots".to_string(), self.active_slots.to_value()),
+            ("post_count".to_string(), self.post_count.to_value()),
+        ])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"user\":");
+        self.user().write_json(out);
+        out.push_str(",\"distribution\":");
+        self.distribution().write_json(out);
+        out.push_str(",\"active_slots\":");
+        self.active_slots.write_json(out);
+        out.push_str(",\"post_count\":");
+        self.post_count.write_json(out);
+        out.push('}');
+    }
+}
+
+/// Recovers each hour's count as `round(p·active_slots)`, and refuses a
+/// profile whose counts do not sum to `active_slots` or do not divide
+/// back out to the distribution's exact bits: a distribution that is not
+/// a ratio of slot counts is not a profile.
+impl Deserialize for ActivityProfile {
+    fn from_value(value: &Value) -> Result<ActivityProfile, DeError> {
+        let user = String::from_value(value.field("user")?)?;
+        let distribution = Distribution24::from_value(value.field("distribution")?)?;
+        let active_slots = usize::from_value(value.field("active_slots")?)?;
+        let post_count = usize::from_value(value.field("post_count")?)?;
+        let slots = active_slots as f64;
+        let counts = std::array::from_fn(|h| (distribution.get(h) * slots).round() as u32);
+        let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+        let exact = total > 0
+            && total == active_slots as u64
+            && distribution_of(&counts)
+                .as_slice()
+                .iter()
+                .zip(distribution.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !exact {
+            return Err(DeError::custom(format!(
+                "profile of {user:?}: the distribution is not a ratio of {active_slots} slot counts"
+            )));
+        }
+        Ok(ActivityProfile {
+            user: user.into(),
+            counts,
+            active_slots,
+            post_count,
+        })
     }
 }
 
@@ -167,7 +273,7 @@ impl fmt::Display for ActivityProfile {
             "{}: {} slots, peak {:02}h",
             self.user,
             self.active_slots,
-            self.distribution.peak_hour()
+            self.distribution().peak_hour()
         )
     }
 }
@@ -385,5 +491,92 @@ mod tests {
         let p = ActivityProfile::from_trace_offset(&trace, TzOffset::UTC).unwrap();
         assert!(p.to_string().contains("alice"));
         assert!(p.to_string().contains("09h"));
+    }
+
+    /// Hour counts with mass: all hours drawn from zero, small and up to
+    /// 2²⁰, or one hot hour.
+    struct Counts;
+
+    impl proptest::Strategy for Counts {
+        type Value = [u32; BINS];
+
+        fn try_generate(&self, rng: &mut proptest::TestRng) -> Option<[u32; BINS]> {
+            let mut pick = |n: u64| (rng.next_u64() % n) as u32;
+            let counts = match pick(3) {
+                0 => {
+                    let mut counts = [0; BINS];
+                    counts[pick(BINS as u64) as usize] = 1 + pick(1 << 20);
+                    counts
+                }
+                _ => std::array::from_fn(|_| match pick(4) {
+                    0 | 1 => 0,
+                    2 => 1 + pick(40),
+                    _ => pick(1 << 20),
+                }),
+            };
+            counts.iter().any(|&c| c > 0).then_some(counts)
+        }
+    }
+
+    fn profile_of(counts: [u32; BINS]) -> ActivityProfile {
+        let slots = counts.iter().map(|&c| c as usize).sum();
+        ActivityProfile::from_parts("u\"1".into(), counts, slots, slots + 3)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Serializing then deserializing gives an equal profile and the
+        /// same bytes, through the streaming writer and the value tree
+        /// alike, for a profile and its rotations.
+        #[test]
+        fn count_profiles_round_trip_through_json(counts in Counts, hours in -30i32..30) {
+            let profile = profile_of(counts);
+            let shifted = profile.shifted(hours);
+            let want: Vec<u64> = profile.distribution().shifted(hours).as_slice().iter().map(|p| p.to_bits()).collect();
+            let got: Vec<u64> = shifted.distribution().as_slice().iter().map(|p| p.to_bits()).collect();
+            proptest::prop_assert_eq!(got, want);
+            for p in [profile, shifted] {
+                let json = serde_json::to_string(&p).unwrap();
+                let mut tree = String::new();
+                p.to_value().write_compact(&mut tree);
+                proptest::prop_assert_eq!(&tree, &json);
+                let back: ActivityProfile = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+                proptest::prop_assert_eq!(&back, &p);
+                proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            }
+        }
+
+        /// A distribution one ulp off a count ratio is refused.
+        #[test]
+        fn distributions_off_a_count_ratio_are_refused(counts in Counts, bin in 0usize..BINS) {
+            let profile = profile_of(counts);
+            let mut p = profile.distribution().as_slice().to_vec();
+            p[bin] = f64::from_bits(p[bin].to_bits() + 1);
+            let Value::Object(mut fields) = profile.to_value() else {
+                unreachable!("a profile serializes as an object");
+            };
+            fields[1].1 = Value::object(vec![("p".to_string(), p.to_value())]);
+            proptest::prop_assert!(ActivityProfile::from_value(&Value::Object(fields)).is_err());
+        }
+    }
+
+    #[test]
+    fn counts_that_miss_the_slot_total_are_refused() {
+        let profile = |p: [f64; 3], slots: usize| {
+            let p: Vec<String> = (0..BINS)
+                .map(|h| p.get(h).copied().unwrap_or(0.0).to_string())
+                .collect();
+            let json = format!(
+                r#"{{"user":"u","distribution":{{"p":[{}]}},"active_slots":{slots},"post_count":9}}"#,
+                p.join(",")
+            );
+            serde_json::from_str::<ActivityProfile>(&json)
+        };
+        assert_eq!(profile([0.5, 0.5, 0.0], 4).unwrap().counts[..3], [2, 2, 0]);
+        // Halves of three slots round to 2 + 2.
+        assert!(profile([0.5, 0.5, 0.0], 3).is_err());
+        assert!(profile([0.0, 0.0, 0.0], 0).is_err());
+        assert!(profile([0.25, 0.75, 0.0], 0).is_err());
     }
 }

@@ -28,10 +28,12 @@
 //!
 //! * each shard's users sit in a hash map keyed by the same FNV-1a as
 //!   routing and probed with the borrowed `&str`, so only a user's first
-//!   post copies the id;
+//!   post copies the id — into an `Arc<str>` that the dirty list, the
+//!   kept profile and the kept placement share;
 //! * dirtiness is a flag on the accumulator plus a per-shard list of the
-//!   ids flagged since the last drain, so the id is copied once per
-//!   refresh, not once per post;
+//!   ids flagged since the last drain, which clones the key's `Arc` —
+//!   a refcount, not a string copy — once per refresh, not once per
+//!   post;
 //! * a post at or after the user's last active slot — a crawl replayed
 //!   in time order — bumps or appends that slot in place
 //!   ([`UserAccumulator::absorb`]); only an earlier post pays the sorted
@@ -99,7 +101,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crowdtz_stats::BINS;
@@ -166,9 +168,10 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// One shard's users, probed with `&str`. Its iteration order depends on
+/// One shard's users, keyed by the id every kept entry of the user
+/// shares and probed with `&str`. Its iteration order depends on
 /// insertion history, so every export sorts by id.
-type UserMap = HashMap<String, UserAccumulator, BuildHasherDefault<Fnv1a>>;
+type UserMap = HashMap<Arc<str>, UserAccumulator, BuildHasherDefault<Fnv1a>>;
 
 /// Lock a shard mutex, surviving poisoning: accumulator state is plain
 /// data, and a writer that panicked mid-batch leaves at worst a
@@ -197,7 +200,9 @@ pub(crate) struct SharedIngestObs {
 
 /// Per-user integer accumulator: everything needed to rebuild the user's
 /// [`ActivityProfile`](crate::ActivityProfile) without touching raw
-/// history again. Five bytes per live slot (see the module docs).
+/// history again. Five bytes per live slot (see the module docs) plus
+/// 104 bytes; the per-hour counts are derived from the slot keys
+/// ([`hour_counts`](Self::hour_counts)), not stored.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UserAccumulator {
     /// Sorted, deduplicated keys of active slots ([`post_key`]).
@@ -210,9 +215,6 @@ pub(crate) struct UserAccumulator {
     /// `(key, exact count)` of every slot holding more than 255 posts,
     /// sorted by key.
     heavy: Vec<(u32, u32)>,
-    /// Number of active slots per hour of day — the integer pre-image of
-    /// the profile's distribution.
-    pub(crate) hour_counts: [u32; BINS],
     /// Raw post count, duplicates included (the eligibility threshold
     /// counts posts, not slots).
     pub(crate) posts: usize,
@@ -305,10 +307,20 @@ impl UserAccumulator {
             if count > 255 {
                 acc.heavy.push((key, count));
             }
-            acc.hour_counts[hour_of(key)] += 1;
             acc.posts += count as usize;
         }
         (acc, dropped)
+    }
+
+    /// Active slots per hour of day — the integer pre-image of the
+    /// profile's distribution — counted from the slot keys: one pass over
+    /// the slots, paid once per refresh of a dirty user.
+    pub(crate) fn hour_counts(&self) -> [u32; BINS] {
+        let mut counts = [0u32; BINS];
+        for &key in &self.slots {
+            counts[hour_of(key)] += 1;
+        }
+        counts
     }
 
     /// `(hours since 1970, exact live count)` of every active slot, in
@@ -387,7 +399,6 @@ impl UserAccumulator {
                     reserve_one(&mut self.counts);
                     self.slots.push(k);
                     self.counts.push(1);
-                    self.hour_counts[hour_of(k)] += 1;
                 }
             }
             absorbed += 1;
@@ -412,7 +423,6 @@ impl UserAccumulator {
             return merged;
         }
         for &(k, c) in &fresh {
-            self.hour_counts[hour_of(k)] += 1;
             self.set_heavy(k, c);
         }
         // Merge the two sorted runs in one pass.
@@ -442,8 +452,7 @@ impl UserAccumulator {
     }
 
     /// Exact inverse of [`absorb`](Self::absorb): decrements the slot
-    /// refcounts, removes slots whose count reaches zero (and their
-    /// hour-count contribution), and returns how many posts were actually
+    /// refcounts, removes slots whose count reaches zero, and returns how many posts were actually
     /// removed. A timestamp that was never ingested (or already
     /// retracted) is skipped rather than driving a count negative, so the
     /// state stays exactly what an engine that never saw the removed
@@ -457,10 +466,7 @@ impl UserAccumulator {
                 let take = c.min(live);
                 self.set_count(i, live - take);
                 removed += take as usize;
-                if take == live {
-                    self.hour_counts[hour_of(k)] -= 1;
-                    vacated = true;
-                }
+                vacated |= take == live;
             }
         }
         if vacated {
@@ -480,17 +486,14 @@ impl UserAccumulator {
     }
 
     /// Drops every slot below `cutoff` (hours since 1970) whole, whatever
-    /// its refcount, with its posts and its hour-count contribution;
-    /// `on_slot` sees each dropped slot's hours. Slots are sorted, so the
+    /// its refcount, with its posts; `on_slot` sees each dropped slot's hours. Slots are sorted, so the
     /// dropped ones are a prefix. Returns how many posts were released.
     pub(crate) fn release_below(&mut self, cutoff: i64, on_slot: &mut impl FnMut(i64)) -> usize {
         let n = self.slots.partition_point(|&k| hours_of(k) < cutoff);
         let mut released = 0usize;
         for i in 0..n {
-            let k = self.slots[i];
-            self.hour_counts[hour_of(k)] -= 1;
             released += self.count(i) as usize;
-            on_slot(hours_of(k));
+            on_slot(hours_of(self.slots[i]));
         }
         let heavy = self.heavy.partition_point(|&(k, _)| hours_of(k) < cutoff);
         self.heavy.drain(..heavy);
@@ -519,17 +522,18 @@ pub(crate) enum UserAnalysis {
 #[derive(Debug, Clone, Default)]
 struct Shard {
     users: UserMap,
-    /// Ids flagged dirty since the last drain, in flagging order; each
-    /// appears once, because only a clean accumulator gets pushed.
-    dirty: Vec<String>,
+    /// Ids flagged dirty since the last drain, in flagging order, each a
+    /// clone of its map key; each appears once, because only a clean
+    /// accumulator gets pushed.
+    dirty: Vec<Arc<str>>,
 }
 
 /// Flags a changed accumulator dirty, queueing its id on the first
 /// change since the last drain.
-fn mark_dirty(acc: &mut UserAccumulator, dirty: &mut Vec<String>, user: &str) {
+fn mark_dirty(acc: &mut UserAccumulator, dirty: &mut Vec<Arc<str>>, user: &Arc<str>) {
     if !acc.dirty {
         acc.dirty = true;
-        dirty.push(user.to_owned());
+        dirty.push(Arc::clone(user));
     }
 }
 
@@ -561,8 +565,12 @@ impl Shard {
                 } else {
                     acc.absorb(posts)
                 };
-                if applied > 0 {
-                    mark_dirty(acc, dirty, user);
+                if applied > 0 && !acc.dirty {
+                    acc.dirty = true;
+                    // The user's first change since the last drain queues
+                    // its key: a second probe once per refresh, not per post.
+                    let (id, _) = users.get_key_value(user).expect("probed above");
+                    dirty.push(Arc::clone(id));
                 }
                 applied
             }
@@ -571,8 +579,9 @@ impl Shard {
                 let mut acc = UserAccumulator::default();
                 let applied = acc.absorb(posts);
                 if applied > 0 {
-                    mark_dirty(&mut acc, dirty, user);
-                    users.insert(user.to_owned(), acc);
+                    let id = Arc::from(user);
+                    mark_dirty(&mut acc, dirty, &id);
+                    users.insert(id, acc);
                 }
                 applied
             }
@@ -637,13 +646,13 @@ impl ShardSet {
     /// The accumulators for `ids` in the given order — the refresh
     /// phase-1 read. Single-owner access: reaches through the mutexes
     /// without locking.
-    pub(crate) fn accs_for(&mut self, ids: &[String]) -> Vec<&UserAccumulator> {
+    pub(crate) fn accs_for(&mut self, ids: &[Arc<str>]) -> Vec<&UserAccumulator> {
         let count = self.shards.len() as u64;
         let maps: Vec<&UserMap> = self.shards.iter_mut().map(|m| &remut(m).users).collect();
         ids.iter()
             .map(|id| {
                 let shard = (fnv1a(id.as_bytes()) % count) as usize;
-                maps[shard].get(id.as_str()).expect("dirty user exists")
+                maps[shard].get(&**id).expect("dirty user exists")
             })
             .collect()
     }
@@ -721,16 +730,20 @@ impl ShardSet {
         threads: usize,
         obs: Option<&SharedIngestObs>,
     ) -> usize {
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (user, _)) in deltas.iter().enumerate() {
-            routed[self.shard_of(user)].push(i);
-        }
-        let apply_run = |shards: &[Mutex<Shard>], routed: &[Vec<usize>]| {
+        // One routing vector: `(shard, delta index)` sorted, so each
+        // shard's deltas form one run, in arrival order.
+        let mut routed: Vec<(usize, usize)> = deltas
+            .iter()
+            .enumerate()
+            .map(|(i, (user, _))| (self.shard_of(user), i))
+            .collect();
+        routed.sort_unstable();
+        let apply_run = |mut routed: &[(usize, usize)]| {
             let mut applied = 0usize;
-            for (mutex, idxs) in shards.iter().zip(routed) {
-                if idxs.is_empty() {
-                    continue;
-                }
+            while let Some(&(index, _)) = routed.first() {
+                let (run, rest) = routed.split_at(routed.partition_point(|&(s, _)| s == index));
+                routed = rest;
+                let mutex = &self.shards[index];
                 let mut shard = match mutex.try_lock() {
                     Ok(guard) => guard,
                     Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
@@ -744,7 +757,7 @@ impl ShardSet {
                         guard
                     }
                 };
-                for &i in idxs {
+                for &(_, i) in run {
                     let (user, posts) = deltas[i];
                     applied += shard.apply(user, posts, retract);
                 }
@@ -758,14 +771,19 @@ impl ShardSet {
             n => clamped_threads(n),
         };
         if threads == 1 {
-            return apply_run(&self.shards, &routed);
+            return apply_run(&routed);
         }
+        // Worker `w` owns shards `w·chunk_len ..` up to the next worker's.
         let chunk_len = self.shards.len().div_ceil(threads);
         let applied = AtomicUsize::new(0);
         let (apply_run, total) = (&apply_run, &applied);
         crossbeam::thread::scope(|scope| {
-            for (shards, routed) in self.shards.chunks(chunk_len).zip(routed.chunks(chunk_len)) {
-                scope.spawn(move |_| total.fetch_add(apply_run(shards, routed), Ordering::Relaxed));
+            let mut rest = &routed[..];
+            while let Some(&(first, _)) = rest.first() {
+                let end = (first / chunk_len + 1) * chunk_len;
+                let (run, tail) = rest.split_at(rest.partition_point(|&(s, _)| s < end));
+                rest = tail;
+                scope.spawn(move |_| total.fetch_add(apply_run(run), Ordering::Relaxed));
             }
         })
         .expect("thread scope failed");
@@ -776,16 +794,12 @@ impl ShardSet {
     /// and clears the drained users' flags — the merge point where
     /// sharding disappears: downstream refresh work sees exactly the
     /// order a single sorted set would have produced.
-    pub(crate) fn take_dirty_sorted(&mut self) -> Vec<String> {
-        let mut dirty: Vec<String> = Vec::with_capacity(self.dirty_len());
+    pub(crate) fn take_dirty_sorted(&mut self) -> Vec<Arc<str>> {
+        let mut dirty: Vec<Arc<str>> = Vec::with_capacity(self.dirty_len());
         for shard in &mut self.shards {
             let shard = remut(shard);
             for id in shard.dirty.drain(..) {
-                shard
-                    .users
-                    .get_mut(id.as_str())
-                    .expect("dirty user exists")
-                    .dirty = false;
+                shard.users.get_mut(&*id).expect("dirty user exists").dirty = false;
                 dirty.push(id);
             }
         }
@@ -828,11 +842,8 @@ impl ShardSet {
     {
         for shard in &self.shards {
             let shard = relock(shard);
-            let mut users: Vec<(&str, &UserAccumulator)> = shard
-                .users
-                .iter()
-                .map(|(id, acc)| (id.as_str(), acc))
-                .collect();
+            let mut users: Vec<(&str, &UserAccumulator)> =
+                shard.users.iter().map(|(id, acc)| (&**id, acc)).collect();
             users.sort_unstable_by_key(|&(id, _)| id);
             f(&users);
         }
@@ -844,7 +855,7 @@ impl ShardSet {
     /// at write time). `dirty` re-marks users that were awaiting a
     /// refresh when the snapshot was taken; `acc` arrives clean, and a
     /// snapshot lists each id once.
-    pub(crate) fn restore_user(&mut self, id: String, mut acc: UserAccumulator, dirty: bool) {
+    pub(crate) fn restore_user(&mut self, id: Arc<str>, mut acc: UserAccumulator, dirty: bool) {
         let shard = self.shard_of(&id);
         let shard = remut(&mut self.shards[shard]);
         if dirty {
@@ -855,8 +866,8 @@ impl ShardSet {
 
     /// Every user across all shards in global id order — the recovery
     /// pass that rebuilds the engine's derived state walks this once.
-    pub(crate) fn all_users_sorted(&mut self) -> Vec<(&String, &UserAccumulator)> {
-        let mut all: Vec<(&String, &UserAccumulator)> = self
+    pub(crate) fn all_users_sorted(&mut self) -> Vec<(&Arc<str>, &UserAccumulator)> {
+        let mut all: Vec<(&Arc<str>, &UserAccumulator)> = self
             .shards
             .iter_mut()
             .flat_map(|s| remut(s).users.iter())
@@ -889,6 +900,14 @@ mod tests {
     /// One retraction through the write path, on the calling thread.
     fn retract(set: &ShardSet, user: &str, posts: &[Timestamp]) {
         set.apply(&[(user, posts)], true, 1, None);
+    }
+
+    /// The drained dirty ids, as strings.
+    fn drain(set: &mut ShardSet) -> Vec<String> {
+        set.take_dirty_sorted()
+            .iter()
+            .map(|id| id.to_string())
+            .collect()
     }
 
     #[test]
@@ -950,7 +969,7 @@ mod tests {
                 let a = batched.acc(&user).expect("user ingested").clone();
                 let b = serial.acc(&user).expect("user ingested");
                 assert_eq!(a.slots, b.slots);
-                assert_eq!(a.hour_counts, b.hour_counts);
+                assert_eq!(a.hour_counts(), b.hour_counts());
                 assert_eq!(a.posts, b.posts);
             }
         }
@@ -1011,7 +1030,7 @@ mod tests {
             let got = shared.acc(id).expect("user ingested").clone();
             let want = serial.acc(id).expect("user ingested");
             assert_eq!(got.slots, want.slots, "{id}");
-            assert_eq!(got.hour_counts, want.hour_counts, "{id}");
+            assert_eq!(got.hour_counts(), want.hour_counts(), "{id}");
             assert_eq!(got.posts, want.posts, "{id}");
         }
     }
@@ -1025,7 +1044,7 @@ mod tests {
                 ingest(&set, user, &[ts(1)]);
             }
             assert_eq!(set.dirty_len(), 4);
-            let drained = set.take_dirty_sorted();
+            let drained = drain(&mut set);
             assert_eq!(drained, ["alpha", "beta", "mike", "zeta"]);
             assert_eq!(set.dirty_len(), 0, "drain must clear every shard");
         }
@@ -1038,8 +1057,8 @@ mod tests {
         acc.absorb(&[ts(5)]);
         assert_eq!(slots(&acc), (vec![2, 5], vec![1, 3]));
         assert_eq!(acc.posts, 4);
-        assert_eq!(acc.hour_counts[2], 1);
-        assert_eq!(acc.hour_counts[5], 1);
+        assert_eq!(acc.hour_counts()[2], 1);
+        assert_eq!(acc.hour_counts()[5], 1);
     }
 
     #[test]
@@ -1061,7 +1080,7 @@ mod tests {
             reverse.absorb(d);
         }
         assert_eq!(forward.slots, reverse.slots);
-        assert_eq!(forward.hour_counts, reverse.hour_counts);
+        assert_eq!(forward.hour_counts(), reverse.hour_counts());
         assert_eq!(forward.posts, reverse.posts);
     }
 
@@ -1078,7 +1097,7 @@ mod tests {
         let mut fresh = UserAccumulator::default();
         fresh.absorb(&a);
         assert_eq!(slots(&acc), slots(&fresh));
-        assert_eq!(acc.hour_counts, fresh.hour_counts);
+        assert_eq!(acc.hour_counts(), fresh.hour_counts());
         assert_eq!(acc.posts, fresh.posts);
     }
 
@@ -1092,7 +1111,7 @@ mod tests {
         assert_eq!(acc.release(&[ts(3), ts(3), ts(3)]), 2);
         assert_eq!(acc.posts, 0);
         assert!(acc.slots.is_empty());
-        assert_eq!(acc.hour_counts, [0; BINS]);
+        assert_eq!(acc.hour_counts(), [0; BINS]);
         // The earlier no-op left everything intact.
         assert_eq!(before.posts, 2);
         assert_eq!(slots(&before), (vec![3], vec![2]));
@@ -1106,10 +1125,10 @@ mod tests {
         acc.absorb(&[ts(7), ts(7)]);
         assert_eq!(acc.release(&[ts(7)]), 1);
         assert_eq!(slots(&acc), (vec![7], vec![1]));
-        assert_eq!(acc.hour_counts[7], 1);
+        assert_eq!(acc.hour_counts()[7], 1);
         assert_eq!(acc.release(&[ts(7)]), 1);
         assert!(acc.slots.is_empty());
-        assert_eq!(acc.hour_counts[7], 0);
+        assert_eq!(acc.hour_counts()[7], 0);
     }
 
     #[test]
@@ -1138,7 +1157,7 @@ mod tests {
                 let got = set.acc(u).expect("user kept").clone();
                 let want = fresh.acc(u).expect("user kept");
                 assert_eq!(slots(&got), slots(want), "{u} shards={shards}");
-                assert_eq!(got.hour_counts, want.hour_counts, "{u}");
+                assert_eq!(got.hour_counts(), want.hour_counts(), "{u}");
                 assert_eq!(got.posts, want.posts, "{u}");
             }
         }
@@ -1193,7 +1212,7 @@ mod tests {
         let mut fresh = UserAccumulator::default();
         fresh.absorb(&rest);
         assert_eq!(slots(&acc), slots(&fresh));
-        assert_eq!(acc.hour_counts, fresh.hour_counts);
+        assert_eq!(acc.hour_counts(), fresh.hour_counts());
         assert_eq!(acc.posts, fresh.posts);
         assert_eq!(
             acc.release_below(9, &mut |_| panic!("nothing left below")),
@@ -1217,7 +1236,7 @@ mod tests {
             assert_eq!(set.release_below(10, |k| released_slots.push(k)), 4);
             released_slots.sort_unstable();
             assert_eq!(released_slots, [1, 2, 4]);
-            assert_eq!(set.take_dirty_sorted(), ["mixed", "old"], "shards={shards}");
+            assert_eq!(drain(&mut set), ["mixed", "old"], "shards={shards}");
             assert_eq!(set.live_slot_range(), Some((50, 60)));
             assert_eq!(set.posts_ingested(), 2);
             assert_eq!(set.users_tracked(), 4, "emptied users stay in the map");
@@ -1241,6 +1260,8 @@ mod tests {
             retract: bool,
             deltas: Vec<(usize, Vec<Timestamp>)>,
         },
+        /// Window expiry: release every slot below the cutoff hour.
+        Expire(i64),
         Drain,
     }
 
@@ -1284,9 +1305,22 @@ mod tests {
             let mut seen: Vec<Timestamp> = Vec::new();
             let mut steps = Vec::new();
             for _ in 0..1 + pick(24) {
-                if pick(5) == 0 {
-                    steps.push(Step::Drain);
-                    continue;
+                match pick(10) {
+                    0 | 1 => {
+                        steps.push(Step::Drain);
+                        continue;
+                    }
+                    // Mostly a few days behind the clock, now and then
+                    // past every slot of the range.
+                    2 => {
+                        let cutoff = match pick(8) {
+                            0 => RANGE_SECS.1 / 3_600 + 1,
+                            _ => clock / 3_600 - pick(24 * 8),
+                        };
+                        steps.push(Step::Expire(cutoff));
+                        continue;
+                    }
+                    _ => {}
                 }
                 let retract = pick(3) == 0;
                 let deltas = (0..1 + pick(3))
@@ -1373,6 +1407,24 @@ mod tests {
             applied
         }
 
+        /// Releases every slot below `cutoff` and returns the posts
+        /// released.
+        fn expire(&mut self, cutoff: i64) -> usize {
+            let mut released = 0usize;
+            for (user, slots) in MODEL_USERS.iter().zip(&mut self.slots) {
+                let Some(slots) = slots else {
+                    continue;
+                };
+                let kept = slots.split_off(&cutoff);
+                let below = std::mem::replace(slots, kept);
+                if !below.is_empty() {
+                    released += below.values().sum::<u32>() as usize;
+                    self.changed.insert(user);
+                }
+            }
+            released
+        }
+
         fn check(&self, set: &mut ShardSet) -> Result<(), String> {
             for (user, model) in MODEL_USERS.iter().zip(&self.slots) {
                 let (Some(model), Some(acc)) = (model, set.acc(user)) else {
@@ -1386,7 +1438,7 @@ mod tests {
                 let (keys, counts) = slots(acc);
                 proptest::prop_assert_eq!(&keys, &model.keys().copied().collect::<Vec<_>>());
                 proptest::prop_assert_eq!(&counts, &model.values().copied().collect::<Vec<_>>());
-                proptest::prop_assert_eq!(acc.hour_counts, hours);
+                proptest::prop_assert_eq!(acc.hour_counts(), hours);
                 proptest::prop_assert_eq!(acc.posts, model.values().sum::<u32>() as usize);
             }
             Ok(())
@@ -1412,11 +1464,17 @@ mod tests {
                         proptest::prop_assert_eq!(one.apply(&refs, *retract, 1, None), want);
                         proptest::prop_assert_eq!(two.apply(&refs, *retract, 2, None), want);
                     }
+                    Step::Expire(cutoff) => {
+                        let want = model.expire(*cutoff);
+                        for set in [&mut one, &mut two] {
+                            proptest::prop_assert_eq!(set.release_below(*cutoff, |_| ()), want);
+                        }
+                    }
                     Step::Drain => {
                         let want: Vec<&str> = std::mem::take(&mut model.changed).into_iter().collect();
                         for set in [&mut one, &mut two] {
                             proptest::prop_assert_eq!(set.dirty_len(), want.len());
-                            proptest::prop_assert_eq!(&set.take_dirty_sorted(), &want);
+                            proptest::prop_assert_eq!(&drain(set), &want);
                             proptest::prop_assert!(set.take_dirty_sorted().is_empty());
                         }
                     }

@@ -8,8 +8,8 @@
 //! **integer accumulators** partitioned across hash shards:
 //!
 //! * each user's active slots are a sorted vector of `day·24 + hour` keys
-//!   (a `u32` key and a `u8` count, five bytes a slot: `shard.rs`) plus a
-//!   24-bin count of active slots per hour, so
+//!   (a `u32` key and a `u8` count, five bytes a slot: `shard.rs`), whose
+//!   keys modulo 24 give the per-hour counts a refresh profiles, so
 //!   [`ingest`](StreamingPipeline::ingest) is a pure delta update that
 //!   never re-scans history (a post in time order is appended in place),
 //!   and [`retract`](StreamingPipeline::retract) is its exact inverse;
@@ -23,13 +23,15 @@
 //!   [`ingest_posts`](StreamingPipeline::ingest_posts)) fan out
 //!   **concurrently**, one worker per run of whole shards (see `shard.rs`
 //!   for the determinism argument);
-//! * only dirty users are re-profiled, and their CDFs go straight through
-//!   the batch kernel of the long-lived [`PlacementEngine`]; the CDF rows
-//!   are the only per-user copy a refresh makes;
+//! * only dirty users are re-profiled: each one's hour counts are derived
+//!   once, and feed both its CDF, which goes straight through the batch
+//!   kernel of the long-lived [`PlacementEngine`], and its kept profile;
 //! * each accumulator keeps a `Copy` analysis record (flat, or kept at
-//!   an offset and EMD); the kept profiles and placements live only in
-//!   the id-sorted kept vectors, which a refresh patches in one ascending
-//!   merge with the id-sorted dirty list, together with a refresh
+//!   an offset and EMD); the kept profiles (hour counts, not floats) and
+//!   placements live only in the id-sorted kept vectors, and share the
+//!   shard key's `Arc<str>` id, so carrying an entry over costs a
+//!   refcount, never an allocation. A refresh patches them in one
+//!   ascending merge with the id-sorted dirty list, together with a refresh
 //!   generation stamp per entry: the generation of the refresh that last
 //!   wrote it, which lets a tenant splice an unchanged user's JSON from
 //!   its previous body (`body.rs`);
@@ -48,17 +50,18 @@
 //! same cumulative traces, for any thread count and any shard count.
 //! Four choices make that exact rather than approximate:
 //!
-//! 1. All per-user state is integral (slot keys, hour counts, post
-//!    counts), so delta updates commute with batching exactly, and
-//!    shards merge at refresh time by draining dirty ids in globally
-//!    sorted order — the order a single map would have produced.
+//! 1. All per-user state is integral (slot keys and counts, post
+//!    counts, and the hour counts derived from them), so delta updates
+//!    commute with batching exactly, and shards merge at refresh time by
+//!    draining dirty ids in globally sorted order — the order a single
+//!    map would have produced.
 //! 2. Every eligible dirty user is placed by the same batch kernel on a
 //!    CDF rebuilt from the same integers, and the kernel's batches are
 //!    carved before threading, so each placement — and each pruning
 //!    count — is a pure function of the user's state.
-//! 3. The crowd profile is **re-summed at snapshot time** from the cached
-//!    per-user distributions in user-id order — an O(24·n) pass — rather
-//!    than delta-updated in `f64`, because float addition is not
+//! 3. The crowd profile is **re-summed** from the kept per-user counts in
+//!    user-id order — an O(24·n) pass, made once per refresh generation —
+//!    rather than delta-updated in `f64`, because float addition is not
 //!    associative and a running sum would drift.
 //! 4. The zone-count histogram goes through
 //!    [`PlacementHistogram::from_zone_counts`], which is float-identical
@@ -68,7 +71,7 @@
 
 use std::sync::Arc;
 
-use crowdtz_stats::{Distribution24, Histogram24, BINS};
+use crowdtz_stats::BINS;
 use crowdtz_time::{Timestamp, TraceSet};
 
 use crate::crowd::CrowdProfile;
@@ -76,7 +79,7 @@ use crate::engine::{chunked_map, KernelObs, PlacementEngine, BATCH_USERS};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::placement::{PlacementHistogram, UserPlacement, ZoneGrid};
-use crate::profile::ActivityProfile;
+use crate::profile::{distribution_of, ActivityProfile};
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
 
@@ -265,6 +268,10 @@ pub struct StreamingPipeline {
     /// maintained by subtract-old / add-new on re-placement.
     zone_counts: Vec<usize>,
     fit_cache: Option<FitCache>,
+    /// The crowd profile of the kept profiles, summed by the first
+    /// snapshot after the refresh that last changed them; cleared when
+    /// they change.
+    crowd: Option<CrowdProfile>,
     obs: Option<StreamObs>,
 }
 
@@ -292,6 +299,7 @@ impl StreamingPipeline {
             eligible: 0,
             zone_counts: vec![0; grid.zones()],
             fit_cache: None,
+            crowd: None,
         }
     }
 
@@ -340,14 +348,14 @@ impl StreamingPipeline {
 
     /// Recomputes every piece of derived state (kept vectors, eligible
     /// count, zone counts) from the accumulators' analysis records — the
-    /// last step of recovering a durable snapshot. Profiles are rebuilt
-    /// from the hour counts by the function refresh uses, in global
+    /// last step of recovering a durable snapshot. Profiles take the hour
+    /// counts refresh derives and the shard key as their id, in global
     /// user-id order, exactly the order incremental refreshes maintain,
     /// so a recovered engine continues byte-identical to one that never
     /// restarted. (A user restored dirty gets the profile of its current
     /// counts; the next refresh overwrites it.) Every kept entry is
-    /// stamped with the current generation. The fit cache is dropped: a
-    /// cold refit is bit-identical anyway.
+    /// stamped with the current generation. The fit and crowd caches are
+    /// dropped: a cold refit and a fresh sum are bit-identical anyway.
     pub(crate) fn rebuild_derived_state(&mut self) {
         let grid = self.engine.grid();
         let mut profiles = Vec::new();
@@ -367,15 +375,14 @@ impl StreamingPipeline {
                 continue;
             };
             zone_counts[grid.index_of_minutes(offset_minutes)] += 1;
-            let distribution = Self::distribution_of(acc);
             placements.push(UserPlacement::from_offset_minutes(
-                id.as_str(),
+                Arc::clone(id),
                 offset_minutes,
                 emd,
             ));
             profiles.push(ActivityProfile::from_parts(
-                id.clone(),
-                distribution,
+                Arc::clone(id),
+                acc.hour_counts(),
                 acc.slots.len(),
                 acc.posts,
             ));
@@ -386,6 +393,7 @@ impl StreamingPipeline {
         self.eligible = eligible;
         self.zone_counts = zone_counts;
         self.fit_cache = None;
+        self.crowd = None;
     }
 
     /// Ingests new posts for one user — a pure delta update.
@@ -433,13 +441,12 @@ impl StreamingPipeline {
 
     /// Retracts posts for one user — the signed inverse of
     /// [`ingest`](StreamingPipeline::ingest). The accumulator's slot
-    /// refcounts are decremented, slots reaching zero disappear (with
-    /// their hour-count contribution), and a user falling below the
-    /// activity threshold drops out of the analysis at the next refresh —
-    /// the snapshot afterwards is byte-identical to an engine that never
-    /// saw the retracted posts. Retracting posts the engine never saw is
-    /// a no-op, so retraction must be sequenced after the ingest that
-    /// delivered the posts.
+    /// refcounts are decremented, slots reaching zero disappear, and a
+    /// user falling below the activity threshold drops out of the
+    /// analysis at the next refresh — the snapshot afterwards is
+    /// byte-identical to an engine that never saw the retracted posts.
+    /// Retracting posts the engine never saw is a no-op, so retraction
+    /// must be sequenced after the ingest that delivered the posts.
     pub fn retract(&mut self, user: &str, posts: &[Timestamp]) {
         self.apply(&[(user, posts)], true, 1, None);
     }
@@ -513,10 +520,11 @@ impl StreamingPipeline {
     /// snapshot — are invariant to both the thread count and the shard
     /// count.
     ///
-    /// No per-user copy outlives its phase: phase 1 writes only the CDF
-    /// rows the kernel reads, into rows this thread owns, and the merge
-    /// rebuilds a kept user's distribution from its accumulator with the
-    /// function the rows came from, bit for bit.
+    /// No per-user copy outlives its phase: phase 1 derives each eligible
+    /// user's hour counts once and writes them and the CDF rows the
+    /// kernel reads into rows this thread owns, and the merge moves a
+    /// kept user's counts into its profile, whose distribution divides
+    /// out bit for bit as the row's did.
     fn refresh(&mut self) {
         if let Some(obs) = &self.obs {
             obs.dirty.set(self.shards.dirty_len() as f64);
@@ -529,27 +537,28 @@ impl StreamingPipeline {
         let observer = self.obs.as_ref().map(|o| Arc::clone(&o.observer));
         let _s = crowdtz_obs::span!(observer, "streaming.refresh");
         self.generation += 1;
-        let dirty: Vec<String> = self.shards.take_dirty_sorted();
+        let dirty: Vec<Arc<str>> = self.shards.take_dirty_sorted();
         let min_posts = self.pipeline.min_posts_threshold();
         let polish = self.pipeline.polish_enabled();
         let threads = self.pipeline.effective_threads();
-        // Phase 1 (parallel, pure): each eligible dirty user's CDF row,
-        // from its integer accumulator — on at most one worker per kernel
-        // batch, so a refresh of up to `BATCH_USERS` users runs on this
-        // thread, like its kernel pass: spawning and joining workers
-        // would cost more than the work.
+        // Phase 1 (parallel, pure): each eligible dirty user's hour
+        // counts, from its slot keys, and its CDF row, from the counts —
+        // on at most one worker per kernel batch, so a refresh of up to
+        // `BATCH_USERS` users runs on this thread, like its kernel pass:
+        // spawning and joining workers would cost more than the work.
         let prepare_threads = threads.min(dirty.len().div_ceil(BATCH_USERS));
-        let (cdfs, kept_before) = {
+        let (counts, cdfs, kept_before) = {
             let mut work: Vec<&UserAccumulator> = self.shards.accs_for(&dirty);
             let kept_before = work
                 .iter()
                 .filter(|acc| matches!(acc.analysis, Some(UserAnalysis::Kept { .. })))
                 .count();
             work.retain(|acc| Self::eligible(acc, min_posts));
-            let cdfs: Vec<[f64; BINS]> = chunked_map(&work, prepare_threads, |acc| {
-                Self::distribution_of(acc).cdf()
-            });
-            (cdfs, kept_before)
+            let counts: Vec<[u32; BINS]> =
+                chunked_map(&work, prepare_threads, |acc| acc.hour_counts());
+            let cdfs: Vec<[f64; BINS]> =
+                chunked_map(&counts, prepare_threads, |c| distribution_of(c).cdf());
+            (counts, cdfs, kept_before)
         };
         // Phase 2: place every eligible CDF (parallel batch kernel).
         let resolved = {
@@ -564,9 +573,10 @@ impl StreamingPipeline {
         // vectors — one ascending pass that gallops from dirty user to
         // dirty user. Runs of clean kept users are carried over in bulk
         // with their stamps, a user who stays kept is carried over and
-        // overwritten with no allocation, a newly kept user takes its
-        // dirty-list id, and a dropped user is skipped; nothing shifts a
-        // tail. Every entry written here takes the new generation's stamp.
+        // overwritten with no allocation, a newly kept user's profile and
+        // placement share its dirty-list id (the shard key's `Arc`), and a
+        // dropped user is skipped; nothing shifts a tail. Every entry
+        // written here takes the new generation's stamp.
         let grid = self.engine.grid();
         let len = self.kept_profiles.len() + kept_after - kept_before;
         let mut profiles = Vec::with_capacity(len);
@@ -575,13 +585,15 @@ impl StreamingPipeline {
         let mut old_profiles = Entries::take(&mut self.kept_profiles);
         let mut old_placements = Entries::take(&mut self.kept_placements);
         let mut old_stamps = Entries::take(&mut self.kept_stamps);
-        let mut resolutions = resolved.into_iter();
+        let mut resolutions = resolved.into_iter().zip(counts);
         for id in dirty {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
-            let analysis = Self::eligible(acc, min_posts).then(|| {
-                let r = resolutions
+            let resolved = Self::eligible(acc, min_posts).then(|| {
+                resolutions
                     .next()
-                    .expect("one resolution per eligible user");
+                    .expect("one resolution per eligible user")
+            });
+            let analysis = resolved.as_ref().map(|(r, _)| {
                 if polish && r.flat {
                     UserAnalysis::Flat
                 } else {
@@ -593,8 +605,6 @@ impl StreamingPipeline {
             });
             let previous = std::mem::replace(&mut acc.analysis, analysis);
             let (active_slots, posts) = (acc.slots.len(), acc.posts);
-            let distribution = matches!(analysis, Some(UserAnalysis::Kept { .. }))
-                .then(|| Self::distribution_of(acc));
             if active_slots == 0 {
                 // Every post retracted or expired: nothing is left to
                 // analyze, and a later post starts a fresh accumulator.
@@ -620,8 +630,8 @@ impl StreamingPipeline {
                     offset_minutes,
                     emd,
                 }),
-                Some(distribution),
-            ) = (analysis, distribution)
+                Some((_, counts)),
+            ) = (analysis, resolved)
             else {
                 continue;
             };
@@ -629,24 +639,19 @@ impl StreamingPipeline {
             stamps.push(self.generation);
             match held {
                 Some((mut profile, mut placement)) => {
-                    debug_assert_eq!(profile.user(), id);
-                    profile.set_activity(distribution, active_slots, posts);
+                    debug_assert_eq!(profile.user(), &*id);
+                    profile.set_activity(counts, active_slots, posts);
                     placement.set_offset_minutes(offset_minutes, emd);
                     profiles.push(profile);
                     placements.push(placement);
                 }
                 None => {
                     placements.push(UserPlacement::from_offset_minutes(
-                        id.as_str(),
+                        Arc::clone(&id),
                         offset_minutes,
                         emd,
                     ));
-                    profiles.push(ActivityProfile::from_parts(
-                        id,
-                        distribution,
-                        active_slots,
-                        posts,
-                    ));
+                    profiles.push(ActivityProfile::from_parts(id, counts, active_slots, posts));
                 }
             }
         }
@@ -656,6 +661,7 @@ impl StreamingPipeline {
         self.kept_profiles = Arc::new(profiles);
         self.kept_placements = Arc::new(placements);
         self.kept_stamps = Arc::new(stamps);
+        self.crowd = None;
         if let Some(obs) = &self.obs {
             obs.placement_users.add(kept_after as u64);
             // Shard occupancy, as of this refresh.
@@ -677,16 +683,6 @@ impl StreamingPipeline {
     /// with an active slot.
     fn eligible(acc: &UserAccumulator, min_posts: usize) -> bool {
         acc.posts >= min_posts && !acc.slots.is_empty()
-    }
-
-    /// An active user's hourly distribution, from its integer hour
-    /// counts: the one function behind both the CDF the kernel places
-    /// and the distribution a kept profile holds, so the two agree bit
-    /// for bit.
-    fn distribution_of(acc: &UserAccumulator) -> Distribution24 {
-        Histogram24::from_bins(acc.hour_counts.map(f64::from))
-            .normalized()
-            .expect("an active slot gives the hour counts mass")
     }
 
     /// Produces the current [`GeolocationReport`], doing work proportional
@@ -734,8 +730,15 @@ impl StreamingPipeline {
         let flat_removed = self.eligible - self.kept_profiles.len();
         // Re-summed (not delta-updated) in user-id order: f64 addition is
         // not associative, and the identity guarantee requires summing in
-        // exactly this order — see the module docs.
-        let crowd = CrowdProfile::aggregate(&self.kept_profiles)?;
+        // exactly this order — see the module docs. A refresh that changed
+        // nothing leaves the last sum in place.
+        let crowd = match &self.crowd {
+            Some(crowd) => crowd.clone(),
+            None => self
+                .crowd
+                .insert(CrowdProfile::aggregate(&self.kept_profiles)?)
+                .clone(),
+        };
         let histogram = PlacementHistogram::from_zone_counts(&self.zone_counts);
         let (single, multi) = {
             let _f = crowdtz_obs::span!(observer, "streaming.fit");
@@ -1045,51 +1048,68 @@ mod tests {
                 .collect();
             stream.ingest(&format!("u{user}"), &posts);
         }
-        // Each kept user's id, and where its profile's and its
-        // placement's copies of the id live.
-        let ids = |report: &GeolocationReport| -> Vec<(String, *const u8, *const u8)> {
-            report
-                .profiles()
-                .iter()
-                .zip(report.placements())
-                .map(|(p, q)| (p.user().to_owned(), p.user().as_ptr(), q.user().as_ptr()))
-                .collect()
+        // Every kept user's profile and placement hold the one allocation
+        // its shard keys the user by.
+        let assert_shared = |stream: &mut StreamingPipeline, report: &GeolocationReport| {
+            let keys: Vec<Arc<str>> = stream
+                .shards
+                .all_users_sorted()
+                .into_iter()
+                .map(|(id, _)| Arc::clone(id))
+                .collect();
+            for (p, q) in report.profiles().iter().zip(report.placements()) {
+                let key = keys
+                    .iter()
+                    .find(|k| **k == *p.id())
+                    .expect("kept user is in a shard");
+                assert!(
+                    Arc::ptr_eq(p.id(), key),
+                    "{}'s profile copies its id",
+                    p.user()
+                );
+                assert!(
+                    Arc::ptr_eq(q.id(), key),
+                    "{}'s placement copies its id",
+                    p.user()
+                );
+            }
         };
 
         // No report held: the clean users and the re-placed `u3` are
-        // carried over, so every kept id keeps its allocation.
-        let before = ids(&stream.snapshot().unwrap());
+        // carried over, and the newly kept `u9` takes the shard's key.
+        let first = stream.snapshot().unwrap();
+        assert_shared(&mut stream, &first);
+        drop(first);
         stream.ingest("u3", &[post(11, 5)]);
         stream.ingest("u9", &[post(11, 6)]);
-        let after = ids(&stream.snapshot().unwrap());
-        assert_eq!(after.len(), before.len() + 1);
-        for entry in &before {
-            assert!(after.contains(entry), "{} was copied", entry.0);
-        }
+        let second = stream.snapshot().unwrap();
+        assert_eq!(second.profiles().len(), 9);
+        assert_shared(&mut stream, &second);
+        drop(second);
 
-        // A report held across a refresh keeps its vectors and bytes; the
-        // next report's entries are copies of its own.
+        // A report held across a refresh keeps its vectors, entries and
+        // bytes; the next report's carried-over entries share its ids.
         let held = stream.snapshot().unwrap();
         let held_json = report_json(&held);
-        let held_ids = ids(&held);
+        let held_entries = (held.profiles().to_vec(), held.placements().to_vec());
         let held_vectors = (held.profiles().as_ptr(), held.placements().as_ptr());
         stream.ingest("u5", &[post(12, 7)]);
-        stream.ingest("u8", &[post(12, 8)]);
+        stream.ingest("u10", &[post(12, 8)]);
         let next = stream.snapshot().unwrap();
         assert_eq!(report_json(&held), held_json);
-        assert_eq!(ids(&held), held_ids);
+        assert_eq!(
+            (held.profiles().to_vec(), held.placements().to_vec()),
+            held_entries
+        );
         assert_eq!(
             (held.profiles().as_ptr(), held.placements().as_ptr()),
             held_vectors
         );
-        assert_eq!(next.profiles().len(), held_ids.len() + 1);
-        for (user, profile, placement) in ids(&next) {
-            assert!(
-                held_ids
-                    .iter()
-                    .all(|&(_, p, q)| p != profile && q != placement),
-                "{user} shares an id with the held report"
-            );
+        assert_eq!(next.profiles().len(), held.profiles().len() + 1);
+        assert_shared(&mut stream, &next);
+        for p in held.profiles() {
+            let carried = next.profiles().iter().find(|q| q.user() == p.user());
+            assert!(Arc::ptr_eq(p.id(), carried.expect("still kept").id()));
         }
     }
 }

@@ -61,9 +61,10 @@ fn emd_ablation(out: &mut ExperimentOutput, db: &RegionDb, users: usize, seed: u
     let lin_err: f64 = profs
         .iter()
         .map(|p| {
+            let distribution = p.distribution();
             let mut best = (0i32, f64::INFINITY);
             for k in -11..=12 {
-                let d = linear_emd(p.distribution(), &generic.zone_profile(k));
+                let d = linear_emd(&distribution, &generic.zone_profile(k));
                 if d < best.1 {
                     best = (k, d);
                 }

@@ -390,7 +390,14 @@ fn reason(status: u16) -> &'static str {
 impl Response {
     /// A JSON response with the given status.
     pub fn json(status: u16, body: &serde_json::Value) -> Response {
-        let text = serde_json::to_string(body).unwrap_or_else(|_| "{}".into());
+        Response::json_text(
+            status,
+            serde_json::to_string(body).unwrap_or_else(|_| "{}".into()),
+        )
+    }
+
+    /// A JSON response whose text the caller has written.
+    pub fn json_text(status: u16, text: String) -> Response {
         Response {
             status,
             headers: Vec::new(),

@@ -43,6 +43,7 @@ use crowdtz_core::{
 };
 use crowdtz_obs::{labeled, Counter, Gauge, Histogram, Observer};
 use crowdtz_time::Timestamp;
+use serde::Serialize;
 
 use crate::http::{Body, Request, Response};
 
@@ -401,10 +402,12 @@ impl AnalysisService {
                 std::process::abort();
             }
         }
-        let writer = conn
-            .writers
-            .entry(name.to_string())
-            .or_insert_with(|| tenant.engine().writer());
+        // Only a connection's first write to a tenant copies its name.
+        if !conn.writers.contains_key(name) {
+            conn.writers
+                .insert(name.to_string(), tenant.engine().writer());
+        }
+        let writer = conn.writers.get_mut(name).expect("inserted above");
         // Windowed tenants ingest like plain ones (expiry reads the
         // engine's accumulators at each publish); their retractions go
         // through the window, which counts them in `window.retractions`.
@@ -426,15 +429,7 @@ impl AnalysisService {
                 return Response::error(500, &format!("write-ahead append failed: {e}")).closing()
             }
         };
-        Response::json(
-            200,
-            &serde_json::json!({
-                "forum": name,
-                "watermark": writer.batches_applied(),
-                "users": users,
-                "posts": posts,
-            }),
-        )
+        Response::json_text(200, write_ack(name, writer.batches_applied(), users, posts))
     }
 
     /// Resolves the report to serve: the newest published report (read
@@ -743,6 +738,23 @@ fn decode_deltas<'b>(
     Ok((flatten_deltas(spill), spill.len()))
 }
 
+/// The body of a write's 200 — `{"forum", "watermark", "users",
+/// "posts"}` — written straight into one buffer: the bytes
+/// `serde_json::json!` prints for the same fields.
+fn write_ack(forum: &str, watermark: u64, users: usize, posts: usize) -> String {
+    let mut out = String::with_capacity(64 + forum.len());
+    out.push_str("{\"forum\":");
+    forum.write_json(&mut out);
+    out.push_str(",\"watermark\":");
+    watermark.write_json(&mut out);
+    out.push_str(",\"users\":");
+    users.write_json(&mut out);
+    out.push_str(",\"posts\":");
+    posts.write_json(&mut out);
+    out.push('}');
+    out
+}
+
 /// Reads the compact canonical ingest body — exactly what
 /// `serde_json::to_vec` writes for `{"deltas": [{"user": …, "posts":
 /// […]}, …]}` — without building a tree, borrowing each user from the
@@ -916,6 +928,28 @@ mod tests {
             ServiceConfig::default(),
             Some(Observer::with_level(crowdtz_obs::LogLevel::Off)),
         )
+    }
+
+    /// The ingest ack writes the bytes the value tree it replaced printed,
+    /// escapes and integer extremes included.
+    #[test]
+    fn write_ack_prints_the_value_tree_bytes() {
+        for (forum, watermark, users, posts) in [
+            ("alpha", 1, 3, 50),
+            ("", 0, 0, 0),
+            ("q\"uo\\te\n\u{1}é", u64::MAX, usize::MAX, 7),
+        ] {
+            let tree = serde_json::json!({
+                "forum": forum,
+                "watermark": watermark,
+                "users": users,
+                "posts": posts,
+            });
+            assert_eq!(
+                write_ack(forum, watermark, users, posts),
+                serde_json::to_string(&tree).unwrap()
+            );
+        }
     }
 
     #[test]

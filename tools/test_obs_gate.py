@@ -69,6 +69,17 @@ class RatioRules(unittest.TestCase):
     def test_held_encode_slowdown_past_the_ratio_fails(self):
         self.streaming_row_is_gated("held_encode_secs", 0.00088)
 
+    def test_a_crowd_summed_on_every_clean_snapshot_fails(self):
+        name = "cached_snapshot_secs"
+        base = bench(row(name, 0.000063, "lower", "s"))
+        self.assertEqual(len(gate(base, bench(row(name, 0.000063 * 17, "lower", "s")))[1]), 1)
+
+    def test_clean_snapshots_under_the_floor_are_skipped(self):
+        name = "cached_snapshot_secs"
+        base = bench(row(name, 0.000063, "lower", "s"))
+        self.assertEqual(gate(base, bench(row(name, 0.00045, "lower", "s"))), (0, []))
+        self.assertEqual(gate(bench(row(name, 0.00045, "lower", "s")), base), (0, []))
+
     def streaming_row_is_gated(self, name, secs):
         """A sub-millisecond CI-scale figure is compared: within 2x passes,
         past it fails."""
